@@ -28,10 +28,10 @@ fixed = [
     for kind, seed in [("noise_burst", 1), ("impulse_train", 2), ("chirp", 3)]
 ]
 
-coeffs = tiwt(fixed[0])
-print("detail planes:", coeffs.planes.shape, "(scales x orientations x H x W)")
+planes = tiwt(fixed[0])
+print("detail planes:", planes.shape, "(scales x orientations x H x W)")
 
-s1 = normalize_scale(coeffs)
+s1 = normalize_scale(planes)
 print(f"normalized coefficients: max {s1.max():.3e} "
       "(input scaling by c rescales these by exactly 1/c)")
 

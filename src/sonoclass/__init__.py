@@ -55,16 +55,15 @@ from .svm import (
     BinarySvmModel,
     KernelParams,
     OvoModel,
-    decision_value,
+    decision_values,
     grid_search_cv,
-    ovo_predict,
+    ovo_predict_batch,
     ovo_train,
     rbf_kernel,
     smo_train,
 )
 from .wavelet_baseline import (
     PatchSet,
-    TiwtCoeffs,
     c2_features,
     global_max,
     local_max,

@@ -23,7 +23,6 @@ class FeatureMatrix:
 
     values: np.ndarray
     labels: np.ndarray
-    feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -50,22 +49,14 @@ class FeatureMatrix:
 
 @dataclass(frozen=True)
 class MiSelection:
-    """Ranking result: per-feature scores (bits), chosen indices, bin edges."""
+    """Ranking result: per-feature scores (bits) and the chosen indices."""
 
     scores: np.ndarray        # (D,)
     selected: np.ndarray      # (K,) feature indices, descending score
-    bin_edges: np.ndarray     # (D, n_bins + 1), fit on training data
-    n_bins: int
 
     @property
     def n_features(self) -> int:
         return self.scores.shape[0]
-
-    def bin_column(self, column: np.ndarray, feature_index: int) -> np.ndarray:
-        """Discretize with the stored training edges; out-of-range clamps."""
-        edges = self.bin_edges[feature_index]
-        idx = np.searchsorted(edges[1:-1], column, side="right")
-        return np.clip(idx, 0, self.n_bins - 1).astype(np.int64)
 
 
 def discretize(column: np.ndarray, n_bins: int) -> np.ndarray:
@@ -113,8 +104,7 @@ def select_top_k(
     """Rank every feature by MI with the labels and keep the k best.
 
     Ties break toward the lower feature index. Compute this on the
-    training split only; the returned bin edges let test-time code reuse
-    the training discretization.
+    training split only; test rows reuse the selected indices.
     """
     d = matrix.n_features
     if not (1 <= k <= d):
@@ -122,10 +112,6 @@ def select_top_k(
     labels = matrix.labels
     if np.unique(labels).size < 2:
         raise ValueError("selection needs at least 2 distinct classes")
-
-    lo = matrix.values.min(axis=0)
-    hi = matrix.values.max(axis=0)
-    edges = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.0, 1.0, n_bins + 1)[None, :]
 
     _, label_idx = np.unique(labels, return_inverse=True)
     n_classes = int(label_idx.max()) + 1
@@ -139,7 +125,7 @@ def select_top_k(
 
     order = np.lexsort((np.arange(d), -scores))
     selected = order[:k].copy()
-    return MiSelection(scores=scores, selected=selected, bin_edges=edges, n_bins=n_bins)
+    return MiSelection(scores=scores, selected=selected)
 
 
 def apply_selection(vector: np.ndarray, selection: MiSelection) -> np.ndarray:

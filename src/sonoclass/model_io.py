@@ -209,7 +209,6 @@ def load_model(path) -> TrainedModel:
         classes=tuple(range(n_classes)),
         pair_models=pair_models,
         scaler=(lo, hi),
-        selection=None,
     )
     return TrainedModel(
         ovo=ovo,

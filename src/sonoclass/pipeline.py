@@ -26,11 +26,11 @@ from .errors import (
     ManifestError,
     SonoclassError,
 )
-from .feature_select import FeatureMatrix, select_top_k
+from .feature_select import FeatureMatrix, MiSelection, apply_selection, select_top_k
 from .model_io import TrainedModel
 from .spectrogram import StftParams, log_spectrogram, to_fixed
 from .svm import KernelParams, grid_search_cv, ovo_predict_batch, ovo_train
-from .wavelet_baseline import PatchSet, c1_pyramid, sample_patches
+from .wavelet_baseline import PatchSet, c1_pyramid, global_max, patch_transform, sample_patches
 
 METHODS = ("single", "bank", "patches", "wavelet")
 TRAIN_FRACTION = 2.0 / 3.0
@@ -180,6 +180,16 @@ class RunConfig:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if not self.wavelet_sizes or any(s < 1 for s in self.wavelet_sizes):
             raise ConfigError("wavelet.sizes needs at least one positive size")
+        if self.mi_top_k < 1:
+            raise ConfigError(f"mi.top_k must be at least 1, got {self.mi_top_k}")
+        # the parameter objects own their rules; building them here makes a
+        # bad value fail before any file is read or written
+        try:
+            self.stft_params()
+            self.gabor_params()
+            self.kernel_params()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def stft_params(self) -> StftParams:
         return StftParams(frame_size=self.frame_size, hop=self.hop, log_floor=self.log_floor)
@@ -412,13 +422,6 @@ class FeatureExtractor:
             np.save(cached, vec)
         return vec
 
-    def wavelet_feature(self, path, patch_set: PatchSet) -> np.ndarray:
-        # C1 pyramids are cached per clip; the patch correlation depends on
-        # the training-sampled patches and is recomputed per run.
-        return wavelet_baseline.global_max(
-            wavelet_baseline.patch_transform(self.c1(path), patch_set)
-        )
-
 
 @dataclass
 class ExtractResult:
@@ -461,13 +464,14 @@ def extract_features(
 
     Rows follow manifest order within each split. For the wavelet method a
     missing patch_set is sampled from the training rows' C1 pyramids with
-    the configured seed.
+    the configured seed; the C2 vectors then reuse those pyramids. C1 is
+    cached per clip, while C2 depends on the patches and is recomputed.
     """
     extractor = FeatureExtractor(config, cache_dir)
     class_names = manifest.classes
     label_index = {name: i for i, name in enumerate(class_names)}
+    vectors: dict[str, list] = {}
 
-    matrices: dict[str, FeatureMatrix | None] = {"train": None, "test": None}
     if config.method == "wavelet":
         if patch_set is None:
             train_rows = manifest.rows("train")
@@ -480,33 +484,53 @@ def extract_features(
                 sizes=config.wavelet_sizes,
                 seed=config.seed,
             )
-        ps = patch_set
-        feature_fn = lambda e: extractor.wavelet_feature(e.path, ps)
+            if "train" in splits:
+                vectors["train"] = [global_max(patch_transform(c1, patch_set)) for c1 in train_c1]
+        feature_fn = lambda e: global_max(patch_transform(extractor.c1(e.path), patch_set))
     else:
         feature_fn = lambda e: extractor.gabor_feature(e.path)
 
     failures: list[str] = []
-    collected: dict[str, list] = {}
     for split in splits:
         rows = manifest.rows(split)
-        if rows:
-            collected[split] = _collect(rows, feature_fn, failures)
+        if rows and split not in vectors:
+            vectors[split] = _collect(rows, feature_fn, failures)
     if failures:
         raise ExtractionError(
             f"{len(failures)} file(s) failed:\n" + "\n".join(failures)
         )
-    for split, vectors in collected.items():
-        rows = manifest.rows(split)
-        labels = np.array([label_index[e.label] for e in rows], dtype=np.int64)
-        matrices[split] = FeatureMatrix(values=np.vstack(vectors), labels=labels)
+    matrices: dict[str, FeatureMatrix] = {}
+    for split, split_vectors in vectors.items():
+        labels = np.array([label_index[e.label] for e in manifest.rows(split)], dtype=np.int64)
+        matrices[split] = FeatureMatrix(values=np.vstack(split_vectors), labels=labels)
 
     return ExtractResult(
-        train=matrices["train"],
-        test=matrices["test"],
+        train=matrices.get("train"),
+        test=matrices.get("test"),
         class_names=class_names,
         patch_set=patch_set,
         stats=extractor.stats,
     )
+
+
+def _selected_train(
+    manifest: DatasetManifest,
+    config: RunConfig,
+    cache_dir=None,
+    patch_set: PatchSet | None = None,
+) -> tuple[ExtractResult, FeatureMatrix, MiSelection | None]:
+    """Extract the train split and keep its MI top-K columns (log-Gabor
+    methods; wavelet C2 vectors pass through unselected)."""
+    result = extract_features(
+        manifest, config, cache_dir=cache_dir, patch_set=patch_set, splits=("train",)
+    )
+    if result.train is None:
+        raise ManifestError("manifest has no train rows")
+    if config.method == "wavelet":
+        return result, result.train, None
+    selection = select_top_k(result.train, k=config.mi_top_k, n_bins=config.mi_n_bins)
+    matrix = FeatureMatrix(apply_selection(result.train.values, selection), result.train.labels)
+    return result, matrix, selection
 
 
 # --------------------------------------------------------------------------
@@ -520,40 +544,22 @@ def train_model(
     patch_set: PatchSet | None = None,
 ) -> TrainedModel:
     """Fit MI selection (log-Gabor methods), the scaler, and all pair SVMs."""
-    result = extract_features(
-        manifest, config, cache_dir=cache_dir, patch_set=patch_set, splits=("train",)
-    )
-    if result.train is None:
-        raise ManifestError("manifest has no train rows")
-
-    selection = None
-    matrix = result.train
-    selected_indices = selected_scores = None
-    n_raw = matrix.n_features
-    if config.method != "wavelet":
-        selection = select_top_k(matrix, k=config.mi_top_k, n_bins=config.mi_n_bins)
-        matrix = FeatureMatrix(
-            values=matrix.values[:, selection.selected], labels=matrix.labels
-        )
-        selected_indices = selection.selected
-        selected_scores = selection.scores[selection.selected]
-
+    result, matrix, selection = _selected_train(manifest, config, cache_dir, patch_set)
     ovo = ovo_train(
         matrix,
         config.kernel_params(),
         tol=config.svm_tol,
         max_passes=config.svm_max_passes,
         seed=config.seed,
-        selection=selection,
     )
     return TrainedModel(
         ovo=ovo,
         method=config.method,
         config=config_to_flat(config),
         class_names=result.class_names,
-        selected_indices=selected_indices,
-        selected_scores=selected_scores,
-        n_raw_features=n_raw,
+        selected_indices=None if selection is None else selection.selected,
+        selected_scores=None if selection is None else selection.scores[selection.selected],
+        n_raw_features=result.train.n_features,
         patch_set=result.patch_set if config.method == "wavelet" else None,
     )
 
@@ -586,17 +592,13 @@ def evaluate_model(
     if unknown:
         raise ManifestError(f"labels not in the model: {unknown}")
 
+    if model.method == "wavelet" and model.patch_set is None:
+        raise DimensionMismatch("wavelet model carries no patch set")
+
     t0 = time.perf_counter()
-    extractor = FeatureExtractor(config, cache_dir)
-    if model.method == "wavelet":
-        if model.patch_set is None:
-            raise DimensionMismatch("wavelet model carries no patch set")
-        vectors = _collect(
-            test_rows, lambda e: extractor.wavelet_feature(e.path, model.patch_set)
-        )
-    else:
-        vectors = _collect(test_rows, lambda e: extractor.gabor_feature(e.path))
-    values = np.vstack(vectors)
+    values = extract_features(
+        manifest, config, cache_dir=cache_dir, patch_set=model.patch_set, splits=("test",)
+    ).test.values
     t_features = time.perf_counter() - t0
 
     if model.selected_indices is not None:
@@ -671,13 +673,7 @@ def grid_search(
     cache_dir=None,
 ) -> tuple[KernelParams, list[tuple[float, float, float]]]:
     """Cross-validated (C, gamma) search on the training split's features."""
-    result = extract_features(manifest, config, cache_dir=cache_dir, splits=("train",))
-    if result.train is None:
-        raise ManifestError("manifest has no train rows")
-    matrix = result.train
-    if config.method != "wavelet":
-        selection = select_top_k(matrix, k=config.mi_top_k, n_bins=config.mi_n_bins)
-        matrix = FeatureMatrix(matrix.values[:, selection.selected], matrix.labels)
+    _, matrix, _ = _selected_train(manifest, config, cache_dir)
     c_grid = config.grid_c or svm.DEFAULT_C_GRID
     gamma_grid = config.grid_gamma or svm.DEFAULT_GAMMA_GRID
     return grid_search_cv(

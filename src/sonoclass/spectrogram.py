@@ -6,7 +6,7 @@ method downstream consumes the fixed-size, [0, 1]-normalized matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -31,25 +31,17 @@ class StftParams:
     frame_size: int = DEFAULT_FRAME_SIZE
     hop: int = DEFAULT_HOP
     log_floor: float = DEFAULT_LOG_FLOOR
-    window: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         if not (0 < self.hop <= self.frame_size):
             raise ValueError(f"need 0 < hop <= frame_size, got hop={self.hop} frame_size={self.frame_size}")
         if not (self.log_floor > 0):
             raise ValueError("log_floor must be positive")
-        window = self.window
-        if window is None:
-            window = hamming_window(self.frame_size)
-        window = np.asarray(window, dtype=np.float64)
-        if window.shape != (self.frame_size,):
-            raise ValueError("window length must equal frame_size")
-        if window.min() <= 0.0 or window.max() > 1.08:
-            raise ValueError("window values must lie in (0, 1.08]")
-        if not np.allclose(window, window[::-1]):
-            raise ValueError("window must be symmetric")
-        window.setflags(write=False)
-        object.__setattr__(self, "window", window)
+
+    @property
+    def window(self) -> np.ndarray:
+        """The analysis window: always a Hamming window of frame_size samples."""
+        return hamming_window(self.frame_size)
 
     @property
     def n_bins(self) -> int:

@@ -23,7 +23,7 @@ from .errors import (
     LengthMismatch,
     SingleClassInput,
 )
-from .feature_select import FeatureMatrix, MiSelection
+from .feature_select import FeatureMatrix
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_PASSES = 200
@@ -65,14 +65,12 @@ class OvoModel:
 
     pair_models maps (a, b) with a < b to the binary model trained with
     class a as +1 and class b as -1. scaler holds per-feature (min, max)
-    from the training matrix; selection is the MI reduction applied before
-    scaling, if any.
+    from the training matrix.
     """
 
     classes: tuple[int, ...]
     pair_models: dict[tuple[int, int], BinarySvmModel]
     scaler: tuple[np.ndarray, np.ndarray]
-    selection: MiSelection | None = None
 
     @property
     def n_features(self) -> int:
@@ -277,24 +275,15 @@ def _recompute_bias(kernel: np.ndarray, y: np.ndarray, alpha: np.ndarray, c: flo
     return _bias_from_state(y, kernel @ (alpha * y), alpha, c)
 
 
-def decision_value(model: BinarySvmModel, x: np.ndarray) -> float:
-    """sum_i (a_i y_i) k(x, x_i) + b, the margin before taking the sign."""
-    x = np.asarray(x, dtype=np.float64)
-    if model.support_vectors.shape[0] == 0:
-        return float(model.bias)
-    if x.shape != (model.support_vectors.shape[1],):
-        raise LengthMismatch(
-            f"x has shape {x.shape}, model expects ({model.support_vectors.shape[1]},)"
-        )
-    k = rbf_kernel_matrix(x[None, :], model.support_vectors, model.params.gamma)[0]
-    return float(k @ model.dual_coef + model.bias)
-
-
 def decision_values(model: BinarySvmModel, x: np.ndarray) -> np.ndarray:
-    """Vectorized decision_value over the rows of x."""
+    """sum_i (a_i y_i) k(x, x_i) + b for each row x, the margin before the sign."""
     x = np.asarray(x, dtype=np.float64)
     if model.support_vectors.shape[0] == 0:
         return np.full(x.shape[0], model.bias)
+    if x.shape[1] != model.support_vectors.shape[1]:
+        raise LengthMismatch(
+            f"x has {x.shape[1]} features, model expects {model.support_vectors.shape[1]}"
+        )
     k = rbf_kernel_matrix(x, model.support_vectors, model.params.gamma)
     return k @ model.dual_coef + model.bias
 
@@ -318,7 +307,6 @@ def ovo_train(
     tol: float = DEFAULT_TOL,
     max_passes: int = DEFAULT_MAX_PASSES,
     seed: int = 0,
-    selection: MiSelection | None = None,
 ) -> OvoModel:
     """Train one binary model per unordered class pair.
 
@@ -345,9 +333,7 @@ def ovo_train(
             scaled[rows], y, params,
             tol=tol, max_passes=max_passes, seed=seed + pair_idx,
         )
-    return OvoModel(
-        classes=classes, pair_models=pair_models, scaler=scaler, selection=selection
-    )
+    return OvoModel(classes=classes, pair_models=pair_models, scaler=scaler)
 
 
 def ovo_votes(model: OvoModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -372,12 +358,8 @@ def ovo_votes(model: OvoModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return votes, support
 
 
-def ovo_predict(model: OvoModel, x: np.ndarray) -> int:
-    """Majority vote; ties go to the largest winning-margin sum, then lowest class."""
-    return int(ovo_predict_batch(model, np.asarray(x)[None, :])[0])
-
-
 def ovo_predict_batch(model: OvoModel, x: np.ndarray) -> np.ndarray:
+    """Majority vote per row; ties go to the largest winning-margin sum, then lowest class."""
     votes, support = ovo_votes(model, x)
     classes = np.asarray(model.classes)
     out = np.empty(votes.shape[0], dtype=np.int64)

@@ -26,21 +26,6 @@ _HAAR_HI = (0.5, -0.5)
 
 
 @dataclass(frozen=True)
-class TiwtCoeffs:
-    """Undecimated detail planes, shape (len(SCALES), 3, N1, N2)."""
-
-    planes: np.ndarray
-
-    @property
-    def input_shape(self) -> tuple[int, int]:
-        return self.planes.shape[2], self.planes.shape[3]
-
-    def plane(self, scale: int, orientation: int) -> np.ndarray:
-        """Detail plane for 1-based scale j and orientation k."""
-        return self.planes[scale - 1, orientation - 1]
-
-
-@dataclass(frozen=True)
 class PatchSet:
     """Patches sampled from training C1 pyramids, each (M, M, 3).
 
@@ -57,11 +42,13 @@ class PatchSet:
         return len(self.patches)
 
 
-def tiwt(values: np.ndarray) -> TiwtCoeffs:
+def tiwt(values: np.ndarray) -> np.ndarray:
     """Stationary 2D Haar details with periodic extension.
 
-    Level j uses taps spaced 2^(j-1) samples apart on the previous
-    approximation, so every plane keeps the input resolution.
+    Returns read-only planes of shape (len(SCALES), 3, N1, N2); the plane
+    for 1-based scale j and orientation k is [j - 1, k - 1]. Level j uses
+    taps spaced 2^(j-1) samples apart on the previous approximation, so
+    every plane keeps the input resolution.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
@@ -82,26 +69,10 @@ def tiwt(values: np.ndarray) -> TiwtCoeffs:
         planes[idx, 2] = _HAAR_HI[0] * hi_r + _HAAR_HI[1] * np.roll(hi_r, -s, axis=1)
         approx = _HAAR_LO[0] * lo_r + _HAAR_LO[1] * np.roll(lo_r, -s, axis=1)
     planes.setflags(write=False)
-    return TiwtCoeffs(planes=planes)
+    return planes
 
 
-def haar_taps(scale: int) -> tuple[np.ndarray, np.ndarray]:
-    """Effective 1D analysis filters at a dyadic scale (cascade of upsampled taps)."""
-    lo = np.array([1.0])
-    for j in range(1, scale):
-        s = 2 ** (j - 1)
-        up = np.zeros(s + 1)
-        up[0], up[s] = _HAAR_LO
-        lo = np.convolve(lo, up)
-    s = 2 ** (scale - 1)
-    up_lo = np.zeros(s + 1)
-    up_lo[0], up_lo[s] = _HAAR_LO
-    up_hi = np.zeros(s + 1)
-    up_hi[0], up_hi[s] = _HAAR_HI
-    return np.convolve(lo, up_lo), np.convolve(lo, up_hi)
-
-
-def normalize_scale(coeffs: TiwtCoeffs) -> np.ndarray:
+def normalize_scale(planes: np.ndarray) -> np.ndarray:
     """Divide |detail| by the plane's total squared energy, per (scale, orientation).
 
     Scaling the input by c > 0 scales the result by 1/c. A plane holding
@@ -110,7 +81,6 @@ def normalize_scale(coeffs: TiwtCoeffs) -> np.ndarray:
     all-zero instead of being amplified by the division; the threshold is
     relative, so this guard is itself scale-invariant.
     """
-    planes = coeffs.planes
     mags = np.abs(planes)
     plane_max = mags.max(axis=(2, 3), keepdims=True)
     dead = plane_max <= 1e-12 * mags.max()

@@ -1,3 +1,4 @@
+import os
 import struct
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for qp_oracle
 
+import sonoclass
 from sonoclass import pipeline
 
 
@@ -50,3 +52,16 @@ def mini_config():
         method="bank", seed=1, mi_top_k=32, svm_c=8.0, svm_gamma=0.5,
         wavelet_patches=30,
     )
+
+
+@pytest.fixture
+def src_env():
+    """Builds the environment for a child interpreter that imports the
+    sonoclass under test; keyword arguments add or override variables."""
+    src = str(Path(sonoclass.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+
+    def build(**extra):
+        return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else ""), **extra}
+
+    return build

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +182,19 @@ class TestErrorPaths:
         ])
         assert rc == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("flag, value", [("--gamma", "0"), ("--c", "-1"), ("--top-k", "0")])
+    def test_bad_model_value_is_config_error(self, corpus, tmp_path, capsys, flag, value):
+        cache = tmp_path / "cache"
+        rc = cli.main([
+            "train", "--manifest", str(corpus["manifest"]), flag, value,
+            "--cache-dir", str(cache), "--out", str(tmp_path / "m.txt"),
+        ])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not cache.exists()
+
     def test_missing_audio_is_data_error(self, tmp_path):
         manifest = tmp_path / "m.tsv"
         manifest.write_text(
@@ -196,6 +210,23 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as err:
             cli.main(["transmogrify"])
         assert err.value.code == cli.EXIT_USAGE
+
+    def test_trace_targets_exist(self, src_env):
+        # perfbench/tracer.py wraps these functions by name and raises
+        # TargetMissing on a rename. install() patches modules for good, so
+        # it runs in its own process.
+        repo = Path(__file__).resolve().parents[1]
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1])\n"
+            "from tracer import Tracer\n"
+            "import sonoclass.cli\n"
+            "Tracer().install()\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(repo / "perfbench")],
+            capture_output=True, text=True, env=src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_entry_point_runs(self):
         proc = subprocess.run(

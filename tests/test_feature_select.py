@@ -173,12 +173,6 @@ class TestSelectTopK:
         with pytest.raises(ValueError):
             select_top_k(FeatureMatrix(values, np.zeros(10, dtype=int)), k=2)
 
-    def test_bin_edges_clamp_out_of_range(self):
-        matrix, _ = self.make_matrix()
-        sel = select_top_k(matrix, k=3, n_bins=4)
-        binned = sel.bin_column(np.array([-1e9, 0.0, 1e9]), feature_index=0)
-        assert binned[0] == 0 and binned[-1] == 3
-
 
 class TestApplySelection:
     def make_selection(self, selected, d):
@@ -186,8 +180,6 @@ class TestApplySelection:
         return MiSelection(
             scores=np.zeros(d),
             selected=np.asarray(selected, dtype=np.int64),
-            bin_edges=np.zeros((d, 5)),
-            n_bins=4,
         )
 
     def test_gather_order(self):

@@ -12,10 +12,8 @@ from sonoclass.feature_select import FeatureMatrix
 from sonoclass.svm import (
     BinarySvmModel,
     KernelParams,
-    decision_value,
     decision_values,
     grid_search_cv,
-    ovo_predict,
     ovo_predict_batch,
     ovo_train,
     rbf_kernel,
@@ -185,7 +183,7 @@ class TestDecisionValue:
             bias=0.0,
             params=KernelParams(gamma=1.0, c=1.0),
         )
-        assert decision_value(model, np.zeros(3)) == 0.0
+        assert decision_values(model, np.zeros((1, 3)))[0] == 0.0
 
     def test_unbounded_sv_sits_on_margin(self):
         x, labels = blobs(seed=11)
@@ -198,7 +196,7 @@ class TestDecisionValue:
         assert unbounded.any()
         sv = model.support_vectors[unbounded][0]
         sign = np.sign(model.dual_coef[unbounded][0])
-        assert sign * decision_value(model, sv) == pytest.approx(1.0, abs=2 * tol)
+        assert sign * decision_values(model, sv[None, :])[0] == pytest.approx(1.0, abs=2 * tol)
 
     def test_summation_oracle(self):
         x, labels = blobs(seed=12)
@@ -209,14 +207,14 @@ class TestDecisionValue:
             coef * rbf_kernel(probe, sv, 0.5)
             for coef, sv in zip(model.dual_coef, model.support_vectors)
         )
-        assert decision_value(model, probe) == pytest.approx(direct, rel=1e-12)
+        assert decision_values(model, probe[None, :])[0] == pytest.approx(direct, rel=1e-12)
 
     def test_length_mismatch(self):
         x, labels = blobs(seed=13, n_per=5)
         y = np.where(labels == 0, 1.0, -1.0)
         model = smo_train(x, y, KernelParams(gamma=0.5, c=5.0), seed=0)
         with pytest.raises(LengthMismatch):
-            decision_value(model, np.zeros(5))
+            decision_values(model, np.zeros((1, 5)))
 
 
 def multiclass_blobs(k, seed=0, n_per=8, spread=0.3):
@@ -295,7 +293,7 @@ class TestOvo:
         )
         # hand enumeration: votes are 1 each; winning-margin sums are
         # 0 -> 0.5, 1 -> 2.0, 2 -> 1.0, so class 1 wins
-        assert ovo_predict(model, np.zeros(2)) == 1
+        assert ovo_predict_batch(model, np.zeros((1, 2)))[0] == 1
 
     def test_tie_breaks_to_lowest_class_when_margins_equal(self):
         from sonoclass.svm import OvoModel
@@ -314,7 +312,7 @@ class TestOvo:
         }
         model = OvoModel(classes=(0, 1, 2), pair_models=pair_models,
                          scaler=(np.zeros(2), np.ones(2)))
-        assert ovo_predict(model, np.zeros(2)) == 0
+        assert ovo_predict_batch(model, np.zeros((1, 2)))[0] == 0
 
     def test_relabeling_invariance(self):
         matrix = multiclass_blobs(3, seed=7, n_per=10)

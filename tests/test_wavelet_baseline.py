@@ -5,7 +5,6 @@ from sonoclass.errors import BadShape, EmptyInput, PatchLargerThanPlane
 from sonoclass.wavelet_baseline import (
     SCALES,
     PatchSet,
-    TiwtCoeffs,
     c1_pyramid,
     c2_features,
     global_max,
@@ -54,12 +53,12 @@ def direct_detail(values, scale, orientation_idx):
 
 class TestTiwt:
     def test_constant_input_zero_details(self):
-        coeffs = tiwt(np.full((16, 16), 3.3))
-        assert np.all(coeffs.planes == 0.0)
+        planes = tiwt(np.full((16, 16), 3.3))
+        assert np.all(planes == 0.0)
 
     def test_shapes_undecimated(self):
-        coeffs = tiwt(np.random.default_rng(0).normal(size=(128, 128)))
-        assert coeffs.planes.shape == (3, 3, 128, 128)
+        planes = tiwt(np.random.default_rng(0).normal(size=(128, 128)))
+        assert planes.shape == (3, 3, 128, 128)
 
     def test_bad_shape(self):
         with pytest.raises(BadShape):
@@ -70,26 +69,26 @@ class TestTiwt:
     def test_single_impulse_scale1_matches_direct_sum(self):
         values = np.zeros((8, 8))
         values[0, 0] = 1.0
-        coeffs = tiwt(values)
+        planes = tiwt(values)
         for k in range(3):
             expected = direct_detail(values, 1, k)
-            assert np.max(np.abs(coeffs.plane(1, k + 1) - expected)) <= 1e-10
+            assert np.max(np.abs(planes[0, k] - expected)) <= 1e-10
 
     def test_random_input_all_scales_match_direct_sum(self):
         values = np.random.default_rng(1).normal(size=(8, 8))
-        coeffs = tiwt(values)
+        planes = tiwt(values)
         for scale in SCALES:
             for k in range(3):
                 expected = direct_detail(values, scale, k)
-                assert np.max(np.abs(coeffs.plane(scale, k + 1) - expected)) <= 1e-10
+                assert np.max(np.abs(planes[scale - 1, k] - expected)) <= 1e-10
 
     def test_translation_covariance(self):
         rng = np.random.default_rng(2)
         values = rng.normal(size=(16, 16))
         du, dv = 5, 11
         shifted = np.roll(values, (du, dv), axis=(0, 1))
-        a = tiwt(values).planes
-        b = tiwt(shifted).planes
+        a = tiwt(values)
+        b = tiwt(shifted)
         assert np.array_equal(np.roll(a, (du, dv), axis=(2, 3)), b)
 
 
@@ -102,7 +101,7 @@ class TestNormalizeScale:
         planes = np.zeros((3, 3, 4, 4))
         planes[0, 0, 0, 0] = 1.0
         planes[0, 0, 0, 1] = -1.0
-        s1 = normalize_scale(TiwtCoeffs(planes=planes))
+        s1 = normalize_scale(planes)
         assert s1[0, 0, 0, 0] == pytest.approx(0.5)   # |1| / (1 + 1)
         assert s1[0, 0, 0, 1] == pytest.approx(0.5)
         assert np.all(s1[0, 0, 1:] == 0.0)
@@ -121,7 +120,7 @@ class TestNormalizeScale:
         planes = np.zeros((3, 3, 4, 4))
         planes[0, 0] = np.random.default_rng(4).normal(size=(4, 4))
         planes[1, 2] = 1e-16 * np.random.default_rng(5).normal(size=(4, 4))
-        s1 = normalize_scale(TiwtCoeffs(planes=planes))
+        s1 = normalize_scale(planes)
         assert np.all(s1[1, 2] == 0.0)
         assert np.any(s1[0, 0] > 0.0)
 
