@@ -11,12 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyAudio,
-    InvalidDuration,
-    MalformedContainer,
-    UnsupportedEncoding,
-)
+from .errors import SonoclassError
 
 SYNTH_KINDS = ("noise_burst", "harmonic_tone", "chirp", "impulse_train")
 
@@ -39,11 +34,11 @@ class AudioClip:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1 or samples.size == 0:
-            raise EmptyAudio("clip must contain at least one sample")
+            raise SonoclassError("clip must contain at least one sample")
         if not np.all(np.isfinite(samples)):
-            raise MalformedContainer("clip contains non-finite samples")
+            raise SonoclassError("clip contains non-finite samples")
         if int(self.sample_rate) <= 0:
-            raise MalformedContainer("sample_rate must be positive")
+            raise SonoclassError("sample_rate must be positive")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
@@ -56,14 +51,14 @@ class AudioClip:
 def _parse_riff_chunks(raw: bytes):
     """Yield (chunk_id, payload) pairs from a RIFF/WAVE blob."""
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
-        raise MalformedContainer("not a RIFF/WAVE file")
+        raise SonoclassError("not a RIFF/WAVE file")
     pos = 12
     while pos + 8 <= len(raw):
         cid = raw[pos:pos + 4]
         (size,) = struct.unpack_from("<I", raw, pos + 4)
         payload = raw[pos + 8:pos + 8 + size]
         if len(payload) < size:
-            raise MalformedContainer(f"truncated {cid!r} chunk")
+            raise SonoclassError(f"truncated {cid!r} chunk")
         yield cid, payload
         pos += 8 + size + (size & 1)  # chunks are word-aligned
 
@@ -81,14 +76,14 @@ def _decode_samples(data: bytes, fmt: int, bits: int) -> np.ndarray:
             return v.astype(np.float64) / float(1 << 23)
         if bits == 32:
             return np.frombuffer(data, dtype="<i4").astype(np.float64) / float(1 << 31)
-        raise UnsupportedEncoding(f"{bits}-bit integer PCM is not supported")
+        raise SonoclassError(f"{bits}-bit integer PCM is not supported")
     if fmt == _WAVE_FORMAT_IEEE_FLOAT:
         if bits == 32:
             return np.frombuffer(data, dtype="<f4").astype(np.float64)
         if bits == 64:
             return np.frombuffer(data, dtype="<f8").astype(np.float64)
-        raise UnsupportedEncoding(f"{bits}-bit float is not supported")
-    raise UnsupportedEncoding(f"WAV format tag {fmt:#x} (compressed codec?)")
+        raise SonoclassError(f"{bits}-bit float is not supported")
+    raise SonoclassError(f"WAV format tag {fmt:#x} (compressed codec?)")
 
 
 def load_wav(path) -> AudioClip:
@@ -106,32 +101,32 @@ def load_wav(path) -> AudioClip:
     for cid, payload in _parse_riff_chunks(raw):
         if cid == b"fmt ":
             if len(payload) < 16:
-                raise MalformedContainer("fmt chunk too short")
+                raise SonoclassError("fmt chunk too short")
             fmt, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", payload, 0)
             if fmt == _WAVE_FORMAT_EXTENSIBLE:
                 if len(payload) < 26:
-                    raise MalformedContainer("extensible fmt chunk too short")
+                    raise SonoclassError("extensible fmt chunk too short")
                 (fmt,) = struct.unpack_from("<H", payload, 24)  # subformat GUID prefix
         elif cid == b"data":
             data = payload
     if fmt is None or data is None:
-        raise MalformedContainer("missing fmt or data chunk")
+        raise SonoclassError("missing fmt or data chunk")
     if fmt not in (_WAVE_FORMAT_PCM, _WAVE_FORMAT_IEEE_FLOAT):
-        raise UnsupportedEncoding(f"WAV format tag {fmt:#x} (compressed codec?)")
+        raise SonoclassError(f"WAV format tag {fmt:#x} (compressed codec?)")
     if channels < 1:
-        raise MalformedContainer("zero channels")
+        raise SonoclassError("zero channels")
 
     frame_bytes = channels * (bits // 8)
     if frame_bytes == 0 or len(data) % frame_bytes:
-        raise MalformedContainer("data chunk is not a whole number of frames")
+        raise SonoclassError("data chunk is not a whole number of frames")
     if len(data) == 0:
-        raise EmptyAudio(f"{path}: zero audio frames")
+        raise SonoclassError(f"{path}: zero audio frames")
 
     samples = _decode_samples(data, fmt, bits)
     if channels > 1:
         samples = samples.reshape(-1, channels).mean(axis=1)
     if not np.all(np.isfinite(samples)):
-        raise MalformedContainer(f"{path}: non-finite samples")
+        raise SonoclassError(f"{path}: non-finite samples")
     peak = float(np.max(np.abs(samples))) if samples.size else 0.0
     if peak > 1.0:
         samples = samples / peak
@@ -186,10 +181,10 @@ def synthesize_clip(kind: str, duration_s: float, sample_rate: int, seed: int) -
     if kind not in SYNTH_KINDS:
         raise ValueError(f"unknown clip kind {kind!r}; expected one of {SYNTH_KINDS}")
     if not (duration_s > 0):
-        raise InvalidDuration(f"duration_s must be > 0, got {duration_s}")
+        raise SonoclassError(f"duration_s must be > 0, got {duration_s}")
     n = int(round(duration_s * sample_rate))
     if n < 1:
-        raise InvalidDuration(f"duration {duration_s}s is shorter than one sample")
+        raise SonoclassError(f"duration {duration_s}s is shorter than one sample")
 
     rng = np.random.default_rng([int(seed), SYNTH_KINDS.index(kind)])
     t = np.arange(n) / sample_rate

@@ -1,111 +1,15 @@
-"""Exception hierarchy shared across the package.
+"""The two exception types the package raises on bad input.
 
-Everything raised on bad data or bad arguments derives from SonoclassError,
-so callers (and the CLI) can catch one base class.
+The CLI maps each to one exit code: ConfigError to 1, every other
+SonoclassError to 2. The message says which check failed.
 """
 
 
 class SonoclassError(Exception):
-    """Base class for all errors raised by this package."""
+    """Bad data: an unreadable or malformed file, or input the pipeline
+    cannot process."""
 
-
-# --- audio loading -----------------------------------------------------------
-
-class MalformedContainer(SonoclassError):
-    """WAV file is not a valid RIFF/WAVE container (bad or truncated header)."""
-
-
-class UnsupportedEncoding(SonoclassError):
-    """WAV file uses a codec other than integer PCM or IEEE float."""
-
-
-class EmptyAudio(SonoclassError):
-    """WAV file contains zero frames."""
-
-
-class InvalidDuration(SonoclassError):
-    """Requested clip duration is not strictly positive."""
-
-
-# --- spectrogram / filtering -------------------------------------------------
-
-class ClipTooShort(SonoclassError):
-    """Clip has fewer samples than one analysis frame."""
-
-
-class DegenerateInput(SonoclassError):
-    """Spectrogram has a single row or column and cannot be resized."""
-
-
-class GridTooSmall(SonoclassError):
-    """Filter grid smaller than the supported minimum."""
-
-
-class ShapeMismatch(SonoclassError):
-    """Two arrays that must share a grid do not."""
-
-
-class EmptyInput(SonoclassError):
-    """An operation over a collection received no elements."""
-
-
-class FilterIndexOutOfRange(SonoclassError):
-    """(scale, orientation) outside the bank."""
-
-
-class BadGrid(SonoclassError):
-    """Fixed spectrogram grid incompatible with the frequency-band split."""
-
-
-# --- wavelet baseline --------------------------------------------------------
-
-class BadShape(SonoclassError):
-    """Array shape incompatible with the dyadic decomposition."""
-
-
-class PatchLargerThanPlane(SonoclassError):
-    """Requested patch does not fit inside the smallest coefficient plane."""
-
-
-# --- feature selection / SVM -------------------------------------------------
-
-class LengthMismatch(SonoclassError):
-    """Paired sequences differ in length."""
-
-
-class KOutOfRange(SonoclassError):
-    """Requested feature count outside [1, D]."""
-
-
-class SingleClassInput(SonoclassError):
-    """Binary training data contains only one label."""
-
-
-class ClassTooSmall(SonoclassError):
-    """A class has too few samples for the requested operation."""
-
-
-class InsufficientClassSize(SonoclassError):
-    """A class has fewer samples than the number of CV folds."""
-
-
-class DimensionMismatch(SonoclassError):
-    """Feature dimension of the data does not match the model."""
-
-
-# --- pipeline ----------------------------------------------------------------
 
 class ConfigError(SonoclassError):
-    """Malformed configuration file or unknown key."""
-
-
-class ManifestError(SonoclassError):
-    """Malformed dataset manifest."""
-
-
-class ExtractionError(SonoclassError):
-    """One or more audio files could not be processed; message lists them."""
-
-
-class ModelFormatError(SonoclassError):
-    """Model file is missing, truncated, or has an unknown version."""
+    """Bad configuration: an unreadable or malformed config file, an
+    unknown key, or a value outside its allowed range."""

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KOutOfRange, LengthMismatch
+from .errors import SonoclassError
 
 DEFAULT_N_BINS = 16
 DEFAULT_TOP_K = 256
@@ -30,7 +30,7 @@ class FeatureMatrix:
         if values.ndim != 2:
             raise ValueError("values must be a 2D matrix")
         if labels.shape != (values.shape[0],):
-            raise LengthMismatch(
+            raise SonoclassError(
                 f"{labels.shape[0]} labels for {values.shape[0]} rows"
             )
         if not np.all(np.isfinite(values)):
@@ -77,7 +77,7 @@ def mutual_information(x: np.ndarray, y: np.ndarray) -> float:
     x = np.asarray(x)
     y = np.asarray(y)
     if x.shape != y.shape or x.ndim != 1 or x.size == 0:
-        raise LengthMismatch(f"x has shape {x.shape}, y has shape {y.shape}")
+        raise SonoclassError(f"x has shape {x.shape}, y has shape {y.shape}")
     _, xi = np.unique(x, return_inverse=True)
     _, yi = np.unique(y, return_inverse=True)
     n_x = int(xi.max()) + 1
@@ -108,10 +108,10 @@ def select_top_k(
     """
     d = matrix.n_features
     if not (1 <= k <= d):
-        raise KOutOfRange(f"k={k} outside [1, {d}]")
+        raise SonoclassError(f"k={k} outside [1, {d}]")
     labels = matrix.labels
     if np.unique(labels).size < 2:
-        raise ValueError("selection needs at least 2 distinct classes")
+        raise SonoclassError("selection needs at least 2 distinct classes")
 
     _, label_idx = np.unique(labels, return_inverse=True)
     n_classes = int(label_idx.max()) + 1
@@ -132,7 +132,7 @@ def apply_selection(vector: np.ndarray, selection: MiSelection) -> np.ndarray:
     """Gather the selected feature indices, in stored (descending-score) order."""
     vector = np.asarray(vector)
     if vector.shape[-1] != selection.n_features:
-        raise LengthMismatch(
+        raise SonoclassError(
             f"vector has {vector.shape[-1]} features, selection expects {selection.n_features}"
         )
     return vector[..., selection.selected]

@@ -14,13 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    BadGrid,
-    EmptyInput,
-    FilterIndexOutOfRange,
-    GridTooSmall,
-    ShapeMismatch,
-)
+from .errors import SonoclassError
 from .spectrogram import FixedSpectrogram
 
 MIN_GRID = 8
@@ -78,7 +72,7 @@ class LogGaborBank:
     def mask(self, scale: int, orientation: int) -> np.ndarray:
         n_s, n_o = self.masks.shape[:2]
         if not (1 <= scale <= n_s and 1 <= orientation <= n_o):
-            raise FilterIndexOutOfRange(
+            raise SonoclassError(
                 f"(scale={scale}, orientation={orientation}) outside "
                 f"{n_s} scales x {n_o} orientations"
             )
@@ -112,7 +106,7 @@ def build_bank(grid_shape: tuple[int, int], params: LogGaborParams | None = None
         params = LogGaborParams()
     rows, cols = grid_shape
     if rows < MIN_GRID or cols < MIN_GRID:
-        raise GridTooSmall(f"grid {rows}x{cols} is below the {MIN_GRID}x{MIN_GRID} minimum")
+        raise SonoclassError(f"grid {rows}x{cols} is below the {MIN_GRID}x{MIN_GRID} minimum")
 
     fy = np.fft.fftfreq(rows)[:, None]  # cycles/pixel along rows
     fx = np.fft.fftfreq(cols)[None, :]
@@ -139,7 +133,7 @@ def apply_filter(spec, mask: np.ndarray) -> np.ndarray:
     """Magnitude response of one frequency mask (circular convolution)."""
     values = _values_of(spec)
     if values.shape != mask.shape:
-        raise ShapeMismatch(f"spectrogram {values.shape} vs mask {mask.shape}")
+        raise SonoclassError(f"spectrogram {values.shape} vs mask {mask.shape}")
     response = np.fft.ifft2(np.fft.fft2(values) * mask)
     return np.abs(response)
 
@@ -148,7 +142,7 @@ def apply_bank(spec, bank: LogGaborBank) -> np.ndarray:
     """Magnitudes for every (scale, orientation), sharing one forward FFT."""
     values = _values_of(spec)
     if values.shape != bank.grid_shape:
-        raise ShapeMismatch(f"spectrogram {values.shape} vs bank grid {bank.grid_shape}")
+        raise SonoclassError(f"spectrogram {values.shape} vs bank grid {bank.grid_shape}")
     spectrum = np.fft.fft2(values)
     flat_masks = bank.masks.reshape(bank.n_filters, *bank.grid_shape)
     return np.abs(np.fft.ifft2(spectrum[None, :, :] * flat_masks, axes=(1, 2)))
@@ -158,7 +152,7 @@ def average_bank(responses) -> np.ndarray:
     """Elementwise arithmetic mean of the stacked magnitude responses."""
     stack = np.asarray(responses, dtype=np.float64)
     if stack.ndim != 3 or stack.shape[0] == 0:
-        raise EmptyInput("need a non-empty stack of equally shaped responses")
+        raise SonoclassError("need a non-empty stack of equally shaped responses")
     return stack.mean(axis=0)
 
 
@@ -195,7 +189,7 @@ def band_patch_feature(spec, bank: LogGaborBank) -> np.ndarray:
     values = _values_of(spec)
     rows, cols = values.shape
     if rows != BAND_ROWS:
-        raise BadGrid(f"band split is defined for {BAND_ROWS} rows, got {rows}")
+        raise SonoclassError(f"band split is defined for {BAND_ROWS} rows, got {rows}")
     parts = []
     for lo, hi in band_row_ranges(rows):
         band_bank = _band_bank(hi - lo, cols, bank.params)

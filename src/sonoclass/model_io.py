@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelFormatError
+from .errors import SonoclassError
 from .svm import BinarySvmModel, KernelParams, OvoModel
 from .wavelet_baseline import PatchSet
 
@@ -107,7 +107,7 @@ class _Reader:
 
     def next(self) -> str:
         if self.pos >= len(self.lines):
-            raise ModelFormatError(f"{self.path}: unexpected end of file")
+            raise SonoclassError(f"{self.path}: unexpected end of file")
         line = self.lines[self.pos]
         self.pos += 1
         return line
@@ -115,7 +115,7 @@ class _Reader:
     def expect(self, prefix: str) -> list[str]:
         line = self.next()
         if not line.startswith(prefix):
-            raise ModelFormatError(f"{self.path}: expected {prefix!r}, got {line!r}")
+            raise SonoclassError(f"{self.path}: expected {prefix!r}, got {line!r}")
         return line.split()
 
 
@@ -126,9 +126,17 @@ def _floats(text: str) -> np.ndarray:
 
 
 def load_model(path) -> TrainedModel:
+    """Read a model file; malformed content raises SonoclassError."""
+    try:
+        return _parse_model(path)
+    except (ValueError, IndexError) as exc:  # UnicodeDecodeError is a ValueError
+        raise SonoclassError(f"{path}: {exc}") from exc
+
+
+def _parse_model(path) -> TrainedModel:
     r = _Reader(path)
     if r.next() != MODEL_HEADER:
-        raise ModelFormatError(f"{path}: missing {MODEL_HEADER!r} header")
+        raise SonoclassError(f"{path}: missing {MODEL_HEADER!r} header")
     method = r.expect("method")[1]
 
     n_cfg = int(r.expect("config")[1])
@@ -152,18 +160,23 @@ def load_model(path) -> TrainedModel:
         selected = np.array([int(t) for t in r.expect("selected")[1:]], dtype=np.int64)
         scores = _floats(r.next().removeprefix("scores "))
         if selected.size != k or scores.size != k:
-            raise ModelFormatError(f"{path}: selection length mismatch")
+            raise SonoclassError(f"{path}: selection length mismatch")
+        if np.any((selected < 0) | (selected >= n_raw)):
+            raise SonoclassError(f"{path}: selected index outside {n_raw} raw features")
 
     dim = int(r.expect("scaler")[1])
     lo = _floats(r.next().removeprefix("min "))
     hi = _floats(r.next().removeprefix("max "))
     if lo.size != dim or hi.size != dim:
-        raise ModelFormatError(f"{path}: scaler length mismatch")
+        raise SonoclassError(f"{path}: scaler length mismatch")
 
     n_pairs = int(r.expect("pairs")[1])
     pair_models: dict[tuple[int, int], BinarySvmModel] = {}
     for _ in range(n_pairs):
         _, a, b = r.expect("pair")
+        a, b = int(a), int(b)
+        if not 0 <= a < b < n_classes:
+            raise SonoclassError(f"{path}: pair {a} {b} outside {n_classes} classes")
         _, gamma, c = r.expect("params")
         bias = float(r.expect("bias")[1])
         converged = bool(int(r.expect("converged")[1]))
@@ -174,8 +187,8 @@ def load_model(path) -> TrainedModel:
             sv[row] = _floats(r.next())
         coef = _floats(r.next().removeprefix("coef"))
         if coef.size != n_sv:
-            raise ModelFormatError(f"{path}: dual coefficient length mismatch")
-        pair_models[(int(a), int(b))] = BinarySvmModel(
+            raise SonoclassError(f"{path}: dual coefficient length mismatch")
+        pair_models[(a, b)] = BinarySvmModel(
             support_vectors=sv,
             dual_coef=coef,
             bias=bias,
@@ -203,7 +216,7 @@ def load_model(path) -> TrainedModel:
             patches=tuple(patches), sources=tuple(sources), seed=seed, sizes=sizes
         )
     if r.next() != "end":
-        raise ModelFormatError(f"{path}: missing end marker")
+        raise SonoclassError(f"{path}: missing end marker")
 
     ovo = OvoModel(
         classes=tuple(range(n_classes)),

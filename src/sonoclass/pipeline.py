@@ -11,21 +11,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
+import uuid
+import zipfile
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import audio_io, log_gabor, svm, wavelet_baseline
-from .errors import (
-    ClassTooSmall,
-    ConfigError,
-    DimensionMismatch,
-    ExtractionError,
-    ManifestError,
-    SonoclassError,
-)
+from .errors import ConfigError, SonoclassError
 from .feature_select import FeatureMatrix, MiSelection, apply_selection, select_top_k
 from .model_io import TrainedModel
 from .spectrogram import StftParams, log_spectrogram, to_fixed
@@ -54,12 +50,12 @@ class DatasetManifest:
     def __post_init__(self):
         paths = [e.path for e in self.entries]
         if len(set(paths)) != len(paths):
-            raise ManifestError("duplicate paths in manifest")
+            raise SonoclassError("duplicate paths in manifest")
         for e in self.entries:
             if not e.label:
-                raise ManifestError(f"{e.path}: empty label")
+                raise SonoclassError(f"{e.path}: empty label")
             if e.split not in ("", "train", "test"):
-                raise ManifestError(f"{e.path}: bad split {e.split!r}")
+                raise SonoclassError(f"{e.path}: bad split {e.split!r}")
 
     @property
     def classes(self) -> tuple[str, ...]:
@@ -76,20 +72,24 @@ class DatasetManifest:
 def read_manifest(path) -> DatasetManifest:
     path = Path(path)
     if not path.exists():
-        raise ManifestError(f"manifest not found: {path}")
+        raise SonoclassError(f"manifest not found: {path}")
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise SonoclassError(f"{path}: {exc}") from exc
     if path.suffix.lower() == ".json":
         try:
-            doc = json.loads(path.read_text())
+            doc = json.loads(text)
             entries = tuple(
                 ManifestEntry(str(e["path"]), str(e["label"]), str(e.get("split", "")))
                 for e in doc["entries"]
             )
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ManifestError(f"{path}: {exc}") from exc
+            raise SonoclassError(f"{path}: {exc}") from exc
         return DatasetManifest(entries=entries)
 
     entries = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -99,7 +99,7 @@ def read_manifest(path) -> DatasetManifest:
         elif len(parts) == 3:
             entries.append(ManifestEntry(parts[0], parts[1], parts[2]))
         else:
-            raise ManifestError(f"{path}:{lineno}: expected 2 or 3 tab-separated fields")
+            raise SonoclassError(f"{path}:{lineno}: expected 2 or 3 tab-separated fields")
     return DatasetManifest(entries=tuple(entries))
 
 
@@ -124,6 +124,8 @@ def auto_split(
     seed: int = 0,
 ) -> DatasetManifest:
     """Assign stratified train/test splits: ceil(fraction * n) per class to train."""
+    if seed < 0:
+        raise ConfigError(f"seed must be at least 0, got {seed}")
     by_class: dict[str, list[int]] = {}
     for i, e in enumerate(manifest.entries):
         by_class.setdefault(e.label, []).append(i)
@@ -132,7 +134,7 @@ def auto_split(
     for label in sorted(by_class):
         rows = by_class[label]
         if len(rows) < 3:
-            raise ClassTooSmall(f"class {label!r} has only {len(rows)} entries")
+            raise SonoclassError(f"class {label!r} has only {len(rows)} entries")
         n_train = int(np.ceil(train_fraction * len(rows)))
         order = rng.permutation(len(rows))
         for rank, j in enumerate(order):
@@ -180,14 +182,46 @@ class RunConfig:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if not self.wavelet_sizes or any(s < 1 for s in self.wavelet_sizes):
             raise ConfigError("wavelet.sizes needs at least one positive size")
-        if self.mi_top_k < 1:
-            raise ConfigError(f"mi.top_k must be at least 1, got {self.mi_top_k}")
+        for name, low in (("seed", 0), ("mi_top_k", 1), ("mi_n_bins", 2),
+                          ("svm_max_passes", 1), ("grid_folds", 2)):
+            value = getattr(self, name)
+            if value < low:
+                raise ConfigError(f"{_FIELD_TO_KEY[name]} must be at least {low}, got {value}")
+        if not (np.isfinite(self.svm_tol) and self.svm_tol > 0):
+            raise ConfigError(f"svm.tol must be positive and finite, got {self.svm_tol}")
+        rows, cols = self.fixed_rows, self.fixed_cols
+        step = 2 ** len(wavelet_baseline.SCALES)  # tiwt's divisibility rule
+        if self.method == "wavelet" and (min(rows, cols) < step or rows % step or cols % step):
+            raise ConfigError(
+                f"method wavelet needs fixed.rows and fixed.cols to be positive "
+                f"multiples of {step}, got {rows}x{cols}"
+            )
+        if self.method != "wavelet" and min(rows, cols) < log_gabor.MIN_GRID:
+            raise ConfigError(
+                f"fixed grid {rows}x{cols} is below the "
+                f"{log_gabor.MIN_GRID}x{log_gabor.MIN_GRID} minimum"
+            )
+        if self.method == "patches" and rows != log_gabor.BAND_ROWS:
+            raise ConfigError(f"method patches needs fixed.rows = {log_gabor.BAND_ROWS}, got {rows}")
+        if self.method == "single" and not (
+            1 <= self.single_scale <= self.gabor_scales
+            and 1 <= self.single_orientation <= self.gabor_orientations
+        ):
+            raise ConfigError(
+                f"single.scale = {self.single_scale}, single.orientation = "
+                f"{self.single_orientation} outside {self.gabor_scales} scales x "
+                f"{self.gabor_orientations} orientations"
+            )
         # the parameter objects own their rules; building them here makes a
         # bad value fail before any file is read or written
         try:
             self.stft_params()
             self.gabor_params()
-            self.kernel_params()
+            kernel = self.kernel_params()
+            for c in self.grid_c:
+                replace(kernel, c=c)
+            for gamma in self.grid_gamma:
+                replace(kernel, gamma=gamma)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -295,7 +329,10 @@ def config_from_flat(flat: dict[str, str]) -> RunConfig:
 def load_config(path=None, overrides: dict[str, str] | None = None) -> RunConfig:
     flat: dict[str, str] = {}
     if path is not None:
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         flat.update(parse_config_text(text, source=str(path)))
     if overrides:
         for key in overrides:
@@ -331,6 +368,41 @@ def _subset_hash(flat: dict[str, str], keys) -> str:
 
 def _content_hash(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+
+
+def _read_npy(path) -> list[np.ndarray]:
+    return [np.load(path)]
+
+
+def _read_c1(path) -> list[np.ndarray]:
+    with np.load(path) as data:
+        return [data[f"scale{j}"] for j in wavelet_baseline.SCALES]
+
+
+def _read_cache(path: Path | None, read, shapes: list[tuple[int, ...]]) -> list[np.ndarray] | None:
+    """The arrays read(path) returns, or None when the file is missing,
+    unreadable, or holds arrays of other shapes. A damaged file thus counts
+    as a miss, and the caller recomputes and rewrites it."""
+    if path is None or not path.exists():
+        return None
+    try:
+        arrays = read(path)
+    except (EOFError, ValueError, OSError, zipfile.BadZipFile, KeyError):
+        return None
+    return arrays if [a.shape for a in arrays] == shapes else None
+
+
+def _write_cache(path: Path, write) -> None:
+    """Run write(fh) on a unique temp file beside path, then rename it into
+    place, so neither a crash nor a concurrent run leaves a partial file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 @dataclass
@@ -372,38 +444,42 @@ class FeatureExtractor:
     def fixed_values(self, path, content: str | None = None) -> np.ndarray:
         content = content or _content_hash(path)
         cached = self._cache_path("fixed", self._fixed_hash, content, ".npy")
-        if cached is not None and cached.exists():
-            return np.load(cached)
+        hit = _read_cache(cached, _read_npy, [(self.config.fixed_rows, self.config.fixed_cols)])
+        if hit is not None:
+            return hit[0]
         clip = audio_io.peak_normalize(audio_io.load_wav(path))
         spec = log_spectrogram(clip, self._stft_params)
         fixed = to_fixed(spec, self.config.fixed_rows, self.config.fixed_cols)
         if cached is not None:
-            cached.parent.mkdir(parents=True, exist_ok=True)
-            np.save(cached, fixed.values)
+            _write_cache(cached, lambda fh: np.save(fh, fixed.values))
         return fixed.values
 
     def c1(self, path, content: str | None = None) -> list[np.ndarray]:
         content = content or _content_hash(path)
         cached = self._cache_path("c1", self._fixed_hash, content, ".npz")
-        if cached is not None and cached.exists():
+        rows, cols = self.config.fixed_rows, self.config.fixed_cols
+        shapes = [(len(wavelet_baseline.ORIENTATIONS), rows >> j, cols >> j)
+                  for j in wavelet_baseline.SCALES]
+        hit = _read_cache(cached, _read_c1, shapes)
+        if hit is not None:
             self.stats.hits += 1
-            with np.load(cached) as data:
-                return [data[f"scale{j}"] for j in wavelet_baseline.SCALES]
+            return hit
         self.stats.misses += 1
         pyramid = c1_pyramid(self.fixed_values(path, content))
         if cached is not None:
-            cached.parent.mkdir(parents=True, exist_ok=True)
-            np.savez(cached, **{
+            _write_cache(cached, lambda fh: np.savez(fh, **{
                 f"scale{j}": plane for j, plane in zip(wavelet_baseline.SCALES, pyramid)
-            })
+            }))
         return pyramid
 
     def gabor_feature(self, path) -> np.ndarray:
         content = _content_hash(path)
         cached = self._cache_path("feat", self._feature_hash, content, ".npy")
-        if cached is not None and cached.exists():
+        # every log-Gabor method gives one value per fixed-grid cell
+        hit = _read_cache(cached, _read_npy, [(self.config.fixed_rows * self.config.fixed_cols,)])
+        if hit is not None:
             self.stats.hits += 1
-            return np.load(cached)
+            return hit[0]
         self.stats.misses += 1
         fixed = self.fixed_values(path, content)
         cfg = self.config
@@ -418,8 +494,7 @@ class FeatureExtractor:
         else:
             raise ConfigError(f"not a log-Gabor method: {cfg.method}")
         if cached is not None:
-            cached.parent.mkdir(parents=True, exist_ok=True)
-            np.save(cached, vec)
+            _write_cache(cached, lambda fh: np.save(fh, vec))
         return vec
 
 
@@ -447,7 +522,7 @@ def _collect(entries, fn, failures: list[str] | None = None) -> list:
         except (SonoclassError, OSError) as exc:
             failures.append(f"{e.path}: {exc}")
     if failures and not deferred:
-        raise ExtractionError(
+        raise SonoclassError(
             f"{len(failures)} file(s) failed:\n" + "\n".join(failures)
         )
     return out
@@ -476,7 +551,9 @@ def extract_features(
         if patch_set is None:
             train_rows = manifest.rows("train")
             if not train_rows:
-                raise ManifestError("wavelet method needs a non-empty train split to sample patches")
+                raise SonoclassError(
+                    "wavelet method needs a non-empty train split to sample patches"
+                )
             train_c1 = _collect(train_rows, lambda e: extractor.c1(e.path))
             patch_set = sample_patches(
                 train_c1,
@@ -496,7 +573,7 @@ def extract_features(
         if rows and split not in vectors:
             vectors[split] = _collect(rows, feature_fn, failures)
     if failures:
-        raise ExtractionError(
+        raise SonoclassError(
             f"{len(failures)} file(s) failed:\n" + "\n".join(failures)
         )
     matrices: dict[str, FeatureMatrix] = {}
@@ -525,7 +602,7 @@ def _selected_train(
         manifest, config, cache_dir=cache_dir, patch_set=patch_set, splits=("train",)
     )
     if result.train is None:
-        raise ManifestError("manifest has no train rows")
+        raise SonoclassError("manifest has no train rows")
     if config.method == "wavelet":
         return result, result.train, None
     selection = select_top_k(result.train, k=config.mi_top_k, n_bins=config.mi_n_bins)
@@ -586,14 +663,14 @@ def evaluate_model(
     config = config_from_flat(model.config)
     test_rows = manifest.rows("test")
     if not test_rows:
-        raise ManifestError("manifest has no test rows")
+        raise SonoclassError("manifest has no test rows")
     label_index = {name: i for i, name in enumerate(model.class_names)}
     unknown = sorted({e.label for e in test_rows} - set(model.class_names))
     if unknown:
-        raise ManifestError(f"labels not in the model: {unknown}")
+        raise SonoclassError(f"labels not in the model: {unknown}")
 
     if model.method == "wavelet" and model.patch_set is None:
-        raise DimensionMismatch("wavelet model carries no patch set")
+        raise SonoclassError("wavelet model carries no patch set")
 
     t0 = time.perf_counter()
     values = extract_features(
@@ -603,12 +680,12 @@ def evaluate_model(
 
     if model.selected_indices is not None:
         if values.shape[1] != model.n_raw_features:
-            raise DimensionMismatch(
+            raise SonoclassError(
                 f"extracted {values.shape[1]} features, model expects {model.n_raw_features}"
             )
         values = values[:, model.selected_indices]
     if values.shape[1] != model.ovo.n_features:
-        raise DimensionMismatch(
+        raise SonoclassError(
             f"{values.shape[1]} features after selection, model expects {model.ovo.n_features}"
         )
 
@@ -699,22 +776,20 @@ def compare_methods(
     """Evaluate every single-filter configuration plus the three multi-filter
     methods on one shared split. Reporting only; nothing is asserted about
     which method wins."""
-    grid_reports = []
-    base = replace(config, method="single")
-    for scale in range(1, config.gabor_scales + 1):
-        for orientation in range(1, config.gabor_orientations + 1):
-            cfg = replace(base, single_scale=scale, single_orientation=orientation)
-            model = train_model(manifest, cfg, cache_dir=cache_dir)
-            grid_reports.append(
-                (scale, orientation, evaluate_model(model, manifest, cache_dir=cache_dir))
-            )
+    # every config is checked before the first model trains
+    grid_configs = [
+        replace(config, method="single", single_scale=scale, single_orientation=orientation)
+        for scale in range(1, config.gabor_scales + 1)
+        for orientation in range(1, config.gabor_orientations + 1)
+    ]
+    method_configs = [replace(config, method=m) for m in ("bank", "patches", "wavelet")]
 
-    method_reports = {}
-    for method in ("bank", "patches", "wavelet"):
-        cfg = replace(config, method=method)
+    def report(cfg: RunConfig) -> EvaluationReport:
         model = train_model(manifest, cfg, cache_dir=cache_dir)
-        method_reports[method] = evaluate_model(model, manifest, cache_dir=cache_dir)
+        return evaluate_model(model, manifest, cache_dir=cache_dir)
 
+    grid_reports = [(c.single_scale, c.single_orientation, report(c)) for c in grid_configs]
+    method_reports = {c.method: report(c) for c in method_configs}
     return ComparisonResult(
         grid_reports=grid_reports,
         method_reports=method_reports,
@@ -856,6 +931,8 @@ def generate_corpus(
 ) -> DatasetManifest:
     """Write one WAV per clip for each synthetic class; returns the
     (not yet split) manifest."""
+    if seed < 0:
+        raise ConfigError(f"seed must be at least 0, got {seed}")
     out_dir = Path(out_dir)
     entries = []
     for kind in audio_io.SYNTH_KINDS:

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from .audio_io import AudioClip
-from .errors import ClipTooShort, DegenerateInput
+from .errors import SonoclassError
 
 DEFAULT_FRAME_SIZE = 256
 DEFAULT_HOP = 64
@@ -84,7 +84,7 @@ def stft(clip: AudioClip, params: StftParams | None = None) -> np.ndarray:
         params = StftParams()
     samples = clip.samples
     if samples.size < params.frame_size:
-        raise ClipTooShort(
+        raise SonoclassError(
             f"clip has {samples.size} samples, need at least {params.frame_size}"
         )
     n_frames = frame_count(samples.size, params)
@@ -130,7 +130,7 @@ def to_fixed(
     values = spec.values if isinstance(spec, Spectrogram) else np.asarray(spec, dtype=np.float64)
     in_rows, in_cols = values.shape
     if in_rows < 2 or in_cols < 2:
-        raise DegenerateInput(f"cannot resize a {in_rows}x{in_cols} spectrogram")
+        raise SonoclassError(f"cannot resize a {in_rows}x{in_cols} spectrogram")
 
     if (in_rows, in_cols) == (rows, cols):
         resized = values.astype(np.float64)

@@ -17,12 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import (
-    ClassTooSmall,
-    InsufficientClassSize,
-    LengthMismatch,
-    SingleClassInput,
-)
+from .errors import SonoclassError
 from .feature_select import FeatureMatrix
 
 DEFAULT_TOL = 1e-3
@@ -86,7 +81,7 @@ def rbf_kernel(x: np.ndarray, x2: np.ndarray, gamma: float) -> float:
     x = np.asarray(x, dtype=np.float64)
     x2 = np.asarray(x2, dtype=np.float64)
     if x.shape != x2.shape:
-        raise LengthMismatch(f"{x.shape} vs {x2.shape}")
+        raise SonoclassError(f"{x.shape} vs {x2.shape}")
     diff = x - x2
     return float(np.exp(-gamma * np.dot(diff, diff)))
 
@@ -132,11 +127,11 @@ def smo_train(
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.shape != (x.shape[0],):
-        raise LengthMismatch(f"x {x.shape} incompatible with y {y.shape}")
+        raise SonoclassError(f"x {x.shape} incompatible with y {y.shape}")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("labels must be -1 or +1")
     if np.unique(y).size < 2:
-        raise SingleClassInput("both classes must be present")
+        raise SonoclassError("both classes must be present")
 
     n = x.shape[0]
     c = params.c
@@ -281,7 +276,7 @@ def decision_values(model: BinarySvmModel, x: np.ndarray) -> np.ndarray:
     if model.support_vectors.shape[0] == 0:
         return np.full(x.shape[0], model.bias)
     if x.shape[1] != model.support_vectors.shape[1]:
-        raise LengthMismatch(
+        raise SonoclassError(
             f"x has {x.shape[1]} features, model expects {model.support_vectors.shape[1]}"
         )
     k = rbf_kernel_matrix(x, model.support_vectors, model.params.gamma)
@@ -316,11 +311,11 @@ def ovo_train(
     """
     classes = tuple(int(v) for v in np.unique(matrix.labels))
     if len(classes) < 2:
-        raise SingleClassInput("need at least 2 classes")
+        raise SonoclassError("need at least 2 classes")
     counts = {cls: int(np.sum(matrix.labels == cls)) for cls in classes}
     small = [cls for cls, n in counts.items() if n < 2]
     if small:
-        raise ClassTooSmall(f"classes {small} have fewer than 2 training samples")
+        raise SonoclassError(f"classes {small} have fewer than 2 training samples")
 
     scaler = fit_scaler(matrix.values)
     scaled = apply_scaler(matrix.values, scaler)
@@ -342,7 +337,7 @@ def ovo_votes(model: OvoModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if x.ndim == 1:
         x = x[None, :]
     if x.shape[1] != model.n_features:
-        raise LengthMismatch(
+        raise SonoclassError(
             f"x has {x.shape[1]} features, model expects {model.n_features}"
         )
     scaled = apply_scaler(x, model.scaler)
@@ -379,7 +374,7 @@ def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> np.ndarray:
     for cls in np.unique(labels):
         rows = np.flatnonzero(labels == cls)
         if rows.size < folds:
-            raise InsufficientClassSize(
+            raise SonoclassError(
                 f"class {cls} has {rows.size} samples for {folds} folds"
             )
         rows = rng.permutation(rows)

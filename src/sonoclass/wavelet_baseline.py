@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BadShape, EmptyInput, PatchLargerThanPlane
+from .errors import SonoclassError
 
 SCALES = (1, 2, 3)
 ORIENTATIONS = ("horizontal", "vertical", "diagonal")
@@ -52,11 +52,11 @@ def tiwt(values: np.ndarray) -> np.ndarray:
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
-        raise BadShape("input must be a 2D array")
+        raise SonoclassError("input must be a 2D array")
     n1, n2 = values.shape
     step = 2 ** len(SCALES)
     if n1 % step or n2 % step:
-        raise BadShape(f"dimensions must be divisible by {step}, got {values.shape}")
+        raise SonoclassError(f"dimensions must be divisible by {step}, got {values.shape}")
 
     planes = np.empty((len(SCALES), len(ORIENTATIONS), n1, n2))
     approx = values
@@ -99,7 +99,7 @@ def local_max(normalized: np.ndarray) -> list[np.ndarray]:
     for idx, scale in enumerate(SCALES):
         cell = 2 ** scale
         if n1 % cell or n2 % cell:
-            raise BadShape(f"plane {n1}x{n2} not divisible by cell {cell}")
+            raise SonoclassError(f"plane {n1}x{n2} not divisible by cell {cell}")
         block = normalized[idx].reshape(3, n1 // cell, cell, n2 // cell, cell)
         pooled.append(block.max(axis=(2, 4)))
     return pooled
@@ -123,7 +123,7 @@ def sample_patches(
     patch). Deterministic for a fixed seed.
     """
     if n_patches < 1 or not training_c1:
-        raise EmptyInput("need at least one patch and one training pyramid")
+        raise SonoclassError("need at least one patch and one training pyramid")
     rng = np.random.default_rng(seed)
     patches = []
     sources = []
@@ -136,7 +136,7 @@ def sample_patches(
             if planes.shape[1] >= m and planes.shape[2] >= m
         ]
         if not fitting:
-            raise PatchLargerThanPlane(f"patch size {m} fits no C1 plane")
+            raise SonoclassError(f"patch size {m} fits no C1 plane")
         scale_idx = fitting[int(rng.integers(len(fitting)))]
         planes = pyramid[scale_idx]
         u = int(rng.integers(planes.shape[1] - m + 1))
@@ -177,11 +177,11 @@ def patch_transform(c1: list[np.ndarray], patch_set: PatchSet) -> list[dict[int,
 def global_max(s2: list[dict[int, np.ndarray]]) -> np.ndarray:
     """One scalar per patch: max over every scale and offset."""
     if not s2:
-        raise EmptyInput("no patch scores")
+        raise SonoclassError("no patch scores")
     values = np.empty(len(s2))
     for i, per_scale in enumerate(s2):
         if not per_scale:
-            raise EmptyInput(f"patch {i} has no valid placements")
+            raise SonoclassError(f"patch {i} has no valid placements")
         values[i] = max(float(arr.max()) for arr in per_scale.values())
     return values
 

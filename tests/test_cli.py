@@ -43,6 +43,17 @@ class TestSynthAndSplit:
         rc = cli.main(["split", "--manifest", str(bad), "--out", str(tmp_path / "o.tsv")])
         assert rc == cli.EXIT_DATA
 
+    @pytest.mark.parametrize("command", ["synth", "split"])
+    def test_negative_seed_is_config_error(self, corpus, tmp_path, capsys, command):
+        where = ["--out", str(tmp_path / "clips")] if command == "synth" else [
+            "--manifest", str(corpus["root"] / "clips" / "manifest.tsv"),
+            "--out", str(tmp_path / "split.tsv"),
+        ]
+        rc = cli.main([command, *where, "--seed", "-1"])
+        assert rc == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "config error: seed must be at least 0, got -1\n"
+        assert not any(tmp_path.iterdir())
+
 
 class TestExtract:
     def test_writes_npz_and_dumps(self, corpus, tmp_path):
@@ -182,9 +193,22 @@ class TestErrorPaths:
         ])
         assert rc == cli.EXIT_USAGE
 
-    @pytest.mark.parametrize("flag, value", [("--gamma", "0"), ("--c", "-1"), ("--top-k", "0")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--gamma", "0"), ("--c", "-1"), ("--top-k", "0"), ("--seed", "-1"),
+        # config file text, or None for a config file that does not exist
+        pytest.param("--config", "mi.n_bins = 1", id="mi.n_bins=1"),
+        pytest.param("--config", "grid.folds = 1", id="grid.folds=1"),
+        pytest.param("--config", "method = single\nsingle.scale = 5", id="single.scale=5"),
+        pytest.param("--config", "svm.max_passes = 0", id="svm.max_passes=0"),
+        pytest.param("--config", "svm.tol = -1", id="svm.tol=-1"),
+        pytest.param("--config", "fixed.rows = 4", id="fixed.rows=4"),
+        pytest.param("--config", "method = patches\nfixed.rows = 100", id="patches-fixed.rows=100"),
+        pytest.param("--config", None, id="config-missing"),
+    ])
     def test_bad_model_value_is_config_error(self, corpus, tmp_path, capsys, flag, value):
         cache = tmp_path / "cache"
+        if flag == "--config":
+            value = str(tmp_path / "absent.cfg" if value is None else write_cfg(tmp_path, value))
         rc = cli.main([
             "train", "--manifest", str(corpus["manifest"]), flag, value,
             "--cache-dir", str(cache), "--out", str(tmp_path / "m.txt"),
@@ -194,6 +218,59 @@ class TestErrorPaths:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not cache.exists()
+
+    @pytest.mark.parametrize("method, message", [
+        ("bank", "selection needs at least 2 distinct classes"),
+        ("wavelet", "need at least 2 classes"),
+    ], ids=["bank", "wavelet"])
+    def test_one_class_train_split_is_data_error(self, corpus, tmp_path, capsys, method, message):
+        manifest = pipeline.read_manifest(corpus["manifest"])
+        kept = manifest.rows("train")[0].label
+        path = tmp_path / "one_class.tsv"
+        pipeline.write_manifest(path, pipeline.DatasetManifest(tuple(
+            e for e in manifest.entries if e.split == "test" or e.label == kept
+        )))
+        rc = cli.main([
+            "train", "--manifest", str(path), "--method", method,
+            "--out", str(tmp_path / "m.txt"),
+        ])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_damaged_cache_files_are_recomputed(self, corpus, tmp_path):
+        cache = tmp_path / "cache"
+        cfg = write_cfg(tmp_path, "wavelet.patches = 20")
+
+        def train(method, out):
+            return cli.main([
+                "train", "--manifest", str(corpus["manifest"]), "--method", method,
+                "--top-k", "32", "--c", "8", "--gamma", "0.5", "--seed", "1",
+                "--config", str(cfg), "--cache-dir", str(cache), "--out", str(out),
+            ])
+
+        for method in ("bank", "wavelet"):
+            assert train(method, tmp_path / f"{method}_first.txt") == 0
+        first, second = pipeline.read_manifest(corpus["manifest"]).rows("train")[:2]
+        stem = pipeline._content_hash(first.path)
+        (feat,) = (cache / "feat").rglob(f"{stem}.npy")
+        (fixed,) = (cache / "fixed").rglob(f"{stem}.npy")
+        (c1,) = (cache / "c1").rglob(f"{stem}.npz")
+        (wrong_shape,) = (cache / "feat").rglob(f"{pipeline._content_hash(second.path)}.npy")
+        feat.write_bytes(feat.read_bytes()[:100])
+        fixed.write_bytes(b"")
+        c1.write_bytes(c1.read_bytes()[:100])
+        np.save(wrong_shape, np.zeros(3))
+
+        for method in ("bank", "wavelet"):
+            assert train(method, tmp_path / f"{method}_again.txt") == 0
+            again = (tmp_path / f"{method}_again.txt").read_bytes()
+            assert again == (tmp_path / f"{method}_first.txt").read_bytes()
+        assert np.load(feat).shape == np.load(wrong_shape).shape == (128 * 128,)
+        assert np.load(fixed).shape == (128, 128)
+        with np.load(c1) as data:
+            assert data["scale1"].shape == (3, 64, 64)
+        # no temp file is left behind
+        assert {p.suffix for p in cache.rglob("*") if p.is_file()} == {".npy", ".npz"}
 
     def test_missing_audio_is_data_error(self, tmp_path):
         manifest = tmp_path / "m.tsv"
@@ -228,10 +305,10 @@ class TestErrorPaths:
         )
         assert proc.returncode == 0, proc.stderr
 
-    def test_entry_point_runs(self):
+    def test_entry_point_runs(self, src_env):
         proc = subprocess.run(
             [sys.executable, "-m", "sonoclass.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=src_env(),
         )
         assert proc.returncode == 0
         assert "synth" in proc.stdout

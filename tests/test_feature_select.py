@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sonoclass.errors import KOutOfRange, LengthMismatch
+from sonoclass.errors import SonoclassError
 from sonoclass.feature_select import (
     FeatureMatrix,
     apply_selection,
@@ -109,7 +109,7 @@ class TestMutualInformation:
             assert mutual_information(x // 2, y) <= mutual_information(x, y) + 1e-12
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(SonoclassError, match=r"x has shape \(4,\), y has shape \(5,\)"):
             mutual_information(np.arange(4), np.arange(5))
 
 
@@ -165,12 +165,12 @@ class TestSelectTopK:
     def test_k_out_of_range(self):
         matrix, _ = self.make_matrix()
         for k in (0, 7):
-            with pytest.raises(KOutOfRange):
+            with pytest.raises(SonoclassError, match=rf"k={k} outside \[1, 6\]"):
                 select_top_k(matrix, k=k)
 
     def test_single_class_rejected(self):
         values = np.random.default_rng(6).normal(size=(10, 3))
-        with pytest.raises(ValueError):
+        with pytest.raises(SonoclassError, match="at least 2 distinct classes"):
             select_top_k(FeatureMatrix(values, np.zeros(10, dtype=int)), k=2)
 
 
@@ -203,5 +203,5 @@ class TestApplySelection:
 
     def test_length_mismatch(self):
         sel = self.make_selection([0], d=3)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(SonoclassError, match="vector has 4 features, selection expects 3"):
             apply_selection(np.zeros(4), sel)

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sonoclass.errors import ModelFormatError
+from sonoclass.errors import SonoclassError
 from sonoclass.feature_select import FeatureMatrix
 from sonoclass.model_io import MODEL_HEADER, TrainedModel, load_model, save_model
 from sonoclass.svm import KernelParams, ovo_predict_batch, ovo_train
@@ -95,7 +97,7 @@ class TestErrors:
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("NOT-A-MODEL\n")
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(SonoclassError, match="missing 'SONOCLASS-MODEL v1' header"):
             load_model(path)
 
     def test_truncated_file(self, tmp_path):
@@ -104,7 +106,7 @@ class TestErrors:
         save_model(path, model)
         clipped = path.read_text().splitlines()[:10]
         path.write_text("\n".join(clipped) + "\n")
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(SonoclassError, match="unexpected end of file"):
             load_model(path)
 
     def test_wrong_section(self, tmp_path):
@@ -113,5 +115,40 @@ class TestErrors:
         save_model(path, model)
         text = path.read_text().replace("scaler", "scalar", 1)
         path.write_text(text)
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(SonoclassError, match="expected 'scaler', got 'scalar"):
+            load_model(path)
+
+    def test_bad_number(self, tmp_path):
+        model, _ = small_trained_model()
+        path = tmp_path / "m.txt"
+        save_model(path, model)
+        text = path.read_text()
+        count_line = f"config {len(model.config)}\n"
+        assert count_line in text
+        path.write_text(text.replace(count_line, "config abc\n", 1))
+        with pytest.raises(SonoclassError, match="m.txt: invalid literal for int.*'abc'"):
+            load_model(path)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("pair 0 1\n", "pair 0 9\n", "pair 0 9 outside 3 classes"),
+        ("selected 0 ", "selected 5 ", "selected index outside 5 raw features"),
+    ], ids=["pair", "selected"])
+    def test_index_out_of_range(self, tmp_path, old, new, message):
+        model, _ = small_trained_model()
+        model = replace(model, selected_indices=np.array([0, 2, 4]),
+                        selected_scores=np.zeros(3), n_raw_features=5)
+        path = tmp_path / "m.txt"
+        save_model(path, model)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(SonoclassError, match=message):
+            load_model(path)
+
+    def test_not_ascii(self, tmp_path):
+        model, _ = small_trained_model()
+        path = tmp_path / "m.txt"
+        save_model(path, model)
+        path.write_bytes(b"\xff\xfe" + path.read_bytes())
+        with pytest.raises(SonoclassError, match="m.txt: 'ascii' codec can't decode byte 0xff"):
             load_model(path)

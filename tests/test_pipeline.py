@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from sonoclass import pipeline
-from sonoclass.errors import (
-    ClassTooSmall,
-    ConfigError,
-    ExtractionError,
-    ManifestError,
-)
+from sonoclass.errors import ConfigError, SonoclassError
 from sonoclass.model_io import TrainedModel, load_model, save_model
 from sonoclass.pipeline import (
     DatasetManifest,
@@ -56,11 +51,11 @@ class TestManifest:
         assert manifest.entries == entries([("a.wav", "dog", "train")])
 
     def test_duplicate_paths_rejected(self):
-        with pytest.raises(ManifestError):
+        with pytest.raises(SonoclassError, match="duplicate paths in manifest"):
             DatasetManifest(entries([("a.wav", "x", ""), ("a.wav", "y", "")]))
 
     def test_bad_split_rejected(self):
-        with pytest.raises(ManifestError):
+        with pytest.raises(SonoclassError, match="bad split 'validation'"):
             DatasetManifest(entries([("a.wav", "x", "validation")]))
 
     def test_classes_sorted(self):
@@ -70,8 +65,15 @@ class TestManifest:
         assert manifest.classes == ("ant", "zebra")
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ManifestError):
+        with pytest.raises(SonoclassError, match="manifest not found"):
             read_manifest(tmp_path / "nope.tsv")
+
+    @pytest.mark.parametrize("name", ["m.tsv", "m.json"])
+    def test_undecodable_file(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe\n")
+        with pytest.raises(SonoclassError, match=f"{name}: 'utf-8' codec can't decode byte 0xff"):
+            read_manifest(path)
 
 
 class TestAutoSplit:
@@ -102,7 +104,7 @@ class TestAutoSplit:
             assert len(rows) == n_train
 
     def test_class_too_small(self):
-        with pytest.raises(ClassTooSmall):
+        with pytest.raises(SonoclassError, match="class 'a' has only 2 entries"):
             auto_split(self.make({"a": 2}), seed=0)
 
 
@@ -200,7 +202,7 @@ class TestExtract:
         manifest = DatasetManifest(mini_corpus["manifest"].entries + entries([
             ("missing_a.wav", "chirp", "train"), ("missing_b.wav", "chirp", "test"),
         ]))
-        with pytest.raises(ExtractionError) as err:
+        with pytest.raises(SonoclassError, match=r"^2 file\(s\) failed") as err:
             extract_features(manifest, mini_config, cache_dir=mini_corpus["cache"])
         assert "missing_a.wav" in str(err.value)
         assert "missing_b.wav" in str(err.value)
@@ -255,12 +257,11 @@ class TestTrainEvaluate:
         model = train_model(mini_corpus["manifest"], mini_config,
                             cache_dir=mini_corpus["cache"])
         bogus = DatasetManifest(entries([("x.wav", "whale", "test")]))
-        with pytest.raises(ManifestError):
+        with pytest.raises(SonoclassError, match=r"labels not in the model: \['whale'\]"):
             evaluate_model(model, bogus, cache_dir=mini_corpus["cache"])
 
     def test_wavelet_model_without_patches_rejected(self, mini_corpus, mini_config):
         from dataclasses import replace as dc_replace
-        from sonoclass.errors import DimensionMismatch
         config = dc_replace(mini_config, method="wavelet")
         model = train_model(mini_corpus["manifest"], config,
                             cache_dir=mini_corpus["cache"])
@@ -268,7 +269,7 @@ class TestTrainEvaluate:
             ovo=model.ovo, method=model.method, config=model.config,
             class_names=model.class_names, patch_set=None,
         )
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(SonoclassError, match="wavelet model carries no patch set"):
             evaluate_model(broken, mini_corpus["manifest"],
                            cache_dir=mini_corpus["cache"])
 

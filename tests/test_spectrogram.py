@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sonoclass.audio_io import AudioClip
-from sonoclass.errors import ClipTooShort, DegenerateInput
+from sonoclass.errors import SonoclassError
 from sonoclass.spectrogram import (
     StftParams,
     frame_count,
@@ -49,7 +49,7 @@ class TestStft:
         assert np.all(stft(clip) == 0)
 
     def test_too_short(self):
-        with pytest.raises(ClipTooShort):
+        with pytest.raises(SonoclassError, match="255 samples, need at least 256"):
             stft(random_clip(255))
 
     @pytest.mark.parametrize("k", [1, 17, 64, 127])
@@ -149,9 +149,9 @@ class TestToFixed:
         assert np.all(out.values == 0.5)
 
     def test_degenerate_input(self):
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(SonoclassError, match="cannot resize a 1x50 spectrogram"):
             to_fixed(np.ones((1, 50)), 8, 8)
-        with pytest.raises(DegenerateInput):
+        with pytest.raises(SonoclassError, match="cannot resize a 50x1 spectrogram"):
             to_fixed(np.ones((50, 1)), 8, 8)
 
     def test_matches_scalar_bilinear_oracle(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sonoclass.errors import BadShape, EmptyInput, PatchLargerThanPlane
+from sonoclass.errors import SonoclassError
 from sonoclass.wavelet_baseline import (
     SCALES,
     PatchSet,
@@ -61,9 +61,9 @@ class TestTiwt:
         assert planes.shape == (3, 3, 128, 128)
 
     def test_bad_shape(self):
-        with pytest.raises(BadShape):
+        with pytest.raises(SonoclassError, match=r"divisible by 8, got \(12, 16\)"):
             tiwt(np.zeros((12, 16)))
-        with pytest.raises(BadShape):
+        with pytest.raises(SonoclassError, match="input must be a 2D array"):
             tiwt(np.zeros(64))
 
     def test_single_impulse_scale1_matches_direct_sum(self):
@@ -187,13 +187,13 @@ class TestSamplePatches:
 
     def test_patch_larger_than_every_plane(self):
         c1s = [make_c1(5, shapes=((3, 8, 8), (3, 4, 4), (3, 2, 2)))]
-        with pytest.raises(PatchLargerThanPlane):
+        with pytest.raises(SonoclassError, match="patch size 16 fits no C1 plane"):
             sample_patches(c1s, n_patches=1, sizes=(16,), seed=0)
 
     def test_empty_inputs(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(SonoclassError, match="at least one patch and one training pyramid"):
             sample_patches([], n_patches=1, seed=0)
-        with pytest.raises(EmptyInput):
+        with pytest.raises(SonoclassError, match="at least one patch and one training pyramid"):
             sample_patches([make_c1(6)], n_patches=0, seed=0)
 
 
@@ -266,7 +266,7 @@ class TestGlobalMax:
         assert global_max([scores]) == global_max([shuffled])
 
     def test_empty(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(SonoclassError, match="no patch scores"):
             global_max([])
 
 
