@@ -18,6 +18,7 @@ from .svm import BinarySvmModel, KernelParams, OvoModel
 from .wavelet_baseline import PatchSet
 
 MODEL_HEADER = "SONOCLASS-MODEL v1"
+METHODS = ("single", "bank", "patches", "wavelet")
 
 
 @dataclass(frozen=True)
@@ -138,12 +139,18 @@ def _parse_model(path) -> TrainedModel:
     if r.next() != MODEL_HEADER:
         raise SonoclassError(f"{path}: missing {MODEL_HEADER!r} header")
     method = r.expect("method")[1]
+    if method not in METHODS:
+        raise SonoclassError(f"{path}: method {method!r} is not one of {METHODS}")
 
     n_cfg = int(r.expect("config")[1])
     config: dict[str, str] = {}
     for _ in range(n_cfg):
         key, _, value = r.next().partition(" = ")
         config[key] = value
+    if config.get("method", method) != method:
+        raise SonoclassError(
+            f"{path}: method {method!r} disagrees with the config echo's {config['method']!r}"
+        )
 
     n_classes = int(r.expect("classes")[1])
     class_names = []
@@ -179,6 +186,8 @@ def _parse_model(path) -> TrainedModel:
             raise SonoclassError(f"{path}: pair {a} {b} outside {n_classes} classes")
         _, gamma, c = r.expect("params")
         bias = float(r.expect("bias")[1])
+        if not np.isfinite(bias):
+            raise SonoclassError(f"{path}: pair {a} {b} has bias {bias}")
         converged = bool(int(r.expect("converged")[1]))
         _, n_sv, sv_dim = r.expect("sv")
         n_sv, sv_dim = int(n_sv), int(sv_dim)

@@ -23,12 +23,11 @@ import numpy as np
 from . import audio_io, log_gabor, svm, wavelet_baseline
 from .errors import ConfigError, SonoclassError
 from .feature_select import FeatureMatrix, MiSelection, apply_selection, select_top_k
-from .model_io import TrainedModel
+from .model_io import METHODS, TrainedModel
 from .spectrogram import StftParams, log_spectrogram, to_fixed
 from .svm import KernelParams, grid_search_cv, ovo_predict_batch, ovo_train
 from .wavelet_baseline import PatchSet, c1_pyramid, global_max, patch_transform, sample_patches
 
-METHODS = ("single", "bank", "patches", "wavelet")
 TRAIN_FRACTION = 2.0 / 3.0
 
 
@@ -183,7 +182,7 @@ class RunConfig:
         if not self.wavelet_sizes or any(s < 1 for s in self.wavelet_sizes):
             raise ConfigError("wavelet.sizes needs at least one positive size")
         for name, low in (("seed", 0), ("mi_top_k", 1), ("mi_n_bins", 2),
-                          ("svm_max_passes", 1), ("grid_folds", 2)):
+                          ("svm_max_passes", 1), ("grid_folds", 2), ("wavelet_patches", 1)):
             value = getattr(self, name)
             if value < low:
                 raise ConfigError(f"{_FIELD_TO_KEY[name]} must be at least {low}, got {value}")
@@ -200,6 +199,12 @@ class RunConfig:
             raise ConfigError(
                 f"fixed grid {rows}x{cols} is below the "
                 f"{log_gabor.MIN_GRID}x{log_gabor.MIN_GRID} minimum"
+            )
+        # single, bank and patches all emit one feature per grid pixel
+        if self.method != "wavelet" and self.mi_top_k > rows * cols:
+            raise ConfigError(
+                f"mi.top_k = {self.mi_top_k} is above the {rows * cols} features "
+                f"of a {rows}x{cols} grid"
             )
         if self.method == "patches" and rows != log_gabor.BAND_ROWS:
             raise ConfigError(f"method patches needs fixed.rows = {log_gabor.BAND_ROWS}, got {rows}")

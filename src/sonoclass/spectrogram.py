@@ -33,6 +33,8 @@ class StftParams:
     log_floor: float = DEFAULT_LOG_FLOOR
 
     def __post_init__(self):
+        if self.frame_size < 2:  # one sample gives one frequency bin: no image to resize
+            raise ValueError(f"need frame_size >= 2, got {self.frame_size}")
         if not (0 < self.hop <= self.frame_size):
             raise ValueError(f"need 0 < hop <= frame_size, got hop={self.hop} frame_size={self.frame_size}")
         if not (self.log_floor > 0):

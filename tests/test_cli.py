@@ -203,6 +203,13 @@ class TestErrorPaths:
         pytest.param("--config", "svm.tol = -1", id="svm.tol=-1"),
         pytest.param("--config", "fixed.rows = 4", id="fixed.rows=4"),
         pytest.param("--config", "method = patches\nfixed.rows = 100", id="patches-fixed.rows=100"),
+        pytest.param("--top-k", "16385", id="top-k-above-features"),
+        pytest.param("--config", "method = single\nmi.top_k = 16385", id="single-top-k-above-features"),
+        pytest.param("--config", "method = patches\nfixed.cols = 16\nmi.top_k = 2049",
+                     id="patches-top-k-above-features"),
+        pytest.param("--config", "wavelet.patches = 0", id="wavelet.patches=0"),
+        pytest.param("--config", "method = wavelet\nwavelet.patches = 0", id="wavelet-wavelet.patches=0"),
+        pytest.param("--config", "stft.frame_size = 1\nstft.hop = 1", id="stft.frame_size=1"),
         pytest.param("--config", None, id="config-missing"),
     ])
     def test_bad_model_value_is_config_error(self, corpus, tmp_path, capsys, flag, value):

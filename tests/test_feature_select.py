@@ -5,6 +5,7 @@ import pytest
 
 from sonoclass.errors import SonoclassError
 from sonoclass.feature_select import (
+    BLOCK_COLUMNS,
     FeatureMatrix,
     apply_selection,
     discretize,
@@ -172,6 +173,76 @@ class TestSelectTopK:
         values = np.random.default_rng(6).normal(size=(10, 3))
         with pytest.raises(SonoclassError, match="at least 2 distinct classes"):
             select_top_k(FeatureMatrix(values, np.zeros(10, dtype=int)), k=2)
+
+    def test_needs_two_bins(self):
+        matrix, _ = self.make_matrix()
+        with pytest.raises(ValueError, match="need at least 2 bins"):
+            select_top_k(matrix, k=2, n_bins=1)
+
+
+def parity_matrix(seed, n_samples, n_features, classes):
+    """Random columns mixed with constant, integer-valued (tying) and
+    duplicated ones; every class in `classes` occurs at least twice."""
+    rng = np.random.default_rng(seed)
+    labels = np.concatenate([
+        np.repeat(classes, 2),
+        rng.choice(classes, size=n_samples - 2 * len(classes)),
+    ])
+    rng.shuffle(labels)
+    values = rng.normal(size=(n_samples, n_features)) * rng.uniform(0.1, 5.0, n_features)
+    kind = rng.integers(0, 4, size=n_features)
+    values[:, kind == 1] = rng.uniform(-2.0, 2.0)
+    values[:, kind == 2] = rng.integers(0, 3, size=(n_samples, int(np.sum(kind == 2))))
+    dup = np.flatnonzero(kind == 3)
+    values[:, dup] = values[:, rng.integers(0, n_features, size=dup.size)]
+    return FeatureMatrix(values, labels)
+
+
+# 40 bins x 10 classes on 300 rows: some columns have more than 128 nonzero
+# joint cells, where numpy's pairwise sum recurses
+OVER_128_CELLS = (300, 200, tuple(range(10, 20)), 40)
+
+
+class TestBlockedParity:
+    """select_top_k scores blocks of columns at once; every score must
+    equal the per-column discretize + mutual_information oracle exactly."""
+
+    @pytest.mark.parametrize("n_samples, n_features, classes, n_bins", [
+        (40, 1, (3, 7), 16),
+        (120, 300, (0, 2, 5, 9, 11), 39),
+        (30, BLOCK_COLUMNS, (1, 0), 2),
+        (80, 2 * BLOCK_COLUMNS + 37, (0, 1, 2, 3), 16),
+        OVER_128_CELLS,
+    ], ids=["one-column", "below-block", "one-block", "ragged-blocks", "over-128-cells"])
+    def test_scores_equal_per_column_oracle(self, n_samples, n_features, classes, n_bins):
+        matrix = parity_matrix(n_features, n_samples, n_features, np.array(classes))
+        oracle = np.array([
+            mutual_information(discretize(col, n_bins), matrix.labels)
+            for col in matrix.values.T
+        ])
+        k = min(n_features, 64)
+        sel = select_top_k(matrix, k=k, n_bins=n_bins)
+        assert np.array_equal(sel.scores, oracle)
+        order = np.lexsort((np.arange(n_features), -oracle))
+        assert np.array_equal(sel.selected, order[:k])
+
+    def test_over_128_cells_case_has_such_columns(self):
+        n_samples, n_features, classes, n_bins = OVER_128_CELLS
+        matrix = parity_matrix(n_features, n_samples, n_features, np.array(classes))
+        nonzero = [
+            np.unique(discretize(col, n_bins) * 100 + matrix.labels).size
+            for col in matrix.values.T
+        ]
+        assert max(nonzero) > 128
+
+    def test_ties_follow_lower_index_across_blocks(self):
+        labels = np.array([0, 1] * 10)
+        col = np.array([0.0, 1.0] * 10)
+        d = BLOCK_COLUMNS + 3
+        values = np.tile(col[:, None], (1, d))
+        sel = select_top_k(FeatureMatrix(values, labels), k=d, n_bins=2)
+        assert np.array_equal(sel.selected, np.arange(d))
+        assert np.all(sel.scores == sel.scores[0])
 
 
 class TestApplySelection:

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -142,6 +143,24 @@ class TestErrors:
         text = path.read_text()
         assert old in text
         path.write_text(text.replace(old, new, 1))
+        with pytest.raises(SonoclassError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("line, new, message", [
+        (r"^method bank$", "method cnn", "method 'cnn' is not one of"),
+        (r"^method bank$", "method single",
+         "method 'single' disagrees with the config echo's 'bank'"),
+        (r"^bias .*$", "bias nan", "pair 0 1 has bias nan"),
+        (r"^bias .*$", "bias -inf", "pair 0 1 has bias -inf"),
+    ], ids=["unknown-method", "method-vs-echo", "bias-nan", "bias-inf"])
+    def test_inconsistent_values(self, tmp_path, line, new, message):
+        model, _ = small_trained_model()
+        model = replace(model, config={**model.config, "method": "bank"})
+        path = tmp_path / "m.txt"
+        save_model(path, model)
+        text, n = re.subn(line, new, path.read_text(), count=1, flags=re.M)
+        assert n == 1
+        path.write_text(text)
         with pytest.raises(SonoclassError, match=message):
             load_model(path)
 

@@ -37,6 +37,12 @@ class TestStftParams:
         with pytest.raises(ValueError):
             StftParams(hop=0)
 
+    def test_one_sample_frame_rejected(self):
+        # a 1-sample frame has one frequency bin, too few rows for to_fixed
+        with pytest.raises(ValueError, match="need frame_size >= 2, got 1"):
+            StftParams(frame_size=1, hop=1)
+        assert StftParams(frame_size=2, hop=1).n_bins == 2
+
 
 class TestStft:
     def test_frame_count_1000_samples(self):
