@@ -11,8 +11,11 @@ one binary model per class pair and majority voting.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -136,8 +139,14 @@ def smo_train(
     n = x.shape[0]
     c = params.c
     kernel = rbf_kernel_matrix(x, x, params.gamma)
-    alpha = np.zeros(n)
+    # The scalar work of a step runs on Python floats, which cost far less
+    # per operation than numpy scalars and round identically. numpy keeps
+    # the O(n) work: the g update, the max-|dE| pick and the bias.
+    ys = y.tolist()
+    diag = kernel.diagonal().tolist()
+    alpha = [0.0] * n
     g = np.zeros(n)  # bias-free decision sums K @ (alpha*y), kept incrementally
+    gs = g.tolist()
     rng = np.random.default_rng(seed)
     # Check violations at half the contract tolerance so the bias chosen for
     # the returned model cannot push residuals past tol.
@@ -148,11 +157,11 @@ def smo_train(
     def take_step(i: int, j: int) -> bool:
         # The pair step depends on errors only through e_i - e_j, so the
         # current bias estimate cancels out of the update itself.
-        nonlocal g, last_obj
+        nonlocal g, gs, last_obj
         if i == j:
             return False
         a_i, a_j = alpha[i], alpha[j]
-        y_i, y_j = y[i], y[j]
+        y_i, y_j = ys[i], ys[j]
         s = y_i * y_j
         if s < 0:
             lo, hi = max(0.0, a_j - a_i), min(c, c + a_j - a_i)
@@ -160,8 +169,8 @@ def smo_train(
             lo, hi = max(0.0, a_i + a_j - c), min(c, a_i + a_j)
         if lo >= hi:
             return False
-        eta = kernel[i, i] + kernel[j, j] - 2.0 * kernel[i, j]
-        diff = (g[i] - y_i) - (g[j] - y_j)
+        eta = diag[i] + diag[j] - 2.0 * kernel.item(i, j)
+        diff = (gs[i] - y_i) - (gs[j] - y_j)
         slope = y_j * diff  # dW/da_j along the constraint line
         if eta > 0.0:
             a_j_new = min(max(a_j + slope / eta, lo), hi)
@@ -182,8 +191,9 @@ def smo_train(
 
         alpha[i], alpha[j] = a_i_new, a_j_new
         g += (a_i_new - a_i) * y_i * kernel[i] + (a_j_new - a_j) * y_j * kernel[j]
+        gs = g.tolist()
         if debug:
-            obj = dual_objective(kernel, y, alpha)
+            obj = dual_objective(kernel, y, np.array(alpha))
             assert obj >= last_obj - 1e-9 * max(1.0, abs(last_obj)), (
                 f"dual objective decreased: {last_obj} -> {obj}"
             )
@@ -191,15 +201,16 @@ def smo_train(
         return True
 
     def examine(i: int) -> bool:
-        r = (g[i] + b - y[i]) * y[i]
-        if not ((r < -inner_tol and alpha[i] < c) or (r > inner_tol and alpha[i] > 0.0)):
+        y_i, a_i = ys[i], alpha[i]
+        r = (gs[i] + b - y_i) * y_i
+        if not ((r < -inner_tol and a_i < c) or (r > inner_tol and a_i > 0.0)):
             return False
         errors = g - y  # bias cancels in the pairwise difference
-        j = int(np.argmax(np.abs(errors[i] - errors)))
+        j = int(np.abs(errors[i] - errors).argmax())
         if take_step(i, j):
             return True
-        for j2 in rng.permutation(n):
-            if j2 != j and take_step(i, int(j2)):
+        for j2 in rng.permutation(n).tolist():
+            if j2 != j and take_step(i, j2):
                 return True
         return False
 
@@ -208,11 +219,11 @@ def smo_train(
     converged = False
     while passes < max_passes:
         passes += 1
-        b = _bias_from_state(y, g, alpha, c)
-        order = rng.permutation(n)
+        b = _bias_from_state(y, g, np.array(alpha), c)
+        order = rng.permutation(n).tolist()
         if not examine_all:
-            order = order[(alpha[order] > 0.0) & (alpha[order] < c)]
-        changed = sum(examine(int(i)) for i in order)
+            order = [i for i in order if 0.0 < alpha[i] < c]
+        changed = sum(examine(i) for i in order)
         if examine_all:
             if changed == 0:
                 converged = True
@@ -228,6 +239,7 @@ def smo_train(
             stacklevel=2,
         )
 
+    alpha = np.array(alpha)
     bias = _recompute_bias(kernel, y, alpha, c)
     mask = alpha > 0.0
     return BinarySvmModel(
@@ -382,6 +394,50 @@ def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> np.ndarray:
     return assignment
 
 
+def _worker_count(n_cells: int) -> int:
+    """One worker per CPU this process may run on, and never more than cells."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_cells))
+
+
+def _cv_cell(
+    matrix: FeatureMatrix,
+    assignment: np.ndarray,
+    folds: int,
+    seed: int,
+    tol: float,
+    max_passes: int,
+    cell: tuple[float, float],
+) -> tuple[int, int, int]:
+    """Cross-validate one (c, gamma) cell.
+
+    Returns the number of correctly predicted rows over all folds, the
+    number of pair solves that did not converge and the number of pair
+    solves. The per-solve non-convergence warning is silenced here;
+    grid_search_cv reports the count once.
+    """
+    c, gamma = cell
+    params = KernelParams(gamma=gamma, c=c)
+    correct = unconverged = solves = 0
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="SMO stopped", category=RuntimeWarning)
+        for fold in range(folds):
+            train_rows = assignment != fold
+            test_rows = ~train_rows
+            model = ovo_train(
+                FeatureMatrix(matrix.values[train_rows], matrix.labels[train_rows]),
+                params, tol=tol, max_passes=max_passes, seed=seed + fold,
+            )
+            unconverged += sum(not m.converged for m in model.pair_models.values())
+            solves += len(model.pair_models)
+            predicted = ovo_predict_batch(model, matrix.values[test_rows])
+            correct += int(np.sum(predicted == matrix.labels[test_rows]))
+    return correct, unconverged, solves
+
+
 def grid_search_cv(
     matrix: FeatureMatrix,
     c_grid=DEFAULT_C_GRID,
@@ -396,30 +452,45 @@ def grid_search_cv(
     Returns the best parameters (ties resolved toward smaller C, then
     smaller gamma) and the full table of (c, gamma, accuracy) rows in
     evaluation order.
+
+    Cells are independent and deterministic, so they run in a fork pool
+    with one worker per CPU in this process's affinity mask; with one
+    CPU they run in this process. The table is the same either way. If
+    any pair solve stops without converging, one RuntimeWarning gives
+    the count.
     """
     if folds < 2:
         raise ValueError("need at least 2 folds")
     assignment = stratified_folds(matrix.labels, folds, seed)
-    c_values = sorted(float(v) for v in c_grid)
-    gamma_values = sorted(float(v) for v in gamma_grid)
+    cells = [
+        (c, gamma)
+        for c in sorted(float(v) for v in c_grid)
+        for gamma in sorted(float(v) for v in gamma_grid)
+    ]
+    run_cell = partial(_cv_cell, matrix, assignment, folds, seed, tol, max_passes)
+    workers = _worker_count(len(cells))
+    if workers == 1:
+        results = list(map(run_cell, cells))
+    else:
+        # fork, not spawn: a spawned worker re-imports the caller's main
+        # module, which breaks scripts that call this at top level without a
+        # __main__ guard (demos/06_svm_training.py). Cells differ in cost by
+        # orders of magnitude, so they are handed out one at a time.
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            results = pool.map(run_cell, cells, chunksize=1)
 
     table: list[tuple[float, float, float]] = []
     best: tuple[float, KernelParams] | None = None
-    for c in c_values:
-        for gamma in gamma_values:
-            params = KernelParams(gamma=gamma, c=c)
-            correct = 0
-            for fold in range(folds):
-                train_rows = assignment != fold
-                test_rows = ~train_rows
-                model = ovo_train(
-                    FeatureMatrix(matrix.values[train_rows], matrix.labels[train_rows]),
-                    params, tol=tol, max_passes=max_passes, seed=seed + fold,
-                )
-                predicted = ovo_predict_batch(model, matrix.values[test_rows])
-                correct += int(np.sum(predicted == matrix.labels[test_rows]))
-            accuracy = correct / matrix.n_samples
-            table.append((c, gamma, accuracy))
-            if best is None or accuracy > best[0]:
-                best = (accuracy, params)
+    for (c, gamma), (correct, _, _) in zip(cells, results):
+        accuracy = correct / matrix.n_samples
+        table.append((c, gamma, accuracy))
+        if best is None or accuracy > best[0]:
+            best = (accuracy, KernelParams(gamma=gamma, c=c))
+    unconverged = sum(r[1] for r in results)
+    if unconverged:
+        warnings.warn(
+            f"{unconverged} of {sum(r[2] for r in results)} pair solves did not converge",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return best[1], table

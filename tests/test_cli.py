@@ -1,11 +1,13 @@
+import multiprocessing
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sonoclass import cli, pipeline
+from sonoclass import cli, pipeline, svm
 from sonoclass.model_io import MODEL_HEADER
 
 
@@ -166,6 +168,39 @@ class TestGridSearchCompare:
         lines = out.read_text().splitlines()
         assert lines[0] == "c,gamma,cv_accuracy"
         assert len(lines) == 5
+
+    def test_gridsearch_worker_error_is_data_error(self, corpus, tmp_path, capfd, monkeypatch):
+        monkeypatch.setattr(svm, "_worker_count", lambda n_cells: 2)
+        manifest = pipeline.read_manifest(corpus["manifest"])
+        moved = manifest.rows("train")[0]  # its class keeps exactly 2 training clips
+        path = tmp_path / "two_in_one_class.tsv"
+        pipeline.write_manifest(path, pipeline.DatasetManifest(tuple(
+            replace(e, split="test") if e == moved else e for e in manifest.entries
+        )))
+        rc = cli.main([
+            "gridsearch", "--manifest", str(path), "--method", "bank", "--top-k", "16",
+            "--cache-dir", corpus["cache"],
+            "--config", str(write_cfg(tmp_path, "grid.c = 1,8\ngrid.gamma = 0.5\ngrid.folds = 2")),
+        ])
+        assert rc == cli.EXIT_DATA
+        err = capfd.readouterr().err
+        assert err.startswith("error: classes [") and err.count("\n") == 1
+        assert "fewer than 2 training samples" in err
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
+
+    def test_gridsearch_nonconvergence_warns_once_and_exits_0(self, corpus, tmp_path):
+        with pytest.warns(RuntimeWarning) as record:
+            rc = cli.main([
+                "gridsearch", "--manifest", str(corpus["manifest"]),
+                "--method", "bank", "--top-k", "16", "--cache-dir", corpus["cache"],
+                "--config", str(write_cfg(
+                    tmp_path, "grid.c = 1,8\ngrid.gamma = 0.5\ngrid.folds = 3\nsvm.max_passes = 1",
+                )),
+            ])
+        assert rc == cli.EXIT_OK
+        messages = [str(w.message) for w in record if w.category is RuntimeWarning]
+        assert messages == ["36 of 36 pair solves did not converge"]
 
     def test_compare_outputs(self, corpus, tmp_path):
         out_dir = tmp_path / "cmp"

@@ -1,7 +1,12 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
 import qp_oracle
+import smo_reference
+from sonoclass import svm
 from sonoclass.errors import SonoclassError
 from sonoclass.feature_select import FeatureMatrix
 from sonoclass.svm import (
@@ -168,6 +173,58 @@ class TestSmoTrain:
         with pytest.warns(RuntimeWarning):
             model = smo_train(x, y, KernelParams(gamma=0.5, c=10.0), max_passes=1)
         assert not model.converged
+
+
+def duplicated_rows(seed, n_per=10):
+    """Overlapping blobs plus copies of twelve rows, eight with the opposite
+    label and four with the same one.
+
+    A row and its copy have eta = 0, so a step on that pair takes the
+    endpoint branch of the pair update.
+    """
+    x, labels = blobs(seed=seed, n_per=n_per, centers=((0.0, 0.0), (1.0, 1.0)), spread=1.0)
+    y = np.where(labels == 0, 1.0, -1.0)
+    flipped, kept = np.r_[:4, -4:0], np.r_[4:6, -6:-4]
+    return np.vstack([x, x[flipped], x[kept]]), np.r_[y, -y[flipped], y[kept]]
+
+
+def labelled_blobs(seed, spread, n_per=15):
+    x, labels = blobs(seed=seed, n_per=n_per, spread=spread)
+    return x, np.where(labels == 0, 1.0, -1.0)
+
+
+# (problem, gamma, c, smo_train keyword arguments)
+PARITY_CASES = {
+    "separable": (lambda: labelled_blobs(20, spread=0.4), 0.5, 1.0, {}),
+    "overlapping": (lambda: labelled_blobs(21, spread=3.0, n_per=25), 0.5, 10.0, {}),
+    "duplicated-rows": (lambda: duplicated_rows(22), 0.5, 1.0, {}),
+    "duplicated-rows-large-c": (lambda: duplicated_rows(23), 2.0, 2.0 ** 15, {}),
+    "c=2^-5": (lambda: labelled_blobs(24, spread=3.0), 0.5, 2.0 ** -5, {}),
+    "c=2^15": (lambda: labelled_blobs(25, spread=3.0), 0.5, 2.0 ** 15, {}),
+    "max_passes=1": (lambda: labelled_blobs(26, spread=3.0), 0.5, 10.0, {"max_passes": 1}),
+    "max_passes=2": (lambda: labelled_blobs(27, spread=3.0), 0.5, 10.0, {"max_passes": 2}),
+    "max_passes=3": (lambda: labelled_blobs(28, spread=3.0), 0.5, 10.0, {"max_passes": 3}),
+    "debug": (lambda: labelled_blobs(29, spread=1.5), 0.3, 2.0, {"debug": True}),
+}
+
+
+@pytest.mark.filterwarnings("ignore:SMO stopped:RuntimeWarning")
+@pytest.mark.parametrize("case", PARITY_CASES, ids=list(PARITY_CASES))
+@pytest.mark.parametrize("seed", [0, 5])
+def test_smo_matches_reference_exactly(case, seed):
+    """The Python-float solver takes the reference's trajectory bit for bit."""
+    problem, gamma, c, kwargs = PARITY_CASES[case]
+    x, y = problem()
+    params = KernelParams(gamma=gamma, c=c)
+    got = smo_train(x, y, params, seed=seed, **kwargs)
+    want = smo_reference.smo_train(x, y, params, seed=seed, **kwargs)
+    assert np.array_equal(got.support_vectors, want.support_vectors)
+    assert np.array_equal(got.dual_coef, want.dual_coef)
+    assert got.bias == want.bias
+    assert got.n_passes == want.n_passes
+    assert got.converged == want.converged
+    if "max_passes" in kwargs:
+        assert not got.converged
 
 
 class TestDecisionValue:
@@ -365,3 +422,43 @@ class TestGridSearch:
         top = max(accs.values())
         winners = sorted([cg for cg, a in accs.items() if a == top])
         assert (best.c, best.gamma) == winners[0]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity API")
+    def test_worker_count_follows_affinity(self):
+        assert svm._worker_count(10_000) == len(os.sched_getaffinity(0))
+        assert svm._worker_count(1) == 1
+
+    def test_serial_and_pooled_give_the_same_result(self, monkeypatch):
+        matrix = multiclass_blobs(3, seed=13, n_per=9, spread=3.0)
+        grid = dict(c_grid=[0.5, 4.0, 64.0], gamma_grid=[0.05, 0.5, 5.0], folds=3, seed=2)
+        results = []
+        for count in (1, 2):
+            monkeypatch.setattr(svm, "_worker_count", lambda n_cells, count=count: count)
+            results.append(grid_search_cv(matrix, **grid))
+        assert results[0] == results[1]
+        assert len({acc for _, _, acc in results[0][1]}) > 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_error_reaches_caller(self, monkeypatch, workers):
+        monkeypatch.setattr(svm, "_worker_count", lambda n_cells: workers)
+        matrix = multiclass_blobs(3, seed=14, n_per=6)
+        # class 2 keeps exactly 2 rows, so each 2-fold train split has one
+        keep = np.r_[np.flatnonzero(matrix.labels != 2), np.flatnonzero(matrix.labels == 2)[:2]]
+        small = FeatureMatrix(matrix.values[keep], matrix.labels[keep])
+        with pytest.raises(SonoclassError,
+                           match=r"classes \[2\] have fewer than 2 training samples"):
+            grid_search_cv(small, c_grid=[1.0, 2.0], gamma_grid=[0.5], folds=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_nonconvergence_warning(self, monkeypatch, capfd, workers):
+        monkeypatch.setattr(svm, "_worker_count", lambda n_cells: workers)
+        matrix = multiclass_blobs(3, seed=15, n_per=9, spread=2.0)
+        with pytest.warns(RuntimeWarning) as record:
+            grid_search_cv(matrix, c_grid=[1.0, 100.0], gamma_grid=[0.5],
+                           folds=3, max_passes=1)
+        messages = [str(w.message) for w in record if w.category is RuntimeWarning]
+        # 2 cells x 3 folds x 3 pairs; no solve converges in one pass
+        assert messages == ["18 of 18 pair solves did not converge"]
+        assert "SMO stopped" not in capfd.readouterr().err  # nor in a worker
