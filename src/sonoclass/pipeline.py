@@ -512,21 +512,16 @@ class ExtractResult:
     stats: CacheStats
 
 
-def _collect(entries, fn, failures: list[str] | None = None) -> list:
-    """Apply fn to every entry; failures abort the run with every one listed.
-
-    With an external `failures` list the raise is deferred to the caller so
-    errors from several batches can be reported together.
-    """
-    deferred = failures is not None
-    failures = [] if failures is None else failures
+def _collect(entries, fn) -> list:
+    """Apply fn to every entry; failures abort the run with every one listed."""
     out = []
+    failures = []
     for e in entries:
         try:
             out.append(fn(e))
         except (SonoclassError, OSError) as exc:
             failures.append(f"{e.path}: {exc}")
-    if failures and not deferred:
+    if failures:
         raise SonoclassError(
             f"{len(failures)} file(s) failed:\n" + "\n".join(failures)
         )
@@ -572,15 +567,11 @@ def extract_features(
     else:
         feature_fn = lambda e: extractor.gabor_feature(e.path)
 
-    failures: list[str] = []
-    for split in splits:
-        rows = manifest.rows(split)
-        if rows and split not in vectors:
-            vectors[split] = _collect(rows, feature_fn, failures)
-    if failures:
-        raise SonoclassError(
-            f"{len(failures)} file(s) failed:\n" + "\n".join(failures)
-        )
+    # one batch over every pending split, so one report lists every failure
+    pending = [split for split in splits if split not in vectors and manifest.rows(split)]
+    batch = iter(_collect([e for split in pending for e in manifest.rows(split)], feature_fn))
+    for split in pending:
+        vectors[split] = [next(batch) for _ in manifest.rows(split)]
     matrices: dict[str, FeatureMatrix] = {}
     for split, split_vectors in vectors.items():
         labels = np.array([label_index[e.label] for e in manifest.rows(split)], dtype=np.int64)

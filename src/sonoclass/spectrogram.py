@@ -2,6 +2,9 @@
 
 The analysis chain is stft -> log_magnitude -> to_fixed; every feature
 method downstream consumes the fixed-size, [0, 1]-normalized matrix.
+to_fixed is an align-corners bilinear resize in numpy. Its index rule and
+the order of its four-term sum are fixed: existing fixed/ cache files and
+model files were made with them, and any other order changes their bits.
 """
 
 from __future__ import annotations
@@ -9,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .audio_io import AudioClip
 from .errors import SonoclassError
@@ -19,11 +21,6 @@ DEFAULT_HOP = 64
 DEFAULT_LOG_FLOOR = 1e-10
 DEFAULT_FIXED_ROWS = 128
 DEFAULT_FIXED_COLS = 128
-
-
-def hamming_window(frame_size: int) -> np.ndarray:
-    """Symmetric Hamming window: 0.54 - 0.46*cos(2*pi*n/(frame_size-1))."""
-    return np.hamming(frame_size)
 
 
 @dataclass(frozen=True)
@@ -42,8 +39,8 @@ class StftParams:
 
     @property
     def window(self) -> np.ndarray:
-        """The analysis window: always a Hamming window of frame_size samples."""
-        return hamming_window(self.frame_size)
+        """Symmetric Hamming window: 0.54 - 0.46*cos(2*pi*n/(frame_size-1))."""
+        return np.hamming(self.frame_size)
 
     @property
     def n_bins(self) -> int:
@@ -56,7 +53,6 @@ class Spectrogram:
 
     values: np.ndarray
     bin_hz: float
-    params: StftParams
 
 
 @dataclass(frozen=True)
@@ -100,11 +96,10 @@ def log_magnitude(
     stft_matrix: np.ndarray,
     log_floor: float = DEFAULT_LOG_FLOOR,
     bin_hz: float = 0.0,
-    params: StftParams | None = None,
 ) -> Spectrogram:
     """Natural-log magnitude with a floor so no entry is -inf."""
     values = np.log(np.maximum(np.abs(stft_matrix), log_floor))
-    return Spectrogram(values=values, bin_hz=bin_hz, params=params or StftParams())
+    return Spectrogram(values=values, bin_hz=bin_hz)
 
 
 def log_spectrogram(clip: AudioClip, params: StftParams | None = None) -> Spectrogram:
@@ -116,8 +111,15 @@ def log_spectrogram(clip: AudioClip, params: StftParams | None = None) -> Spectr
         spectrum,
         log_floor=params.log_floor,
         bin_hz=clip.sample_rate / params.frame_size,
-        params=params,
     )
+
+
+def _bilinear_axis(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Left neighbour i and fraction x - i of n_out align-corners samples x."""
+    x = np.linspace(0.0, n_in - 1.0, n_out)
+    # x in [i, i+1), and the last sample in the closed last interval
+    i = np.minimum(x.astype(np.intp), n_in - 2)
+    return i, x - i
 
 
 def to_fixed(
@@ -134,16 +136,15 @@ def to_fixed(
     if in_rows < 2 or in_cols < 2:
         raise SonoclassError(f"cannot resize a {in_rows}x{in_cols} spectrogram")
 
-    if (in_rows, in_cols) == (rows, cols):
-        resized = values.astype(np.float64)
-    else:
-        interp = RegularGridInterpolator(
-            (np.arange(in_rows), np.arange(in_cols)), values, method="linear"
-        )
-        rr = np.linspace(0.0, in_rows - 1.0, rows)
-        cc = np.linspace(0.0, in_cols - 1.0, cols)
-        grid = np.stack(np.meshgrid(rr, cc, indexing="ij"), axis=-1)
-        resized = interp(grid)
+    i0, y0 = _bilinear_axis(in_rows, rows)
+    i1, y1 = _bilinear_axis(in_cols, cols)
+    r, y0 = i0[:, None], y0[:, None]
+    resized = (
+        values[r, i1] * (1 - y0) * (1 - y1)
+        + values[r, i1 + 1] * (1 - y0) * y1
+        + values[r + 1, i1] * y0 * (1 - y1)
+        + values[r + 1, i1 + 1] * y0 * y1
+    )
 
     lo = float(resized.min())
     hi = float(resized.max())

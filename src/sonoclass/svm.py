@@ -461,12 +461,14 @@ def grid_search_cv(
     """
     if folds < 2:
         raise ValueError("need at least 2 folds")
-    assignment = stratified_folds(matrix.labels, folds, seed)
     cells = [
         (c, gamma)
         for c in sorted(float(v) for v in c_grid)
         for gamma in sorted(float(v) for v in gamma_grid)
     ]
+    if not cells:
+        raise ValueError("need at least one C and one gamma value")
+    assignment = stratified_folds(matrix.labels, folds, seed)
     run_cell = partial(_cv_cell, matrix, assignment, folds, seed, tol, max_passes)
     workers = _worker_count(len(cells))
     if workers == 1:

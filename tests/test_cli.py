@@ -354,3 +354,15 @@ class TestErrorPaths:
         )
         assert proc.returncode == 0
         assert "synth" in proc.stdout
+
+    def test_cli_import_loads_no_scipy(self, src_env):
+        code = (
+            "import sys\n"
+            "import sonoclass.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -6,7 +6,6 @@ from sonoclass.errors import SonoclassError
 from sonoclass.spectrogram import (
     StftParams,
     frame_count,
-    hamming_window,
     log_magnitude,
     log_spectrogram,
     stft,
@@ -25,7 +24,7 @@ class TestStftParams:
         assert p.frame_size == 256 and p.hop == 64 and p.n_bins == 129
 
     def test_hamming_formula_and_symmetry(self):
-        w = hamming_window(256)
+        w = StftParams(frame_size=256).window
         n = np.arange(256)
         assert np.allclose(w, 0.54 - 0.46 * np.cos(2 * np.pi * n / 255))
         assert np.allclose(w, w[::-1])
@@ -160,19 +159,25 @@ class TestToFixed:
         with pytest.raises(SonoclassError, match="cannot resize a 50x1 spectrogram"):
             to_fixed(np.ones((50, 1)), 8, 8)
 
-    def test_matches_scalar_bilinear_oracle(self):
+    @pytest.mark.parametrize(
+        "shape",
+        [(129, 12), (513, 31), (2, 200), (129, 247), (128, 128)],
+        ids=lambda s: f"{s[0]}x{s[1]}",
+    )
+    def test_matches_scalar_bilinear_oracle(self, shape):
+        # up, down, a 2-row input, the real STFT shape and the identity
         rng = np.random.default_rng(7)
-        values = rng.normal(size=(129, 12))
+        values = rng.normal(size=shape)
         rows, cols = 128, 128
         out = to_fixed(values, rows, cols)
-        rr = np.linspace(0, 128, rows)
-        cc = np.linspace(0, 11, cols)
+        assert out.values.flags.c_contiguous  # the fixed/ cache stores this layout
+        rr = np.linspace(0, shape[0] - 1, rows)
+        cc = np.linspace(0, shape[1] - 1, cols)
         lo, hi = out.source_range
-        check_points = [(0, 0), (0, cols - 1), (rows - 1, 0), (rows - 1, cols - 1),
-                        (13, 40), (77, 99), (64, 64)]
-        for i, j in check_points:
-            raw = bilinear_at(values, rr[i], cc[j])
-            assert out.values[i, j] == pytest.approx((raw - lo) / (hi - lo), abs=1e-12)
+        for i in range(rows):
+            for j in range(cols):
+                raw = bilinear_at(values, rr[i], cc[j])
+                assert out.values[i, j] == pytest.approx((raw - lo) / (hi - lo), abs=1e-12)
 
     def test_output_in_unit_interval(self):
         rng = np.random.default_rng(8)

@@ -400,6 +400,15 @@ class TestGridSearch:
         assert (best.c, best.gamma) == (4.0, 0.5)
         assert len(table) == 1
 
+    @pytest.mark.parametrize("grids", [
+        {"c_grid": [], "gamma_grid": [0.5]},
+        {"c_grid": [4.0], "gamma_grid": []},
+    ], ids=["c_grid", "gamma_grid"])
+    def test_empty_grid_rejected(self, grids):
+        matrix = multiclass_blobs(2, seed=9, n_per=9)
+        with pytest.raises(ValueError, match="need at least one C and one gamma value"):
+            grid_search_cv(matrix, folds=3, seed=0, **grids)
+
     def test_duplicate_grid_point_identical(self):
         matrix = multiclass_blobs(2, seed=10, n_per=9)
         _, table = grid_search_cv(matrix, c_grid=[4.0, 4.0], gamma_grid=[0.5],
