@@ -20,7 +20,6 @@ from .log_gabor import (
     LogGaborBank,
     LogGaborParams,
     apply_filter,
-    average_bank,
     band_patch_feature,
     bank_average_feature,
     build_bank,
@@ -64,7 +63,6 @@ from .svm import (
 )
 from .wavelet_baseline import (
     PatchSet,
-    c2_features,
     global_max,
     local_max,
     normalize_scale,

@@ -29,7 +29,6 @@ class AudioClip:
 
     samples: np.ndarray
     sample_rate: int
-    source_id: str = ""
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -130,7 +129,7 @@ def load_wav(path) -> AudioClip:
     peak = float(np.max(np.abs(samples))) if samples.size else 0.0
     if peak > 1.0:
         samples = samples / peak
-    return AudioClip(samples=samples, sample_rate=rate, source_id=str(path))
+    return AudioClip(samples=samples, sample_rate=rate)
 
 
 def save_wav(path, clip: AudioClip) -> None:
@@ -153,11 +152,7 @@ def peak_normalize(clip: AudioClip) -> AudioClip:
     peak = float(np.max(np.abs(clip.samples)))
     if peak == 0.0:
         return clip
-    return AudioClip(
-        samples=clip.samples / peak,
-        sample_rate=clip.sample_rate,
-        source_id=clip.source_id,
-    )
+    return AudioClip(samples=clip.samples / peak, sample_rate=clip.sample_rate)
 
 
 def _fade_envelope(n: int, sample_rate: int, fade_s: float = 0.01) -> np.ndarray:
@@ -220,8 +215,4 @@ def synthesize_clip(kind: str, duration_s: float, sample_rate: int, seed: int) -
     peak = float(np.max(np.abs(samples)))
     if peak > 0.0:
         samples = samples * (0.9 / peak)
-    return AudioClip(
-        samples=samples,
-        sample_rate=sample_rate,
-        source_id=f"synth:{kind}:{seed}",
-    )
+    return AudioClip(samples=samples, sample_rate=sample_rate)

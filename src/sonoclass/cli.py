@@ -186,8 +186,9 @@ def _cmd_compare(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "single_grid.csv").write_text(pipeline.single_grid_csv(result))
     (out_dir / "comparison.csv").write_text(pipeline.comparison_csv(result))
-    (out_dir / "compare.txt").write_text(pipeline.comparison_text(result))
-    print(pipeline.comparison_text(result), end="")
+    text = pipeline.comparison_text(result)
+    (out_dir / "compare.txt").write_text(text)
+    print(text, end="")
     print(f"reports -> {out_dir}")
     return EXIT_OK
 

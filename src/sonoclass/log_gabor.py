@@ -5,6 +5,11 @@ Filters live in the 2D frequency domain: a Gaussian on the log-radial axis
 filter orientation. Filtering multiplies the spectrogram's FFT by the mask
 and takes the modulus of the complex inverse transform, which is the
 magnitude of the real+imaginary spatial filter pair.
+
+The three feature methods share one filtering step, `apply_filter`:
+'single' filters with one mask, 'bank' with the whole (scales x
+orientations) stack and averages, and 'patches' runs 'bank' on each of
+three row bands. `build_bank` keeps one bank per (grid, params).
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SonoclassError
-from .spectrogram import FixedSpectrogram
 
 MIN_GRID = 8
 BAND_ROWS = 128  # the fixed-grid height the three-band split is defined on
@@ -96,11 +100,13 @@ def log_gabor_value(r, theta, f0, theta0, sigma_ratio, sigma_theta):
     return radial * angular
 
 
+@lru_cache(maxsize=32)
 def build_bank(grid_shape: tuple[int, int], params: LogGaborParams | None = None) -> LogGaborBank:
     """Evaluate all masks on an FFT-layout frequency grid.
 
     Each mask is rescaled by its grid maximum so its peak is exactly 1;
-    the DC sample is exactly 0.
+    the DC sample is exactly 0. Banks are cached per (grid, params): the
+    masks are read-only, so every caller can share one bank.
     """
     if params is None:
         params = LogGaborParams()
@@ -125,45 +131,23 @@ def build_bank(grid_shape: tuple[int, int], params: LogGaborParams | None = None
     return LogGaborBank(masks=masks, params=params)
 
 
-def _values_of(spec) -> np.ndarray:
-    return spec.values if isinstance(spec, FixedSpectrogram) else np.asarray(spec, dtype=np.float64)
+def apply_filter(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Magnitude response of one frequency mask or a stack of masks
+    (circular convolution over the last two axes, one forward FFT)."""
+    if values.shape != masks.shape[-2:]:
+        raise SonoclassError(f"spectrogram {values.shape} vs mask {masks.shape}")
+    return np.abs(np.fft.ifft2(np.fft.fft2(values) * masks))
 
 
-def apply_filter(spec, mask: np.ndarray) -> np.ndarray:
-    """Magnitude response of one frequency mask (circular convolution)."""
-    values = _values_of(spec)
-    if values.shape != mask.shape:
-        raise SonoclassError(f"spectrogram {values.shape} vs mask {mask.shape}")
-    response = np.fft.ifft2(np.fft.fft2(values) * mask)
-    return np.abs(response)
-
-
-def apply_bank(spec, bank: LogGaborBank) -> np.ndarray:
-    """Magnitudes for every (scale, orientation), sharing one forward FFT."""
-    values = _values_of(spec)
-    if values.shape != bank.grid_shape:
-        raise SonoclassError(f"spectrogram {values.shape} vs bank grid {bank.grid_shape}")
-    spectrum = np.fft.fft2(values)
-    flat_masks = bank.masks.reshape(bank.n_filters, *bank.grid_shape)
-    return np.abs(np.fft.ifft2(spectrum[None, :, :] * flat_masks, axes=(1, 2)))
-
-
-def average_bank(responses) -> np.ndarray:
-    """Elementwise arithmetic mean of the stacked magnitude responses."""
-    stack = np.asarray(responses, dtype=np.float64)
-    if stack.ndim != 3 or stack.shape[0] == 0:
-        raise SonoclassError("need a non-empty stack of equally shaped responses")
-    return stack.mean(axis=0)
-
-
-def single_filter_feature(spec, bank: LogGaborBank, scale: int, orientation: int) -> np.ndarray:
+def single_filter_feature(values: np.ndarray, bank: LogGaborBank, scale: int,
+                          orientation: int) -> np.ndarray:
     """Method 'single': one filter's magnitude, flattened row-major."""
-    return apply_filter(spec, bank.mask(scale, orientation)).ravel()
+    return apply_filter(values, bank.mask(scale, orientation)).ravel()
 
 
-def bank_average_feature(spec, bank: LogGaborBank) -> np.ndarray:
+def bank_average_feature(values: np.ndarray, bank: LogGaborBank) -> np.ndarray:
     """Method 'bank': all filters applied, averaged, flattened row-major."""
-    return average_bank(apply_bank(spec, bank)).ravel()
+    return apply_filter(values, bank.masks).mean(axis=(0, 1)).ravel()
 
 
 def band_row_ranges(rows: int = BAND_ROWS) -> tuple[tuple[int, int], ...]:
@@ -173,25 +157,17 @@ def band_row_ranges(rows: int = BAND_ROWS) -> tuple[tuple[int, int], ...]:
     return ((0, e1), (e1, e2), (e2, rows))
 
 
-@lru_cache(maxsize=32)
-def _band_bank(rows: int, cols: int, params: LogGaborParams) -> LogGaborBank:
-    # masks are immutable, so sharing one bank across clips is safe
-    return build_bank((rows, cols), params)
-
-
-def band_patch_feature(spec, bank: LogGaborBank) -> np.ndarray:
+def band_patch_feature(values: np.ndarray, bank: LogGaborBank) -> np.ndarray:
     """Method 'patches': three frequency bands, each bank-averaged.
 
     The fixed spectrogram is split into three near-equal row bands; each
     band gets its own bank (same parameters, band-sized grid), is averaged,
     and the flattened bands are concatenated low||mid||high.
     """
-    values = _values_of(spec)
     rows, cols = values.shape
     if rows != BAND_ROWS:
         raise SonoclassError(f"band split is defined for {BAND_ROWS} rows, got {rows}")
-    parts = []
-    for lo, hi in band_row_ranges(rows):
-        band_bank = _band_bank(hi - lo, cols, bank.params)
-        parts.append(average_bank(apply_bank(values[lo:hi], band_bank)).ravel())
-    return np.concatenate(parts)
+    return np.concatenate([
+        bank_average_feature(values[lo:hi], build_bank((hi - lo, cols), bank.params))
+        for lo, hi in band_row_ranges(rows)
+    ])

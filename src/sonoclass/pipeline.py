@@ -125,6 +125,8 @@ def auto_split(
     """Assign stratified train/test splits: ceil(fraction * n) per class to train."""
     if seed < 0:
         raise ConfigError(f"seed must be at least 0, got {seed}")
+    if not (np.isfinite(train_fraction) and 0.0 < train_fraction <= 1.0):
+        raise ConfigError(f"train fraction must lie in (0, 1], got {train_fraction}")
     by_class: dict[str, list[int]] = {}
     for i, e in enumerate(manifest.entries):
         by_class.setdefault(e.label, []).append(i)
@@ -195,6 +197,13 @@ class RunConfig:
                 f"method wavelet needs fixed.rows and fixed.cols to be positive "
                 f"multiples of {step}, got {rows}x{cols}"
             )
+        # a patch is cut from a C1 plane, and the scale-1 plane is the largest
+        largest = min(rows, cols) // 2
+        if self.method == "wavelet" and max(self.wavelet_sizes) > largest:
+            raise ConfigError(
+                f"wavelet.sizes = {_fmt_value(self.wavelet_sizes)} needs every size at most "
+                f"{largest}, the side of the largest C1 plane of a {rows}x{cols} grid"
+            )
         if self.method != "wavelet" and min(rows, cols) < log_gabor.MIN_GRID:
             raise ConfigError(
                 f"fixed grid {rows}x{cols} is below the "
@@ -261,8 +270,6 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
 
 
 def _fmt_value(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, float):
         return format(value, ".17g")
     if isinstance(value, tuple):
@@ -339,11 +346,7 @@ def load_config(path=None, overrides: dict[str, str] | None = None) -> RunConfig
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         flat.update(parse_config_text(text, source=str(path)))
-    if overrides:
-        for key in overrides:
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-        flat.update(overrides)
+    flat.update(overrides or {})
     return config_from_flat(flat)
 
 
@@ -430,16 +433,7 @@ class FeatureExtractor:
         flat = config_to_flat(config)
         self._fixed_hash = _subset_hash(flat, _FIXED_KEYS)
         self._feature_hash = _subset_hash(flat, _GABOR_KEYS)
-        self._bank = None
         self._stft_params = config.stft_params()
-
-    @property
-    def bank(self) -> log_gabor.LogGaborBank:
-        if self._bank is None:
-            self._bank = log_gabor.build_bank(
-                (self.config.fixed_rows, self.config.fixed_cols), self.config.gabor_params()
-            )
-        return self._bank
 
     def _cache_path(self, stage: str, stage_hash: str, content: str, ext: str) -> Path | None:
         if self.cache_dir is None:
@@ -488,16 +482,15 @@ class FeatureExtractor:
         self.stats.misses += 1
         fixed = self.fixed_values(path, content)
         cfg = self.config
+        bank = log_gabor.build_bank((cfg.fixed_rows, cfg.fixed_cols), cfg.gabor_params())
         if cfg.method == "single":
             vec = log_gabor.single_filter_feature(
-                fixed, self.bank, cfg.single_scale, cfg.single_orientation
+                fixed, bank, cfg.single_scale, cfg.single_orientation
             )
         elif cfg.method == "bank":
-            vec = log_gabor.bank_average_feature(fixed, self.bank)
-        elif cfg.method == "patches":
-            vec = log_gabor.band_patch_feature(fixed, self.bank)
+            vec = log_gabor.bank_average_feature(fixed, bank)
         else:
-            raise ConfigError(f"not a log-Gabor method: {cfg.method}")
+            vec = log_gabor.band_patch_feature(fixed, bank)
         if cached is not None:
             _write_cache(cached, lambda fh: np.save(fh, vec))
         return vec
@@ -695,7 +688,6 @@ def evaluate_model(
         method=model.method,
         metadata={
             "split_hash": manifest.split_hash(),
-            "seed": model.config.get("seed", ""),
             "config": ";".join(f"{k}={v}" for k, v in sorted(model.config.items())),
         },
         timings={"features_s": t_features, "predict_s": t_predict},

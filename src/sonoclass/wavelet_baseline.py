@@ -184,8 +184,3 @@ def global_max(s2: list[dict[int, np.ndarray]]) -> np.ndarray:
             raise SonoclassError(f"patch {i} has no valid placements")
         values[i] = max(float(arr.max()) for arr in per_scale.values())
     return values
-
-
-def c2_features(values: np.ndarray, patch_set: PatchSet) -> np.ndarray:
-    """Full baseline feature vector for one fixed spectrogram."""
-    return global_max(patch_transform(c1_pyramid(values), patch_set))

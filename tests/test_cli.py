@@ -56,6 +56,18 @@ class TestSynthAndSplit:
         assert capsys.readouterr().err == "config error: seed must be at least 0, got -1\n"
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("fraction", ["nan", "inf", "0", "-0.5", "1.5"])
+    def test_bad_train_fraction_is_config_error(self, corpus, tmp_path, capsys, fraction):
+        rc = cli.main([
+            "split", "--manifest", str(corpus["root"] / "clips" / "manifest.tsv"),
+            "--out", str(tmp_path / "split.tsv"), "--train-fraction", fraction,
+        ])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: train fraction must lie in (0, 1]")
+        assert err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
 
 class TestExtract:
     def test_writes_npz_and_dumps(self, corpus, tmp_path):
@@ -244,6 +256,7 @@ class TestErrorPaths:
                      id="patches-top-k-above-features"),
         pytest.param("--config", "wavelet.patches = 0", id="wavelet.patches=0"),
         pytest.param("--config", "method = wavelet\nwavelet.patches = 0", id="wavelet-wavelet.patches=0"),
+        pytest.param("--config", "method = wavelet\nwavelet.sizes = 4,8,100", id="wavelet-wavelet.sizes=100"),
         pytest.param("--config", "stft.frame_size = 1\nstft.hop = 1", id="stft.frame_size=1"),
         pytest.param("--config", None, id="config-missing"),
     ])

@@ -4,9 +4,7 @@ import pytest
 from sonoclass.errors import SonoclassError
 from sonoclass.log_gabor import (
     LogGaborParams,
-    apply_bank,
     apply_filter,
-    average_bank,
     band_patch_feature,
     band_row_ranges,
     bank_average_feature,
@@ -67,6 +65,10 @@ class TestBuildBank:
         with pytest.raises(SonoclassError, match="grid 4x16 is below the 8x8 minimum"):
             build_bank((4, 16), PARAMS)
 
+    def test_one_bank_per_grid_and_params(self):
+        assert build_bank((16, 16), PARAMS) is build_bank((16, 16), LogGaborParams())
+        assert not build_bank((16, 16), PARAMS).masks.flags.writeable
+
     def test_mask_indexing_one_based(self):
         bank = build_bank((16, 16), PARAMS)
         assert np.array_equal(bank.mask(2, 6), bank.masks[1, 5])
@@ -97,6 +99,23 @@ class TestApplyFilter:
     def test_shape_mismatch(self):
         with pytest.raises(SonoclassError, match=r"\(8, 8\) vs mask \(16, 16\)"):
             apply_filter(np.ones((8, 8)), np.ones((16, 16)))
+        with pytest.raises(SonoclassError, match=r"\(8, 8\) vs mask \(2, 6, 8, 16\)"):
+            apply_filter(np.ones((8, 8)), np.ones((2, 6, 8, 16)))
+
+    @pytest.mark.parametrize("shape", [(128, 128), (43, 128), (42, 128)])
+    def test_stack_matches_single_masks_exactly(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        values = rng.uniform(-3, 3, size=shape)
+        bank = build_bank(shape, PARAMS)
+        stack = apply_filter(values, bank.masks)
+        for scale in (1, 2):
+            for orientation in range(1, 7):
+                assert np.array_equal(stack[scale - 1, orientation - 1],
+                                      apply_filter(values, bank.mask(scale, orientation)))
+        # the expression bank_average_feature used before it shared apply_filter
+        flat_masks = bank.masks.reshape(bank.n_filters, *shape)
+        reshaped = np.abs(np.fft.ifft2(np.fft.fft2(values)[None] * flat_masks, axes=(1, 2)))
+        assert np.array_equal(bank_average_feature(values, bank), reshaped.mean(axis=0).ravel())
 
     def test_matches_direct_circular_convolution(self):
         # oracle: spatial kernel = IFFT of the mask; direct wrap-around sum
@@ -120,34 +139,9 @@ class TestApplyFilter:
         rng = np.random.default_rng(2)
         values = rng.uniform(0, 1, size=(32, 32))
         bank = build_bank((32, 32), PARAMS)
-        base = apply_bank(values, bank)
-        shifted = apply_bank(values + 3.7, bank)
+        base = apply_filter(values, bank.masks)
+        shifted = apply_filter(values + 3.7, bank.masks)
         assert np.max(np.abs(base - shifted)) <= 1e-6
-
-
-class TestAverageBank:
-    def test_mean_of_identical(self):
-        m = np.random.default_rng(3).uniform(size=(5, 5))
-        assert np.allclose(average_bank([m] * 12), m)
-
-    def test_single_nonzero(self):
-        m = np.random.default_rng(4).uniform(size=(4, 4))
-        responses = [np.zeros((4, 4))] * 11 + [m]
-        assert np.allclose(average_bank(responses), m / 12)
-
-    def test_scalar_mean_oracle(self):
-        rng = np.random.default_rng(5)
-        responses = [rng.uniform(size=(4, 4)) for _ in range(12)]
-        out = average_bank(responses)
-        for i in range(4):
-            for j in range(4):
-                assert out[i, j] == pytest.approx(
-                    sum(r[i, j] for r in responses) / 12, rel=1e-12
-                )
-
-    def test_empty(self):
-        with pytest.raises(SonoclassError, match="need a non-empty stack"):
-            average_bank([])
 
 
 class TestFeatureMethods:
@@ -179,7 +173,7 @@ class TestFeatureMethods:
             apply_filter(self.values, self.bank.mask(m, n))
             for m in (1, 2) for n in range(1, 7)
         ]
-        expected = average_bank(responses).ravel()
+        expected = np.stack(responses).mean(axis=0).ravel()
         assert np.allclose(bank_average_feature(self.values, self.bank), expected,
                            rtol=0, atol=1e-12)
 
@@ -191,7 +185,7 @@ class TestFeatureMethods:
         assert vec.shape == (128 * 128,)
         # first band occupies the first 43*128 entries
         band1 = build_bank((43, 128), PARAMS)
-        expected = average_bank(apply_bank(self.values[0:43], band1)).ravel()
+        expected = apply_filter(self.values[0:43], band1.masks).mean(axis=(0, 1)).ravel()
         assert np.array_equal(vec[:43 * 128], expected)
 
     def test_patches_zero_input(self):

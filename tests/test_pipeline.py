@@ -1,7 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sonoclass import pipeline
+from sonoclass import log_gabor, pipeline
 from sonoclass.errors import ConfigError, SonoclassError
 from sonoclass.model_io import TrainedModel, load_model, save_model
 from sonoclass.pipeline import (
@@ -9,6 +12,7 @@ from sonoclass.pipeline import (
     ManifestEntry,
     RunConfig,
     auto_split,
+    compare_methods,
     config_from_flat,
     config_to_flat,
     evaluate_model,
@@ -147,10 +151,27 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_flat({"wavelet.sizes": "4,0"})
 
+    def test_wavelet_sizes_fit_the_largest_c1_plane(self):
+        # the scale-1 C1 plane of a 128x64 grid is 64x32
+        RunConfig(method="wavelet", fixed_cols=64, wavelet_sizes=(4, 32))
+        with pytest.raises(ConfigError, match="at most 32, the side of the largest C1 plane"):
+            RunConfig(method="wavelet", fixed_cols=64, wavelet_sizes=(4, 33))
+        RunConfig(method="bank", fixed_cols=64, wavelet_sizes=(4, 33))  # unused by bank
+
     def test_flat_round_trip(self):
         config = RunConfig(method="patches", svm_gamma=0.125, gabor_f0=(0.3, 0.15),
                            wavelet_sizes=(4, 8))
         assert config_from_flat(config_to_flat(config)) == config
+
+    def test_readme_keys_and_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Keys and defaults:\n\n```\n", 1)[1].split("```", 1)[0]
+        # each line holds one or more `key = value` cells, two or more spaces apart
+        cells = [cell.partition("=") for line in block.splitlines()
+                 for cell in re.split(r"\s{2,}", line.strip())]
+        flat = {key.strip(): value.strip() for key, _, value in cells}
+        assert set(flat) == set(pipeline._CONFIG_KEYS)
+        assert config_from_flat(flat) == RunConfig()
 
     def test_load_config_with_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -160,6 +181,12 @@ class TestConfig:
 
 
 class TestExtract:
+    def test_cold_compare_builds_one_bank_per_grid(self, mini_corpus, mini_config, tmp_path):
+        log_gabor.build_bank.cache_clear()
+        compare_methods(mini_corpus["manifest"], mini_config, cache_dir=tmp_path / "cache")
+        # 128x128 for single and bank, 43x128 and 42x128 for the patches bands
+        assert log_gabor.build_bank.cache_info().misses == 3
+
     def test_bank_dimensions_and_order(self, mini_corpus, mini_config):
         result = extract_features(mini_corpus["manifest"], mini_config,
                                   cache_dir=mini_corpus["cache"])

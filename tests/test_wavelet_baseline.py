@@ -6,7 +6,6 @@ from sonoclass.wavelet_baseline import (
     SCALES,
     PatchSet,
     c1_pyramid,
-    c2_features,
     global_max,
     local_max,
     normalize_scale,
@@ -276,7 +275,7 @@ class TestEndToEnd:
         specs = [rng.uniform(0, 1, size=(32, 32)) for _ in range(3)]
         c1s = [c1_pyramid(s) for s in specs]
         ps = sample_patches(c1s, n_patches=10, sizes=(4, 8), seed=6)
-        a = c2_features(specs[0], ps)
-        b = c2_features(specs[0], ps)
+        a = global_max(patch_transform(c1_pyramid(specs[0]), ps))
+        b = global_max(patch_transform(c1_pyramid(specs[0]), ps))
         assert np.array_equal(a, b)
         assert a.shape == (10,)
