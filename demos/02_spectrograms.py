@@ -13,17 +13,15 @@ clip = peak_normalize(synthesize_clip("harmonic_tone", 1.0, 16000, 3))
 params = StftParams()  # frame 256, hop 64 (192-sample overlap)
 
 spec = log_spectrogram(clip, params)
-print(f"log-spectrogram: {spec.values.shape[0]} bins x {spec.values.shape[1]} frames, "
-      f"bin spacing {spec.bin_hz:.1f} Hz")
-print(f"value range [{spec.values.min():.2f}, {spec.values.max():.2f}] (natural log)")
+print(f"log-spectrogram: {spec.shape[0]} bins x {spec.shape[1]} frames, "
+      f"bin spacing {clip.sample_rate / params.frame_size:.1f} Hz")
+print(f"value range [{spec.min():.2f}, {spec.max():.2f}] (natural log)")
 
 fixed = to_fixed(spec)
-print(f"\nfixed grid: {fixed.values.shape}, values in "
-      f"[{fixed.values.min():.2f}, {fixed.values.max():.2f}]")
-print(f"pre-normalization range was {fixed.source_range[0]:.2f}..{fixed.source_range[1]:.2f}")
+print(f"\nfixed grid: {fixed.shape}, values in [{fixed.min():.2f}, {fixed.max():.2f}]")
 
 # the harmonic stack shows up as a few bright rows; print the 5 brightest
-row_energy = fixed.values.sum(axis=1)
+row_energy = fixed.sum(axis=1)
 top = np.argsort(row_energy)[-5:][::-1]
 print("\nbrightest rows (frequency bins):", sorted(top.tolist()))
 print("expected near f0, 2f0, 3f0 of the tone, scaled to the 128-row grid")

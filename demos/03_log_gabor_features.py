@@ -32,7 +32,7 @@ for scale in (1, 2):
 
 fixed = to_fixed(log_spectrogram(peak_normalize(
     synthesize_clip("chirp", 1.0, 16000, 5)
-))).values
+)))
 
 single = single_filter_feature(fixed, bank, scale=1, orientation=3)
 bank_avg = bank_average_feature(fixed, bank)

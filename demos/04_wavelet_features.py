@@ -24,7 +24,7 @@ from sonoclass.wavelet_baseline import c1_pyramid
 fixed = [
     to_fixed(log_spectrogram(peak_normalize(
         synthesize_clip(kind, 1.0, 16000, seed)
-    ))).values
+    )))
     for kind, seed in [("noise_burst", 1), ("impulse_train", 2), ("chirp", 3)]
 ]
 

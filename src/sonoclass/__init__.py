@@ -42,8 +42,6 @@ from .pipeline import (
     write_manifest,
 )
 from .spectrogram import (
-    FixedSpectrogram,
-    Spectrogram,
     StftParams,
     log_magnitude,
     log_spectrogram,

@@ -32,8 +32,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_common(p: argparse.ArgumentParser, manifest_required=True):
-    p.add_argument("--manifest", required=manifest_required, help="dataset manifest (TSV or JSON)")
+def _add_common(p: argparse.ArgumentParser):
+    p.add_argument("--manifest", required=True, help="dataset manifest (TSV or JSON)")
     p.add_argument("--config", help="flat key = value configuration file")
     p.add_argument("--method", choices=pipeline.METHODS)
     p.add_argument("--scale", type=int, help="scale for method 'single'")
@@ -97,8 +97,7 @@ def _cmd_extract(args) -> int:
         params = config.stft_params()
         for e in manifest.entries:
             spec = log_spectrogram(peak_normalize(load_wav(e.path)), params)
-            np.savetxt(out_dir / (Path(e.path).stem + ".csv"),
-                       spec.values, delimiter=",", fmt="%.10g")
+            np.savetxt(out_dir / (Path(e.path).stem + ".csv"), spec, delimiter=",", fmt="%.10g")
         print(f"spectrogram CSVs -> {out_dir}")
     if args.dump_masks:
         out_dir = Path(args.dump_masks)

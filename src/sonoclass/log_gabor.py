@@ -66,10 +66,6 @@ class LogGaborBank:
     params: LogGaborParams
 
     @property
-    def grid_shape(self) -> tuple[int, int]:
-        return self.masks.shape[2], self.masks.shape[3]
-
-    @property
     def n_filters(self) -> int:
         return self.masks.shape[0] * self.masks.shape[1]
 

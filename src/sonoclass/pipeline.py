@@ -14,7 +14,6 @@ import json
 import os
 import time
 import uuid
-import zipfile
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -378,36 +377,14 @@ def _content_hash(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
 
 
-def _read_npy(path) -> list[np.ndarray]:
-    return [np.load(path)]
-
-
-def _read_c1(path) -> list[np.ndarray]:
-    with np.load(path) as data:
-        return [data[f"scale{j}"] for j in wavelet_baseline.SCALES]
-
-
-def _read_cache(path: Path | None, read, shapes: list[tuple[int, ...]]) -> list[np.ndarray] | None:
-    """The arrays read(path) returns, or None when the file is missing,
-    unreadable, or holds arrays of other shapes. A damaged file thus counts
-    as a miss, and the caller recomputes and rewrites it."""
-    if path is None or not path.exists():
-        return None
-    try:
-        arrays = read(path)
-    except (EOFError, ValueError, OSError, zipfile.BadZipFile, KeyError):
-        return None
-    return arrays if [a.shape for a in arrays] == shapes else None
-
-
-def _write_cache(path: Path, write) -> None:
-    """Run write(fh) on a unique temp file beside path, then rename it into
+def _write_cache(path: Path, array: np.ndarray) -> None:
+    """Save array to a unique temp file beside path, then rename it into
     place, so neither a crash nor a concurrent run leaves a partial file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            write(fh)
+            np.save(fh, array)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -422,8 +399,11 @@ class CacheStats:
 class FeatureExtractor:
     """Per-clip feature computation with an optional on-disk cache.
 
-    Cached artifacts are keyed by (audio content hash, config hash), so a
-    parameter change invalidates exactly the affected stage.
+    Each stage (fixed grid, C1 pyramid, log-Gabor feature) stores one array
+    per clip at cache_dir/<stage>/<config hash>/<content hash>.npy, so a
+    parameter change invalidates exactly the affected stage. A file that is
+    not a well-formed .npy of the expected shape is recomputed and
+    rewritten. stats counts a hit or a miss for every stage looked up.
     """
 
     def __init__(self, config: RunConfig, cache_dir=None):
@@ -435,65 +415,70 @@ class FeatureExtractor:
         self._feature_hash = _subset_hash(flat, _GABOR_KEYS)
         self._stft_params = config.stft_params()
 
-    def _cache_path(self, stage: str, stage_hash: str, content: str, ext: str) -> Path | None:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / stage / stage_hash / f"{content}{ext}"
+    def _cached(self, stage: str, stage_hash: str, content: str, shape: tuple[int, ...],
+                compute) -> np.ndarray:
+        """The stage's cached array when it has this shape, else compute()'s,
+        written to the cache (with no cache directory it only computes)."""
+        path = None
+        if self.cache_dir is not None:
+            path = self.cache_dir / stage / stage_hash / f"{content}.npy"
+            try:
+                with open(path, "rb") as fh:
+                    array = np.lib.format.read_array(fh)
+            except (OSError, ValueError):  # missing, truncated or not a plain .npy
+                pass
+            else:
+                if array.shape == shape:
+                    self.stats.hits += 1
+                    return array
+        self.stats.misses += 1
+        array = compute()
+        if path is not None:
+            _write_cache(path, array)
+        return array
 
-    def fixed_values(self, path, content: str | None = None) -> np.ndarray:
-        content = content or _content_hash(path)
-        cached = self._cache_path("fixed", self._fixed_hash, content, ".npy")
-        hit = _read_cache(cached, _read_npy, [(self.config.fixed_rows, self.config.fixed_cols)])
-        if hit is not None:
-            return hit[0]
-        clip = audio_io.peak_normalize(audio_io.load_wav(path))
-        spec = log_spectrogram(clip, self._stft_params)
-        fixed = to_fixed(spec, self.config.fixed_rows, self.config.fixed_cols)
-        if cached is not None:
-            _write_cache(cached, lambda fh: np.save(fh, fixed.values))
-        return fixed.values
+    def fixed_values(self, path, content: str) -> np.ndarray:
+        rows, cols = self.config.fixed_rows, self.config.fixed_cols
 
-    def c1(self, path, content: str | None = None) -> list[np.ndarray]:
-        content = content or _content_hash(path)
-        cached = self._cache_path("c1", self._fixed_hash, content, ".npz")
+        def compute():
+            clip = audio_io.peak_normalize(audio_io.load_wav(path))
+            return to_fixed(log_spectrogram(clip, self._stft_params), rows, cols)
+
+        return self._cached("fixed", self._fixed_hash, content, (rows, cols), compute)
+
+    def c1(self, path) -> list[np.ndarray]:
+        """The C1 pyramid, cached as its planes raveled and joined in SCALES order."""
+        content = _content_hash(path)
         rows, cols = self.config.fixed_rows, self.config.fixed_cols
         shapes = [(len(wavelet_baseline.ORIENTATIONS), rows >> j, cols >> j)
                   for j in wavelet_baseline.SCALES]
-        hit = _read_cache(cached, _read_c1, shapes)
-        if hit is not None:
-            self.stats.hits += 1
-            return hit
-        self.stats.misses += 1
-        pyramid = c1_pyramid(self.fixed_values(path, content))
-        if cached is not None:
-            _write_cache(cached, lambda fh: np.savez(fh, **{
-                f"scale{j}": plane for j, plane in zip(wavelet_baseline.SCALES, pyramid)
-            }))
-        return pyramid
+        ends = np.cumsum([np.prod(shape) for shape in shapes])
+
+        def compute():
+            pyramid = c1_pyramid(self.fixed_values(path, content))
+            return np.concatenate([plane.ravel() for plane in pyramid])
+
+        joined = self._cached("c1", self._fixed_hash, content, (int(ends[-1]),), compute)
+        return [part.reshape(shape) for part, shape in zip(np.split(joined, ends[:-1]), shapes)]
 
     def gabor_feature(self, path) -> np.ndarray:
         content = _content_hash(path)
-        cached = self._cache_path("feat", self._feature_hash, content, ".npy")
-        # every log-Gabor method gives one value per fixed-grid cell
-        hit = _read_cache(cached, _read_npy, [(self.config.fixed_rows * self.config.fixed_cols,)])
-        if hit is not None:
-            self.stats.hits += 1
-            return hit[0]
-        self.stats.misses += 1
-        fixed = self.fixed_values(path, content)
         cfg = self.config
-        bank = log_gabor.build_bank((cfg.fixed_rows, cfg.fixed_cols), cfg.gabor_params())
-        if cfg.method == "single":
-            vec = log_gabor.single_filter_feature(
-                fixed, bank, cfg.single_scale, cfg.single_orientation
-            )
-        elif cfg.method == "bank":
-            vec = log_gabor.bank_average_feature(fixed, bank)
-        else:
-            vec = log_gabor.band_patch_feature(fixed, bank)
-        if cached is not None:
-            _write_cache(cached, lambda fh: np.save(fh, vec))
-        return vec
+
+        def compute():
+            fixed = self.fixed_values(path, content)
+            bank = log_gabor.build_bank((cfg.fixed_rows, cfg.fixed_cols), cfg.gabor_params())
+            if cfg.method == "single":
+                return log_gabor.single_filter_feature(
+                    fixed, bank, cfg.single_scale, cfg.single_orientation
+                )
+            if cfg.method == "bank":
+                return log_gabor.bank_average_feature(fixed, bank)
+            return log_gabor.band_patch_feature(fixed, bank)
+
+        # every log-Gabor method gives one value per fixed-grid cell
+        return self._cached("feat", self._feature_hash, content,
+                            (cfg.fixed_rows * cfg.fixed_cols,), compute)
 
 
 @dataclass
@@ -921,6 +906,14 @@ def generate_corpus(
     (not yet split) manifest."""
     if seed < 0:
         raise ConfigError(f"seed must be at least 0, got {seed}")
+    if clips_per_class < 1:
+        raise ConfigError(f"clips per class must be at least 1, got {clips_per_class}")
+    if not (np.isfinite(duration_s) and duration_s > 0):
+        raise ConfigError(f"duration must be finite and > 0, got {duration_s}")
+    if sample_rate < 1:
+        raise ConfigError(f"sample rate must be at least 1, got {sample_rate}")
+    if round(duration_s * sample_rate) < 1:
+        raise ConfigError(f"{duration_s} s at {sample_rate} Hz is less than one sample")
     out_dir = Path(out_dir)
     entries = []
     for kind in audio_io.SYNTH_KINDS:

@@ -47,26 +47,6 @@ class StftParams:
         return self.frame_size // 2 + 1
 
 
-@dataclass(frozen=True)
-class Spectrogram:
-    """Log-magnitude STFT: rows are frequency bins (row 0 = DC), cols frames."""
-
-    values: np.ndarray
-    bin_hz: float
-
-
-@dataclass(frozen=True)
-class FixedSpectrogram:
-    """Resized spectrogram, min-max normalized into [0, 1].
-
-    source_range records the (min, max) of the resized values before
-    normalization, so the mapping is invertible.
-    """
-
-    values: np.ndarray
-    source_range: tuple[float, float]
-
-
 def frame_count(n_samples: int, params: StftParams) -> int:
     """Frames in an n-sample clip; trailing partial frames are dropped."""
     return (n_samples - params.frame_size) // params.hop + 1
@@ -93,25 +73,18 @@ def stft(clip: AudioClip, params: StftParams | None = None) -> np.ndarray:
 
 
 def log_magnitude(
-    stft_matrix: np.ndarray,
-    log_floor: float = DEFAULT_LOG_FLOOR,
-    bin_hz: float = 0.0,
-) -> Spectrogram:
-    """Natural-log magnitude with a floor so no entry is -inf."""
-    values = np.log(np.maximum(np.abs(stft_matrix), log_floor))
-    return Spectrogram(values=values, bin_hz=bin_hz)
+    stft_matrix: np.ndarray, log_floor: float = DEFAULT_LOG_FLOOR
+) -> np.ndarray:
+    """Natural-log magnitude with a floor so no entry is -inf. Rows are
+    frequency bins (row 0 = DC), columns are frames."""
+    return np.log(np.maximum(np.abs(stft_matrix), log_floor))
 
 
-def log_spectrogram(clip: AudioClip, params: StftParams | None = None) -> Spectrogram:
-    """Convenience: stft followed by log_magnitude, with bin spacing filled in."""
+def log_spectrogram(clip: AudioClip, params: StftParams | None = None) -> np.ndarray:
+    """Convenience: stft followed by log_magnitude."""
     if params is None:
         params = StftParams()
-    spectrum = stft(clip, params)
-    return log_magnitude(
-        spectrum,
-        log_floor=params.log_floor,
-        bin_hz=clip.sample_rate / params.frame_size,
-    )
+    return log_magnitude(stft(clip, params), log_floor=params.log_floor)
 
 
 def _bilinear_axis(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
@@ -123,15 +96,15 @@ def _bilinear_axis(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def to_fixed(
-    spec: Spectrogram | np.ndarray,
+    values: np.ndarray,
     rows: int = DEFAULT_FIXED_ROWS,
     cols: int = DEFAULT_FIXED_COLS,
-) -> FixedSpectrogram:
+) -> np.ndarray:
     """Bilinear-resize to rows x cols and min-max normalize into [0, 1].
 
     A constant input has no range to normalize and maps to all 0.5.
     """
-    values = spec.values if isinstance(spec, Spectrogram) else np.asarray(spec, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     in_rows, in_cols = values.shape
     if in_rows < 2 or in_cols < 2:
         raise SonoclassError(f"cannot resize a {in_rows}x{in_cols} spectrogram")
@@ -150,7 +123,5 @@ def to_fixed(
     hi = float(resized.max())
     # constant up to interpolation rounding: no contrast to normalize
     if hi - lo > 1e-12 * max(abs(lo), abs(hi)):
-        out = (resized - lo) / (hi - lo)
-    else:
-        out = np.full_like(resized, 0.5)
-    return FixedSpectrogram(values=out, source_range=(lo, hi))
+        return (resized - lo) / (hi - lo)
+    return np.full_like(resized, 0.5)

@@ -1,3 +1,4 @@
+import json
 import multiprocessing
 import subprocess
 import sys
@@ -54,6 +55,18 @@ class TestSynthAndSplit:
         rc = cli.main([command, *where, "--seed", "-1"])
         assert rc == cli.EXIT_USAGE
         assert capsys.readouterr().err == "config error: seed must be at least 0, got -1\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--duration", "inf"), ("--clips-per-class", "0"), ("--clips-per-class", "-1"),
+        ("--duration", "1e-9"), ("--sample-rate", "0"),
+    ])
+    def test_bad_synth_argument_is_config_error(self, tmp_path, capsys, flag, value):
+        rc = cli.main(["synth", "--out", str(tmp_path / "clips"), flag, value])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("fraction", ["nan", "inf", "0", "-0.5", "1.5"])
@@ -309,12 +322,16 @@ class TestErrorPaths:
         stem = pipeline._content_hash(first.path)
         (feat,) = (cache / "feat").rglob(f"{stem}.npy")
         (fixed,) = (cache / "fixed").rglob(f"{stem}.npy")
-        (c1,) = (cache / "c1").rglob(f"{stem}.npz")
+        (c1,) = (cache / "c1").rglob(f"{stem}.npy")
         (wrong_shape,) = (cache / "feat").rglob(f"{pipeline._content_hash(second.path)}.npy")
+        (wrong_c1,) = (cache / "c1").rglob(f"{pipeline._content_hash(second.path)}.npy")
+        c1_length = 3 * (64 * 64 + 32 * 32 + 16 * 16)  # the three planes joined
+        assert np.load(c1).shape == (c1_length,)
         feat.write_bytes(feat.read_bytes()[:100])
         fixed.write_bytes(b"")
         c1.write_bytes(c1.read_bytes()[:100])
         np.save(wrong_shape, np.zeros(3))
+        np.save(wrong_c1, np.zeros(c1_length - 1))
 
         for method in ("bank", "wavelet"):
             assert train(method, tmp_path / f"{method}_again.txt") == 0
@@ -322,10 +339,9 @@ class TestErrorPaths:
             assert again == (tmp_path / f"{method}_first.txt").read_bytes()
         assert np.load(feat).shape == np.load(wrong_shape).shape == (128 * 128,)
         assert np.load(fixed).shape == (128, 128)
-        with np.load(c1) as data:
-            assert data["scale1"].shape == (3, 64, 64)
+        assert np.load(c1).shape == np.load(wrong_c1).shape == (c1_length,)
         # no temp file is left behind
-        assert {p.suffix for p in cache.rglob("*") if p.is_file()} == {".npy", ".npz"}
+        assert {p.suffix for p in cache.rglob("*") if p.is_file()} == {".npy"}
 
     def test_missing_audio_is_data_error(self, tmp_path):
         manifest = tmp_path / "m.tsv"
@@ -359,6 +375,45 @@ class TestErrorPaths:
             capture_output=True, text=True, env=src_env(),
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_traced_cache_counts_match_extract(self, corpus, tmp_path, src_env):
+        # perfbench/run.py gates warm runs on the misses its tracer counts
+        # (a stage span with a compute child); they must agree with the
+        # cache line extract prints, stage by stage summed.
+        repo = Path(__file__).resolve().parents[1]
+        cfg = write_cfg(tmp_path, "wavelet.patches = 20")
+        code = (
+            "import contextlib, io, json, sys; sys.path.insert(0, sys.argv[1])\n"
+            "from tracer import Tracer, summarize\n"
+            "import sonoclass.cli\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "for argv in json.loads(sys.argv[2]):\n"
+            "    tracer.spans = []\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        assert sonoclass.cli.main(argv) == 0\n"
+            "    (line,) = [l for l in out.getvalue().splitlines() if l.startswith('cache:')]\n"
+            "    stages = summarize(tracer.spans)['cache'].values()\n"
+            "    traced = sum(s['hits'] for s in stages), sum(s['misses'] for s in stages)\n"
+            "    print(json.dumps([line, 'cache: %d hits, %d misses' % traced]))\n"
+        )
+        calls = [
+            ["extract", "--manifest", str(corpus["manifest"]), "--method", method,
+             "--config", str(cfg), "--cache-dir", str(tmp_path / method)]
+            for method in ("bank", "wavelet") for _ in ("cold", "warm")
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(repo / "perfbench"), json.dumps(calls)],
+            capture_output=True, text=True, env=src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [printed for printed, _ in lines] == [traced for _, traced in lines]
+        # 16 clips: cold bank computes fixed and feat, cold wavelet fixed and c1
+        assert [printed for printed, _ in lines] == [
+            "cache: 0 hits, 32 misses", "cache: 16 hits, 0 misses",
+        ] * 2
 
     def test_entry_point_runs(self, src_env):
         proc = subprocess.run(

@@ -9,6 +9,7 @@ from sonoclass.errors import ConfigError, SonoclassError
 from sonoclass.model_io import TrainedModel, load_model, save_model
 from sonoclass.pipeline import (
     DatasetManifest,
+    FeatureExtractor,
     ManifestEntry,
     RunConfig,
     auto_split,
@@ -204,15 +205,40 @@ class TestExtract:
         assert result.train.values.shape == (16, config.wavelet_patches)
         assert result.patch_set is not None and len(result.patch_set) == 30
 
-    def test_warm_cache_identical_and_no_recompute(self, mini_corpus, mini_config):
-        cold = extract_features(mini_corpus["manifest"], mini_config,
-                                cache_dir=mini_corpus["cache"])
-        warm = extract_features(mini_corpus["manifest"], mini_config,
-                                cache_dir=mini_corpus["cache"])
+    def test_warm_cache_identical_and_no_recompute(self, mini_corpus, mini_config, tmp_path):
+        cold = extract_features(mini_corpus["manifest"], mini_config, cache_dir=tmp_path)
+        warm = extract_features(mini_corpus["manifest"], mini_config, cache_dir=tmp_path)
         assert np.array_equal(cold.train.values, warm.train.values)
         assert np.array_equal(cold.test.values, warm.test.values)
+        # every stage counts: 24 clips miss both fixed/ and feat/
+        assert (cold.stats.hits, cold.stats.misses) == (0, 48)
         assert warm.stats.misses == 0
         assert warm.stats.hits == 24
+
+    @pytest.mark.parametrize("stage", ["fixed", "c1", "feat"])
+    def test_npz_bytes_in_an_entry_are_recomputed(self, mini_corpus, mini_config, tmp_path, stage):
+        path = mini_corpus["manifest"].entries[0].path
+        content = pipeline._content_hash(path)
+
+        def lookup():
+            extractor = FeatureExtractor(mini_config, cache_dir=tmp_path)
+            if stage == "fixed":
+                value = extractor.fixed_values(path, content)
+            elif stage == "c1":
+                value = np.concatenate([plane.ravel() for plane in extractor.c1(path)])
+            else:
+                value = extractor.gabor_feature(path)
+            return value, extractor.stats
+
+        first, _ = lookup()
+        (entry,) = (tmp_path / stage).rglob(f"{content}.npy")
+        written = entry.read_bytes()
+        with open(entry, "wb") as fh:
+            np.savez(fh, first)  # the right array, but in a zip archive
+        again, stats = lookup()
+        assert np.array_equal(again, first)
+        assert stats.misses == 1
+        assert entry.read_bytes() == written
 
     def test_wavelet_warm_cache_identical(self, mini_corpus, mini_config):
         from dataclasses import replace
