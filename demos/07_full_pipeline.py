@@ -14,6 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from sonoclass import (
+    RunConfig,
     auto_split,
     evaluate_model,
     generate_corpus,
@@ -21,7 +22,7 @@ from sonoclass import (
     save_model,
     train_model,
 )
-from sonoclass.pipeline import RunConfig, evaluation_text
+from sonoclass.report import evaluation_text
 
 work = Path(tempfile.mkdtemp(prefix="sonoclass_demo_"))
 print(f"working under {work}")

@@ -7,7 +7,8 @@ information feature selection and a one-against-one RBF SVM trained with
 an SMO dual solver.
 """
 
-from .audio_io import AudioClip, load_wav, peak_normalize, save_wav, synthesize_clip
+from .audio_io import AudioClip, generate_corpus, load_wav, peak_normalize, save_wav, synthesize_clip
+from .config import RunConfig
 from .feature_select import (
     FeatureMatrix,
     MiSelection,
@@ -25,22 +26,10 @@ from .log_gabor import (
     build_bank,
     single_filter_feature,
 )
+from .manifest import DatasetManifest, ManifestEntry, auto_split, read_manifest, write_manifest
 from .model_io import TrainedModel, load_model, save_model
-from .pipeline import (
-    DatasetManifest,
-    EvaluationReport,
-    ManifestEntry,
-    RunConfig,
-    auto_split,
-    compare_methods,
-    evaluate_model,
-    extract_features,
-    generate_corpus,
-    grid_search,
-    read_manifest,
-    train_model,
-    write_manifest,
-)
+from .pipeline import compare_methods, evaluate_model, extract_features, grid_search, train_model
+from .report import EvaluationReport
 from .spectrogram import (
     StftParams,
     log_magnitude,

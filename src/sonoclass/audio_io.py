@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import SonoclassError
+from .errors import ConfigError, SonoclassError
+from .manifest import DatasetManifest, ManifestEntry
 
 SYNTH_KINDS = ("noise_burst", "harmonic_tone", "chirp", "impulse_train")
 
@@ -31,7 +33,7 @@ class AudioClip:
     sample_rate: int
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = np.array(self.samples, dtype=np.float64)  # a private copy
         if samples.ndim != 1 or samples.size == 0:
             raise SonoclassError("clip must contain at least one sample")
         if not np.all(np.isfinite(samples)):
@@ -165,6 +167,19 @@ def _fade_envelope(n: int, sample_rate: int, fade_s: float = 0.01) -> np.ndarray
     return env
 
 
+def _sample_count(duration_s: float, sample_rate: int) -> int:
+    """Samples in a clip; ConfigError unless the duration and the rate are
+    finite and positive and give at least one sample."""
+    if not (np.isfinite(duration_s) and duration_s > 0):
+        raise ConfigError(f"duration must be finite and > 0, got {duration_s}")
+    if not (np.isfinite(sample_rate) and sample_rate >= 1):
+        raise ConfigError(f"sample rate must be at least 1, got {sample_rate}")
+    n = int(round(duration_s * sample_rate))
+    if n < 1:
+        raise ConfigError(f"{duration_s} s at {sample_rate} Hz is less than one sample")
+    return n
+
+
 def synthesize_clip(kind: str, duration_s: float, sample_rate: int, seed: int) -> AudioClip:
     """Generate one deterministic clip of the given kind.
 
@@ -175,11 +190,7 @@ def synthesize_clip(kind: str, duration_s: float, sample_rate: int, seed: int) -
     """
     if kind not in SYNTH_KINDS:
         raise ValueError(f"unknown clip kind {kind!r}; expected one of {SYNTH_KINDS}")
-    if not (duration_s > 0):
-        raise SonoclassError(f"duration_s must be > 0, got {duration_s}")
-    n = int(round(duration_s * sample_rate))
-    if n < 1:
-        raise SonoclassError(f"duration {duration_s}s is shorter than one sample")
+    n = _sample_count(duration_s, sample_rate)
 
     rng = np.random.default_rng([int(seed), SYNTH_KINDS.index(kind)])
     t = np.arange(n) / sample_rate
@@ -216,3 +227,30 @@ def synthesize_clip(kind: str, duration_s: float, sample_rate: int, seed: int) -
     if peak > 0.0:
         samples = samples * (0.9 / peak)
     return AudioClip(samples=samples, sample_rate=sample_rate)
+
+
+def generate_corpus(
+    out_dir,
+    clips_per_class: int = 60,
+    duration_s: float = 1.0,
+    sample_rate: int = 16000,
+    seed: int = 0,
+) -> DatasetManifest:
+    """Write one WAV per clip for each synthetic class; returns the
+    (not yet split) manifest."""
+    if seed < 0:
+        raise ConfigError(f"seed must be at least 0, got {seed}")
+    if clips_per_class < 1:
+        raise ConfigError(f"clips per class must be at least 1, got {clips_per_class}")
+    _sample_count(duration_s, sample_rate)  # before any directory is made
+    out_dir = Path(out_dir)
+    entries = []
+    for kind in SYNTH_KINDS:
+        kind_dir = out_dir / kind
+        kind_dir.mkdir(parents=True, exist_ok=True)
+        for i in range(clips_per_class):
+            clip = synthesize_clip(kind, duration_s, sample_rate, seed + i)
+            path = kind_dir / f"{kind}_{i:03d}.wav"
+            save_wav(path, clip)
+            entries.append(ManifestEntry(path=str(path), label=kind))
+    return DatasetManifest(entries=tuple(entries))

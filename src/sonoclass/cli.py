@@ -13,11 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import log_gabor, pipeline
+from . import log_gabor, pipeline, report
+from .audio_io import generate_corpus, load_wav, peak_normalize
+from .config import RunConfig, load_config
 from .errors import ConfigError, SonoclassError
-from .model_io import load_model, save_model
+from .manifest import TRAIN_FRACTION, auto_split, read_manifest, write_manifest
+from .model_io import METHODS, load_model, save_model
 from .spectrogram import log_spectrogram
-from .audio_io import load_wav, peak_normalize
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -35,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--manifest", required=True, help="dataset manifest (TSV or JSON)")
     p.add_argument("--config", help="flat key = value configuration file")
-    p.add_argument("--method", choices=pipeline.METHODS)
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--scale", type=int, help="scale for method 'single'")
     p.add_argument("--orientation", type=int, help="orientation for method 'single'")
     p.add_argument("--top-k", type=int, dest="top_k", help="MI-selected feature count")
@@ -45,7 +47,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--cache-dir", dest="cache_dir", help="feature cache directory")
 
 
-def _config_from_args(args) -> pipeline.RunConfig:
+def _config_from_args(args) -> RunConfig:
     overrides = {}
     for attr, key in (
         ("method", "method"), ("scale", "single.scale"),
@@ -55,11 +57,11 @@ def _config_from_args(args) -> pipeline.RunConfig:
         value = getattr(args, attr, None)
         if value is not None:
             overrides[key] = str(value)
-    return pipeline.load_config(getattr(args, "config", None), overrides)
+    return load_config(getattr(args, "config", None), overrides)
 
 
 def _cmd_synth(args) -> int:
-    manifest = pipeline.generate_corpus(
+    manifest = generate_corpus(
         args.out,
         clips_per_class=args.clips_per_class,
         duration_s=args.duration,
@@ -67,20 +69,20 @@ def _cmd_synth(args) -> int:
         seed=args.seed if args.seed is not None else 0,
     )
     manifest_path = Path(args.out) / "manifest.tsv"
-    pipeline.write_manifest(manifest_path, manifest)
+    write_manifest(manifest_path, manifest)
     print(f"wrote {len(manifest.entries)} clips in {len(manifest.classes)} classes")
     print(f"manifest: {manifest_path}")
     return EXIT_OK
 
 
 def _cmd_split(args) -> int:
-    manifest = pipeline.read_manifest(args.manifest)
-    split = pipeline.auto_split(
+    manifest = read_manifest(args.manifest)
+    split = auto_split(
         manifest,
         train_fraction=args.train_fraction,
         seed=args.seed if args.seed is not None else 0,
     )
-    pipeline.write_manifest(args.out, split)
+    write_manifest(args.out, split)
     n_train = len(split.rows("train"))
     n_test = len(split.rows("test"))
     print(f"split {len(split.entries)} entries: {n_train} train / {n_test} test")
@@ -89,15 +91,24 @@ def _cmd_split(args) -> int:
 
 def _cmd_extract(args) -> int:
     config = _config_from_args(args)
-    manifest = pipeline.read_manifest(args.manifest)
+    manifest = read_manifest(args.manifest)
 
     if args.dump_spectrograms:
+        # one CSV per clip, named by its file stem: a repeated stem would
+        # overwrite an earlier clip's CSV
+        stems: dict[str, str] = {}
+        for e in manifest.entries:
+            first = stems.setdefault(Path(e.path).stem, e.path)
+            if first != e.path:
+                raise SonoclassError(
+                    f"{first} and {e.path} would both dump to {Path(e.path).stem}.csv"
+                )
         out_dir = Path(args.dump_spectrograms)
         out_dir.mkdir(parents=True, exist_ok=True)
         params = config.stft_params()
-        for e in manifest.entries:
-            spec = log_spectrogram(peak_normalize(load_wav(e.path)), params)
-            np.savetxt(out_dir / (Path(e.path).stem + ".csv"), spec, delimiter=",", fmt="%.10g")
+        for stem, path in stems.items():
+            spec = log_spectrogram(peak_normalize(load_wav(path)), params)
+            np.savetxt(out_dir / f"{stem}.csv", spec, delimiter=",", fmt="%.10g")
         print(f"spectrogram CSVs -> {out_dir}")
     if args.dump_masks:
         out_dir = Path(args.dump_masks)
@@ -131,7 +142,7 @@ def _cmd_extract(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _config_from_args(args)
-    manifest = pipeline.read_manifest(args.manifest)
+    manifest = read_manifest(args.manifest)
     model = pipeline.train_model(manifest, config, cache_dir=args.cache_dir)
     save_model(args.out, model)
     print(f"trained {len(model.ovo.pair_models)} pair models "
@@ -152,11 +163,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    manifest = pipeline.read_manifest(args.manifest)
-    report = pipeline.evaluate_model(model, manifest, cache_dir=args.cache_dir)
-    text = pipeline.evaluation_text(report)
+    manifest = read_manifest(args.manifest)
+    result = pipeline.evaluate_model(model, manifest, cache_dir=args.cache_dir)
+    text = report.evaluation_text(result)
     if args.out:
-        Path(str(args.out) + ".csv").write_text(pipeline.evaluation_csv(report))
+        Path(str(args.out) + ".csv").write_text(report.evaluation_csv(result))
         Path(str(args.out) + ".txt").write_text(text)
         print(f"report -> {args.out}.csv / {args.out}.txt")
     print(text, end="")
@@ -165,7 +176,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_gridsearch(args) -> int:
     config = _config_from_args(args)
-    manifest = pipeline.read_manifest(args.manifest)
+    manifest = read_manifest(args.manifest)
     best, table = pipeline.grid_search(manifest, config, cache_dir=args.cache_dir)
     if args.out:
         lines = ["c,gamma,cv_accuracy"]
@@ -179,13 +190,13 @@ def _cmd_gridsearch(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = _config_from_args(args)
-    manifest = pipeline.read_manifest(args.manifest)
+    manifest = read_manifest(args.manifest)
     result = pipeline.compare_methods(manifest, config, cache_dir=args.cache_dir)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "single_grid.csv").write_text(pipeline.single_grid_csv(result))
-    (out_dir / "comparison.csv").write_text(pipeline.comparison_csv(result))
-    text = pipeline.comparison_text(result)
+    (out_dir / "single_grid.csv").write_text(report.single_grid_csv(result))
+    (out_dir / "comparison.csv").write_text(report.comparison_csv(result))
+    text = report.comparison_text(result)
     (out_dir / "compare.txt").write_text(text)
     print(text, end="")
     print(f"reports -> {out_dir}")
@@ -208,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="stratified train/test assignment")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--train-fraction", type=float, default=pipeline.TRAIN_FRACTION,
+    p.add_argument("--train-fraction", type=float, default=TRAIN_FRACTION,
                    dest="train_fraction")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(run=_cmd_split)

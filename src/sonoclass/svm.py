@@ -101,12 +101,6 @@ def rbf_kernel_matrix(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-gamma * np.maximum(sq, 0.0))
 
 
-def dual_objective(kernel: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> float:
-    """W(alpha) for a precomputed kernel matrix."""
-    ay = alpha * y
-    return float(alpha.sum() - 0.5 * ay @ kernel @ ay)
-
-
 def smo_train(
     x: np.ndarray,
     y: np.ndarray,
@@ -114,7 +108,6 @@ def smo_train(
     tol: float = DEFAULT_TOL,
     max_passes: int = DEFAULT_MAX_PASSES,
     seed: int = 0,
-    debug: bool = False,
 ) -> BinarySvmModel:
     """Train one binary SVM by sequential minimal optimization.
 
@@ -123,9 +116,6 @@ def smo_train(
     point of maximum error difference. Terminates when a full pass finds
     no violator; if max_passes runs out first the best iterate is returned
     with converged=False and a warning.
-
-    With debug=True the dual objective is recomputed after every accepted
-    step and monotone ascent is asserted.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -151,13 +141,12 @@ def smo_train(
     # Check violations at half the contract tolerance so the bias chosen for
     # the returned model cannot push residuals past tol.
     inner_tol = tol / 2.0
-    last_obj = 0.0
     b = 0.0  # refreshed from alpha at the start of every pass
 
     def take_step(i: int, j: int) -> bool:
         # The pair step depends on errors only through e_i - e_j, so the
         # current bias estimate cancels out of the update itself.
-        nonlocal g, gs, last_obj
+        nonlocal g, gs
         if i == j:
             return False
         a_i, a_j = alpha[i], alpha[j]
@@ -192,12 +181,6 @@ def smo_train(
         alpha[i], alpha[j] = a_i_new, a_j_new
         g += (a_i_new - a_i) * y_i * kernel[i] + (a_j_new - a_j) * y_j * kernel[j]
         gs = g.tolist()
-        if debug:
-            obj = dual_objective(kernel, y, np.array(alpha))
-            assert obj >= last_obj - 1e-9 * max(1.0, abs(last_obj)), (
-                f"dual objective decreased: {last_obj} -> {obj}"
-            )
-            last_obj = obj
         return True
 
     def examine(i: int) -> bool:

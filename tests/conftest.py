@@ -8,7 +8,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # for qp_oracle
 
 import sonoclass
-from sonoclass import pipeline
+from sonoclass.audio_io import generate_corpus
+from sonoclass.config import RunConfig
+from sonoclass.manifest import auto_split
 
 
 def make_wav_bytes(fmt_tag, channels, rate, bits, data, extra=b""):
@@ -39,16 +41,16 @@ def wav_file(tmp_path):
 def mini_corpus(tmp_path_factory):
     """4 classes x 6 short clips, split 2/3, with a shared cache dir."""
     root = tmp_path_factory.mktemp("mini_corpus")
-    manifest = pipeline.generate_corpus(
+    manifest = generate_corpus(
         root / "clips", clips_per_class=6, duration_s=0.25, sample_rate=8000, seed=100
     )
-    manifest = pipeline.auto_split(manifest, seed=1)
+    manifest = auto_split(manifest, seed=1)
     return {"manifest": manifest, "root": root, "cache": str(root / "cache")}
 
 
 @pytest.fixture(scope="session")
 def mini_config():
-    return pipeline.RunConfig(
+    return RunConfig(
         method="bank", seed=1, mi_top_k=32, svm_c=8.0, svm_gamma=0.5,
         wavelet_patches=30,
     )

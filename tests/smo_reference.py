@@ -6,14 +6,18 @@ step for step, so tests can require that both give identical models:
 the same support vectors, dual weights, bias, pass count and
 convergence flag, bit for bit.
 
-Only the solver loop is copied; the kernel, bias and objective helpers
-are shared with the package.
+Only the solver loop is copied; the kernel and bias helpers are shared
+with the package. With debug=True the dual objective (from qp_oracle) is
+recomputed after every accepted step and monotone ascent is asserted; the
+package's solver has no such mode, so the tests check its ascent through
+exact parity with this copy.
 """
 
 import warnings
 
 import numpy as np
 
+from qp_oracle import dual_objective
 from sonoclass.errors import SonoclassError
 from sonoclass.svm import (
     DEFAULT_MAX_PASSES,
@@ -22,7 +26,6 @@ from sonoclass.svm import (
     KernelParams,
     _bias_from_state,
     _recompute_bias,
-    dual_objective,
     rbf_kernel_matrix,
 )
 

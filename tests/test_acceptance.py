@@ -8,23 +8,19 @@ import numpy as np
 import pytest
 
 import qp_oracle
-from sonoclass import pipeline
-from sonoclass.audio_io import AudioClip, synthesize_clip
+from sonoclass.audio_io import AudioClip, generate_corpus, synthesize_clip
+from sonoclass.config import RunConfig
 from sonoclass.feature_select import mutual_information
 from sonoclass.log_gabor import build_bank
+from sonoclass.manifest import DatasetManifest, ManifestEntry, auto_split
 from sonoclass.pipeline import (
-    DatasetManifest,
-    ManifestEntry,
-    RunConfig,
-    auto_split,
     compare_methods,
-    comparison_csv,
     evaluate_model,
     extract_features,
     grid_search,
-    single_grid_csv,
     train_model,
 )
+from sonoclass.report import comparison_csv, single_grid_csv
 from sonoclass.spectrogram import StftParams, stft
 from sonoclass.svm import KernelParams, decision_values, rbf_kernel_matrix, smo_train
 from sonoclass.wavelet_baseline import (
@@ -278,7 +274,7 @@ def test_criterion_5_wavelet_oracles():
 @pytest.fixture(scope="module")
 def medium_corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("acc_medium")
-    manifest = pipeline.generate_corpus(
+    manifest = generate_corpus(
         root / "clips", clips_per_class=8, duration_s=0.4, sample_rate=8000, seed=500
     )
     manifest = auto_split(manifest, seed=5)
@@ -341,7 +337,7 @@ def test_criterion_6_structural_parity(tmp_path, medium_compare):
 def test_criterion_7_synthetic_benchmark(tmp_path_factory):
     with Timer() as t:
         root = tmp_path_factory.mktemp("acc_bench")
-        manifest = pipeline.generate_corpus(
+        manifest = generate_corpus(
             root / "clips", clips_per_class=60, duration_s=1.0,
             sample_rate=16000, seed=0,
         )

@@ -9,7 +9,7 @@ from sonoclass.audio_io import (
     save_wav,
     synthesize_clip,
 )
-from sonoclass.errors import SonoclassError
+from sonoclass.errors import ConfigError, SonoclassError
 from conftest import make_wav_bytes
 
 
@@ -109,6 +109,15 @@ def struct_pack_extensible(subformat):
     return struct.pack("<HHI", 22, 16, 0) + struct.pack("<H", subformat) + b"\x00" * 14
 
 
+class TestAudioClip:
+    def test_caller_array_stays_writable(self):
+        samples = np.zeros(10)
+        clip = AudioClip(samples, 8000)
+        samples[1] = 0.1
+        assert clip.samples[1] == 0.0
+        assert not clip.samples.flags.writeable
+
+
 class TestPeakNormalize:
     def test_scales_by_peak(self):
         clip = AudioClip(np.array([0.25, -0.5]), 8000)
@@ -153,10 +162,9 @@ class TestSynthesize:
         assert gaps[0] <= int(0.2 * 8000)
 
     def test_invalid_duration(self):
-        with pytest.raises(SonoclassError, match="duration_s must be > 0"):
-            synthesize_clip("chirp", 0.0, 8000, 1)
-        with pytest.raises(SonoclassError, match="duration_s must be > 0"):
-            synthesize_clip("chirp", -1.0, 8000, 1)
+        for duration in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match="duration must be finite and > 0"):
+                synthesize_clip("chirp", duration, 8000, 1)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

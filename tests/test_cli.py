@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from sonoclass import cli, pipeline, svm
+from sonoclass.manifest import DatasetManifest, read_manifest, write_manifest
 from sonoclass.model_io import MODEL_HEADER
 
 
@@ -33,7 +34,7 @@ def corpus(tmp_path_factory):
 
 class TestSynthAndSplit:
     def test_corpus_files_exist(self, corpus):
-        manifest = pipeline.read_manifest(corpus["manifest"])
+        manifest = read_manifest(corpus["manifest"])
         assert len(manifest.entries) == 16
         assert len(manifest.rows("train")) == 12  # ceil(2/3 * 4) = 3 per class
         assert len(manifest.rows("test")) == 4
@@ -111,6 +112,25 @@ class TestExtract:
         assert len(files) == 16
         spec = np.loadtxt(files[0], delimiter=",")
         assert spec.shape[0] == 129  # one row per frequency bin
+
+    def test_dump_spectrograms_rejects_a_repeated_stem(self, corpus, tmp_path, capsys):
+        # dog/0.wav and rain/0.wav would both be written to 0.csv
+        clips = [e.path for e in read_manifest(corpus["manifest"]).entries[:6]]
+        lines = []
+        for i, clip in enumerate(clips):
+            label = ("dog", "rain")[i // 3]
+            path = tmp_path / label / f"{i % 3}.wav"
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes(Path(clip).read_bytes())
+            lines.append(f"{path}\t{label}")
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("\n".join(lines) + "\n")
+        target = tmp_path / "specs"
+        rc = cli.main(["extract", "--manifest", str(manifest), "--dump-spectrograms", str(target)])
+        assert rc == cli.EXIT_DATA
+        first, second = tmp_path / "dog" / "0.wav", tmp_path / "rain" / "0.wav"
+        assert capsys.readouterr().err == f"error: {first} and {second} would both dump to 0.csv\n"
+        assert not target.exists()
 
 
 class TestTrainEvaluate:
@@ -196,10 +216,10 @@ class TestGridSearchCompare:
 
     def test_gridsearch_worker_error_is_data_error(self, corpus, tmp_path, capfd, monkeypatch):
         monkeypatch.setattr(svm, "_worker_count", lambda n_cells: 2)
-        manifest = pipeline.read_manifest(corpus["manifest"])
+        manifest = read_manifest(corpus["manifest"])
         moved = manifest.rows("train")[0]  # its class keeps exactly 2 training clips
         path = tmp_path / "two_in_one_class.tsv"
-        pipeline.write_manifest(path, pipeline.DatasetManifest(tuple(
+        write_manifest(path, DatasetManifest(tuple(
             replace(e, split="test") if e == moved else e for e in manifest.entries
         )))
         rc = cli.main([
@@ -292,10 +312,10 @@ class TestErrorPaths:
         ("wavelet", "need at least 2 classes"),
     ], ids=["bank", "wavelet"])
     def test_one_class_train_split_is_data_error(self, corpus, tmp_path, capsys, method, message):
-        manifest = pipeline.read_manifest(corpus["manifest"])
+        manifest = read_manifest(corpus["manifest"])
         kept = manifest.rows("train")[0].label
         path = tmp_path / "one_class.tsv"
-        pipeline.write_manifest(path, pipeline.DatasetManifest(tuple(
+        write_manifest(path, DatasetManifest(tuple(
             e for e in manifest.entries if e.split == "test" or e.label == kept
         )))
         rc = cli.main([
@@ -318,7 +338,7 @@ class TestErrorPaths:
 
         for method in ("bank", "wavelet"):
             assert train(method, tmp_path / f"{method}_first.txt") == 0
-        first, second = pipeline.read_manifest(corpus["manifest"]).rows("train")[:2]
+        first, second = read_manifest(corpus["manifest"]).rows("train")[:2]
         stem = pipeline._content_hash(first.path)
         (feat,) = (cache / "feat").rglob(f"{stem}.npy")
         (fixed,) = (cache / "fixed").rglob(f"{stem}.npy")

@@ -5,26 +5,32 @@ import numpy as np
 import pytest
 
 from sonoclass import log_gabor, pipeline
-from sonoclass.errors import ConfigError, SonoclassError
-from sonoclass.model_io import TrainedModel, load_model, save_model
-from sonoclass.pipeline import (
-    DatasetManifest,
-    FeatureExtractor,
-    ManifestEntry,
+from sonoclass.audio_io import generate_corpus
+from sonoclass.config import (
+    _CONFIG_KEYS,
     RunConfig,
-    auto_split,
-    compare_methods,
     config_from_flat,
     config_to_flat,
-    evaluate_model,
-    evaluation_csv,
-    extract_features,
     load_config,
     parse_config_text,
+)
+from sonoclass.errors import ConfigError, SonoclassError
+from sonoclass.manifest import (
+    DatasetManifest,
+    ManifestEntry,
+    auto_split,
     read_manifest,
-    train_model,
     write_manifest,
 )
+from sonoclass.model_io import TrainedModel, load_model, save_model
+from sonoclass.pipeline import (
+    FeatureExtractor,
+    compare_methods,
+    evaluate_model,
+    extract_features,
+    train_model,
+)
+from sonoclass.report import evaluation_csv, tabulate_report
 from sonoclass.svm import BinarySvmModel, KernelParams, OvoModel
 
 
@@ -171,7 +177,7 @@ class TestConfig:
         cells = [cell.partition("=") for line in block.splitlines()
                  for cell in re.split(r"\s{2,}", line.strip())]
         flat = {key.strip(): value.strip() for key, _, value in cells}
-        assert set(flat) == set(pipeline._CONFIG_KEYS)
+        assert set(flat) == set(_CONFIG_KEYS)
         assert config_from_flat(flat) == RunConfig()
 
     def test_load_config_with_overrides(self, tmp_path):
@@ -351,7 +357,6 @@ class TestTrainEvaluate:
         assert np.all(report.confusion[:, 0].sum() == report.n_test)
 
     def test_perfect_classifier_report(self):
-        from sonoclass.pipeline import tabulate_report
         truth = np.array([0, 0, 1, 1, 2, 2])
         report = tabulate_report(truth, truth.copy(), ("a", "b", "c"))
         assert all(v == 100.0 for v in report.per_class_accuracy.values())
@@ -360,7 +365,6 @@ class TestTrainEvaluate:
         assert np.array_equal(report.confusion, np.diag([2, 2, 2]))
 
     def test_constant_predictions_on_equal_classes(self):
-        from sonoclass.pipeline import tabulate_report
         truth = np.repeat(np.arange(4), 5)
         predicted = np.zeros(20, dtype=np.int64)
         report = tabulate_report(truth, predicted, ("a", "b", "c", "d"))
@@ -379,10 +383,10 @@ class TestTrainEvaluate:
 
 class TestGenerateCorpus:
     def test_corpus_regeneration_identical(self, tmp_path):
-        m1 = pipeline.generate_corpus(tmp_path / "c1", clips_per_class=2,
-                                      duration_s=0.1, sample_rate=8000, seed=4)
-        m2 = pipeline.generate_corpus(tmp_path / "c2", clips_per_class=2,
-                                      duration_s=0.1, sample_rate=8000, seed=4)
+        m1 = generate_corpus(tmp_path / "c1", clips_per_class=2,
+                             duration_s=0.1, sample_rate=8000, seed=4)
+        m2 = generate_corpus(tmp_path / "c2", clips_per_class=2,
+                             duration_s=0.1, sample_rate=8000, seed=4)
         for e1, e2 in zip(m1.entries, m2.entries):
             b1 = open(e1.path, "rb").read()
             b2 = open(e2.path, "rb").read()

@@ -76,7 +76,7 @@ class TestSmoTrain:
         k12 = rbf_kernel(x[0], x[1], gamma=0.7)
         expected = 1.0 / (1.0 - k12)
         model = smo_train(x, y, KernelParams(gamma=0.7, c=1e4), tol=1e-10,
-                          max_passes=500, debug=True)
+                          max_passes=500)
         assert np.allclose(np.abs(model.dual_coef), expected, rtol=1e-8)
 
     def test_two_point_clipped_at_c(self):
@@ -145,9 +145,15 @@ class TestSmoTrain:
                 assert abs(margins[i] - 1.0) <= tol
 
     def test_monotone_ascent_in_debug_mode(self):
+        # the reference asserts ascent after every step in debug mode, and
+        # the library must take the same steps
         x, labels = blobs(seed=6, n_per=10, spread=1.5)
         y = np.where(labels == 0, 1.0, -1.0)
-        smo_train(x, y, KernelParams(gamma=0.3, c=2.0), debug=True, seed=2)
+        params = KernelParams(gamma=0.3, c=2.0)
+        want = smo_reference.smo_train(x, y, params, debug=True, seed=2)
+        got = smo_train(x, y, params, seed=2)
+        assert np.array_equal(got.dual_coef, want.dual_coef)
+        assert got.bias == want.bias and got.n_passes == want.n_passes
 
     def test_deterministic_given_seed(self):
         x, labels = blobs(seed=7, n_per=12, spread=1.2)
@@ -193,7 +199,8 @@ def labelled_blobs(seed, spread, n_per=15):
     return x, np.where(labels == 0, 1.0, -1.0)
 
 
-# (problem, gamma, c, smo_train keyword arguments)
+# (problem, gamma, c, smo_train keyword arguments); "debug" is a mode of the
+# reference only, so it is passed to the reference alone
 PARITY_CASES = {
     "separable": (lambda: labelled_blobs(20, spread=0.4), 0.5, 1.0, {}),
     "overlapping": (lambda: labelled_blobs(21, spread=3.0, n_per=25), 0.5, 10.0, {}),
@@ -216,7 +223,8 @@ def test_smo_matches_reference_exactly(case, seed):
     problem, gamma, c, kwargs = PARITY_CASES[case]
     x, y = problem()
     params = KernelParams(gamma=gamma, c=c)
-    got = smo_train(x, y, params, seed=seed, **kwargs)
+    got = smo_train(x, y, params, seed=seed,
+                    **{k: v for k, v in kwargs.items() if k != "debug"})
     want = smo_reference.smo_train(x, y, params, seed=seed, **kwargs)
     assert np.array_equal(got.support_vectors, want.support_vectors)
     assert np.array_equal(got.dual_coef, want.dual_coef)
