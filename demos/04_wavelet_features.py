@@ -45,7 +45,7 @@ print(f"\nsampled {len(patch_set)} patches, sizes cycle {patch_set.sizes}")
 print("first three sources (clip, scale, row, col):", patch_set.sources[:3])
 
 scores = patch_transform(c1, patch_set)
-c2 = global_max(scores)
+c2 = global_max(scores, len(patch_set))
 print(f"\nC2 feature vector: length {c2.size}, range "
       f"[{c2.min():.3e}, {c2.max():.3e}]")
 print("these vectors go straight to the one-vs-one SVM (no MI step)")

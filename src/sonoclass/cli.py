@@ -127,6 +127,8 @@ def _cmd_extract(args) -> int:
         if matrix is not None:
             print(f"{name}: {matrix.n_samples} x {matrix.n_features}")
     print(f"cache: {result.stats.hits} hits, {result.stats.misses} misses")
+    for stage, (hits, misses) in sorted(result.stats.stages.items()):
+        print(f"cache {stage}: {hits} hits, {misses} misses")
     if args.out:
         payload = {"class_names": np.array(result.class_names)}
         if result.train is not None:

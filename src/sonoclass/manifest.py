@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,11 @@ class ManifestEntry:
 @dataclass(frozen=True)
 class DatasetManifest:
     entries: tuple[ManifestEntry, ...]
+    # each clip's content hash by path, filled by the feature pipeline, so
+    # a run that extracts several configurations hashes every clip once
+    content_hashes: dict[str, str] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         paths = [e.path for e in self.entries]

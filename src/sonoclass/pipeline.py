@@ -11,7 +11,7 @@ import hashlib
 import os
 import time
 import uuid
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,21 +60,36 @@ def _write_cache(path: Path, array: np.ndarray) -> None:
 
 @dataclass
 class CacheStats:
-    hits: int = 0
-    misses: int = 0
+    """Cache hits and misses per stage; hits and misses are the totals."""
+
+    stages: dict[str, list[int]] = field(default_factory=dict)  # stage -> [hits, misses]
+
+    def count(self, stage: str, hit: bool) -> None:
+        self.stages.setdefault(stage, [0, 0])[0 if hit else 1] += 1
+
+    @property
+    def hits(self) -> int:
+        return sum(hits for hits, _ in self.stages.values())
+
+    @property
+    def misses(self) -> int:
+        return sum(misses for _, misses in self.stages.values())
 
 
 class FeatureExtractor:
     """Per-clip feature computation with an optional on-disk cache.
 
-    Each stage (fixed grid, C1 pyramid, log-Gabor feature) stores one array
-    per clip at cache_dir/<stage>/<config hash>/<content hash>.npy, so a
-    parameter change invalidates exactly the affected stage. A file that is
-    not a well-formed .npy of the expected shape is recomputed and
-    rewritten. stats counts a hit or a miss for every stage looked up.
+    Each stage (fixed grid, C1 pyramid, wavelet C2 vector, log-Gabor
+    feature) stores one array per clip at
+    cache_dir/<stage>/<stage hash>/<content hash>.npy, so a parameter change
+    invalidates exactly the affected stage. A file that is not a well-formed
+    .npy of the expected shape is recomputed and rewritten. stats counts a
+    hit or a miss for every stage looked up. content_hashes memoizes each
+    clip's content hash by path; passing one dict to several extractors
+    hashes each clip once between them.
     """
 
-    def __init__(self, config: RunConfig, cache_dir=None):
+    def __init__(self, config: RunConfig, cache_dir=None, content_hashes=None):
         self.config = config
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.stats = CacheStats()
@@ -82,6 +97,13 @@ class FeatureExtractor:
         self._fixed_hash = _subset_hash(flat, _FIXED_KEYS)
         self._feature_hash = _subset_hash(flat, _GABOR_KEYS)
         self._stft_params = config.stft_params()
+        self._content_hashes = {} if content_hashes is None else content_hashes
+
+    def _content(self, path) -> str:
+        content = self._content_hashes.get(path)
+        if content is None:
+            content = self._content_hashes[path] = _content_hash(path)
+        return content
 
     def _cached(self, stage: str, stage_hash: str, content: str, shape: tuple[int, ...],
                 compute) -> np.ndarray:
@@ -97,9 +119,9 @@ class FeatureExtractor:
                 pass
             else:
                 if array.shape == shape:
-                    self.stats.hits += 1
+                    self.stats.count(stage, hit=True)
                     return array
-        self.stats.misses += 1
+        self.stats.count(stage, hit=False)
         array = compute()
         if path is not None:
             _write_cache(path, array)
@@ -116,7 +138,7 @@ class FeatureExtractor:
 
     def c1(self, path) -> list[np.ndarray]:
         """The C1 pyramid, cached as its planes raveled and joined in SCALES order."""
-        content = _content_hash(path)
+        content = self._content(path)
         rows, cols = self.config.fixed_rows, self.config.fixed_cols
         shapes = [(len(wavelet_baseline.ORIENTATIONS), rows >> j, cols >> j)
                   for j in wavelet_baseline.SCALES]
@@ -129,8 +151,20 @@ class FeatureExtractor:
         joined = self._cached("c1", self._fixed_hash, content, (int(ends[-1]),), compute)
         return [part.reshape(shape) for part, shape in zip(np.split(joined, ends[:-1]), shapes)]
 
+    def c2(self, path, patch_set: PatchSet, pyramid: list[np.ndarray] | None = None) -> np.ndarray:
+        """The C2 vector for patch_set, cached under the fixed-stage config
+        hash joined with the patch set's digest; pyramid is the clip's C1
+        when the caller already holds it."""
+        key = hashlib.sha256(f"{self._fixed_hash}\n{patch_set.digest}".encode()).hexdigest()[:16]
+
+        def compute():
+            c1 = self.c1(path) if pyramid is None else pyramid
+            return global_max(patch_transform(c1, patch_set), len(patch_set))
+
+        return self._cached("c2", key, self._content(path), (len(patch_set),), compute)
+
     def gabor_feature(self, path) -> np.ndarray:
-        content = _content_hash(path)
+        content = self._content(path)
         cfg = self.config
 
         def compute():
@@ -185,10 +219,11 @@ def extract_features(
 
     Rows follow manifest order within each split. For the wavelet method a
     missing patch_set is sampled from the training rows' C1 pyramids with
-    the configured seed; the C2 vectors then reuse those pyramids. C1 is
-    cached per clip, while C2 depends on the patches and is recomputed.
+    the configured seed, and the training rows' C2 vectors are computed from
+    those pyramids on a miss. C1 is cached per clip and C2 per clip and
+    patch set. Each clip is hashed once per manifest object.
     """
-    extractor = FeatureExtractor(config, cache_dir)
+    extractor = FeatureExtractor(config, cache_dir, manifest.content_hashes)
     class_names = manifest.classes
     label_index = {name: i for i, name in enumerate(class_names)}
     vectors: dict[str, list] = {}
@@ -208,8 +243,9 @@ def extract_features(
                 seed=config.seed,
             )
             if "train" in splits:
-                vectors["train"] = [global_max(patch_transform(c1, patch_set)) for c1 in train_c1]
-        feature_fn = lambda e: global_max(patch_transform(extractor.c1(e.path), patch_set))
+                vectors["train"] = [extractor.c2(e.path, patch_set, c1)
+                                    for e, c1 in zip(train_rows, train_c1)]
+        feature_fn = lambda e: extractor.c2(e.path, patch_set)
     else:
         feature_fn = lambda e: extractor.gabor_feature(e.path)
 

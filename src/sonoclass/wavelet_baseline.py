@@ -4,11 +4,17 @@ Pipeline: undecimated Haar detail coefficients for 3 dyadic scales x
 3 orientations -> per-plane energy normalization -> local-max pooling on
 2^j cells (C1) -> sliding scalar products against randomly sampled patches
 (S2) -> one global max per patch (C2). C2 vectors go straight to the SVM.
+
+S2 runs one tensordot per (patch size, scale) over the sliding windows of
+that scale's C1 planes, so every patch of a size is scored in one BLAS
+call, and C2 takes its maxima straight off those score arrays.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -40,6 +46,28 @@ class PatchSet:
 
     def __len__(self) -> int:
         return len(self.patches)
+
+    @cached_property
+    def stacks(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per patch size, in order of first appearance: the indices of its
+        patches and their (P, M, M, 3) stack."""
+        by_size: dict[int, list[int]] = {}
+        for i, patch in enumerate(self.patches):
+            by_size.setdefault(patch.shape[0], []).append(i)
+        return tuple(
+            (np.array(indices), np.stack([self.patches[i] for i in indices]))
+            for indices in by_size.values()
+        )
+
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 of every patch's shape and bytes, in order: equal for a
+        sampled set and the same set read back from a model file."""
+        h = hashlib.sha256()
+        for patch in self.patches:
+            h.update(repr(patch.shape).encode())
+            h.update(patch.tobytes())
+        return h.hexdigest()
 
 
 def tiwt(values: np.ndarray) -> np.ndarray:
@@ -150,37 +178,39 @@ def sample_patches(
     )
 
 
-def patch_transform(c1: list[np.ndarray], patch_set: PatchSet) -> list[dict[int, np.ndarray]]:
+def patch_transform(
+    c1: list[np.ndarray], patch_set: PatchSet
+) -> list[tuple[np.ndarray, int, np.ndarray]]:
     """Sliding scalar product of every patch against every C1 scale it fits.
 
-    Result: per patch, a dict mapping the scale j to the 2D array of scores
-    over all valid offsets (correlation summed over the 3 orientations).
+    Result: one (indices, scale, scores) entry per patch size and scale j
+    whose planes can host that size; scores[r, u, v] is patch indices[r]'s
+    correlation (summed over the 3 orientations) at offset (u, v).
     """
-    out: list[dict[int, np.ndarray]] = [dict() for _ in patch_set.patches]
-    by_size: dict[int, list[int]] = {}
-    for i, patch in enumerate(patch_set.patches):
-        by_size.setdefault(patch.shape[0], []).append(i)
-
-    for m, indices in by_size.items():
-        stack = np.stack([patch_set.patches[i] for i in indices])  # (P, M, M, 3)
+    out = []
+    for indices, stack in patch_set.stacks:
+        m = stack.shape[1]
         for scale_idx, scale in enumerate(SCALES):
             planes = c1[scale_idx]
             if planes.shape[1] < m or planes.shape[2] < m:
                 continue
-            windows = sliding_window_view(planes, (m, m), axis=(1, 2))
-            scores = np.einsum("kuvmn,pmnk->puv", windows, stack, optimize=True)
-            for row, i in enumerate(indices):
-                out[i][scale] = scores[row]
+            windows = sliding_window_view(planes, (m, m), axis=(1, 2))  # (3, U, V, M, M)
+            # this axis order is the contraction einsum's optimizer picks;
+            # other orders differ in the last bit
+            scores = np.tensordot(stack, windows, axes=((1, 2, 3), (3, 4, 0)))
+            out.append((indices, scale, scores))
     return out
 
 
-def global_max(s2: list[dict[int, np.ndarray]]) -> np.ndarray:
-    """One scalar per patch: max over every scale and offset."""
+def global_max(s2: list[tuple[np.ndarray, int, np.ndarray]], n_patches: int) -> np.ndarray:
+    """One scalar per patch: max over every scale and offset, in patch order."""
     if not s2:
         raise SonoclassError("no patch scores")
-    values = np.empty(len(s2))
-    for i, per_scale in enumerate(s2):
-        if not per_scale:
-            raise SonoclassError(f"patch {i} has no valid placements")
-        values[i] = max(float(arr.max()) for arr in per_scale.values())
+    values = np.full(n_patches, -np.inf)
+    placed = np.zeros(n_patches, dtype=bool)
+    for indices, _, scores in s2:
+        values[indices] = np.maximum(values[indices], scores.reshape(len(indices), -1).max(axis=1))
+        placed[indices] = True
+    if not placed.all():
+        raise SonoclassError(f"patch {int(np.argmin(placed))} has no valid placements")
     return values

@@ -32,7 +32,7 @@ from sonoclass.wavelet_baseline import (
     tiwt,
 )
 from test_feature_select import mi_table_oracle, samples_from_counts
-from test_wavelet_baseline import direct_detail
+from test_wavelet_baseline import direct_detail, score_maps
 
 
 class Timer:
@@ -233,9 +233,10 @@ def test_criterion_5_wavelet_oracles():
             c1 = [rng.normal(size=(3, 6, 6)) for _ in SCALES]
             patch = rng.normal(size=(4, 4, 3))
             ps = PatchSet(patches=(patch,), sources=((0, 1, 0, 0),), seed=0, sizes=(4,))
-            s2 = patch_transform(c1, ps)
+            s2 = score_maps(patch_transform(c1, ps))
             for scale_idx, scale in enumerate(SCALES):
                 planes = c1[scale_idx]
+                assert s2[0, scale].shape == (3, 3)  # every offset is read below
                 for u in range(3):
                     for v in range(3):
                         acc = 0.0
@@ -243,7 +244,7 @@ def test_criterion_5_wavelet_oracles():
                             for a in range(4):
                                 for b in range(4):
                                     acc += planes[k, u + a, v + b] * patch[a, b, k]
-                        worst_s2 = max(worst_s2, abs(s2[0][scale][u, v] - acc))
+                        worst_s2 = max(worst_s2, abs(s2[0, scale][u, v] - acc))
         eq4_ok = worst_s2 <= 1e-10
 
         worst_h = 0.0

@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -263,6 +264,24 @@ class TestGridSearchCompare:
         assert comparison.startswith("class,bank,patches,wavelet")
         assert (out_dir / "compare.txt").exists()
 
+    def test_evaluate_after_cold_compare_reads_c2(self, corpus, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        flags = ["--manifest", str(corpus["manifest"]), "--top-k", "16", "--c", "8",
+                 "--gamma", "0.5", "--seed", "1",
+                 "--config", str(write_cfg(tmp_path, "wavelet.patches = 20"))]
+        assert cli.main(["compare", *flags, "--cache-dir", str(cache),
+                         "--out", str(tmp_path / "cmp")]) == 0
+        model = tmp_path / "wavelet.txt"
+        assert cli.main(["train", *flags, "--method", "wavelet", "--out", str(model)]) == 0
+        looked_up = []
+        monkeypatch.setattr(pipeline.CacheStats, "count",
+                            lambda self, stage, hit: looked_up.append((stage, hit)))
+        assert cli.main(["evaluate", str(model), "--manifest", str(corpus["manifest"]),
+                         "--cache-dir", str(cache), "--out", str(tmp_path / "eval")]) == 0
+        # the patch set read back from the model file keys the same entries
+        n_test = len(read_manifest(corpus["manifest"]).rows("test"))
+        assert looked_up == [("c2", True)] * n_test
+
 
 class TestErrorPaths:
     def test_unknown_config_key_is_usage_error(self, corpus, tmp_path):
@@ -343,15 +362,20 @@ class TestErrorPaths:
         (feat,) = (cache / "feat").rglob(f"{stem}.npy")
         (fixed,) = (cache / "fixed").rglob(f"{stem}.npy")
         (c1,) = (cache / "c1").rglob(f"{stem}.npy")
+        (c2,) = (cache / "c2").rglob(f"{stem}.npy")
         (wrong_shape,) = (cache / "feat").rglob(f"{pipeline._content_hash(second.path)}.npy")
         (wrong_c1,) = (cache / "c1").rglob(f"{pipeline._content_hash(second.path)}.npy")
+        (wrong_c2,) = (cache / "c2").rglob(f"{pipeline._content_hash(second.path)}.npy")
         c1_length = 3 * (64 * 64 + 32 * 32 + 16 * 16)  # the three planes joined
         assert np.load(c1).shape == (c1_length,)
+        assert np.load(c2).shape == (20,)  # one value per patch
         feat.write_bytes(feat.read_bytes()[:100])
         fixed.write_bytes(b"")
         c1.write_bytes(c1.read_bytes()[:100])
+        c2.write_bytes(c2.read_bytes()[:100])
         np.save(wrong_shape, np.zeros(3))
         np.save(wrong_c1, np.zeros(c1_length - 1))
+        np.save(wrong_c2, np.zeros(21))
 
         for method in ("bank", "wavelet"):
             assert train(method, tmp_path / f"{method}_again.txt") == 0
@@ -360,6 +384,7 @@ class TestErrorPaths:
         assert np.load(feat).shape == np.load(wrong_shape).shape == (128 * 128,)
         assert np.load(fixed).shape == (128, 128)
         assert np.load(c1).shape == np.load(wrong_c1).shape == (c1_length,)
+        assert np.load(c2).shape == np.load(wrong_c2).shape == (20,)
         # no temp file is left behind
         assert {p.suffix for p in cache.rglob("*") if p.is_file()} == {".npy"}
 
@@ -398,8 +423,8 @@ class TestErrorPaths:
 
     def test_traced_cache_counts_match_extract(self, corpus, tmp_path, src_env):
         # perfbench/run.py gates warm runs on the misses its tracer counts
-        # (a stage span with a compute child); they must agree with the
-        # cache line extract prints, stage by stage summed.
+        # (a stage span with a compute child) for the fixed, c1 and feat
+        # stages; each must agree with the line extract prints for it.
         repo = Path(__file__).resolve().parents[1]
         cfg = write_cfg(tmp_path, "wavelet.patches = 20")
         code = (
@@ -413,10 +438,8 @@ class TestErrorPaths:
             "    out = io.StringIO()\n"
             "    with contextlib.redirect_stdout(out):\n"
             "        assert sonoclass.cli.main(argv) == 0\n"
-            "    (line,) = [l for l in out.getvalue().splitlines() if l.startswith('cache:')]\n"
-            "    stages = summarize(tracer.spans)['cache'].values()\n"
-            "    traced = sum(s['hits'] for s in stages), sum(s['misses'] for s in stages)\n"
-            "    print(json.dumps([line, 'cache: %d hits, %d misses' % traced]))\n"
+            "    lines = [l for l in out.getvalue().splitlines() if l.startswith('cache')]\n"
+            "    print(json.dumps([lines, summarize(tracer.spans)['cache']]))\n"
         )
         calls = [
             ["extract", "--manifest", str(corpus["manifest"]), "--method", method,
@@ -428,12 +451,35 @@ class TestErrorPaths:
             capture_output=True, text=True, env=src_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        lines = [json.loads(line) for line in proc.stdout.splitlines()]
-        assert [printed for printed, _ in lines] == [traced for _, traced in lines]
-        # 16 clips: cold bank computes fixed and feat, cold wavelet fixed and c1
-        assert [printed for printed, _ in lines] == [
-            "cache: 0 hits, 32 misses", "cache: 16 hits, 0 misses",
-        ] * 2
+        printed, traced = [], []
+        for line in proc.stdout.splitlines():
+            lines, stages = json.loads(line)
+            total, *per_stage = lines
+            counts = {}
+            for entry in per_stage:
+                stage, hits, misses = re.fullmatch(r"cache (\w+): (\d+) hits, (\d+) misses",
+                                                   entry).groups()
+                counts[stage] = {"hits": int(hits), "misses": int(misses)}
+            hits = sum(c["hits"] for c in counts.values())
+            misses = sum(c["misses"] for c in counts.values())
+            assert total == f"cache: {hits} hits, {misses} misses"
+            printed.append(counts)
+            traced.append(stages)
+        zero = {"hits": 0, "misses": 0}
+        for counts, stages in zip(printed, traced):
+            assert stages.keys() == {"fixed", "c1", "feat"}
+            for stage, traced_counts in stages.items():
+                assert counts.get(stage, zero) == traced_counts, stage
+        # 16 clips, 12 of them train: cold bank computes fixed and feat, cold
+        # wavelet fixed, c1 and c2; warm wavelet reads the train C1 to sample
+        # patches, then every C2
+        miss, hit = {"hits": 0, "misses": 16}, {"hits": 16, "misses": 0}
+        assert printed == [
+            {"fixed": miss, "feat": miss},
+            {"feat": hit},
+            {"fixed": miss, "c1": miss, "c2": miss},
+            {"c1": {"hits": 12, "misses": 0}, "c2": hit},
+        ]
 
     def test_entry_point_runs(self, src_env):
         proc = subprocess.run(

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from sonoclass.pipeline import (
 )
 from sonoclass.report import evaluation_csv, tabulate_report
 from sonoclass.svm import BinarySvmModel, KernelParams, OvoModel
+from sonoclass.wavelet_baseline import sample_patches
 
 
 def entries(spec):
@@ -221,10 +223,11 @@ class TestExtract:
         assert warm.stats.misses == 0
         assert warm.stats.hits == 24
 
-    @pytest.mark.parametrize("stage", ["fixed", "c1", "feat"])
+    @pytest.mark.parametrize("stage", ["fixed", "c1", "c2", "feat"])
     def test_npz_bytes_in_an_entry_are_recomputed(self, mini_corpus, mini_config, tmp_path, stage):
         path = mini_corpus["manifest"].entries[0].path
         content = pipeline._content_hash(path)
+        patch_set = sample_patches([FeatureExtractor(mini_config).c1(path)], n_patches=6, seed=0)
 
         def lookup():
             extractor = FeatureExtractor(mini_config, cache_dir=tmp_path)
@@ -232,6 +235,8 @@ class TestExtract:
                 value = extractor.fixed_values(path, content)
             elif stage == "c1":
                 value = np.concatenate([plane.ravel() for plane in extractor.c1(path)])
+            elif stage == "c2":
+                value = extractor.c2(path, patch_set)
             else:
                 value = extractor.gabor_feature(path)
             return value, extractor.stats
@@ -246,16 +251,45 @@ class TestExtract:
         assert stats.misses == 1
         assert entry.read_bytes() == written
 
-    def test_wavelet_warm_cache_identical(self, mini_corpus, mini_config):
-        from dataclasses import replace
+    def test_wavelet_warm_cache_identical(self, mini_corpus, mini_config, tmp_path):
         config = replace(mini_config, method="wavelet")
-        cold = extract_features(mini_corpus["manifest"], config,
-                                cache_dir=mini_corpus["cache"])
-        warm = extract_features(mini_corpus["manifest"], config,
-                                cache_dir=mini_corpus["cache"])
+        cold = extract_features(mini_corpus["manifest"], config, cache_dir=tmp_path)
+        warm = extract_features(mini_corpus["manifest"], config, cache_dir=tmp_path)
         assert np.array_equal(cold.train.values, warm.train.values)
         assert np.array_equal(cold.test.values, warm.test.values)
+        # 24 clips, 16 of them train: a cold run computes C2 once per clip
+        assert cold.stats.stages == {"fixed": [0, 24], "c1": [0, 24], "c2": [0, 24]}
+        # a warm run reads the train C1 to sample patches, then only C2
+        assert warm.stats.stages == {"c1": [16, 0], "c2": [24, 0]}
         assert warm.stats.misses == 0
+
+    def test_c2_entries_are_per_patch_set(self, mini_corpus, mini_config, tmp_path):
+        manifest = mini_corpus["manifest"]
+        config = replace(mini_config, method="wavelet")
+        first = extract_features(manifest, config, cache_dir=tmp_path)
+        for other in (replace(config, seed=2), replace(config, wavelet_patches=20)):
+            result = extract_features(manifest, other, cache_dir=tmp_path)
+            assert result.stats.stages["c2"] == [0, 24]
+            uncached = extract_features(manifest, other)
+            assert np.array_equal(result.train.values, uncached.train.values)
+            assert np.array_equal(result.test.values, uncached.test.values)
+        assert len(list((tmp_path / "c2").iterdir())) == 3
+        again = extract_features(manifest, config, cache_dir=tmp_path)
+        assert again.stats.stages["c2"] == [24, 0]
+        assert np.array_equal(again.test.values, first.test.values)
+
+    def test_compare_hashes_each_clip_once(self, mini_corpus, mini_config, monkeypatch):
+        hashed = []
+        content_hash = pipeline._content_hash
+
+        def counted(path):
+            hashed.append(path)
+            return content_hash(path)
+
+        monkeypatch.setattr(pipeline, "_content_hash", counted)
+        manifest = DatasetManifest(mini_corpus["manifest"].entries)  # an empty memo
+        compare_methods(manifest, mini_config, cache_dir=mini_corpus["cache"])
+        assert sorted(hashed) == sorted(e.path for e in manifest.entries)
 
     def test_missing_file_aborts_with_report(self, mini_corpus, mini_config):
         manifest = DatasetManifest(mini_corpus["manifest"].entries + entries([

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import c2_reference
 from sonoclass.errors import SonoclassError
 from sonoclass.wavelet_baseline import (
     SCALES,
@@ -196,30 +197,39 @@ class TestSamplePatches:
             sample_patches([make_c1(6)], n_patches=0, seed=0)
 
 
+def score_maps(s2):
+    """{(patch index, scale): 2D score array} from patch_transform's entries."""
+    return {
+        (int(i), scale): scores[row]
+        for indices, scale, scores in s2
+        for row, i in enumerate(indices)
+    }
+
+
 class TestPatchTransform:
     def test_zero_c1_zero_scores(self):
         c1 = [np.zeros((3, 8, 8))] * 3
         ps = sample_patches([make_c1(7)], n_patches=3, sizes=(4,), seed=2)
         s2 = patch_transform(c1, ps)
-        for per_scale in s2:
-            for arr in per_scale.values():
-                assert np.all(arr == 0.0)
+        for _, _, scores in s2:
+            assert np.all(scores == 0.0)
 
     def test_self_correlation_equals_squared_norm(self):
         c1 = make_c1(8)
         window = np.moveaxis(c1[1][:, 2:6, 3:7], 0, -1).copy()
         ps = PatchSet(patches=(window,), sources=((0, 2, 2, 3),), seed=0, sizes=(4,))
-        s2 = patch_transform(c1, ps)
-        assert s2[0][2][2, 3] == pytest.approx(float(np.sum(window**2)), rel=1e-12)
+        s2 = score_maps(patch_transform(c1, ps))
+        assert s2[0, 2][2, 3] == pytest.approx(float(np.sum(window**2)), rel=1e-12)
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(9)
         c1 = [rng.normal(size=(3, 6, 6)) for _ in range(3)]
         patch = rng.normal(size=(4, 4, 3))
         ps = PatchSet(patches=(patch,), sources=((0, 1, 0, 0),), seed=0, sizes=(4,))
-        s2 = patch_transform(c1, ps)
+        s2 = score_maps(patch_transform(c1, ps))
         for scale_idx, scale in enumerate(SCALES):
             planes = c1[scale_idx]
+            assert s2[0, scale].shape == (3, 3)  # every offset is read below
             for u in range(3):
                 for v in range(3):
                     acc = 0.0
@@ -227,46 +237,77 @@ class TestPatchTransform:
                         for a in range(4):
                             for b in range(4):
                                 acc += planes[k, u + a, v + b] * patch[a, b, k]
-                    assert s2[0][scale][u, v] == pytest.approx(acc, rel=1e-10, abs=1e-10)
+                    assert s2[0, scale][u, v] == pytest.approx(acc, rel=1e-10, abs=1e-10)
 
     def test_skips_scales_too_small(self):
         c1 = [np.zeros((3, 16, 16)), np.zeros((3, 8, 8)), np.zeros((3, 4, 4))]
         patch = np.zeros((8, 8, 3))
         ps = PatchSet(patches=(patch,), sources=((0, 1, 0, 0),), seed=0, sizes=(8,))
         s2 = patch_transform(c1, ps)
-        assert set(s2[0]) == {1, 2}  # 4x4 plane cannot host an 8x8 patch
+        assert {scale for _, scale, _ in s2} == {1, 2}  # 4x4 plane cannot host an 8x8 patch
+
+    def test_one_entry_per_size_and_scale(self):
+        c1 = make_c1(15, shapes=((3, 16, 16), (3, 8, 8), (3, 4, 4)))
+        ps = sample_patches([c1], n_patches=7, sizes=(4, 8), seed=8)
+        s2 = patch_transform(c1, ps)
+        # size 4 fits all three scales, size 8 the first two
+        assert [(len(indices), scale, scores.shape) for indices, scale, scores in s2] == [
+            (4, 1, (4, 13, 13)), (4, 2, (4, 5, 5)), (4, 3, (4, 1, 1)),
+            (3, 1, (3, 9, 9)), (3, 2, (3, 1, 1)),
+        ]
+        assert [list(indices) for indices, _, _ in s2] == [[0, 2, 4, 6]] * 3 + [[1, 3, 5]] * 2
 
 
 class TestGlobalMax:
     def test_one_value_per_patch(self):
         c1 = make_c1(10)
         ps = sample_patches([c1], n_patches=5, sizes=(4,), seed=3)
-        c2 = global_max(patch_transform(c1, ps))
+        c2 = global_max(patch_transform(c1, ps), len(ps))
         assert c2.shape == (5,)
 
     def test_zero_scores_zero_c2(self):
         c1 = [np.zeros((3, 8, 8))] * 3
         ps = sample_patches([make_c1(11)], n_patches=4, sizes=(4,), seed=4)
-        assert np.all(global_max(patch_transform(c1, ps)) == 0.0)
+        assert np.all(global_max(patch_transform(c1, ps), len(ps)) == 0.0)
 
     def test_upper_bounds_every_score(self):
         c1 = make_c1(12)
         ps = sample_patches([c1], n_patches=6, sizes=(4, 8), seed=5)
         s2 = patch_transform(c1, ps)
-        c2 = global_max(s2)
-        for i, per_scale in enumerate(s2):
-            for arr in per_scale.values():
-                assert c2[i] >= arr.max() - 1e-15
+        c2 = global_max(s2, len(ps))
+        for indices, _, scores in s2:
+            for row, i in enumerate(indices):
+                assert c2[i] >= scores[row].max() - 1e-15
 
     def test_offset_permutation_invariance(self):
         rng = np.random.default_rng(13)
-        scores = {1: rng.normal(size=(5, 5))}
-        shuffled = {1: scores[1].ravel()[rng.permutation(25)].reshape(5, 5)}
-        assert global_max([scores]) == global_max([shuffled])
+        scores = rng.normal(size=(1, 5, 5))
+        shuffled = scores.ravel()[rng.permutation(25)].reshape(1, 5, 5)
+        indices = np.array([0])
+        assert global_max([(indices, 1, scores)], 1) == global_max([(indices, 1, shuffled)], 1)
 
     def test_empty(self):
         with pytest.raises(SonoclassError, match="no patch scores"):
-            global_max([])
+            global_max([], 0)
+
+    def test_patch_with_no_placement(self):
+        # the 12x12 patch fits no plane of this pyramid
+        c1 = make_c1(16, shapes=((3, 8, 8), (3, 4, 4), (3, 2, 2)))
+        patches = (np.zeros((4, 4, 3)), np.zeros((12, 12, 3)))
+        ps = PatchSet(patches=patches, sources=((0, 1, 0, 0),) * 2, seed=0, sizes=(4, 12))
+        with pytest.raises(SonoclassError, match="patch 1 has no valid placements"):
+            global_max(patch_transform(c1, ps), len(ps))
+
+    def test_c2_matches_einsum_reference_exactly(self):
+        # the scale-3 plane of a 64x64 grid is 8x8, so size 12 fits scales 1-2 only
+        rng = np.random.default_rng(17)
+        for shape in ((128, 128), (64, 64)):
+            c1s = [c1_pyramid(rng.uniform(0, 1, size=shape)) for _ in range(4)]
+            c1s += [[rng.uniform(0, 1, size=p.shape) for p in c1s[0]] for _ in range(4)]
+            ps = sample_patches(c1s[:3], n_patches=40, sizes=(4, 8, 12), seed=11)
+            for c1 in c1s:
+                expected = c2_reference.global_max(c2_reference.patch_transform(c1, ps))
+                assert np.array_equal(global_max(patch_transform(c1, ps), len(ps)), expected)
 
 
 class TestEndToEnd:
@@ -275,7 +316,7 @@ class TestEndToEnd:
         specs = [rng.uniform(0, 1, size=(32, 32)) for _ in range(3)]
         c1s = [c1_pyramid(s) for s in specs]
         ps = sample_patches(c1s, n_patches=10, sizes=(4, 8), seed=6)
-        a = global_max(patch_transform(c1_pyramid(specs[0]), ps))
-        b = global_max(patch_transform(c1_pyramid(specs[0]), ps))
+        a = global_max(patch_transform(c1_pyramid(specs[0]), ps), len(ps))
+        b = global_max(patch_transform(c1_pyramid(specs[0]), ps), len(ps))
         assert np.array_equal(a, b)
         assert a.shape == (10,)
