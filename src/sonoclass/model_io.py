@@ -10,6 +10,7 @@ reload reproduces the model bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -153,6 +154,8 @@ def _parse_model(path) -> TrainedModel:
         )
 
     n_classes = int(r.expect("classes")[1])
+    if n_classes < 2:
+        raise SonoclassError(f"{path}: {n_classes} classes; a model needs at least 2")
     class_names = []
     for _ in range(n_classes):
         parts = r.next().split(" ", 2)
@@ -184,6 +187,8 @@ def _parse_model(path) -> TrainedModel:
         a, b = int(a), int(b)
         if not 0 <= a < b < n_classes:
             raise SonoclassError(f"{path}: pair {a} {b} outside {n_classes} classes")
+        if (a, b) in pair_models:
+            raise SonoclassError(f"{path}: pair {a} {b} appears twice")
         _, gamma, c = r.expect("params")
         bias = float(r.expect("bias")[1])
         if not np.isfinite(bias):
@@ -204,6 +209,10 @@ def _parse_model(path) -> TrainedModel:
             params=KernelParams(gamma=float(gamma), c=float(c)),
             converged=converged,
         )
+    missing = [p for p in combinations(range(n_classes), 2) if p not in pair_models]
+    if missing:
+        a, b = missing[0]
+        raise SonoclassError(f"{path}: no model for pair {a} {b} of {n_classes} classes")
 
     patch_line = r.expect("patches")
     patch_set = None

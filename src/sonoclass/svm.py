@@ -11,10 +11,11 @@ one binary model per class pair and majority voting.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import combinations
 
@@ -55,6 +56,9 @@ class BinarySvmModel:
     params: KernelParams
     converged: bool = True
     n_passes: int = 0
+    # This solve is also the solve at every box C' in [params.c, c_limit]
+    # (see smo_train). 0 when unknown, as for a model read from a file.
+    c_limit: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,20 @@ def smo_train(
     point of maximum error difference. Terminates when a full pass finds
     no violator; if max_passes runs out first the best iterate is returned
     with converged=False and a warning.
+
+    For every C' in [C, c_limit] of the returned model, the same call at C'
+    takes every step the same way and returns the same model, bit for bit,
+    but for params. C enters the solve only through the clips to the box
+    [0, C], the `a_i < C` and `0 < a_i < C` tests, the endpoint gains of a
+    step with eta <= 0, and the zero band 1e-12*C of the bias. While no alpha comes within a
+    relative 1e-9 of C, no clip or test at C decides anything, and a
+    larger C' decides nothing differently: every clip at a bound that
+    depends on C leaves some alpha at C, to rounding. A step with eta <= 0
+    whose endpoints depend on C (s < 0, or s > 0 with a_i + a_j > C)
+    compares gains that do, so it rules out any larger C'. Otherwise
+    c_limit is just below 1e12 times the least alpha ever assigned above
+    the zero band: up to there every alpha is on the same side of the
+    band at C' as at C. If the box bound, c_limit is C.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -142,11 +160,17 @@ def smo_train(
     # the returned model cannot push residuals past tol.
     inner_tol = tol / 2.0
     b = 0.0  # refreshed from alpha at the start of every pass
+    # For c_limit: whether C decided a step, and the least alpha ever
+    # assigned above the zero band of _bias_from_state.
+    near_c = c * (1.0 - 1e-9)
+    band = 1e-12 * c
+    box_bound = False
+    least = math.inf
 
     def take_step(i: int, j: int) -> bool:
         # The pair step depends on errors only through e_i - e_j, so the
         # current bias estimate cancels out of the update itself.
-        nonlocal g, gs
+        nonlocal g, gs, box_bound, least
         if i == j:
             return False
         a_i, a_j = alpha[i], alpha[j]
@@ -166,6 +190,8 @@ def smo_train(
         else:
             # Flat or concave-up section: the restricted dual is the exact
             # quadratic below, so the maximum sits at an endpoint.
+            if s < 0 or a_i + a_j > c:
+                box_bound = True
             gain_lo = slope * (lo - a_j) - 0.5 * eta * (lo - a_j) ** 2
             gain_hi = slope * (hi - a_j) - 0.5 * eta * (hi - a_j) ** 2
             if gain_lo > gain_hi + _STEP_EPS:
@@ -179,6 +205,12 @@ def smo_train(
         a_i_new = min(max(a_i + s * (a_j - a_j_new), 0.0), c)
 
         alpha[i], alpha[j] = a_i_new, a_j_new
+        if a_i_new >= near_c or a_j_new >= near_c:
+            box_bound = True
+        if band < a_i_new < least:
+            least = a_i_new
+        if band < a_j_new < least:
+            least = a_j_new
         g += (a_i_new - a_i) * y_i * kernel[i] + (a_j_new - a_j) * y_j * kernel[j]
         gs = g.tolist()
         return True
@@ -232,6 +264,7 @@ def smo_train(
         params=params,
         converged=converged,
         n_passes=passes,
+        c_limit=c if box_bound else max(c, 1e12 * least * (1.0 - 1e-9)),
     )
 
 
@@ -297,12 +330,19 @@ def ovo_train(
     tol: float = DEFAULT_TOL,
     max_passes: int = DEFAULT_MAX_PASSES,
     seed: int = 0,
+    previous: OvoModel | None = None,
 ) -> OvoModel:
     """Train one binary model per unordered class pair.
 
     Features are min-max scaled to [0, 1] with edges from the whole
     training matrix before any pair is trained. Each pair trains on its
     own rows only, with the lower class label mapped to +1.
+
+    previous, if given, must come from this function with the same matrix,
+    tol, max_passes and seed. Each of its pair models with the same gamma,
+    a C no larger than params.c and a c_limit of at least params.c is
+    already this call's solve for that pair (see smo_train), so it is kept
+    with only its params replaced.
     """
     classes = tuple(int(v) for v in np.unique(matrix.labels))
     if len(classes) < 2:
@@ -317,6 +357,11 @@ def ovo_train(
 
     pair_models: dict[tuple[int, int], BinarySvmModel] = {}
     for pair_idx, (a, b) in enumerate(combinations(classes, 2)):
+        earlier = previous.pair_models.get((a, b)) if previous is not None else None
+        if (earlier is not None and earlier.params.gamma == params.gamma
+                and earlier.params.c <= params.c <= earlier.c_limit):
+            pair_models[(a, b)] = replace(earlier, params=params)
+            continue
         rows = np.flatnonzero((matrix.labels == a) | (matrix.labels == b))
         y = np.where(matrix.labels[rows] == a, 1.0, -1.0)
         pair_models[(a, b)] = smo_train(
@@ -377,48 +422,53 @@ def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> np.ndarray:
     return assignment
 
 
-def _worker_count(n_cells: int) -> int:
-    """One worker per CPU this process may run on, and never more than cells."""
+def _worker_count(n_tasks: int) -> int:
+    """One worker per CPU this process may run on, and never more than tasks."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_cells))
+    return max(1, min(cpus, n_tasks))
 
 
-def _cv_cell(
+def _cv_ladder(
     matrix: FeatureMatrix,
     assignment: np.ndarray,
-    folds: int,
     seed: int,
     tol: float,
     max_passes: int,
-    cell: tuple[float, float],
-) -> tuple[int, int, int]:
-    """Cross-validate one (c, gamma) cell.
+    c_values: list[float],
+    task: tuple[float, int],
+) -> list[tuple[int, int, int]]:
+    """Cross-validate one (gamma, fold) at every C of the ascending ladder.
 
-    Returns the number of correctly predicted rows over all folds, the
+    Returns, per C, the number of correctly predicted held-out rows, the
     number of pair solves that did not converge and the number of pair
-    solves. The per-solve non-convergence warning is silenced here;
-    grid_search_cv reports the count once.
+    solves. Each rung hands its model to the next rung's ovo_train, which
+    keeps every pair whose solve is the same at the larger C. The
+    per-solve non-convergence warning is silenced here; grid_search_cv
+    reports the count once.
     """
-    c, gamma = cell
-    params = KernelParams(gamma=gamma, c=c)
-    correct = unconverged = solves = 0
+    gamma, fold = task
+    train_rows = assignment != fold
+    train = FeatureMatrix(matrix.values[train_rows], matrix.labels[train_rows])
+    test_values, test_labels = matrix.values[~train_rows], matrix.labels[~train_rows]
+    model = None
+    rungs = []
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="SMO stopped", category=RuntimeWarning)
-        for fold in range(folds):
-            train_rows = assignment != fold
-            test_rows = ~train_rows
+        for c in c_values:
             model = ovo_train(
-                FeatureMatrix(matrix.values[train_rows], matrix.labels[train_rows]),
-                params, tol=tol, max_passes=max_passes, seed=seed + fold,
+                train, KernelParams(gamma=gamma, c=c),
+                tol=tol, max_passes=max_passes, seed=seed + fold, previous=model,
             )
-            unconverged += sum(not m.converged for m in model.pair_models.values())
-            solves += len(model.pair_models)
-            predicted = ovo_predict_batch(model, matrix.values[test_rows])
-            correct += int(np.sum(predicted == matrix.labels[test_rows]))
-    return correct, unconverged, solves
+            predicted = ovo_predict_batch(model, test_values)
+            rungs.append((
+                int(np.sum(predicted == test_labels)),
+                sum(not m.converged for m in model.pair_models.values()),
+                len(model.pair_models),
+            ))
+    return rungs
 
 
 def grid_search_cv(
@@ -434,47 +484,55 @@ def grid_search_cv(
 
     Returns the best parameters (ties resolved toward smaller C, then
     smaller gamma) and the full table of (c, gamma, accuracy) rows in
-    evaluation order.
+    evaluation order: C ascending, then gamma ascending.
 
-    Cells are independent and deterministic, so they run in a fork pool
-    with one worker per CPU in this process's affinity mask; with one
-    CPU they run in this process. The table is the same either way. If
-    any pair solve stops without converging, one RuntimeWarning gives
-    the count.
+    The work is one task per (gamma, fold), which trains at every C in
+    ascending order. A pair solve whose box never bound is also the solve
+    at every larger C up to its c_limit (see smo_train), so the next rung
+    keeps that pair's model instead of solving it again. The table is the
+    same as from one independent solve per (C, gamma, fold, pair).
+
+    Tasks are deterministic, so they run in a fork pool with one worker
+    per CPU in this process's affinity mask; with one CPU they run in
+    this process. The table is the same either way. If any pair solve
+    stops without converging, one RuntimeWarning gives the count; a kept
+    solve counts again at every C that keeps it.
     """
     if folds < 2:
         raise ValueError("need at least 2 folds")
-    cells = [
-        (c, gamma)
-        for c in sorted(float(v) for v in c_grid)
-        for gamma in sorted(float(v) for v in gamma_grid)
-    ]
-    if not cells:
+    c_values = sorted(float(v) for v in c_grid)
+    gammas = sorted(float(v) for v in gamma_grid)
+    if not c_values or not gammas:
         raise ValueError("need at least one C and one gamma value")
     assignment = stratified_folds(matrix.labels, folds, seed)
-    run_cell = partial(_cv_cell, matrix, assignment, folds, seed, tol, max_passes)
-    workers = _worker_count(len(cells))
+    tasks = [(gamma, fold) for gamma in gammas for fold in range(folds)]
+    run_task = partial(_cv_ladder, matrix, assignment, seed, tol, max_passes, c_values)
+    workers = _worker_count(len(tasks))
     if workers == 1:
-        results = list(map(run_cell, cells))
+        results = list(map(run_task, tasks))
     else:
         # fork, not spawn: a spawned worker re-imports the caller's main
         # module, which breaks scripts that call this at top level without a
-        # __main__ guard (demos/06_svm_training.py). Cells differ in cost by
-        # orders of magnitude, so they are handed out one at a time.
+        # __main__ guard (demos/06_svm_training.py). Tasks differ in cost,
+        # so they are handed out one at a time.
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            results = pool.map(run_cell, cells, chunksize=1)
+            results = pool.map(run_task, tasks, chunksize=1)
 
     table: list[tuple[float, float, float]] = []
     best: tuple[float, KernelParams] | None = None
-    for (c, gamma), (correct, _, _) in zip(cells, results):
-        accuracy = correct / matrix.n_samples
-        table.append((c, gamma, accuracy))
-        if best is None or accuracy > best[0]:
-            best = (accuracy, KernelParams(gamma=gamma, c=c))
-    unconverged = sum(r[1] for r in results)
+    unconverged = solves = 0
+    for k, c in enumerate(c_values):
+        for g, gamma in enumerate(gammas):
+            rungs = [results[g * folds + fold][k] for fold in range(folds)]
+            accuracy = sum(r[0] for r in rungs) / matrix.n_samples
+            unconverged += sum(r[1] for r in rungs)
+            solves += sum(r[2] for r in rungs)
+            table.append((c, gamma, accuracy))
+            if best is None or accuracy > best[0]:
+                best = (accuracy, KernelParams(gamma=gamma, c=c))
     if unconverged:
         warnings.warn(
-            f"{unconverged} of {sum(r[2] for r in results)} pair solves did not converge",
+            f"{unconverged} of {solves} pair solves did not converge",
             RuntimeWarning,
             stacklevel=2,
         )

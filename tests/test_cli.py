@@ -178,6 +178,25 @@ class TestTrainEvaluate:
         assert "confusion" in csv_text
         assert (tmp_path / "report.txt").exists()
 
+    def test_repeated_pair_model_is_data_error(self, corpus, tmp_path, capsys):
+        model_path = tmp_path / "model.txt"
+        cli.main([
+            "train", "--manifest", str(corpus["manifest"]),
+            "--method", "bank", "--top-k", "16", "--c", "8", "--gamma", "0.5",
+            "--seed", "1", "--cache-dir", corpus["cache"], "--out", str(model_path),
+        ])
+        text = model_path.read_text()
+        assert "pair 0 2\n" in text
+        model_path.write_text(text.replace("pair 0 2\n", "pair 0 1\n", 1))
+        capsys.readouterr()
+        rc = cli.main([
+            "evaluate", str(model_path), "--manifest", str(corpus["manifest"]),
+            "--cache-dir", corpus["cache"], "--out", str(tmp_path / "report"),
+        ])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"error: {model_path}: pair 0 1 appears twice\n"
+        assert not (tmp_path / "report.csv").exists()
+
     def test_nonconvergence_exit_code(self, corpus, tmp_path):
         model_path = tmp_path / "model.txt"
         with pytest.warns(RuntimeWarning):

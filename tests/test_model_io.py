@@ -7,7 +7,7 @@ import pytest
 from sonoclass.errors import SonoclassError
 from sonoclass.feature_select import FeatureMatrix
 from sonoclass.model_io import MODEL_HEADER, TrainedModel, load_model, save_model
-from sonoclass.svm import KernelParams, ovo_predict_batch, ovo_train
+from sonoclass.svm import KernelParams, OvoModel, ovo_predict_batch, ovo_train
 from sonoclass.wavelet_baseline import PatchSet
 
 
@@ -162,6 +162,37 @@ class TestErrors:
         assert n == 1
         path.write_text(text)
         with pytest.raises(SonoclassError, match=message):
+            load_model(path)
+
+    def test_repeated_pair(self, tmp_path):
+        model, _ = small_trained_model()
+        path = tmp_path / "m.txt"
+        save_model(path, model)
+        text = path.read_text()
+        assert "pair 0 2\n" in text
+        path.write_text(text.replace("pair 0 2\n", "pair 0 1\n", 1))
+        with pytest.raises(SonoclassError, match="m.txt: pair 0 1 appears twice"):
+            load_model(path)
+
+    def test_missing_pair(self, tmp_path):
+        model, _ = small_trained_model()
+        path = tmp_path / "m.txt"
+        save_model(path, model)
+        lines = path.read_text().splitlines()
+        start = lines.index("pair 1 2")
+        end = next(i for i in range(start, len(lines)) if lines[i].startswith("coef"))
+        lines[lines.index("pairs 3")] = "pairs 2"
+        path.write_text("\n".join(lines[:start] + lines[end + 1:]) + "\n")
+        with pytest.raises(SonoclassError, match="m.txt: no model for pair 1 2 of 3 classes"):
+            load_model(path)
+
+    def test_one_class(self, tmp_path):
+        model, _ = small_trained_model()
+        one = OvoModel(classes=(0,), pair_models={}, scaler=model.ovo.scaler)
+        path = tmp_path / "m.txt"
+        save_model(path, replace(model, ovo=one, class_names=("alpha",)))
+        assert "classes 1\n" in path.read_text()
+        with pytest.raises(SonoclassError, match="m.txt: 1 classes; a model needs at least 2"):
             load_model(path)
 
     def test_not_ascii(self, tmp_path):

@@ -1,9 +1,11 @@
 import multiprocessing
 import os
+import warnings
 
 import numpy as np
 import pytest
 
+import grid_reference
 import qp_oracle
 import smo_reference
 from sonoclass import svm
@@ -233,6 +235,97 @@ def test_smo_matches_reference_exactly(case, seed):
     assert got.converged == want.converged
     if "max_passes" in kwargs:
         assert not got.converged
+
+
+def random_pair_problem(seed, duplicates=False):
+    """6 to 15 Gaussian rows in 2-D with random labels, both present; with
+    duplicates, the first third of the rows repeats the last third."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 16))
+    x = rng.normal(size=(n, 2))
+    if duplicates:
+        x[: n // 3] = x[n - n // 3:]
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    y[0], y[1] = 1.0, -1.0
+    return x, y
+
+
+def separable_with_duplicates(seed):
+    """Two close blobs plus a same-label copy of six rows: a row and its copy
+    have eta = 0 and s = +1, so their steps take the endpoint branch with
+    endpoints that do not depend on C once C is large."""
+    x, labels = blobs(seed=seed, n_per=10, centers=((0.0, 0.0), (2.0, 2.0)), spread=0.6)
+    y = np.where(labels == 0, 1.0, -1.0)
+    kept = np.r_[:3, -3:0]
+    return np.vstack([x, x[kept]]), np.r_[y, y[kept]]
+
+
+C_LADDER = tuple(2.0 ** p for p in range(-12, 22))
+
+# (problem, gamma, smo_train keyword arguments, what the ladder must show)
+REUSE_CASES = {
+    "duplicated-rows": (lambda: separable_with_duplicates(20), 0.5, {}, lambda models: True),
+    "box-binds-at-small-c": (
+        lambda: labelled_blobs(21, spread=3.0, n_per=25), 0.5, {},
+        lambda models: models[0].c_limit == C_LADDER[0],
+    ),
+    # an alpha of a few 1e-17 is at or below the zero band 1e-12*C
+    "dust-alphas": (
+        lambda: random_pair_problem(1, duplicates=True), 1.0, {},
+        lambda models: any(np.abs(m.dual_coef).min() <= 1e-12 * m.params.c for m in models),
+    ),
+    # the least alpha above the band, about 2e-6, ends reuse near C = 2e6
+    "band-limits-reuse": (
+        lambda: random_pair_problem(1682), 1.0, {},
+        lambda models: any(m.params.c < m.c_limit < C_LADDER[-1] for m in models),
+    ),
+    "max_passes=1": (
+        lambda: labelled_blobs(26, spread=3.0), 0.5, {"max_passes": 1},
+        lambda models: not any(m.converged for m in models),
+    ),
+}
+
+
+def solve_c_ladder(x, y, gamma, **kwargs):
+    """Solve at every C of C_LADDER, and check that a solve kept for a larger
+    C (C <= its c_limit) is that C's solve, bit for bit. Returns the direct
+    models and how many rungs could keep an earlier solve."""
+    models, kept, reused = [], None, 0
+    for c in C_LADDER:
+        direct = smo_train(x, y, KernelParams(gamma=gamma, c=c), seed=0, **kwargs)
+        models.append(direct)
+        assert direct.c_limit >= c
+        if kept is not None and kept.params.c <= c <= kept.c_limit:
+            reused += 1
+            assert direct.dual_coef.tobytes() == kept.dual_coef.tobytes()
+            assert np.array_equal(direct.support_vectors, kept.support_vectors)
+            assert direct.bias == kept.bias
+            assert direct.n_passes == kept.n_passes
+            assert direct.converged == kept.converged
+        else:
+            kept = direct
+    return models, reused
+
+
+@pytest.mark.filterwarnings("ignore:SMO stopped:RuntimeWarning")
+@pytest.mark.parametrize("case", REUSE_CASES, ids=list(REUSE_CASES))
+def test_reuse_up_the_c_ladder_matches_direct_solves(case):
+    problem, gamma, kwargs, shows_case = REUSE_CASES[case]
+    models, reused = solve_c_ladder(*problem(), gamma, **kwargs)
+    assert 0 < reused < len(C_LADDER) - 1
+    assert shows_case(models)
+
+
+@pytest.mark.filterwarnings("ignore:SMO stopped:RuntimeWarning")
+@pytest.mark.parametrize("start", [0, 10, 20])
+def test_reuse_on_random_problems(start):
+    """Random pair problems, half with duplicate rows, at 1, 3 and 200 passes."""
+    reused = 0
+    for seed in range(start, start + 10):
+        x, y = random_pair_problem(seed, duplicates=bool(seed % 2))
+        gamma = 2.0 ** (seed % 7 - 4)
+        reused += solve_c_ladder(x, y, gamma, max_passes=(1, 3, 200)[seed % 3])[1]
+    assert reused > 0
 
 
 class TestDecisionValue:
@@ -479,3 +572,34 @@ class TestGridSearch:
         # 2 cells x 3 folds x 3 pairs; no solve converges in one pass
         assert messages == ["18 of 18 pair solves did not converge"]
         assert "SMO stopped" not in capfd.readouterr().err  # nor in a worker
+
+    # unsorted, with a repeated C; 7 C x 3 gamma x 3 folds x 3 pairs = 189 pair solves
+    REFERENCE_GRID = dict(c_grid=[64.0, 0.25, 4.0, 2.0 ** 12, 4.0, 2.0 ** -5, 1024.0],
+                          gamma_grid=[5.0, 0.05, 0.5], folds=3, seed=4)
+
+    @pytest.mark.parametrize("max_passes", [8, 200])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_per_cell_reference(self, monkeypatch, workers, max_passes):
+        monkeypatch.setattr(svm, "_worker_count", lambda n_tasks: workers)
+        matrix = multiclass_blobs(3, seed=17, n_per=9, spread=2.5)
+        grid = dict(self.REFERENCE_GRID, max_passes=max_passes)
+        want_best, want_table, want_message = grid_reference.grid_search_cv(matrix, **grid)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            best, table = grid_search_cv(matrix, **grid)
+        assert best == want_best
+        assert table == want_table
+        # some solves stop at either max_passes
+        assert [str(w.message) for w in record] == [want_message]
+        assert len({acc for _, _, acc in table}) > 1
+
+    def test_ladder_solves_fewer_pairs_than_cells(self, monkeypatch):
+        monkeypatch.setattr(svm, "_worker_count", lambda n_tasks: 1)
+        solves = []
+        solve = svm.smo_train
+        monkeypatch.setattr(svm, "smo_train", lambda *a, **k: solves.append(1) or solve(*a, **k))
+        matrix = multiclass_blobs(3, seed=17, n_per=9, spread=2.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            grid_search_cv(matrix, **self.REFERENCE_GRID)
+        assert len(solves) < 189
