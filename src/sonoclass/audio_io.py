@@ -44,10 +44,6 @@ class AudioClip:
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 def _parse_riff_chunks(raw: bytes):
     """Yield (chunk_id, payload) pairs from a RIFF/WAVE blob."""
@@ -65,6 +61,7 @@ def _parse_riff_chunks(raw: bytes):
 
 
 def _decode_samples(data: bytes, fmt: int, bits: int) -> np.ndarray:
+    """Decode integer PCM, else IEEE float: load_wav admits no other fmt."""
     if fmt == _WAVE_FORMAT_PCM:
         if bits == 8:
             return (np.frombuffer(data, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
@@ -78,13 +75,11 @@ def _decode_samples(data: bytes, fmt: int, bits: int) -> np.ndarray:
         if bits == 32:
             return np.frombuffer(data, dtype="<i4").astype(np.float64) / float(1 << 31)
         raise SonoclassError(f"{bits}-bit integer PCM is not supported")
-    if fmt == _WAVE_FORMAT_IEEE_FLOAT:
-        if bits == 32:
-            return np.frombuffer(data, dtype="<f4").astype(np.float64)
-        if bits == 64:
-            return np.frombuffer(data, dtype="<f8").astype(np.float64)
-        raise SonoclassError(f"{bits}-bit float is not supported")
-    raise SonoclassError(f"WAV format tag {fmt:#x} (compressed codec?)")
+    if bits == 32:
+        return np.frombuffer(data, dtype="<f4").astype(np.float64)
+    if bits == 64:
+        return np.frombuffer(data, dtype="<f8").astype(np.float64)
+    raise SonoclassError(f"{bits}-bit float is not supported")
 
 
 def load_wav(path) -> AudioClip:
@@ -128,7 +123,7 @@ def load_wav(path) -> AudioClip:
         samples = samples.reshape(-1, channels).mean(axis=1)
     if not np.all(np.isfinite(samples)):
         raise SonoclassError(f"{path}: non-finite samples")
-    peak = float(np.max(np.abs(samples))) if samples.size else 0.0
+    peak = float(np.max(np.abs(samples)))
     if peak > 1.0:
         samples = samples / peak
     return AudioClip(samples=samples, sample_rate=rate)
@@ -157,10 +152,10 @@ def peak_normalize(clip: AudioClip) -> AudioClip:
     return AudioClip(samples=clip.samples / peak, sample_rate=clip.sample_rate)
 
 
-def _fade_envelope(n: int, sample_rate: int, fade_s: float = 0.01) -> np.ndarray:
-    """Linear fade-in/out to avoid clicks at the clip edges."""
+def _fade_envelope(n: int, sample_rate: int) -> np.ndarray:
+    """10 ms linear fade-in/out to avoid clicks at the clip edges."""
     env = np.ones(n)
-    k = min(n // 2, max(1, int(round(fade_s * sample_rate))))
+    k = min(n // 2, max(1, int(round(0.01 * sample_rate))))
     ramp = np.linspace(0.0, 1.0, k, endpoint=False)
     env[:k] = ramp
     env[n - k:] = ramp[::-1]

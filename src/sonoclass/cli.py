@@ -15,7 +15,7 @@ import numpy as np
 
 from . import log_gabor, pipeline, report
 from .audio_io import generate_corpus, load_wav, peak_normalize
-from .config import RunConfig, load_config
+from .config import CONFIG_KEYS, RunConfig, load_config
 from .errors import ConfigError, SonoclassError
 from .manifest import TRAIN_FRACTION, auto_split, read_manifest, write_manifest
 from .model_io import METHODS, load_model, save_model
@@ -37,27 +37,22 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--manifest", required=True, help="dataset manifest (TSV or JSON)")
     p.add_argument("--config", help="flat key = value configuration file")
+    # each config flag's dest is the flat config key it overrides
     p.add_argument("--method", choices=METHODS)
-    p.add_argument("--scale", type=int, help="scale for method 'single'")
-    p.add_argument("--orientation", type=int, help="orientation for method 'single'")
-    p.add_argument("--top-k", type=int, dest="top_k", help="MI-selected feature count")
-    p.add_argument("--c", type=float, help="SVM box constraint")
-    p.add_argument("--gamma", type=float, help="RBF kernel width")
+    p.add_argument("--scale", type=int, dest="single.scale", help="scale for method 'single'")
+    p.add_argument("--orientation", type=int, dest="single.orientation",
+                   help="orientation for method 'single'")
+    p.add_argument("--top-k", type=int, dest="mi.top_k", help="MI-selected feature count")
+    p.add_argument("--c", type=float, dest="svm.c", help="SVM box constraint")
+    p.add_argument("--gamma", type=float, dest="svm.gamma", help="RBF kernel width")
     p.add_argument("--seed", type=int)
     p.add_argument("--cache-dir", dest="cache_dir", help="feature cache directory")
 
 
 def _config_from_args(args) -> RunConfig:
-    overrides = {}
-    for attr, key in (
-        ("method", "method"), ("scale", "single.scale"),
-        ("orientation", "single.orientation"), ("top_k", "mi.top_k"),
-        ("c", "svm.c"), ("gamma", "svm.gamma"), ("seed", "seed"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = str(value)
-    return load_config(getattr(args, "config", None), overrides)
+    overrides = {key: str(value) for key, value in vars(args).items()
+                 if key in CONFIG_KEYS and value is not None}
+    return load_config(args.config, overrides)
 
 
 def _cmd_synth(args) -> int:
@@ -66,7 +61,7 @@ def _cmd_synth(args) -> int:
         clips_per_class=args.clips_per_class,
         duration_s=args.duration,
         sample_rate=args.sample_rate,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     manifest_path = Path(args.out) / "manifest.tsv"
     write_manifest(manifest_path, manifest)
@@ -80,7 +75,7 @@ def _cmd_split(args) -> int:
     split = auto_split(
         manifest,
         train_fraction=args.train_fraction,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     write_manifest(args.out, split)
     n_train = len(split.rows("train"))
@@ -123,20 +118,16 @@ def _cmd_extract(args) -> int:
         print(f"filter mask CSVs -> {out_dir}")
 
     result = pipeline.extract_features(manifest, config, cache_dir=args.cache_dir)
+    payload = {"class_names": np.array(manifest.classes)}
     for name, matrix in (("train", result.train), ("test", result.test)):
         if matrix is not None:
             print(f"{name}: {matrix.n_samples} x {matrix.n_features}")
+            payload[f"{name}_values"] = matrix.values
+            payload[f"{name}_labels"] = matrix.labels
     print(f"cache: {result.stats.hits} hits, {result.stats.misses} misses")
     for stage, (hits, misses) in sorted(result.stats.stages.items()):
         print(f"cache {stage}: {hits} hits, {misses} misses")
     if args.out:
-        payload = {"class_names": np.array(result.class_names)}
-        if result.train is not None:
-            payload["train_values"] = result.train.values
-            payload["train_labels"] = result.train.labels
-        if result.test is not None:
-            payload["test_values"] = result.test.values
-            payload["test_labels"] = result.test.labels
         np.savez(args.out, **payload)
         print(f"features -> {args.out}")
     return EXIT_OK
@@ -269,10 +260,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SonoclassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (SonoclassError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

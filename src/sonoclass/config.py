@@ -14,6 +14,7 @@ import numpy as np
 
 from . import log_gabor, wavelet_baseline
 from .errors import ConfigError
+from .feature_select import MAX_N_BINS
 from .model_io import METHODS
 from .spectrogram import StftParams
 from .svm import KernelParams
@@ -56,7 +57,7 @@ class RunConfig:
     fixed_cols: int = _key("fixed.cols", 128)
     gabor_scales: int = _key("gabor.scales", 2)
     gabor_orientations: int = _key("gabor.orientations", 6)
-    # empty = one octave below 1/3 per extra scale
+    # empty = LogGaborParams' octave rule
     gabor_f0: tuple[float, ...] = _key("gabor.f0", (), _parse_float_tuple)
     gabor_sigma_ratio: float = _key("gabor.sigma_ratio", 0.65)
     gabor_sigma_theta: float = _key("gabor.sigma_theta", 0.6545)
@@ -84,6 +85,8 @@ class RunConfig:
             low, value = f.metadata["low"], getattr(self, f.name)
             if low is not None and value < low:
                 raise ConfigError(f"{f.metadata['key']} must be at least {low}, got {value}")
+        if self.mi_n_bins > MAX_N_BINS:
+            raise ConfigError(f"mi.n_bins must be at most {MAX_N_BINS}, got {self.mi_n_bins}")
         if not (np.isfinite(self.svm_tol) and self.svm_tol > 0):
             raise ConfigError(f"svm.tol must be positive and finite, got {self.svm_tol}")
         rows, cols = self.fixed_rows, self.fixed_cols
@@ -139,13 +142,10 @@ class RunConfig:
         return StftParams(frame_size=self.frame_size, hop=self.hop, log_floor=self.log_floor)
 
     def gabor_params(self) -> log_gabor.LogGaborParams:
-        f0 = self.gabor_f0
-        if not f0:
-            f0 = tuple((1.0 / 3.0) / 2 ** i for i in range(self.gabor_scales))
         return log_gabor.LogGaborParams(
             n_scales=self.gabor_scales,
             n_orientations=self.gabor_orientations,
-            f0_per_scale=f0,
+            f0_per_scale=self.gabor_f0,
             sigma_ratio=self.gabor_sigma_ratio,
             sigma_theta=self.gabor_sigma_theta,
         )
@@ -155,7 +155,7 @@ class RunConfig:
 
 
 # flat config key -> (RunConfig field, parser), in field order
-_CONFIG_KEYS = {f.metadata["key"]: (f.name, f.metadata["parse"]) for f in fields(RunConfig)}
+CONFIG_KEYS = {f.metadata["key"]: (f.name, f.metadata["parse"]) for f in fields(RunConfig)}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -169,7 +169,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         values[key] = value.strip()
     return values
@@ -178,9 +178,9 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 def config_from_flat(flat: dict[str, str]) -> RunConfig:
     kwargs = {}
     for key, value in flat.items():
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        field_name, parser = _CONFIG_KEYS[key]
+        field_name, parser = CONFIG_KEYS[key]
         try:
             kwargs[field_name] = parser(value)
         except ValueError as exc:
@@ -202,4 +202,4 @@ def load_config(path=None, overrides: dict[str, str] | None = None) -> RunConfig
 
 def config_to_flat(config: RunConfig) -> dict[str, str]:
     """Canonical flat echo of every key (used for model files and hashing)."""
-    return {key: _fmt_value(getattr(config, name)) for key, (name, _) in _CONFIG_KEYS.items()}
+    return {key: _fmt_value(getattr(config, name)) for key, (name, _) in CONFIG_KEYS.items()}

@@ -4,7 +4,7 @@ Features are discretized into equal-width histograms (edges fit on training
 data only) and scored by I(feature; label) in bits; the top-K indices by
 score reduce every feature vector thereafter.
 
-`select_top_k` scores BLOCK_COLUMNS columns at a time: one `bincount` over
+`select_top_k` scores a block of columns at a time: one `bincount` over
 (column, bin, class) codes gives every joint table of the block, and the
 MI terms of all its columns are computed together. The columns that have
 the same number m of nonzero cells are summed together, each as one row of
@@ -23,8 +23,11 @@ import numpy as np
 from .errors import SonoclassError
 
 DEFAULT_N_BINS = 16
-DEFAULT_TOP_K = 256
-BLOCK_COLUMNS = 2048  # columns scored per pass; bounds the temporaries to a few MB
+# a block's columns bound its per-sample temporaries and its cells (n_bins x
+# classes per column) its joint tables; 16 bins x 4 classes fill both at once
+BLOCK_COLUMNS = 2048
+BLOCK_CELLS = BLOCK_COLUMNS * 64
+MAX_N_BINS = BLOCK_CELLS // 2  # 65,536: one column's table at 2 classes fills a block
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,7 @@ def _mi_from_counts(joint: np.ndarray) -> float:
 
 def select_top_k(
     matrix: FeatureMatrix,
-    k: int = DEFAULT_TOP_K,
+    k: int,
     n_bins: int = DEFAULT_N_BINS,
 ) -> MiSelection:
     """Rank every feature by MI with the labels and keep the k best.
@@ -127,9 +130,10 @@ def select_top_k(
 
     _, label_idx = np.unique(labels, return_inverse=True)
     n_classes = int(label_idx.max()) + 1
+    width = max(1, min(BLOCK_COLUMNS, BLOCK_CELLS // (n_bins * n_classes)))
     scores = np.empty(d)
-    for start in range(0, d, BLOCK_COLUMNS):
-        block = matrix.values[:, start:start + BLOCK_COLUMNS]
+    for start in range(0, d, width):
+        block = matrix.values[:, start:start + width]
         scores[start:start + block.shape[1]] = _block_scores(
             block, label_idx, n_classes, n_bins
         )

@@ -24,18 +24,18 @@ from .errors import SonoclassError
 MIN_GRID = 8
 BAND_ROWS = 128  # the fixed-grid height the three-band split is defined on
 
-DEFAULT_F0 = (1.0 / 3.0, 1.0 / 6.0)
 DEFAULT_SIGMA_RATIO = 0.65
 DEFAULT_SIGMA_THETA = 0.6545
 
 
 @dataclass(frozen=True)
 class LogGaborParams:
-    """Bank geometry: central frequencies are in cycles/pixel, angles in rad."""
+    """Bank geometry: central frequencies are in cycles/pixel, angles in rad;
+    an empty f0_per_scale puts the scales an octave apart, from 1/3 down."""
 
     n_scales: int = 2
     n_orientations: int = 6
-    f0_per_scale: tuple[float, ...] = DEFAULT_F0
+    f0_per_scale: tuple[float, ...] = ()
     sigma_ratio: float = DEFAULT_SIGMA_RATIO
     sigma_theta: float = DEFAULT_SIGMA_THETA
 
@@ -43,6 +43,7 @@ class LogGaborParams:
         if self.n_scales < 1 or self.n_orientations < 1:
             raise ValueError("need at least one scale and one orientation")
         f0 = tuple(float(f) for f in self.f0_per_scale)
+        f0 = f0 or tuple((1.0 / 3.0) / 2 ** m for m in range(self.n_scales))
         if len(f0) != self.n_scales:
             raise ValueError("f0_per_scale must list one frequency per scale")
         if any(not (0.0 < f <= 0.5) for f in f0):

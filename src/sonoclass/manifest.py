@@ -78,7 +78,6 @@ def read_manifest(path) -> DatasetManifest:
 
     entries = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")

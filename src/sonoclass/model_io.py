@@ -156,10 +156,15 @@ def _parse_model(path) -> TrainedModel:
     n_classes = int(r.expect("classes")[1])
     if n_classes < 2:
         raise SonoclassError(f"{path}: {n_classes} classes; a model needs at least 2")
+    # pair indices and evaluate's label map need class i on the i-th line, names distinct
     class_names = []
-    for _ in range(n_classes):
-        parts = r.next().split(" ", 2)
-        class_names.append(parts[2])
+    for i in range(n_classes):
+        line, prefix = r.next(), f"class {i} "
+        if not line.startswith(prefix):
+            raise SonoclassError(f"{path}: expected 'class {i} <name>', got {line!r}")
+        class_names.append(line.removeprefix(prefix))
+    if len(set(class_names)) != n_classes:
+        raise SonoclassError(f"{path}: a class name appears twice")
 
     sel_line = r.expect("selection")
     selected = scores = None

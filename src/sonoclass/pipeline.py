@@ -83,10 +83,11 @@ class FeatureExtractor:
     feature) stores one array per clip at
     cache_dir/<stage>/<stage hash>/<content hash>.npy, so a parameter change
     invalidates exactly the affected stage. A file that is not a well-formed
-    .npy of the expected shape is recomputed and rewritten. stats counts a
-    hit or a miss for every stage looked up. content_hashes memoizes each
-    clip's content hash by path; passing one dict to several extractors
-    hashes each clip once between them.
+    .npy of the expected shape is recomputed and rewritten. A C2 miss
+    computes from the C1 pyramid the caller passes, else from the C1
+    stage. stats counts a hit or a miss for every stage looked up.
+    content_hashes memoizes each clip's content hash by path; passing one
+    dict to several extractors hashes each clip once between them.
     """
 
     def __init__(self, config: RunConfig, cache_dir=None, content_hashes=None):
@@ -187,7 +188,6 @@ class FeatureExtractor:
 class ExtractResult:
     train: FeatureMatrix | None
     test: FeatureMatrix | None
-    class_names: tuple[str, ...]
     patch_set: PatchSet | None
     stats: CacheStats
 
@@ -217,18 +217,17 @@ def extract_features(
 ) -> ExtractResult:
     """Run the per-clip pipeline for the requested manifest splits.
 
-    Rows follow manifest order within each split. For the wavelet method a
+    Rows follow manifest order within each split, and labels index
+    manifest.classes. Every requested split is extracted in one batch, so
+    one error lists every clip that failed. For the wavelet method a
     missing patch_set is sampled from the training rows' C1 pyramids with
-    the configured seed, and the training rows' C2 vectors are computed from
-    those pyramids on a miss. C1 is cached per clip and C2 per clip and
-    patch set. Each clip is hashed once per manifest object.
+    the configured seed, and those pyramids are handed to
+    FeatureExtractor.c2, so a training row's C2 is computed from them on a
+    miss. Each clip is hashed once per manifest object.
     """
     extractor = FeatureExtractor(config, cache_dir, manifest.content_hashes)
-    class_names = manifest.classes
-    label_index = {name: i for i, name in enumerate(class_names)}
-    vectors: dict[str, list] = {}
-
     if config.method == "wavelet":
+        pyramids: dict[str, list[np.ndarray]] = {}
         if patch_set is None:
             train_rows = manifest.rows("train")
             if not train_rows:
@@ -242,27 +241,24 @@ def extract_features(
                 sizes=config.wavelet_sizes,
                 seed=config.seed,
             )
-            if "train" in splits:
-                vectors["train"] = [extractor.c2(e.path, patch_set, c1)
-                                    for e, c1 in zip(train_rows, train_c1)]
-        feature_fn = lambda e: extractor.c2(e.path, patch_set)
+            pyramids = {e.path: c1 for e, c1 in zip(train_rows, train_c1)}
+        feature_fn = lambda e: extractor.c2(e.path, patch_set, pyramids.get(e.path))
     else:
         feature_fn = lambda e: extractor.gabor_feature(e.path)
 
-    # one batch over every pending split, so one report lists every failure
-    pending = [split for split in splits if split not in vectors and manifest.rows(split)]
+    pending = [split for split in splits if manifest.rows(split)]
     batch = iter(_collect([e for split in pending for e in manifest.rows(split)], feature_fn))
-    for split in pending:
-        vectors[split] = [next(batch) for _ in manifest.rows(split)]
+    label_index = {name: i for i, name in enumerate(manifest.classes)}
     matrices: dict[str, FeatureMatrix] = {}
-    for split, split_vectors in vectors.items():
-        labels = np.array([label_index[e.label] for e in manifest.rows(split)], dtype=np.int64)
-        matrices[split] = FeatureMatrix(values=np.vstack(split_vectors), labels=labels)
+    for split in pending:
+        rows = manifest.rows(split)
+        values = np.vstack([next(batch) for _ in rows])
+        labels = np.array([label_index[e.label] for e in rows], dtype=np.int64)
+        matrices[split] = FeatureMatrix(values=values, labels=labels)
 
     return ExtractResult(
         train=matrices.get("train"),
         test=matrices.get("test"),
-        class_names=class_names,
         patch_set=patch_set,
         stats=extractor.stats,
     )
@@ -272,13 +268,10 @@ def _selected_train(
     manifest: DatasetManifest,
     config: RunConfig,
     cache_dir=None,
-    patch_set: PatchSet | None = None,
 ) -> tuple[ExtractResult, FeatureMatrix, MiSelection | None]:
     """Extract the train split and keep its MI top-K columns (log-Gabor
     methods; wavelet C2 vectors pass through unselected)."""
-    result = extract_features(
-        manifest, config, cache_dir=cache_dir, patch_set=patch_set, splits=("train",)
-    )
+    result = extract_features(manifest, config, cache_dir=cache_dir, splits=("train",))
     if result.train is None:
         raise SonoclassError("manifest has no train rows")
     if config.method == "wavelet":
@@ -292,10 +285,9 @@ def train_model(
     manifest: DatasetManifest,
     config: RunConfig,
     cache_dir=None,
-    patch_set: PatchSet | None = None,
 ) -> TrainedModel:
     """Fit MI selection (log-Gabor methods), the scaler, and all pair SVMs."""
-    result, matrix, selection = _selected_train(manifest, config, cache_dir, patch_set)
+    result, matrix, selection = _selected_train(manifest, config, cache_dir)
     ovo = ovo_train(
         matrix,
         config.kernel_params(),
@@ -307,11 +299,11 @@ def train_model(
         ovo=ovo,
         method=config.method,
         config=config_to_flat(config),
-        class_names=result.class_names,
+        class_names=manifest.classes,
         selected_indices=None if selection is None else selection.selected,
         selected_scores=None if selection is None else selection.scores[selection.selected],
         n_raw_features=result.train.n_features,
-        patch_set=result.patch_set if config.method == "wavelet" else None,
+        patch_set=result.patch_set,
     )
 
 
@@ -345,10 +337,6 @@ def evaluate_model(
                 f"extracted {values.shape[1]} features, model expects {model.n_raw_features}"
             )
         values = values[:, model.selected_indices]
-    if values.shape[1] != model.ovo.n_features:
-        raise SonoclassError(
-            f"{values.shape[1]} features after selection, model expects {model.ovo.n_features}"
-        )
 
     truth = np.array([label_index[e.label] for e in test_rows], dtype=np.int64)
     t0 = time.perf_counter()

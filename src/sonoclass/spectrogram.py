@@ -42,10 +42,6 @@ class StftParams:
         """Symmetric Hamming window: 0.54 - 0.46*cos(2*pi*n/(frame_size-1))."""
         return np.hamming(self.frame_size)
 
-    @property
-    def n_bins(self) -> int:
-        return self.frame_size // 2 + 1
-
 
 def frame_count(n_samples: int, params: StftParams) -> int:
     """Frames in an n-sample clip; trailing partial frames are dropped."""

@@ -371,8 +371,14 @@ def ovo_train(
     return OvoModel(classes=classes, pair_models=pair_models, scaler=scaler)
 
 
-def ovo_votes(model: OvoModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class vote counts and per-class sums of winning |margin| for rows of x."""
+def ovo_predict_batch(model: OvoModel, x: np.ndarray) -> np.ndarray:
+    """The one-vs-one class label (int64) of each row of x; a 1-D x is one row.
+
+    Each pair model votes for a when its margin is positive, else for b,
+    and adds |margin| to its winner's support. The class with the most
+    votes wins; a vote tie goes to the largest support, then to the
+    lowest class (the first in model.classes).
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
@@ -382,29 +388,17 @@ def ovo_votes(model: OvoModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         )
     scaled = apply_scaler(x, model.scaler)
     index = {cls: i for i, cls in enumerate(model.classes)}
+    rows = np.arange(x.shape[0])
     votes = np.zeros((x.shape[0], len(model.classes)))
     support = np.zeros_like(votes)
     for (a, b), pair_model in model.pair_models.items():
         d = decision_values(pair_model, scaled)
         winner = np.where(d > 0.0, index[a], index[b])
-        rows = np.arange(x.shape[0])
         votes[rows, winner] += 1.0
         support[rows, winner] += np.abs(d)
-    return votes, support
-
-
-def ovo_predict_batch(model: OvoModel, x: np.ndarray) -> np.ndarray:
-    """Majority vote per row; ties go to the largest winning-margin sum, then lowest class."""
-    votes, support = ovo_votes(model, x)
-    classes = np.asarray(model.classes)
-    out = np.empty(votes.shape[0], dtype=np.int64)
-    for r in range(votes.shape[0]):
-        best = np.flatnonzero(votes[r] == votes[r].max())
-        if best.size > 1:
-            strongest = support[r, best].max()
-            best = best[support[r, best] == strongest]
-        out[r] = classes[best[0]]
-    return out
+    # argmax takes the first of the equal maxima
+    support[votes < votes.max(axis=1, keepdims=True)] = -np.inf
+    return np.asarray(model.classes, dtype=np.int64)[np.argmax(support, axis=1)]
 
 
 def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> np.ndarray:

@@ -23,7 +23,6 @@ from .errors import SonoclassError
 
 SCALES = (1, 2, 3)
 ORIENTATIONS = ("horizontal", "vertical", "diagonal")
-DEFAULT_N_PATCHES = 200
 DEFAULT_PATCH_SIZES = (4, 8, 12)
 
 # Haar analysis pair, mean/half-difference normalization.
@@ -42,7 +41,7 @@ class PatchSet:
     patches: tuple[np.ndarray, ...]
     sources: tuple[tuple[int, int, int, int], ...]
     seed: int
-    sizes: tuple[int, ...] = DEFAULT_PATCH_SIZES
+    sizes: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.patches)
@@ -140,7 +139,7 @@ def c1_pyramid(values: np.ndarray) -> list[np.ndarray]:
 
 def sample_patches(
     training_c1: list[list[np.ndarray]],
-    n_patches: int = DEFAULT_N_PATCHES,
+    n_patches: int,
     sizes: tuple[int, ...] = DEFAULT_PATCH_SIZES,
     seed: int = 0,
 ) -> PatchSet:

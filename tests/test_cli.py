@@ -315,6 +315,7 @@ class TestErrorPaths:
         ("--gamma", "0"), ("--c", "-1"), ("--top-k", "0"), ("--seed", "-1"),
         # config file text, or None for a config file that does not exist
         pytest.param("--config", "mi.n_bins = 1", id="mi.n_bins=1"),
+        pytest.param("--config", "mi.n_bins = 65537", id="mi.n_bins=65537"),
         pytest.param("--config", "grid.folds = 1", id="grid.folds=1"),
         pytest.param("--config", "method = single\nsingle.scale = 5", id="single.scale=5"),
         pytest.param("--config", "svm.max_passes = 0", id="svm.max_passes=0"),

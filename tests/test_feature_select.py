@@ -213,7 +213,10 @@ class TestBlockedParity:
         (30, BLOCK_COLUMNS, (1, 0), 2),
         (80, 2 * BLOCK_COLUMNS + 37, (0, 1, 2, 3), 16),
         OVER_128_CELLS,
-    ], ids=["one-column", "below-block", "one-block", "ragged-blocks", "over-128-cells"])
+        # 64 bins x 4 classes: the cell bound cuts blocks to 512 columns
+        (60, 1100, (0, 1, 2, 3), 64),
+    ], ids=["one-column", "below-block", "one-block", "ragged-blocks", "over-128-cells",
+            "cell-bounded-blocks"])
     def test_scores_equal_per_column_oracle(self, n_samples, n_features, classes, n_bins):
         matrix = parity_matrix(n_features, n_samples, n_features, np.array(classes))
         oracle = np.array([

@@ -81,8 +81,15 @@ class TestBuildBank:
             LogGaborParams(f0_per_scale=(0.6, 0.3))  # above Nyquist
         with pytest.raises(ValueError):
             LogGaborParams(sigma_ratio=1.5)
-        with pytest.raises(ValueError):
-            LogGaborParams(n_scales=3)  # f0 list has 2 entries
+        with pytest.raises(ValueError, match="one frequency per scale"):
+            LogGaborParams(n_scales=3, f0_per_scale=(0.3, 0.15))
+
+    def test_default_f0_is_one_octave_per_scale(self):
+        from sonoclass.config import RunConfig
+        assert PARAMS.f0_per_scale == (1 / 3, 1 / 6)
+        f0 = LogGaborParams(n_scales=3).f0_per_scale
+        assert f0 == (1 / 3, 1 / 6, 1 / 12)
+        assert RunConfig(gabor_scales=3).gabor_params().f0_per_scale == f0
 
 
 class TestApplyFilter:

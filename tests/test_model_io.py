@@ -164,6 +164,20 @@ class TestErrors:
         with pytest.raises(SonoclassError, match=message):
             load_model(path)
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("class 1 beta\n", "class 9 beta\n", "expected 'class 1 <name>', got 'class 9 beta'"),
+        ("class 1 beta\n", "class 1 gamma\n", "a class name appears twice"),
+    ], ids=["index", "repeated-name"])
+    def test_bad_class_line(self, tmp_path, old, new, message):
+        model, _ = small_trained_model()
+        path = tmp_path / "m.txt"
+        save_model(path, model)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(SonoclassError, match=message):
+            load_model(path)
+
     def test_repeated_pair(self, tmp_path):
         model, _ = small_trained_model()
         path = tmp_path / "m.txt"

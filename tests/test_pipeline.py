@@ -8,7 +8,7 @@ import pytest
 from sonoclass import log_gabor, pipeline
 from sonoclass.audio_io import generate_corpus
 from sonoclass.config import (
-    _CONFIG_KEYS,
+    CONFIG_KEYS,
     RunConfig,
     config_from_flat,
     config_to_flat,
@@ -179,7 +179,7 @@ class TestConfig:
         cells = [cell.partition("=") for line in block.splitlines()
                  for cell in re.split(r"\s{2,}", line.strip())]
         flat = {key.strip(): value.strip() for key, _, value in cells}
-        assert set(flat) == set(_CONFIG_KEYS)
+        assert set(flat) == set(CONFIG_KEYS)
         assert config_from_flat(flat) == RunConfig()
 
     def test_load_config_with_overrides(self, tmp_path):
@@ -201,7 +201,7 @@ class TestExtract:
                                   cache_dir=mini_corpus["cache"])
         assert result.train.values.shape == (16, 128 * 128)
         assert result.test.values.shape == (8, 128 * 128)
-        names = result.class_names
+        names = mini_corpus["manifest"].classes
         expected = [names.index(e.label) for e in mini_corpus["manifest"].rows("train")]
         assert result.train.labels.tolist() == expected
 

@@ -467,6 +467,52 @@ class TestOvo:
                          scaler=(np.zeros(2), np.ones(2)))
         assert ovo_predict_batch(model, np.zeros((1, 2)))[0] == 0
 
+    def test_one_batch_takes_every_tie_outcome(self):
+        # support vectors sit at the probes P = (0, 0) and Q = (0, 100), so
+        # exp(-||x - sv||^2) is exactly 1 at a pair's own probe and exactly
+        # 0 at the others: there the margin is coef + bias, else bias
+        from sonoclass.svm import OvoModel, apply_scaler
+        params = KernelParams(gamma=1.0, c=1.0)
+
+        def rigged(sv, coef, bias):
+            return BinarySvmModel(support_vectors=np.array([sv]), dual_coef=np.array([coef]),
+                                  bias=bias, params=params)
+
+        model = OvoModel(classes=(2, 5, 9), pair_models={
+            (2, 5): rigged((0.0, 0.0), -1.5, +1.0),
+            (2, 9): rigged((0.0, 0.0), -3.0, -2.0),
+            (5, 9): rigged((0.0, 100.0), 1.0, +1.0),
+        }, scaler=(np.zeros(2), np.ones(2)))
+        probes = np.array([
+            # 5 beats 2 by 0.5 and 9 by 1, 9 beats 2 by 5: 5 wins on votes
+            # although 9's margin sum is larger
+            [0.0, 0.0],
+            # one vote each; margin sums 2 -> 1, 5 -> 2, 9 -> 2: the lower of 5 and 9
+            [0.0, 100.0],
+            # one vote each; margin sums 2 -> 1, 5 -> 1, 9 -> 2
+            [-100.0, -100.0],
+        ])
+
+        # reference: the vote and margin tables broken row by row
+        scaled = apply_scaler(probes, model.scaler)
+        votes = np.zeros((3, 3))
+        support = np.zeros((3, 3))
+        for (a, b), pair_model in model.pair_models.items():
+            d = decision_values(pair_model, scaled)
+            winner = np.where(d > 0.0, model.classes.index(a), model.classes.index(b))
+            votes[np.arange(3), winner] += 1.0
+            support[np.arange(3), winner] += np.abs(d)
+        expected = []
+        for r in range(3):
+            best = np.flatnonzero(votes[r] == votes[r].max())
+            if best.size > 1:
+                best = best[support[r, best] == support[r, best].max()]
+            expected.append(model.classes[best[0]])
+
+        predicted = ovo_predict_batch(model, probes)
+        assert predicted.dtype == np.int64
+        assert predicted.tolist() == expected == [5, 5, 9]
+
     def test_relabeling_invariance(self):
         matrix = multiclass_blobs(3, seed=7, n_per=10)
         model = ovo_train(matrix, KernelParams(gamma=0.5, c=50.0), seed=0)
