@@ -116,13 +116,13 @@ def load_wav(path) -> AudioClip:
     if frame_bytes == 0 or len(data) % frame_bytes:
         raise SonoclassError("data chunk is not a whole number of frames")
     if len(data) == 0:
-        raise SonoclassError(f"{path}: zero audio frames")
+        raise SonoclassError("zero audio frames")
 
     samples = _decode_samples(data, fmt, bits)
     if channels > 1:
         samples = samples.reshape(-1, channels).mean(axis=1)
     if not np.all(np.isfinite(samples)):
-        raise SonoclassError(f"{path}: non-finite samples")
+        raise SonoclassError("non-finite samples")
     peak = float(np.max(np.abs(samples)))
     if peak > 1.0:
         samples = samples / peak

@@ -15,10 +15,10 @@ import numpy as np
 
 from . import log_gabor, pipeline, report
 from .audio_io import generate_corpus, load_wav, peak_normalize
-from .config import CONFIG_KEYS, RunConfig, load_config
+from .config import CONFIG_KEYS, METHODS, RunConfig, load_config
 from .errors import ConfigError, SonoclassError
 from .manifest import TRAIN_FRACTION, auto_split, read_manifest, write_manifest
-from .model_io import METHODS, load_model, save_model
+from .model_io import load_model, save_model
 from .spectrogram import log_spectrogram
 
 EXIT_OK = 0
@@ -101,9 +101,12 @@ def _cmd_extract(args) -> int:
         out_dir = Path(args.dump_spectrograms)
         out_dir.mkdir(parents=True, exist_ok=True)
         params = config.stft_params()
-        for stem, path in stems.items():
-            spec = log_spectrogram(peak_normalize(load_wav(path)), params)
-            np.savetxt(out_dir / f"{stem}.csv", spec, delimiter=",", fmt="%.10g")
+
+        def dump(e):
+            spec = log_spectrogram(peak_normalize(load_wav(e.path)), params)
+            np.savetxt(out_dir / f"{Path(e.path).stem}.csv", spec, delimiter=",", fmt="%.10g")
+
+        pipeline.collect(manifest.entries, dump)
         print(f"spectrogram CSVs -> {out_dir}")
     if args.dump_masks:
         out_dir = Path(args.dump_masks)

@@ -12,12 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import log_gabor, wavelet_baseline
+from . import log_gabor, spectrogram, svm, wavelet_baseline
 from .errors import ConfigError
-from .feature_select import MAX_N_BINS
-from .model_io import METHODS
+from .feature_select import DEFAULT_N_BINS, MAX_N_BINS
 from .spectrogram import StftParams
 from .svm import KernelParams
+
+METHODS = ("single", "bank", "patches", "wavelet")
 
 
 def _parse_float_tuple(text: str) -> tuple[float, ...]:
@@ -50,31 +51,32 @@ def _key(key: str, default, parse=None, low=None):
 class RunConfig:
     method: str = _key("method", "bank")
     seed: int = _key("seed", 0, low=0)
-    frame_size: int = _key("stft.frame_size", 256)
-    hop: int = _key("stft.hop", 64)
-    log_floor: float = _key("stft.log_floor", 1e-10)
-    fixed_rows: int = _key("fixed.rows", 128)
-    fixed_cols: int = _key("fixed.cols", 128)
-    gabor_scales: int = _key("gabor.scales", 2)
-    gabor_orientations: int = _key("gabor.orientations", 6)
+    frame_size: int = _key("stft.frame_size", spectrogram.DEFAULT_FRAME_SIZE)
+    hop: int = _key("stft.hop", spectrogram.DEFAULT_HOP)
+    log_floor: float = _key("stft.log_floor", spectrogram.DEFAULT_LOG_FLOOR)
+    fixed_rows: int = _key("fixed.rows", spectrogram.DEFAULT_FIXED_ROWS)
+    fixed_cols: int = _key("fixed.cols", spectrogram.DEFAULT_FIXED_COLS)
+    gabor_scales: int = _key("gabor.scales", log_gabor.LogGaborParams.n_scales)
+    gabor_orientations: int = _key("gabor.orientations", log_gabor.LogGaborParams.n_orientations)
     # empty = LogGaborParams' octave rule
     gabor_f0: tuple[float, ...] = _key("gabor.f0", (), _parse_float_tuple)
-    gabor_sigma_ratio: float = _key("gabor.sigma_ratio", 0.65)
-    gabor_sigma_theta: float = _key("gabor.sigma_theta", 0.6545)
+    gabor_sigma_ratio: float = _key("gabor.sigma_ratio", log_gabor.DEFAULT_SIGMA_RATIO)
+    gabor_sigma_theta: float = _key("gabor.sigma_theta", log_gabor.DEFAULT_SIGMA_THETA)
     single_scale: int = _key("single.scale", 1)
     single_orientation: int = _key("single.orientation", 1)
     wavelet_patches: int = _key("wavelet.patches", 200, low=1)
-    wavelet_sizes: tuple[int, ...] = _key("wavelet.sizes", (4, 8, 12), _parse_int_tuple)
-    mi_n_bins: int = _key("mi.n_bins", 16, low=2)
+    wavelet_sizes: tuple[int, ...] = _key("wavelet.sizes", wavelet_baseline.DEFAULT_PATCH_SIZES,
+                                          _parse_int_tuple)
+    mi_n_bins: int = _key("mi.n_bins", DEFAULT_N_BINS, low=2)
     mi_top_k: int = _key("mi.top_k", 256, low=1)
     svm_c: float = _key("svm.c", 10.0)
     svm_gamma: float = _key("svm.gamma", 0.5)
-    svm_tol: float = _key("svm.tol", 1e-3)
-    svm_max_passes: int = _key("svm.max_passes", 200, low=1)
+    svm_tol: float = _key("svm.tol", svm.DEFAULT_TOL)
+    svm_max_passes: int = _key("svm.max_passes", svm.DEFAULT_MAX_PASSES, low=1)
     # empty = library default grid
     grid_c: tuple[float, ...] = _key("grid.c", (), _parse_float_tuple)
     grid_gamma: tuple[float, ...] = _key("grid.gamma", (), _parse_float_tuple)
-    grid_folds: int = _key("grid.folds", 5, low=2)
+    grid_folds: int = _key("grid.folds", svm.DEFAULT_FOLDS, low=2)
 
     def __post_init__(self):
         if self.method not in METHODS:

@@ -14,12 +14,12 @@ from itertools import combinations
 
 import numpy as np
 
+from .config import METHODS, RunConfig, config_from_flat, config_to_flat
 from .errors import SonoclassError
 from .svm import BinarySvmModel, KernelParams, OvoModel
 from .wavelet_baseline import PatchSet
 
 MODEL_HEADER = "SONOCLASS-MODEL v1"
-METHODS = ("single", "bank", "patches", "wavelet")
 
 
 @dataclass(frozen=True)
@@ -27,13 +27,16 @@ class TrainedModel:
     """Everything needed to classify new audio with a persisted model."""
 
     ovo: OvoModel
-    method: str
-    config: dict[str, str]
+    config: RunConfig
     class_names: tuple[str, ...]
     selected_indices: np.ndarray | None = None  # raw-vector gather, or None
     selected_scores: np.ndarray | None = None   # MI bits of the kept features
     n_raw_features: int = 0
     patch_set: PatchSet | None = None
+
+    @property
+    def method(self) -> str:
+        return self.config.method
 
 
 def _fmt(value: float) -> str:
@@ -45,11 +48,9 @@ def _fmt_row(values) -> str:
 
 
 def save_model(path, model: TrainedModel) -> None:
-    lines: list[str] = [MODEL_HEADER, f"method {model.method}"]
-
-    lines.append(f"config {len(model.config)}")
-    for key in sorted(model.config):
-        lines.append(f"{key} = {model.config[key]}")
+    flat = config_to_flat(model.config)
+    lines: list[str] = [MODEL_HEADER, f"method {model.method}", f"config {len(flat)}"]
+    lines += [f"{key} = {flat[key]}" for key in sorted(flat)]
 
     lines.append(f"classes {len(model.class_names)}")
     for idx, name in enumerate(model.class_names):
@@ -101,15 +102,16 @@ def save_model(path, model: TrainedModel) -> None:
 
 
 class _Reader:
+    """A model file's lines in order; load_model names the file in errors."""
+
     def __init__(self, path):
         with open(path, "r", encoding="ascii") as fh:
             self.lines = fh.read().splitlines()
         self.pos = 0
-        self.path = path
 
     def next(self) -> str:
         if self.pos >= len(self.lines):
-            raise SonoclassError(f"{self.path}: unexpected end of file")
+            raise SonoclassError("unexpected end of file")
         line = self.lines[self.pos]
         self.pos += 1
         return line
@@ -117,99 +119,89 @@ class _Reader:
     def expect(self, prefix: str) -> list[str]:
         line = self.next()
         if not line.startswith(prefix):
-            raise SonoclassError(f"{self.path}: expected {prefix!r}, got {line!r}")
+            raise SonoclassError(f"expected {prefix!r}, got {line[:40]!r}")
         return line.split()
 
-
-def _floats(text: str) -> np.ndarray:
-    if not text.strip():
-        return np.empty(0)
-    return np.array([float(tok) for tok in text.split()])
+    def numbers(self, prefix: str, count: int, parse=float) -> np.ndarray:
+        """The count numbers on the next line, after prefix unless it is ''."""
+        tokens = self.expect(prefix)[1:] if prefix else self.next().split()
+        if len(tokens) != count:
+            raise SonoclassError(f"line {self.pos}: expected {count} numbers, got {len(tokens)}")
+        return np.array([parse(t) for t in tokens], dtype=np.int64 if parse is int else np.float64)
 
 
 def load_model(path) -> TrainedModel:
-    """Read a model file; malformed content raises SonoclassError."""
+    """Read a model file; malformed content, a bad config echo included,
+    raises SonoclassError naming the file."""
     try:
         return _parse_model(path)
-    except (ValueError, IndexError) as exc:  # UnicodeDecodeError is a ValueError
+    except (SonoclassError, ValueError, IndexError) as exc:  # UnicodeDecodeError is a ValueError
         raise SonoclassError(f"{path}: {exc}") from exc
 
 
 def _parse_model(path) -> TrainedModel:
     r = _Reader(path)
     if r.next() != MODEL_HEADER:
-        raise SonoclassError(f"{path}: missing {MODEL_HEADER!r} header")
+        raise SonoclassError(f"missing {MODEL_HEADER!r} header")
     method = r.expect("method")[1]
     if method not in METHODS:
-        raise SonoclassError(f"{path}: method {method!r} is not one of {METHODS}")
+        raise SonoclassError(f"method {method!r} is not one of {METHODS}")
 
     n_cfg = int(r.expect("config")[1])
-    config: dict[str, str] = {}
-    for _ in range(n_cfg):
-        key, _, value = r.next().partition(" = ")
-        config[key] = value
-    if config.get("method", method) != method:
+    # each echo line is `key = value`
+    config = config_from_flat(dict(r.next().partition(" = ")[::2] for _ in range(n_cfg)))
+    if config.method != method:
         raise SonoclassError(
-            f"{path}: method {method!r} disagrees with the config echo's {config['method']!r}"
+            f"method {method!r} disagrees with the config echo's {config.method!r}"
         )
 
     n_classes = int(r.expect("classes")[1])
     if n_classes < 2:
-        raise SonoclassError(f"{path}: {n_classes} classes; a model needs at least 2")
+        raise SonoclassError(f"{n_classes} classes; a model needs at least 2")
     # pair indices and evaluate's label map need class i on the i-th line, names distinct
     class_names = []
     for i in range(n_classes):
         line, prefix = r.next(), f"class {i} "
         if not line.startswith(prefix):
-            raise SonoclassError(f"{path}: expected 'class {i} <name>', got {line!r}")
+            raise SonoclassError(f"expected 'class {i} <name>', got {line!r}")
         class_names.append(line.removeprefix(prefix))
     if len(set(class_names)) != n_classes:
-        raise SonoclassError(f"{path}: a class name appears twice")
+        raise SonoclassError("a class name appears twice")
 
     sel_line = r.expect("selection")
     selected = scores = None
     n_raw = 0
     if sel_line[1] != "none":
-        k = int(sel_line[1])
-        n_raw = int(sel_line[2])
-        selected = np.array([int(t) for t in r.expect("selected")[1:]], dtype=np.int64)
-        scores = _floats(r.next().removeprefix("scores "))
-        if selected.size != k or scores.size != k:
-            raise SonoclassError(f"{path}: selection length mismatch")
+        k, n_raw = int(sel_line[1]), int(sel_line[2])
+        selected = r.numbers("selected", k, int)
+        scores = r.numbers("scores", k)
         if np.any((selected < 0) | (selected >= n_raw)):
-            raise SonoclassError(f"{path}: selected index outside {n_raw} raw features")
+            raise SonoclassError(f"selected index outside {n_raw} raw features")
 
     dim = int(r.expect("scaler")[1])
-    lo = _floats(r.next().removeprefix("min "))
-    hi = _floats(r.next().removeprefix("max "))
-    if lo.size != dim or hi.size != dim:
-        raise SonoclassError(f"{path}: scaler length mismatch")
+    lo = r.numbers("min", dim)
+    hi = r.numbers("max", dim)
 
     n_pairs = int(r.expect("pairs")[1])
     pair_models: dict[tuple[int, int], BinarySvmModel] = {}
     for _ in range(n_pairs):
-        _, a, b = r.expect("pair")
-        a, b = int(a), int(b)
+        a, b = (int(t) for t in r.expect("pair")[1:])
         if not 0 <= a < b < n_classes:
-            raise SonoclassError(f"{path}: pair {a} {b} outside {n_classes} classes")
+            raise SonoclassError(f"pair {a} {b} outside {n_classes} classes")
         if (a, b) in pair_models:
-            raise SonoclassError(f"{path}: pair {a} {b} appears twice")
+            raise SonoclassError(f"pair {a} {b} appears twice")
         _, gamma, c = r.expect("params")
         bias = float(r.expect("bias")[1])
         if not np.isfinite(bias):
-            raise SonoclassError(f"{path}: pair {a} {b} has bias {bias}")
+            raise SonoclassError(f"pair {a} {b} has bias {bias}")
         converged = bool(int(r.expect("converged")[1]))
-        _, n_sv, sv_dim = r.expect("sv")
-        n_sv, sv_dim = int(n_sv), int(sv_dim)
+        n_sv, sv_dim = (int(t) for t in r.expect("sv")[1:])
         sv = np.empty((n_sv, sv_dim))
         for row in range(n_sv):
-            sv[row] = _floats(r.next())
-        coef = _floats(r.next().removeprefix("coef"))
-        if coef.size != n_sv:
-            raise SonoclassError(f"{path}: dual coefficient length mismatch")
+            sv[row] = r.numbers("", sv_dim)
         pair_models[(a, b)] = BinarySvmModel(
             support_vectors=sv,
-            dual_coef=coef,
+            dual_coef=r.numbers("coef", n_sv),
             bias=bias,
             params=KernelParams(gamma=float(gamma), c=float(c)),
             converged=converged,
@@ -217,7 +209,7 @@ def _parse_model(path) -> TrainedModel:
     missing = [p for p in combinations(range(n_classes), 2) if p not in pair_models]
     if missing:
         a, b = missing[0]
-        raise SonoclassError(f"{path}: no model for pair {a} {b} of {n_classes} classes")
+        raise SonoclassError(f"no model for pair {a} {b} of {n_classes} classes")
 
     patch_line = r.expect("patches")
     patch_set = None
@@ -225,30 +217,21 @@ def _parse_model(path) -> TrainedModel:
         n_patches = int(patch_line[1])
         seed = int(patch_line[3])
         sizes = tuple(int(t) for t in patch_line[5:])
-        patches = []
-        sources = []
+        patches, sources = [], []
         for _ in range(n_patches):
-            _, m, clip, scale, u, v = r.expect("patch")
-            m = int(m)
-            flat = _floats(r.next())
-            patch = flat.reshape(m, m, 3)
+            m, clip, scale, u, v = (int(t) for t in r.expect("patch")[1:])
+            patch = r.numbers("", m * m * 3).reshape(m, m, 3)
             patch.setflags(write=False)
             patches.append(patch)
-            sources.append((int(clip), int(scale), int(u), int(v)))
+            sources.append((clip, scale, u, v))
         patch_set = PatchSet(
             patches=tuple(patches), sources=tuple(sources), seed=seed, sizes=sizes
         )
     if r.next() != "end":
-        raise SonoclassError(f"{path}: missing end marker")
+        raise SonoclassError("missing end marker")
 
-    ovo = OvoModel(
-        classes=tuple(range(n_classes)),
-        pair_models=pair_models,
-        scaler=(lo, hi),
-    )
     return TrainedModel(
-        ovo=ovo,
-        method=method,
+        ovo=OvoModel(classes=tuple(range(n_classes)), pair_models=pair_models, scaler=(lo, hi)),
         config=config,
         class_names=tuple(class_names),
         selected_indices=selected,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import time
 import uuid
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import audio_io, log_gabor, svm, wavelet_baseline
-from .config import RunConfig, config_from_flat, config_to_flat
+from .config import RunConfig, config_to_flat
 from .errors import SonoclassError
 from .feature_select import FeatureMatrix, MiSelection, apply_selection, select_top_k
 from .manifest import DatasetManifest
@@ -192,7 +191,7 @@ class ExtractResult:
     stats: CacheStats
 
 
-def _collect(entries, fn) -> list:
+def collect(entries, fn) -> list:
     """Apply fn to every entry; failures abort the run with every one listed."""
     out = []
     failures = []
@@ -234,7 +233,7 @@ def extract_features(
                 raise SonoclassError(
                     "wavelet method needs a non-empty train split to sample patches"
                 )
-            train_c1 = _collect(train_rows, lambda e: extractor.c1(e.path))
+            train_c1 = collect(train_rows, lambda e: extractor.c1(e.path))
             patch_set = sample_patches(
                 train_c1,
                 n_patches=config.wavelet_patches,
@@ -247,7 +246,7 @@ def extract_features(
         feature_fn = lambda e: extractor.gabor_feature(e.path)
 
     pending = [split for split in splits if manifest.rows(split)]
-    batch = iter(_collect([e for split in pending for e in manifest.rows(split)], feature_fn))
+    batch = iter(collect([e for split in pending for e in manifest.rows(split)], feature_fn))
     label_index = {name: i for i, name in enumerate(manifest.classes)}
     matrices: dict[str, FeatureMatrix] = {}
     for split in pending:
@@ -270,10 +269,18 @@ def _selected_train(
     cache_dir=None,
 ) -> tuple[ExtractResult, FeatureMatrix, MiSelection | None]:
     """Extract the train split and keep its MI top-K columns (log-Gabor
-    methods; wavelet C2 vectors pass through unselected)."""
-    result = extract_features(manifest, config, cache_dir=cache_dir, splits=("train",))
-    if result.train is None:
+    methods; wavelet C2 vectors pass through unselected).
+
+    A model holds a pair SVM for every two manifest classes, so each class
+    needs train rows; this is checked before any clip is read."""
+    trained = {e.label for e in manifest.rows("train")}
+    if not trained:
         raise SonoclassError("manifest has no train rows")
+    missing = [name for name in manifest.classes if name not in trained]
+    # one train class is refused by the MI selection and the SVM themselves
+    if missing and len(trained) > 1:
+        raise SonoclassError(f"no train rows for class(es): {', '.join(missing)}")
+    result = extract_features(manifest, config, cache_dir=cache_dir, splits=("train",))
     if config.method == "wavelet":
         return result, result.train, None
     selection = select_top_k(result.train, k=config.mi_top_k, n_bins=config.mi_n_bins)
@@ -297,8 +304,7 @@ def train_model(
     )
     return TrainedModel(
         ovo=ovo,
-        method=config.method,
-        config=config_to_flat(config),
+        config=config,
         class_names=manifest.classes,
         selected_indices=None if selection is None else selection.selected,
         selected_scores=None if selection is None else selection.scores[selection.selected],
@@ -313,7 +319,6 @@ def evaluate_model(
     cache_dir=None,
 ) -> EvaluationReport:
     """Classify the manifest's test rows and tabulate accuracies."""
-    config = config_from_flat(model.config)
     test_rows = manifest.rows("test")
     if not test_rows:
         raise SonoclassError("manifest has no test rows")
@@ -325,11 +330,9 @@ def evaluate_model(
     if model.method == "wavelet" and model.patch_set is None:
         raise SonoclassError("wavelet model carries no patch set")
 
-    t0 = time.perf_counter()
     values = extract_features(
-        manifest, config, cache_dir=cache_dir, patch_set=model.patch_set, splits=("test",)
+        manifest, model.config, cache_dir=cache_dir, patch_set=model.patch_set, splits=("test",)
     ).test.values
-    t_features = time.perf_counter() - t0
 
     if model.selected_indices is not None:
         if values.shape[1] != model.n_raw_features:
@@ -339,18 +342,12 @@ def evaluate_model(
         values = values[:, model.selected_indices]
 
     truth = np.array([label_index[e.label] for e in test_rows], dtype=np.int64)
-    t0 = time.perf_counter()
-    predicted = ovo_predict_batch(model.ovo, values)
-    t_predict = time.perf_counter() - t0
-
+    flat = config_to_flat(model.config)
     return tabulate_report(
-        truth, predicted, model.class_names,
+        truth, ovo_predict_batch(model.ovo, values), model.class_names,
         method=model.method,
-        metadata={
-            "split_hash": manifest.split_hash(),
-            "config": ";".join(f"{k}={v}" for k, v in sorted(model.config.items())),
-        },
-        timings={"features_s": t_features, "predict_s": t_predict},
+        split_hash=manifest.split_hash(),
+        config=";".join(f"{k}={flat[k]}" for k in sorted(flat)),
     )
 
 

@@ -1,28 +1,50 @@
 """Evaluation reports: the confusion matrix and accuracies of one model,
 the multi-method comparison, and their text and CSV renderings.
 
-The machine-readable CSVs carry no timing fields, so reruns with the same
-seed give identical bytes.
+Reports carry no timings, so reruns with the same seed give identical
+bytes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass
 class EvaluationReport:
+    """One model's test predictions, held as their confusion matrix.
+
+    Per-class accuracy covers only classes present in truth; the averaged
+    accuracy is their unweighted mean, reported next to the plain
+    sample-weighted accuracy. Accuracies are percentages.
+    """
+
     class_names: tuple[str, ...]
-    confusion: np.ndarray                 # (k, k) counts, rows = truth
-    per_class_accuracy: dict[str, float]  # percentages
-    averaged_accuracy: float              # unweighted mean of per-class values
-    sample_weighted_accuracy: float       # plain correct/total
-    n_test: int
-    method: str
-    metadata: dict[str, str] = field(default_factory=dict)
-    timings: dict[str, float] = field(default_factory=dict)
+    confusion: np.ndarray  # (k, k) counts, rows = truth
+    method: str = ""
+    split_hash: str = ""
+    config: str = ""       # the model's flat config, `key=value` joined by ';'
+
+    @property
+    def n_test(self) -> int:
+        return int(self.confusion.sum())
+
+    @property
+    def per_class_accuracy(self) -> dict[str, float]:
+        totals = [int(t) for t in self.confusion.sum(axis=1)]
+        return {name: 100.0 * self.confusion[i, i] / total
+                for i, (name, total) in enumerate(zip(self.class_names, totals)) if total}
+
+    @property
+    def averaged_accuracy(self) -> float:
+        per_class = self.per_class_accuracy
+        return float(np.mean(list(per_class.values()))) if per_class else 0.0
+
+    @property
+    def sample_weighted_accuracy(self) -> float:
+        return 100.0 * float(np.trace(self.confusion)) / max(self.n_test, 1)
 
 
 @dataclass
@@ -38,37 +60,14 @@ def tabulate_report(
     predicted: np.ndarray,
     class_names: tuple[str, ...],
     method: str = "",
-    metadata: dict[str, str] | None = None,
-    timings: dict[str, float] | None = None,
+    split_hash: str = "",
+    config: str = "",
 ) -> EvaluationReport:
-    """Confusion matrix and accuracies from parallel truth/prediction labels.
-
-    Per-class accuracy covers only classes present in truth; the averaged
-    accuracy is their unweighted mean, reported next to the plain
-    sample-weighted accuracy.
-    """
-    k = len(class_names)
-    confusion = np.zeros((k, k), dtype=np.int64)
+    """The report of parallel truth/prediction labels."""
+    confusion = np.zeros((len(class_names), len(class_names)), dtype=np.int64)
     for t, p in zip(truth, predicted):
         confusion[t, p] += 1
-    per_class = {}
-    for i, name in enumerate(class_names):
-        total = int(confusion[i].sum())
-        if total:
-            per_class[name] = 100.0 * confusion[i, i] / total
-    averaged = float(np.mean(list(per_class.values()))) if per_class else 0.0
-    weighted = 100.0 * float(np.trace(confusion)) / max(len(truth), 1)
-    return EvaluationReport(
-        class_names=class_names,
-        confusion=confusion,
-        per_class_accuracy=per_class,
-        averaged_accuracy=averaged,
-        sample_weighted_accuracy=weighted,
-        n_test=len(truth),
-        method=method,
-        metadata=metadata or {},
-        timings=timings or {},
-    )
+    return EvaluationReport(class_names, confusion, method, split_hash, config)
 
 
 def _pct(value: float) -> str:
@@ -84,7 +83,7 @@ def evaluation_csv(report: EvaluationReport) -> str:
     lines.append(f"sample_weighted,,,{_pct(report.sample_weighted_accuracy)}")
     lines.append(f"n_test,,,{report.n_test}")
     lines.append(f"method,,,{report.method}")
-    lines.append(f"split_hash,,,{report.metadata.get('split_hash', '')}")
+    lines.append(f"split_hash,,,{report.split_hash}")
     for i, truth in enumerate(report.class_names):
         for j, pred in enumerate(report.class_names):
             lines.append(f"confusion,{truth},{pred},{report.confusion[i, j]}")
@@ -114,14 +113,9 @@ def evaluation_text(report: EvaluationReport) -> str:
     for i, name in enumerate(report.class_names):
         row = " ".join(str(int(v)).rjust(6) for v in report.confusion[i])
         lines.append(f"{name.ljust(width)}  {row}")
-    if report.metadata.get("config"):
+    if report.config:
         lines.append("")
-        lines.append(f"config: {report.metadata['config']}")
-    if report.timings:
-        lines.append("")
-        lines.append("timings: " + "  ".join(
-            f"{k}={v:.2f}" for k, v in report.timings.items()
-        ))
+        lines.append(f"config: {report.config}")
     return "\n".join(lines) + "\n"
 
 

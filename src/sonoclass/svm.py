@@ -26,6 +26,7 @@ from .feature_select import FeatureMatrix
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_PASSES = 200
+DEFAULT_FOLDS = 5
 DEFAULT_C_GRID = tuple(2.0 ** p for p in range(-5, 16, 2))
 DEFAULT_GAMMA_GRID = tuple(2.0 ** p for p in range(-15, 4, 2))
 
@@ -469,7 +470,7 @@ def grid_search_cv(
     matrix: FeatureMatrix,
     c_grid=DEFAULT_C_GRID,
     gamma_grid=DEFAULT_GAMMA_GRID,
-    folds: int = 5,
+    folds: int = DEFAULT_FOLDS,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
     max_passes: int = DEFAULT_MAX_PASSES,

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import make_wav_bytes
 from sonoclass import cli, pipeline, svm
-from sonoclass.manifest import DatasetManifest, read_manifest, write_manifest
+from sonoclass.manifest import DatasetManifest, ManifestEntry, read_manifest, write_manifest
 from sonoclass.model_io import MODEL_HEADER
 
 
@@ -197,6 +198,21 @@ class TestTrainEvaluate:
         assert capsys.readouterr().err == f"error: {model_path}: pair 0 1 appears twice\n"
         assert not (tmp_path / "report.csv").exists()
 
+    def test_damaged_config_echo_is_data_error(self, corpus, tmp_path, capsys):
+        model_path = tmp_path / "model.txt"
+        cli.main([
+            "train", "--manifest", str(corpus["manifest"]),
+            "--method", "bank", "--top-k", "16", "--c", "8", "--gamma", "0.5",
+            "--seed", "1", "--cache-dir", corpus["cache"], "--out", str(model_path),
+        ])
+        text = model_path.read_text()
+        assert "svm.c = 8\n" in text
+        model_path.write_text(text.replace("svm.c = 8\n", "svm.c = abc\n", 1))
+        capsys.readouterr()
+        rc = cli.main(["evaluate", str(model_path), "--manifest", str(corpus["manifest"])])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"error: {model_path}: bad value for svm.c: 'abc'\n"
+
     def test_nonconvergence_exit_code(self, corpus, tmp_path):
         model_path = tmp_path / "model.txt"
         with pytest.warns(RuntimeWarning):
@@ -363,6 +379,37 @@ class TestErrorPaths:
         ])
         assert rc == cli.EXIT_DATA
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["train", "gridsearch", "compare"])
+    def test_class_without_train_rows_is_data_error(self, corpus, tmp_path, capsys, command):
+        manifest = read_manifest(corpus["manifest"])
+        path = tmp_path / "no_chirp_train.tsv"
+        write_manifest(path, DatasetManifest(tuple(
+            replace(e, split="test") if e.label == "chirp" else e for e in manifest.entries
+        )))
+        out, cache = tmp_path / "out", tmp_path / "cache"
+        rc = cli.main([command, "--manifest", str(path), "--cache-dir", str(cache),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == "error: no train rows for class(es): chirp\n"
+        assert not out.exists()
+        assert not cache.exists()  # refused before any clip is read
+
+    @pytest.mark.parametrize("dump", [False, True], ids=["features", "dump-spectrograms"])
+    def test_bad_wav_files_are_each_named_once(self, corpus, tmp_path, capsys, dump):
+        junk, hot = tmp_path / "junk.wav", tmp_path / "hot.wav"
+        junk.write_text("not audio\n")
+        hot.write_bytes(make_wav_bytes(3, 1, 8000, 32, np.array([0.5, np.inf], "<f4").tobytes()))
+        path = tmp_path / "m.tsv"
+        write_manifest(path, DatasetManifest(read_manifest(corpus["manifest"]).entries + (
+            ManifestEntry(str(junk), "chirp", "test"), ManifestEntry(str(hot), "chirp", "test"),
+        )))
+        flags = ["--dump-spectrograms", str(tmp_path / "specs")] if dump else []
+        rc = cli.main(["extract", "--manifest", str(path), *flags])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: 2 file(s) failed:\n{junk}: not a RIFF/WAVE file\n{hot}: non-finite samples\n"
+        )
 
     def test_damaged_cache_files_are_recomputed(self, corpus, tmp_path):
         cache = tmp_path / "cache"

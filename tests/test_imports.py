@@ -1,5 +1,5 @@
-"""Each sonoclass module imports on its own, in a fresh interpreter, and
-uses every name it imports.
+"""Each sonoclass module imports on its own, in a fresh interpreter, uses
+every name it imports, and imports only modules of a lower layer.
 
 `import sonoclass.<module>` runs the package's `__init__` first, and its
 import order can hide a cycle between two modules. So the child process
@@ -37,6 +37,48 @@ def test_module_imports_alone(module):
     )
     assert proc.returncode == 0, proc.stderr
 
+
+# a module may import only modules of an earlier layer
+LAYERS = (
+    ("errors",),
+    ("feature_select", "log_gabor", "wavelet_baseline"),
+    ("manifest",),
+    ("audio_io",),
+    ("spectrogram", "svm"),
+    ("config",),
+    ("model_io",),
+    ("report",),
+    ("pipeline",),
+    ("cli",),
+)
+LAYER = {module: i for i, layer in enumerate(LAYERS) for module in layer}
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules named by a module's relative imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                names.add(node.module.partition(".")[0])
+            else:
+                names.update(a.name for a in node.names)
+    return names
+
+
+def test_package_imports_are_found():
+    source = "import os\nfrom os import path\nfrom . import a, b\nfrom .c import d\nfrom .e.f import g\n"
+    assert package_imports(source) == {"a", "b", "c", "e"}
+
+
+def test_every_module_has_a_layer():
+    assert sorted(LAYER) == MODULES
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_only_lower_layers(module):
+    imported = package_imports((PACKAGE_DIR / f"{module}.py").read_text())
+    assert sorted(m for m in imported if LAYER[m] >= LAYER[module]) == []
 
 
 def unused_imports(source: str) -> list[str]:

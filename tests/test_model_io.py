@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sonoclass.config import RunConfig, config_to_flat
 from sonoclass.errors import SonoclassError
 from sonoclass.feature_select import FeatureMatrix
 from sonoclass.model_io import MODEL_HEADER, TrainedModel, load_model, save_model
@@ -29,8 +30,7 @@ def small_trained_model(seed=0, with_patches=False):
         )
     return TrainedModel(
         ovo=ovo,
-        method="wavelet" if with_patches else "bank",
-        config={"seed": "1", "mi.top_k": "5"},
+        config=RunConfig(method="wavelet" if with_patches else "bank", seed=1, mi_top_k=5),
         class_names=("alpha", "beta", "gamma"),
         selected_indices=None if with_patches else np.array([4, 1, 0, 3, 2]),
         selected_scores=None if with_patches else rng.uniform(size=5),
@@ -124,7 +124,7 @@ class TestErrors:
         path = tmp_path / "m.txt"
         save_model(path, model)
         text = path.read_text()
-        count_line = f"config {len(model.config)}\n"
+        count_line = f"config {len(config_to_flat(model.config))}\n"
         assert count_line in text
         path.write_text(text.replace(count_line, "config abc\n", 1))
         with pytest.raises(SonoclassError, match="m.txt: invalid literal for int.*'abc'"):
@@ -155,13 +155,52 @@ class TestErrors:
     ], ids=["unknown-method", "method-vs-echo", "bias-nan", "bias-inf"])
     def test_inconsistent_values(self, tmp_path, line, new, message):
         model, _ = small_trained_model()
-        model = replace(model, config={**model.config, "method": "bank"})
+        model = replace(model, config=replace(model.config, method="bank"))
         path = tmp_path / "m.txt"
         save_model(path, model)
         text, n = re.subn(line, new, path.read_text(), count=1, flags=re.M)
         assert n == 1
         path.write_text(text)
         with pytest.raises(SonoclassError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("svm.c = 10\n", "svm.c = abc\n", "bad value for svm.c: 'abc'"),
+        ("svm.c = 10\n", "svm.k = 10\n", "unknown config key 'svm.k'"),
+    ], ids=["bad-value", "unknown-key"])
+    def test_bad_config_echo_is_a_data_error(self, tmp_path, old, new, message):
+        model, _ = small_trained_model()
+        path = tmp_path / "m.txt"
+        save_model(path, model)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(SonoclassError) as err:
+            load_model(path)
+        assert type(err.value) is SonoclassError  # not a ConfigError: the user passed no config
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_swapped_scaler_lines(self, tmp_path):
+        model, _ = small_trained_model()
+        path = tmp_path / "m.txt"
+        save_model(path, model)
+        lines = path.read_text().splitlines()
+        lo = next(i for i, line in enumerate(lines) if line.startswith("min "))
+        assert lines[lo + 1].startswith("max ")
+        lines[lo], lines[lo + 1] = lines[lo + 1], lines[lo]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SonoclassError, match="m.txt: expected 'min', got 'max "):
+            load_model(path)
+
+    def test_short_number_line(self, tmp_path):
+        model, _ = small_trained_model()
+        path = tmp_path / "m.txt"
+        save_model(path, model)
+        lines = path.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("scores "))
+        lines[at] = lines[at].rsplit(" ", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SonoclassError, match=f"m.txt: line {at + 1}: expected 5 numbers, got 4"):
             load_model(path)
 
     @pytest.mark.parametrize("old, new, message", [

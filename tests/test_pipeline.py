@@ -9,6 +9,7 @@ from sonoclass import log_gabor, pipeline
 from sonoclass.audio_io import generate_corpus
 from sonoclass.config import (
     CONFIG_KEYS,
+    METHODS,
     RunConfig,
     config_from_flat,
     config_to_flat,
@@ -31,7 +32,7 @@ from sonoclass.pipeline import (
     extract_features,
     train_model,
 )
-from sonoclass.report import evaluation_csv, tabulate_report
+from sonoclass.report import evaluation_csv, evaluation_text, tabulate_report
 from sonoclass.svm import BinarySvmModel, KernelParams, OvoModel
 from sonoclass.wavelet_baseline import sample_patches
 
@@ -319,6 +320,23 @@ class TestTrainEvaluate:
                                    cache_dir=mini_corpus["cache"]))
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_model_round_trip(self, mini_corpus, mini_config, tmp_path, method):
+        config = replace(mini_config, method=method)
+        model = train_model(mini_corpus["manifest"], config, cache_dir=mini_corpus["cache"])
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_model(first, model)
+        loaded = load_model(first)
+        save_model(second, loaded)
+        assert loaded.config == config
+        assert second.read_bytes() == first.read_bytes()
+        fresh, reread = (evaluate_model(m, mini_corpus["manifest"], cache_dir=mini_corpus["cache"])
+                         for m in (model, loaded))
+        assert np.array_equal(fresh.confusion, reread.confusion)
+        assert evaluation_text(fresh) == evaluation_text(reread)
+        assert evaluation_csv(fresh) == evaluation_csv(reread)
+        assert "timings" not in evaluation_text(fresh)
+
     def test_evaluate_report_consistency(self, mini_corpus, mini_config):
         model = train_model(mini_corpus["manifest"], mini_config,
                             cache_dir=mini_corpus["cache"])
@@ -359,7 +377,7 @@ class TestTrainEvaluate:
         model = train_model(mini_corpus["manifest"], config,
                             cache_dir=mini_corpus["cache"])
         broken = TrainedModel(
-            ovo=model.ovo, method=model.method, config=model.config,
+            ovo=model.ovo, config=model.config,
             class_names=model.class_names, patch_set=None,
         )
         with pytest.raises(SonoclassError, match="wavelet model carries no patch set"):
@@ -381,7 +399,7 @@ class TestTrainEvaluate:
         ovo = OvoModel(classes=tuple(range(4)), pair_models=pair_models,
                        scaler=(np.zeros(d), np.ones(d)))
         model = TrainedModel(
-            ovo=ovo, method="bank", config=config_to_flat(mini_config),
+            ovo=ovo, config=mini_config,
             class_names=classes,
         )
         report = evaluate_model(model, mini_corpus["manifest"],
