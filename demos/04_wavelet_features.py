@@ -41,7 +41,7 @@ print("C1 pyramid shapes:", [p.shape for p in c1])
 # patches come from the training clips only; evaluation reuses them
 train_c1 = [c1_pyramid(v) for v in fixed]
 patch_set = sample_patches(train_c1, n_patches=12, sizes=(4, 8, 12), seed=9)
-print(f"\nsampled {len(patch_set)} patches, sizes cycle {patch_set.sizes}")
+print(f"\nsampled {len(patch_set)} patches, sizes {[p.shape[0] for p in patch_set.patches]}")
 print("first three sources (clip, scale, row, col):", patch_set.sources[:3])
 
 scores = patch_transform(c1, patch_set)

@@ -7,7 +7,7 @@ full entropy, noise scores near zero, constants exactly zero.
 
 import numpy as np
 
-from sonoclass import FeatureMatrix, apply_selection, mutual_information, select_top_k
+from sonoclass import FeatureMatrix, apply_selection, mi_scores, mutual_information, select_top_k
 
 rng = np.random.default_rng(0)
 n = 300
@@ -21,10 +21,13 @@ values = np.column_stack([
 ])
 matrix = FeatureMatrix(values=values, labels=labels)
 
-selection = select_top_k(matrix, k=2, n_bins=16)
-for i, score in enumerate(selection.scores):
+for i, score in enumerate(mi_scores(matrix, n_bins=16)):
     print(f"feature {i}: {score:.4f} bits")
-print("selected (best first):", selection.selected.tolist())
+
+# the selection keeps the k best indices and their scores
+selection = select_top_k(matrix, k=2, n_bins=16)
+print("selected (best first):", selection.selected.tolist(),
+      "scores:", np.round(selection.scores, 4).tolist())
 
 vector = values[0]
 print("reduced vector:", np.round(apply_selection(vector, selection), 3))

@@ -14,6 +14,7 @@ from .feature_select import (
     MiSelection,
     apply_selection,
     discretize,
+    mi_scores,
     mutual_information,
     select_top_k,
 )

@@ -138,17 +138,16 @@ def _cmd_extract(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _config_from_args(args)
+    if args.dump_mi_scores and config.method == "wavelet":
+        raise ConfigError("--dump-mi-scores needs a log-Gabor method; wavelet selects no features")
     manifest = read_manifest(args.manifest)
     model = pipeline.train_model(manifest, config, cache_dir=args.cache_dir)
     save_model(args.out, model)
     print(f"trained {len(model.ovo.pair_models)} pair models "
           f"over {len(model.class_names)} classes -> {args.out}")
-    if args.dump_mi_scores and model.selected_scores is not None:
+    if args.dump_mi_scores:
         lines = ["feature_index,score_bits"]
-        lines += [
-            f"{int(i)},{s:.12g}"
-            for i, s in zip(model.selected_indices, model.selected_scores)
-        ]
+        lines += [f"{int(i)},{s:.12g}" for i, s in zip(model.selection.selected, model.selection.scores)]
         Path(args.dump_mi_scores).write_text("\n".join(lines) + "\n")
         print(f"MI scores -> {args.dump_mi_scores}")
     if not model.ovo.converged:

@@ -4,7 +4,7 @@ Features are discretized into equal-width histograms (edges fit on training
 data only) and scored by I(feature; label) in bits; the top-K indices by
 score reduce every feature vector thereafter.
 
-`select_top_k` scores a block of columns at a time: one `bincount` over
+`mi_scores` scores a block of columns at a time: one `bincount` over
 (column, bin, class) codes gives every joint table of the block, and the
 MI terms of all its columns are computed together. The columns that have
 the same number m of nonzero cells are summed together, each as one row of
@@ -62,14 +62,17 @@ class FeatureMatrix:
 
 @dataclass(frozen=True)
 class MiSelection:
-    """Ranking result: per-feature scores (bits) and the chosen indices."""
+    """The K kept of D feature indices, best first, and their MI scores (bits)."""
 
-    scores: np.ndarray        # (D,)
-    selected: np.ndarray      # (K,) feature indices, descending score
+    selected: np.ndarray      # (K,) feature indices
+    scores: np.ndarray        # (K,) scores of the selected features
+    n_features: int           # D, the length of the vectors it gathers from
 
-    @property
-    def n_features(self) -> int:
-        return self.scores.shape[0]
+    def __post_init__(self):
+        if np.any((self.selected < 0) | (self.selected >= self.n_features)):
+            raise SonoclassError(f"selected index outside {self.n_features} raw features")
+        if self.scores.shape != self.selected.shape:
+            raise SonoclassError(f"{self.scores.size} scores for {self.selected.size} indices")
 
 
 def discretize(column: np.ndarray, n_bins: int) -> np.ndarray:
@@ -109,19 +112,8 @@ def _mi_from_counts(joint: np.ndarray) -> float:
     return max(float(np.sum(p_xy[mask] * np.log2(ratio))), 0.0)
 
 
-def select_top_k(
-    matrix: FeatureMatrix,
-    k: int,
-    n_bins: int = DEFAULT_N_BINS,
-) -> MiSelection:
-    """Rank every feature by MI with the labels and keep the k best.
-
-    Ties break toward the lower feature index. Compute this on the
-    training split only; test rows reuse the selected indices.
-    """
-    d = matrix.n_features
-    if not (1 <= k <= d):
-        raise SonoclassError(f"k={k} outside [1, {d}]")
+def mi_scores(matrix: FeatureMatrix, n_bins: int = DEFAULT_N_BINS) -> np.ndarray:
+    """MI with the labels, in bits, of every feature: shape (D,)."""
     labels = matrix.labels
     if np.unique(labels).size < 2:
         raise SonoclassError("selection needs at least 2 distinct classes")
@@ -130,6 +122,7 @@ def select_top_k(
 
     _, label_idx = np.unique(labels, return_inverse=True)
     n_classes = int(label_idx.max()) + 1
+    d = matrix.n_features
     width = max(1, min(BLOCK_COLUMNS, BLOCK_CELLS // (n_bins * n_classes)))
     scores = np.empty(d)
     for start in range(0, d, width):
@@ -137,10 +130,21 @@ def select_top_k(
         scores[start:start + block.shape[1]] = _block_scores(
             block, label_idx, n_classes, n_bins
         )
+    return scores
 
-    order = np.lexsort((np.arange(d), -scores))
-    selected = order[:k].copy()
-    return MiSelection(scores=scores, selected=selected)
+
+def select_top_k(matrix: FeatureMatrix, k: int, n_bins: int = DEFAULT_N_BINS) -> MiSelection:
+    """Rank every feature by `mi_scores` and keep the k best.
+
+    Ties break toward the lower feature index. Compute this on the
+    training split only; test rows reuse the selected indices.
+    """
+    d = matrix.n_features
+    if not (1 <= k <= d):
+        raise SonoclassError(f"k={k} outside [1, {d}]")
+    scores = mi_scores(matrix, n_bins)
+    selected = np.lexsort((np.arange(d), -scores))[:k].copy()
+    return MiSelection(selected=selected, scores=scores[selected], n_features=d)
 
 
 def _block_scores(

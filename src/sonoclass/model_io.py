@@ -1,9 +1,9 @@
 """Plain-text model persistence.
 
 A model file is line-oriented and fully self-describing: a version header,
-the feature configuration echo, class names, the optional MI reduction,
-the feature scaler, every pairwise SVM, and (for the wavelet method) the
-sampled patch set. Floats are written with 17 significant digits so a
+the feature configuration echo, class names, the MI selection (log-Gabor
+methods), the feature scaler, every pairwise SVM, and the sampled patch
+set (wavelet method). Floats are written with 17 significant digits so a
 reload reproduces the model bit for bit.
 """
 
@@ -16,6 +16,7 @@ import numpy as np
 
 from .config import METHODS, RunConfig, config_from_flat, config_to_flat
 from .errors import SonoclassError
+from .feature_select import MiSelection
 from .svm import BinarySvmModel, KernelParams, OvoModel
 from .wavelet_baseline import PatchSet
 
@@ -24,15 +25,22 @@ MODEL_HEADER = "SONOCLASS-MODEL v1"
 
 @dataclass(frozen=True)
 class TrainedModel:
-    """Everything needed to classify new audio with a persisted model."""
+    """Everything needed to classify new audio with a persisted model; its feature
+    transform is the sampled patch set (wavelet) or the MI selection (the rest)."""
 
     ovo: OvoModel
     config: RunConfig
     class_names: tuple[str, ...]
-    selected_indices: np.ndarray | None = None  # raw-vector gather, or None
-    selected_scores: np.ndarray | None = None   # MI bits of the kept features
-    n_raw_features: int = 0
+    selection: MiSelection | None = None
     patch_set: PatchSet | None = None
+
+    def __post_init__(self):
+        wavelet = self.method == "wavelet"
+        for name, value, needed in (("patch set", self.patch_set, wavelet),
+                                    ("selection", self.selection, not wavelet)):
+            if (value is not None) != needed:
+                article = "no" if needed else "a"
+                raise SonoclassError(f"{self.method} model carries {article} {name}")
 
     @property
     def method(self) -> str:
@@ -47,6 +55,11 @@ def _fmt_row(values) -> str:
     return " ".join(_fmt(v) for v in np.asarray(values, dtype=np.float64).ravel())
 
 
+def _patches_line(n_patches: int, config: RunConfig) -> str:
+    """The patch block's header: patches are sampled with the echo's seed and sizes."""
+    return f"patches {n_patches} seed {config.seed} sizes " + " ".join(map(str, config.wavelet_sizes))
+
+
 def save_model(path, model: TrainedModel) -> None:
     flat = config_to_flat(model.config)
     lines: list[str] = [MODEL_HEADER, f"method {model.method}", f"config {len(flat)}"]
@@ -56,16 +69,13 @@ def save_model(path, model: TrainedModel) -> None:
     for idx, name in enumerate(model.class_names):
         lines.append(f"class {idx} {name}")
 
-    if model.selected_indices is None:
+    sel = model.selection
+    if sel is None:
         lines.append("selection none")
     else:
-        idx = np.asarray(model.selected_indices, dtype=np.int64)
-        lines.append(f"selection {idx.size} {model.n_raw_features}")
-        lines.append("selected " + " ".join(str(int(i)) for i in idx))
-        scores = model.selected_scores
-        if scores is None:
-            scores = np.zeros(idx.size)
-        lines.append("scores " + _fmt_row(scores))
+        lines.append(f"selection {sel.selected.size} {sel.n_features}")
+        lines.append("selected " + " ".join(str(int(i)) for i in sel.selected))
+        lines.append("scores " + _fmt_row(sel.scores))
 
     lo, hi = model.ovo.scaler
     lines.append(f"scaler {lo.shape[0]}")
@@ -90,8 +100,7 @@ def save_model(path, model: TrainedModel) -> None:
         lines.append("patches none")
     else:
         ps = model.patch_set
-        lines.append(f"patches {len(ps.patches)} seed {ps.seed} sizes "
-                     + " ".join(str(s) for s in ps.sizes))
+        lines.append(_patches_line(len(ps), model.config))
         for patch, (clip, scale, u, v) in zip(ps.patches, ps.sources):
             lines.append(f"patch {patch.shape[0]} {clip} {scale} {u} {v}")
             lines.append(_fmt_row(patch))
@@ -169,14 +178,11 @@ def _parse_model(path) -> TrainedModel:
         raise SonoclassError("a class name appears twice")
 
     sel_line = r.expect("selection")
-    selected = scores = None
-    n_raw = 0
+    selection = None
     if sel_line[1] != "none":
         k, n_raw = int(sel_line[1]), int(sel_line[2])
         selected = r.numbers("selected", k, int)
-        scores = r.numbers("scores", k)
-        if np.any((selected < 0) | (selected >= n_raw)):
-            raise SonoclassError(f"selected index outside {n_raw} raw features")
+        selection = MiSelection(selected=selected, scores=r.numbers("scores", k), n_features=n_raw)
 
     dim = int(r.expect("scaler")[1])
     lo = r.numbers("min", dim)
@@ -215,8 +221,9 @@ def _parse_model(path) -> TrainedModel:
     patch_set = None
     if patch_line[1] != "none":
         n_patches = int(patch_line[1])
-        seed = int(patch_line[3])
-        sizes = tuple(int(t) for t in patch_line[5:])
+        line, expected = " ".join(patch_line), _patches_line(n_patches, config)
+        if line != expected:
+            raise SonoclassError(f"expected {expected!r} from the config echo, got {line!r}")
         patches, sources = [], []
         for _ in range(n_patches):
             m, clip, scale, u, v = (int(t) for t in r.expect("patch")[1:])
@@ -224,9 +231,7 @@ def _parse_model(path) -> TrainedModel:
             patch.setflags(write=False)
             patches.append(patch)
             sources.append((clip, scale, u, v))
-        patch_set = PatchSet(
-            patches=tuple(patches), sources=tuple(sources), seed=seed, sizes=sizes
-        )
+        patch_set = PatchSet(patches=tuple(patches), sources=tuple(sources))
     if r.next() != "end":
         raise SonoclassError("missing end marker")
 
@@ -234,8 +239,6 @@ def _parse_model(path) -> TrainedModel:
         ovo=OvoModel(classes=tuple(range(n_classes)), pair_models=pair_models, scaler=(lo, hi)),
         config=config,
         class_names=tuple(class_names),
-        selected_indices=selected,
-        selected_scores=scores,
-        n_raw_features=n_raw,
+        selection=selection,
         patch_set=patch_set,
     )

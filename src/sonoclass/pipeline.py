@@ -271,14 +271,15 @@ def _selected_train(
     """Extract the train split and keep its MI top-K columns (log-Gabor
     methods; wavelet C2 vectors pass through unselected).
 
-    A model holds a pair SVM for every two manifest classes, so each class
-    needs train rows; this is checked before any clip is read."""
+    A model holds a pair SVM for every two manifest classes, so it needs train
+    rows of two or more classes and of each; checked before any clip is read."""
     trained = {e.label for e in manifest.rows("train")}
     if not trained:
         raise SonoclassError("manifest has no train rows")
+    if len(trained) < 2:
+        raise SonoclassError(f"train rows of one class only ({min(trained)}); a model needs 2 or more")
     missing = [name for name in manifest.classes if name not in trained]
-    # one train class is refused by the MI selection and the SVM themselves
-    if missing and len(trained) > 1:
+    if missing:
         raise SonoclassError(f"no train rows for class(es): {', '.join(missing)}")
     result = extract_features(manifest, config, cache_dir=cache_dir, splits=("train",))
     if config.method == "wavelet":
@@ -306,9 +307,7 @@ def train_model(
         ovo=ovo,
         config=config,
         class_names=manifest.classes,
-        selected_indices=None if selection is None else selection.selected,
-        selected_scores=None if selection is None else selection.scores[selection.selected],
-        n_raw_features=result.train.n_features,
+        selection=selection,
         patch_set=result.patch_set,
     )
 
@@ -327,19 +326,11 @@ def evaluate_model(
     if unknown:
         raise SonoclassError(f"labels not in the model: {unknown}")
 
-    if model.method == "wavelet" and model.patch_set is None:
-        raise SonoclassError("wavelet model carries no patch set")
-
     values = extract_features(
         manifest, model.config, cache_dir=cache_dir, patch_set=model.patch_set, splits=("test",)
     ).test.values
-
-    if model.selected_indices is not None:
-        if values.shape[1] != model.n_raw_features:
-            raise SonoclassError(
-                f"extracted {values.shape[1]} features, model expects {model.n_raw_features}"
-            )
-        values = values[:, model.selected_indices]
+    if model.selection is not None:
+        values = apply_selection(values, model.selection)
 
     truth = np.array([label_index[e.label] for e in test_rows], dtype=np.int64)
     flat = config_to_flat(model.config)

@@ -40,8 +40,6 @@ class PatchSet:
 
     patches: tuple[np.ndarray, ...]
     sources: tuple[tuple[int, int, int, int], ...]
-    seed: int
-    sizes: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.patches)
@@ -172,9 +170,7 @@ def sample_patches(
         patch.setflags(write=False)
         patches.append(patch)
         sources.append((clip_idx, SCALES[scale_idx], u, v))
-    return PatchSet(
-        patches=tuple(patches), sources=tuple(sources), seed=seed, sizes=tuple(sizes)
-    )
+    return PatchSet(patches=tuple(patches), sources=tuple(sources))
 
 
 def patch_transform(

@@ -232,7 +232,7 @@ def test_criterion_5_wavelet_oracles():
         for _ in range(5):
             c1 = [rng.normal(size=(3, 6, 6)) for _ in SCALES]
             patch = rng.normal(size=(4, 4, 3))
-            ps = PatchSet(patches=(patch,), sources=((0, 1, 0, 0),), seed=0, sizes=(4,))
+            ps = PatchSet(patches=(patch,), sources=((0, 1, 0, 0),))
             s2 = score_maps(patch_transform(c1, ps))
             for scale_idx, scale in enumerate(SCALES):
                 planes = c1[scale_idx]

@@ -213,6 +213,39 @@ class TestTrainEvaluate:
         assert rc == cli.EXIT_DATA
         assert capsys.readouterr().err == f"error: {model_path}: bad value for svm.c: 'abc'\n"
 
+    @pytest.mark.parametrize("method, damage, message", [
+        ("bank", lambda text: re.sub(r"^selection \d+ \d+\nselected .*\nscores .*\n",
+                                     "selection none\n", text, flags=re.M),
+         "bank model carries no selection"),
+        ("wavelet", lambda text: text.replace(
+            "selection none\n", "selection 2 20\nselected 0 1\nscores 0.5 0.25\n"),
+         "wavelet model carries a selection"),
+        ("wavelet", lambda text: text[:text.index("\npatches ") + 1] + "patches none\nend\n",
+         "wavelet model carries no patch set"),
+        ("wavelet", lambda text: text.replace(" seed 1 sizes ", " seed 2 sizes "),
+         "expected 'patches 20 seed 1 sizes 4 8 12' from the config echo, "
+         "got 'patches 20 seed 2 sizes 4 8 12'"),
+    ], ids=["bank-no-selection", "wavelet-selection", "wavelet-no-patch-set", "wavelet-seed"])
+    def test_damaged_transform_is_data_error(self, corpus, tmp_path, capsys, method, damage,
+                                             message):
+        model_path = tmp_path / "model.txt"
+        rc = cli.main([
+            "train", "--manifest", str(corpus["manifest"]), "--method", method,
+            "--top-k", "16", "--seed", "1", "--cache-dir", corpus["cache"],
+            "--config", str(write_cfg(tmp_path, "wavelet.patches = 20")),
+            "--out", str(model_path),
+        ])
+        assert rc == 0
+        text = model_path.read_text()
+        damaged = damage(text)
+        assert damaged != text
+        model_path.write_text(damaged)
+        capsys.readouterr()
+        rc = cli.main(["evaluate", str(model_path), "--manifest", str(corpus["manifest"]),
+                       "--cache-dir", corpus["cache"]])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"error: {model_path}: {message}\n"
+
     def test_nonconvergence_exit_code(self, corpus, tmp_path):
         model_path = tmp_path / "model.txt"
         with pytest.warns(RuntimeWarning):
@@ -362,23 +395,37 @@ class TestErrorPaths:
         assert "Traceback" not in err
         assert not cache.exists()
 
-    @pytest.mark.parametrize("method, message", [
-        ("bank", "selection needs at least 2 distinct classes"),
-        ("wavelet", "need at least 2 classes"),
-    ], ids=["bank", "wavelet"])
-    def test_one_class_train_split_is_data_error(self, corpus, tmp_path, capsys, method, message):
+    @pytest.mark.parametrize("method", ["bank", "wavelet"])
+    def test_one_class_train_split_is_data_error(self, corpus, tmp_path, capsys, method):
         manifest = read_manifest(corpus["manifest"])
         kept = manifest.rows("train")[0].label
         path = tmp_path / "one_class.tsv"
         write_manifest(path, DatasetManifest(tuple(
             e for e in manifest.entries if e.split == "test" or e.label == kept
         )))
+        cache = tmp_path / "cache"
         rc = cli.main([
             "train", "--manifest", str(path), "--method", method,
-            "--out", str(tmp_path / "m.txt"),
+            "--cache-dir", str(cache), "--out", str(tmp_path / "m.txt"),
         ])
         assert rc == cli.EXIT_DATA
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == (
+            f"error: train rows of one class only ({kept}); a model needs 2 or more\n"
+        )
+        assert not cache.exists()  # refused before any clip is read
+
+    def test_wavelet_mi_scores_dump_is_config_error(self, corpus, tmp_path, capsys):
+        cache, scores = tmp_path / "cache", tmp_path / "scores.csv"
+        rc = cli.main([
+            "train", "--manifest", str(corpus["manifest"]), "--method", "wavelet",
+            "--cache-dir", str(cache), "--out", str(tmp_path / "m.txt"),
+            "--dump-mi-scores", str(scores),
+        ])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == ("config error: --dump-mi-scores needs a log-Gabor method; "
+                       "wavelet selects no features\n")
+        assert not cache.exists() and not scores.exists()  # refused before any clip is read
 
     @pytest.mark.parametrize("command", ["train", "gridsearch", "compare"])
     def test_class_without_train_rows_is_data_error(self, corpus, tmp_path, capsys, command):

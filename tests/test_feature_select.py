@@ -7,8 +7,10 @@ from sonoclass.errors import SonoclassError
 from sonoclass.feature_select import (
     BLOCK_COLUMNS,
     FeatureMatrix,
+    MiSelection,
     apply_selection,
     discretize,
+    mi_scores,
     mutual_information,
     select_top_k,
 )
@@ -125,8 +127,7 @@ class TestSelectTopK:
         matrix, _ = self.make_matrix()
         sel = select_top_k(matrix, k=6, n_bins=4)
         assert sorted(sel.selected.tolist()) == list(range(6))
-        ranked = sel.scores[sel.selected]
-        assert np.all(np.diff(ranked) <= 1e-15)
+        assert np.all(np.diff(sel.scores) <= 1e-15)
 
     def test_label_copy_ranks_first_with_entropy_score(self):
         matrix, labels = self.make_matrix()
@@ -137,7 +138,7 @@ class TestSelectTopK:
         assert sel.selected[0] == 3
         p1 = labels.mean()
         entropy = -(p1 * math.log2(p1) + (1 - p1) * math.log2(1 - p1))
-        assert sel.scores[3] == pytest.approx(entropy, abs=1e-12)
+        assert mi_scores(matrix, n_bins=4)[3] == pytest.approx(entropy, abs=1e-12)
 
     def test_constructed_three_features(self):
         rng = np.random.default_rng(5)
@@ -147,14 +148,15 @@ class TestSelectTopK:
             rng.normal(size=48),            # noise
             np.full(48, 3.14),              # constant
         ])
-        sel = select_top_k(FeatureMatrix(values, labels), k=3, n_bins=4)
-        assert sel.selected[0] == 0
-        assert sel.scores[2] == 0.0
+        matrix = FeatureMatrix(values, labels)
+        assert select_top_k(matrix, k=3, n_bins=4).selected[0] == 0
+        scores = mi_scores(matrix, n_bins=4)
+        assert scores[2] == 0.0
         x, y = values[:, 0].astype(int), labels
         counts = np.zeros((2, 2), dtype=int)
         for xi, yi in zip(x, y):
             counts[xi, yi] += 1
-        assert sel.scores[0] == pytest.approx(mi_table_oracle(counts), abs=1e-12)
+        assert scores[0] == pytest.approx(mi_table_oracle(counts), abs=1e-12)
 
     def test_ties_break_to_lower_index(self):
         labels = np.array([0, 1] * 10)
@@ -224,10 +226,12 @@ class TestBlockedParity:
             for col in matrix.values.T
         ])
         k = min(n_features, 64)
+        scores = mi_scores(matrix, n_bins=n_bins)
+        assert np.array_equal(scores, oracle)
         sel = select_top_k(matrix, k=k, n_bins=n_bins)
-        assert np.array_equal(sel.scores, oracle)
         order = np.lexsort((np.arange(n_features), -oracle))
         assert np.array_equal(sel.selected, order[:k])
+        assert np.array_equal(sel.scores, scores[sel.selected])
 
     def test_over_128_cells_case_has_such_columns(self):
         n_samples, n_features, classes, n_bins = OVER_128_CELLS
@@ -250,11 +254,8 @@ class TestBlockedParity:
 
 class TestApplySelection:
     def make_selection(self, selected, d):
-        from sonoclass.feature_select import MiSelection
-        return MiSelection(
-            scores=np.zeros(d),
-            selected=np.asarray(selected, dtype=np.int64),
-        )
+        selected = np.asarray(selected, dtype=np.int64)
+        return MiSelection(selected=selected, scores=np.zeros(selected.size), n_features=d)
 
     def test_gather_order(self):
         sel = self.make_selection([2, 0], d=3)
@@ -279,3 +280,12 @@ class TestApplySelection:
         sel = self.make_selection([0], d=3)
         with pytest.raises(SonoclassError, match="vector has 4 features, selection expects 3"):
             apply_selection(np.zeros(4), sel)
+
+    @pytest.mark.parametrize("selected, n_scores, message", [
+        ([0, 3], 2, "selected index outside 3 raw features"),
+        ([-1], 1, "selected index outside 3 raw features"),
+        ([0, 2], 3, "3 scores for 2 indices"),
+    ], ids=["above", "negative", "score-count"])
+    def test_inconsistent_selection_rejected(self, selected, n_scores, message):
+        with pytest.raises(SonoclassError, match=message):
+            MiSelection(selected=np.array(selected), scores=np.zeros(n_scores), n_features=3)

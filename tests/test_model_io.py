@@ -6,7 +6,7 @@ import pytest
 
 from sonoclass.config import RunConfig, config_to_flat
 from sonoclass.errors import SonoclassError
-from sonoclass.feature_select import FeatureMatrix
+from sonoclass.feature_select import FeatureMatrix, MiSelection
 from sonoclass.model_io import MODEL_HEADER, TrainedModel, load_model, save_model
 from sonoclass.svm import KernelParams, OvoModel, ovo_predict_batch, ovo_train
 from sonoclass.wavelet_baseline import PatchSet
@@ -21,20 +21,20 @@ def small_trained_model(seed=0, with_patches=False):
     ])
     labels = np.repeat(np.arange(3), 8)
     ovo = ovo_train(FeatureMatrix(values, labels), KernelParams(gamma=0.4, c=7.0), seed=1)
-    patch_set = None
+    patch_set = selection = None
     if with_patches:
         patches = tuple(rng.normal(size=(m, m, 3)) for m in (4, 8))
-        patch_set = PatchSet(
-            patches=patches, sources=((0, 1, 2, 3), (1, 2, 0, 0)),
-            seed=5, sizes=(4, 8),
-        )
+        patch_set = PatchSet(patches=patches, sources=((0, 1, 2, 3), (1, 2, 0, 0)))
+        config = RunConfig(method="wavelet", seed=5, wavelet_sizes=(4, 8))
+    else:
+        selection = MiSelection(selected=np.array([4, 1, 0, 3, 2]),
+                                scores=rng.uniform(size=5), n_features=40)
+        config = RunConfig(method="bank", seed=1, mi_top_k=5)
     return TrainedModel(
         ovo=ovo,
-        config=RunConfig(method="wavelet" if with_patches else "bank", seed=1, mi_top_k=5),
+        config=config,
         class_names=("alpha", "beta", "gamma"),
-        selected_indices=None if with_patches else np.array([4, 1, 0, 3, 2]),
-        selected_scores=None if with_patches else rng.uniform(size=5),
-        n_raw_features=0 if with_patches else 40,
+        selection=selection,
         patch_set=patch_set,
     ), values
 
@@ -54,7 +54,9 @@ class TestRoundTrip:
         assert loaded.class_names == model.class_names
         assert loaded.method == model.method
         assert loaded.config == model.config
-        assert np.array_equal(loaded.selected_indices, model.selected_indices)
+        assert np.array_equal(loaded.selection.selected, model.selection.selected)
+        assert np.array_equal(loaded.selection.scores, model.selection.scores)
+        assert loaded.selection.n_features == 40
         assert np.array_equal(
             ovo_predict_batch(loaded.ovo, values),
             ovo_predict_batch(model.ovo, values),
@@ -86,12 +88,51 @@ class TestRoundTrip:
         path = tmp_path / "w.txt"
         save_model(path, model)
         loaded = load_model(path)
-        assert loaded.patch_set is not None
-        assert loaded.patch_set.seed == 5
-        assert loaded.patch_set.sizes == (4, 8)
+        assert "patches 2 seed 5 sizes 4 8\n" in path.read_text()
+        assert loaded.selection is None and loaded.config == model.config
         assert loaded.patch_set.sources == model.patch_set.sources
         for a, b in zip(model.patch_set.patches, loaded.patch_set.patches):
             assert np.array_equal(a, b)
+
+
+class TestTransformRule:
+    @pytest.mark.parametrize("with_patches, give, message", [
+        (False, "no-selection", "bank model carries no selection"),
+        (False, "patch-set", "bank model carries a patch set"),
+        (True, "no-patch-set", "wavelet model carries no patch set"),
+        (True, "selection", "wavelet model carries a selection"),
+    ], ids=["bank-no-selection", "bank-patch-set", "wavelet-no-patch-set", "wavelet-selection"])
+    def test_inconsistent_transform_rejected(self, with_patches, give, message):
+        bank, _ = small_trained_model()
+        wavelet, _ = small_trained_model(with_patches=True)
+        model = wavelet if with_patches else bank
+        change = {
+            "no-selection": {"selection": None},
+            "patch-set": {"patch_set": wavelet.patch_set},
+            "no-patch-set": {"patch_set": None},
+            "selection": {"selection": bank.selection},
+        }[give]
+        with pytest.raises(SonoclassError, match=message):
+            replace(model, **change)
+
+    @pytest.mark.parametrize("old, new", [
+        ("patches 2 seed 5 sizes 4 8\n", "patches 2 seed 6 sizes 4 8\n"),
+        ("patches 2 seed 5 sizes 4 8\n", "patches 2 seed 5 sizes 4 8 12\n"),
+        ("patches 2 seed 5 sizes 4 8\n", "patches 2 seed 5 sizes 4 x\n"),
+    ], ids=["seed", "sizes", "not-a-number"])
+    def test_patches_line_must_match_the_echo(self, tmp_path, old, new):
+        model, _ = small_trained_model(with_patches=True)
+        path = tmp_path / "w.txt"
+        save_model(path, model)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(SonoclassError) as err:
+            load_model(path)
+        assert str(err.value) == (
+            f"{path}: expected 'patches 2 seed 5 sizes 4 8' from the config echo, "
+            f"got {new.strip()!r}"
+        )
 
 
 class TestErrors:
@@ -136,8 +177,8 @@ class TestErrors:
     ], ids=["pair", "selected"])
     def test_index_out_of_range(self, tmp_path, old, new, message):
         model, _ = small_trained_model()
-        model = replace(model, selected_indices=np.array([0, 2, 4]),
-                        selected_scores=np.zeros(3), n_raw_features=5)
+        model = replace(model, selection=MiSelection(
+            selected=np.array([0, 2, 4]), scores=np.zeros(3), n_features=5))
         path = tmp_path / "m.txt"
         save_model(path, model)
         text = path.read_text()

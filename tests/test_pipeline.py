@@ -17,6 +17,7 @@ from sonoclass.config import (
     parse_config_text,
 )
 from sonoclass.errors import ConfigError, SonoclassError
+from sonoclass.feature_select import MiSelection
 from sonoclass.manifest import (
     DatasetManifest,
     ManifestEntry,
@@ -376,13 +377,11 @@ class TestTrainEvaluate:
         config = dc_replace(mini_config, method="wavelet")
         model = train_model(mini_corpus["manifest"], config,
                             cache_dir=mini_corpus["cache"])
-        broken = TrainedModel(
-            ovo=model.ovo, config=model.config,
-            class_names=model.class_names, patch_set=None,
-        )
         with pytest.raises(SonoclassError, match="wavelet model carries no patch set"):
-            evaluate_model(broken, mini_corpus["manifest"],
-                           cache_dir=mini_corpus["cache"])
+            TrainedModel(
+                ovo=model.ovo, config=model.config,
+                class_names=model.class_names, patch_set=None,
+            )
 
     def test_constant_classifier_scores_25_percent(self, mini_corpus, mini_config):
         # rig every pair model to vote for its lower class: class 0 always wins
@@ -399,8 +398,8 @@ class TestTrainEvaluate:
         ovo = OvoModel(classes=tuple(range(4)), pair_models=pair_models,
                        scaler=(np.zeros(d), np.ones(d)))
         model = TrainedModel(
-            ovo=ovo, config=mini_config,
-            class_names=classes,
+            ovo=ovo, config=mini_config, class_names=classes,
+            selection=MiSelection(selected=np.arange(d), scores=np.zeros(d), n_features=d),
         )
         report = evaluate_model(model, mini_corpus["manifest"],
                                 cache_dir=mini_corpus["cache"])

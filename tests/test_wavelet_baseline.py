@@ -217,7 +217,7 @@ class TestPatchTransform:
     def test_self_correlation_equals_squared_norm(self):
         c1 = make_c1(8)
         window = np.moveaxis(c1[1][:, 2:6, 3:7], 0, -1).copy()
-        ps = PatchSet(patches=(window,), sources=((0, 2, 2, 3),), seed=0, sizes=(4,))
+        ps = PatchSet(patches=(window,), sources=((0, 2, 2, 3),))
         s2 = score_maps(patch_transform(c1, ps))
         assert s2[0, 2][2, 3] == pytest.approx(float(np.sum(window**2)), rel=1e-12)
 
@@ -225,7 +225,7 @@ class TestPatchTransform:
         rng = np.random.default_rng(9)
         c1 = [rng.normal(size=(3, 6, 6)) for _ in range(3)]
         patch = rng.normal(size=(4, 4, 3))
-        ps = PatchSet(patches=(patch,), sources=((0, 1, 0, 0),), seed=0, sizes=(4,))
+        ps = PatchSet(patches=(patch,), sources=((0, 1, 0, 0),))
         s2 = score_maps(patch_transform(c1, ps))
         for scale_idx, scale in enumerate(SCALES):
             planes = c1[scale_idx]
@@ -242,7 +242,7 @@ class TestPatchTransform:
     def test_skips_scales_too_small(self):
         c1 = [np.zeros((3, 16, 16)), np.zeros((3, 8, 8)), np.zeros((3, 4, 4))]
         patch = np.zeros((8, 8, 3))
-        ps = PatchSet(patches=(patch,), sources=((0, 1, 0, 0),), seed=0, sizes=(8,))
+        ps = PatchSet(patches=(patch,), sources=((0, 1, 0, 0),))
         s2 = patch_transform(c1, ps)
         assert {scale for _, scale, _ in s2} == {1, 2}  # 4x4 plane cannot host an 8x8 patch
 
@@ -294,7 +294,7 @@ class TestGlobalMax:
         # the 12x12 patch fits no plane of this pyramid
         c1 = make_c1(16, shapes=((3, 8, 8), (3, 4, 4), (3, 2, 2)))
         patches = (np.zeros((4, 4, 3)), np.zeros((12, 12, 3)))
-        ps = PatchSet(patches=patches, sources=((0, 1, 0, 0),) * 2, seed=0, sizes=(4, 12))
+        ps = PatchSet(patches=patches, sources=((0, 1, 0, 0),) * 2)
         with pytest.raises(SonoclassError, match="patch 1 has no valid placements"):
             global_max(patch_transform(c1, ps), len(ps))
 
