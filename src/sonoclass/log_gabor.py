@@ -10,6 +10,13 @@ The three feature methods share one filtering step, `apply_filter`:
 'single' filters with one mask, 'bank' with the whole (scales x
 orientations) stack and averages, and 'patches' runs 'bank' on each of
 three row bands. `build_bank` keeps one bank per (grid, params).
+
+So one stacked filtering, `apply_filter(values, bank.masks)`, gives every
+'single' feature and the 'bank' feature at once: slice [s-1, o-1] of the
+stack, raveled, is single (s, o) and the stack's mean over the first two
+axes is bank, each equal element for element to what
+`single_filter_feature` and `bank_average_feature` return. `compare`
+fills its single and bank feature entries this way.
 """
 
 from __future__ import annotations

@@ -26,7 +26,9 @@ MODEL_HEADER = "SONOCLASS-MODEL v1"
 @dataclass(frozen=True)
 class TrainedModel:
     """Everything needed to classify new audio with a persisted model; its feature
-    transform is the sampled patch set (wavelet) or the MI selection (the rest)."""
+    transform is the sampled patch set (wavelet) or the MI selection (the rest).
+    A selection picks from the config's fixed-grid cells, and the transform's
+    width is the scaler's and every pair's support-vector width."""
 
     ovo: OvoModel
     config: RunConfig
@@ -41,6 +43,24 @@ class TrainedModel:
             if (value is not None) != needed:
                 article = "no" if needed else "a"
                 raise SonoclassError(f"{self.method} model carries {article} {name}")
+        if wavelet:
+            width = len(self.patch_set)
+        else:
+            cells = self.config.fixed_rows * self.config.fixed_cols
+            if self.selection.n_features != cells:
+                raise SonoclassError(
+                    f"selection from {self.selection.n_features} features, but the "
+                    f"{self.config.fixed_rows}x{self.config.fixed_cols} grid gives {cells}"
+                )
+            width = self.selection.selected.size
+        if self.ovo.n_features != width:
+            raise SonoclassError(
+                f"{width} transformed features, but a scaler of {self.ovo.n_features}"
+            )
+        for (a, b), pair in sorted(self.ovo.pair_models.items()):
+            if pair.support_vectors.shape[1] != width:
+                raise SonoclassError(f"pair {a} {b} support vectors have "
+                                     f"{pair.support_vectors.shape[1]} features, expected {width}")
 
     @property
     def method(self) -> str:
@@ -132,11 +152,17 @@ class _Reader:
         return line.split()
 
     def numbers(self, prefix: str, count: int, parse=float) -> np.ndarray:
-        """The count numbers on the next line, after prefix unless it is ''."""
+        """The count finite numbers on the next line, after prefix unless it is ''."""
         tokens = self.expect(prefix)[1:] if prefix else self.next().split()
         if len(tokens) != count:
             raise SonoclassError(f"line {self.pos}: expected {count} numbers, got {len(tokens)}")
-        return np.array([parse(t) for t in tokens], dtype=np.int64 if parse is int else np.float64)
+        dtype = np.int64 if parse is int else np.float64
+        values = np.array([parse(t) for t in tokens], dtype=dtype)
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = tokens[int(np.argmin(finite))]
+            raise SonoclassError(f"line {self.pos}: {bad!r} is not a finite number")
+        return values
 
 
 def load_model(path) -> TrainedModel:

@@ -105,13 +105,21 @@ class FeatureExtractor:
             content = self._content_hashes[path] = _content_hash(path)
         return content
 
+    def _entry(self, stage: str, stage_hash: str, content: str) -> Path | None:
+        if self.cache_dir is None:
+            return None
+        return self.cache_dir / stage / stage_hash / f"{content}.npy"
+
+    def feature_entry(self, content: str) -> Path | None:
+        """Where gabor_feature caches a clip's feature; None with no cache."""
+        return self._entry("feat", self._feature_hash, content)
+
     def _cached(self, stage: str, stage_hash: str, content: str, shape: tuple[int, ...],
                 compute) -> np.ndarray:
         """The stage's cached array when it has this shape, else compute()'s,
         written to the cache (with no cache directory it only computes)."""
-        path = None
-        if self.cache_dir is not None:
-            path = self.cache_dir / stage / stage_hash / f"{content}.npy"
+        path = self._entry(stage, stage_hash, content)
+        if path is not None:
             try:
                 with open(path, "rb") as fh:
                     array = np.lib.format.read_array(fh)
@@ -263,16 +271,9 @@ def extract_features(
     )
 
 
-def _selected_train(
-    manifest: DatasetManifest,
-    config: RunConfig,
-    cache_dir=None,
-) -> tuple[ExtractResult, FeatureMatrix, MiSelection | None]:
-    """Extract the train split and keep its MI top-K columns (log-Gabor
-    methods; wavelet C2 vectors pass through unselected).
-
-    A model holds a pair SVM for every two manifest classes, so it needs train
-    rows of two or more classes and of each; checked before any clip is read."""
+def _check_train_classes(manifest: DatasetManifest) -> None:
+    """A model holds a pair SVM for every two manifest classes, so it needs
+    train rows of two or more classes and of each."""
     trained = {e.label for e in manifest.rows("train")}
     if not trained:
         raise SonoclassError("manifest has no train rows")
@@ -281,6 +282,17 @@ def _selected_train(
     missing = [name for name in manifest.classes if name not in trained]
     if missing:
         raise SonoclassError(f"no train rows for class(es): {', '.join(missing)}")
+
+
+def _selected_train(
+    manifest: DatasetManifest,
+    config: RunConfig,
+    cache_dir=None,
+) -> tuple[ExtractResult, FeatureMatrix, MiSelection | None]:
+    """Extract the train split and keep its MI top-K columns (log-Gabor
+    methods; wavelet C2 vectors pass through unselected). The train classes
+    are checked before any clip is read."""
+    _check_train_classes(manifest)
     result = extract_features(manifest, config, cache_dir=cache_dir, splits=("train",))
     if config.method == "wavelet":
         return result, result.train, None
@@ -358,6 +370,40 @@ def grid_search(
     )
 
 
+def _filter_each_clip_once(manifest: DatasetManifest, configs: list[RunConfig],
+                           cache_dir) -> None:
+    """Write the single and bank configs' missing feat/ entries from one
+    stacked filtering per train or test clip: single (s, o) is slice
+    [s-1, o-1] of the stack and bank its mean, as gabor_feature would write.
+
+    A damaged entry is left to gabor_feature's read-and-check. With no cache
+    directory there is nothing to fill, so it does nothing. One error lists
+    every clip that failed."""
+    if not cache_dir:
+        return
+    extractors = [FeatureExtractor(cfg, cache_dir, manifest.content_hashes) for cfg in configs]
+    base = extractors[0]
+    grid = (base.config.fixed_rows, base.config.fixed_cols)
+
+    def fill(row) -> None:
+        content = base._content(row.path)
+        missing = [(ex.config, entry) for ex in extractors
+                   if not (entry := ex.feature_entry(content)).is_file()]
+        if not missing:
+            return
+        # built on first use, so a warm run builds no bank
+        bank = log_gabor.build_bank(grid, base.config.gabor_params())
+        stack = log_gabor.apply_filter(base.fixed_values(row.path, content), bank.masks)
+        for cfg, entry in missing:
+            if cfg.method == "single":
+                feature = stack[cfg.single_scale - 1, cfg.single_orientation - 1]
+            else:
+                feature = stack.mean(axis=(0, 1))
+            _write_cache(entry, feature.ravel())
+
+    collect(manifest.rows("train") + manifest.rows("test"), fill)
+
+
 def compare_methods(
     manifest: DatasetManifest,
     config: RunConfig,
@@ -373,6 +419,11 @@ def compare_methods(
         for orientation in range(1, config.gabor_orientations + 1)
     ]
     method_configs = [replace(config, method=m) for m in ("bank", "patches", "wavelet")]
+    # refused before any clip is read
+    _check_train_classes(manifest)
+    if not manifest.rows("test"):
+        raise SonoclassError("manifest has no test rows")
+    _filter_each_clip_once(manifest, grid_configs + method_configs[:1], cache_dir)
 
     def report(cfg: RunConfig) -> EvaluationReport:
         model = train_model(manifest, cfg, cache_dir=cache_dir)

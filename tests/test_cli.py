@@ -213,6 +213,24 @@ class TestTrainEvaluate:
         assert rc == cli.EXIT_DATA
         assert capsys.readouterr().err == f"error: {model_path}: bad value for svm.c: 'abc'\n"
 
+    def _train(self, corpus, tmp_path, method):
+        model_path = tmp_path / "model.txt"
+        rc = cli.main([
+            "train", "--manifest", str(corpus["manifest"]), "--method", method,
+            "--top-k", "16", "--seed", "1", "--cache-dir", corpus["cache"],
+            "--config", str(write_cfg(tmp_path, "wavelet.patches = 20")),
+            "--out", str(model_path),
+        ])
+        assert rc == 0
+        return model_path
+
+    def _evaluate_err(self, corpus, model_path, capsys):
+        capsys.readouterr()
+        rc = cli.main(["evaluate", str(model_path), "--manifest", str(corpus["manifest"]),
+                       "--cache-dir", corpus["cache"]])
+        assert rc == cli.EXIT_DATA
+        return capsys.readouterr().err
+
     @pytest.mark.parametrize("method, damage, message", [
         ("bank", lambda text: re.sub(r"^selection \d+ \d+\nselected .*\nscores .*\n",
                                      "selection none\n", text, flags=re.M),
@@ -225,26 +243,36 @@ class TestTrainEvaluate:
         ("wavelet", lambda text: text.replace(" seed 1 sizes ", " seed 2 sizes "),
          "expected 'patches 20 seed 1 sizes 4 8 12' from the config echo, "
          "got 'patches 20 seed 2 sizes 4 8 12'"),
-    ], ids=["bank-no-selection", "wavelet-selection", "wavelet-no-patch-set", "wavelet-seed"])
+        ("bank", lambda text: text.replace("selection 16 16384\n", "selection 16 20000\n"),
+         "selection from 20000 features, but the 128x128 grid gives 16384"),
+        ("wavelet", lambda text: text[:text.rindex("\npatch ") + 1].replace(
+            "\npatches 20 ", "\npatches 19 ") + "end\n",
+         "19 transformed features, but a scaler of 20"),
+    ], ids=["bank-no-selection", "wavelet-selection", "wavelet-no-patch-set", "wavelet-seed",
+            "bank-selection-width", "wavelet-last-patch-dropped"])
     def test_damaged_transform_is_data_error(self, corpus, tmp_path, capsys, method, damage,
                                              message):
-        model_path = tmp_path / "model.txt"
-        rc = cli.main([
-            "train", "--manifest", str(corpus["manifest"]), "--method", method,
-            "--top-k", "16", "--seed", "1", "--cache-dir", corpus["cache"],
-            "--config", str(write_cfg(tmp_path, "wavelet.patches = 20")),
-            "--out", str(model_path),
-        ])
-        assert rc == 0
+        model_path = self._train(corpus, tmp_path, method)
         text = model_path.read_text()
         damaged = damage(text)
         assert damaged != text
         model_path.write_text(damaged)
-        capsys.readouterr()
-        rc = cli.main(["evaluate", str(model_path), "--manifest", str(corpus["manifest"]),
-                       "--cache-dir", corpus["cache"]])
-        assert rc == cli.EXIT_DATA
-        assert capsys.readouterr().err == f"error: {model_path}: {message}\n"
+        assert self._evaluate_err(corpus, model_path, capsys) == f"error: {model_path}: {message}\n"
+
+    @pytest.mark.parametrize("method, prefix", [
+        ("wavelet", "patch "), ("bank", "min "), ("bank", "coef "),
+    ], ids=["wavelet-patch-row", "bank-min", "bank-coef"])
+    def test_non_finite_model_number_is_data_error(self, corpus, tmp_path, capsys, method,
+                                                   prefix):
+        model_path = self._train(corpus, tmp_path, method)
+        lines = model_path.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        at += prefix == "patch "  # a patch's numbers are on the line after its header
+        lines[at] = lines[at].rsplit(" ", 1)[0] + " nan"
+        model_path.write_text("\n".join(lines) + "\n")
+        assert self._evaluate_err(corpus, model_path, capsys) == (
+            f"error: {model_path}: line {at + 1}: 'nan' is not a finite number\n"
+        )
 
     def test_nonconvergence_exit_code(self, corpus, tmp_path):
         model_path = tmp_path / "model.txt"
@@ -512,6 +540,34 @@ class TestErrorPaths:
             "train", "--manifest", str(manifest), "--out", str(tmp_path / "m.txt"),
         ])
         assert rc == cli.EXIT_DATA
+
+    def test_compare_names_every_missing_clip_once(self, corpus, tmp_path, capsys):
+        path = tmp_path / "m.tsv"
+        gone_train, gone_test = tmp_path / "gone_train.wav", tmp_path / "gone_test.wav"
+        write_manifest(path, DatasetManifest(read_manifest(corpus["manifest"]).entries + (
+            ManifestEntry(str(gone_train), "chirp", "train"),
+            ManifestEntry(str(gone_test), "chirp", "test"),
+        )))
+        rc = cli.main(["compare", "--manifest", str(path), "--cache-dir", str(tmp_path / "cache"),
+                       "--out", str(tmp_path / "cmp")])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: 2 file(s) failed:\n")
+        assert err.count(f"{gone_train}: ") == err.count(f"{gone_test}: ") == 1
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert not (tmp_path / "cmp").exists()
+
+    def test_compare_without_test_rows_is_data_error(self, corpus, tmp_path, capsys):
+        path = tmp_path / "all_train.tsv"
+        write_manifest(path, DatasetManifest(tuple(
+            replace(e, split="train") for e in read_manifest(corpus["manifest"]).entries
+        )))
+        cache = tmp_path / "cache"
+        rc = cli.main(["compare", "--manifest", str(path), "--cache-dir", str(cache),
+                       "--out", str(tmp_path / "cmp")])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == "error: manifest has no test rows\n"
+        assert not cache.exists()  # refused before any clip is read
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -13,11 +13,14 @@ from sonoclass.wavelet_baseline import PatchSet
 
 
 def small_trained_model(seed=0, with_patches=False):
+    """A 3-class model on 5 MI-selected cells of the default 128x128 grid,
+    or on the C2 responses of 2 patches."""
     rng = np.random.default_rng(seed)
+    width = 2 if with_patches else 5
     values = np.vstack([
-        rng.normal(size=(8, 5)) + 0.0,
-        rng.normal(size=(8, 5)) + 4.0,
-        rng.normal(size=(8, 5)) + 8.0,
+        rng.normal(size=(8, width)) + 0.0,
+        rng.normal(size=(8, width)) + 4.0,
+        rng.normal(size=(8, width)) + 8.0,
     ])
     labels = np.repeat(np.arange(3), 8)
     ovo = ovo_train(FeatureMatrix(values, labels), KernelParams(gamma=0.4, c=7.0), seed=1)
@@ -28,7 +31,7 @@ def small_trained_model(seed=0, with_patches=False):
         config = RunConfig(method="wavelet", seed=5, wavelet_sizes=(4, 8))
     else:
         selection = MiSelection(selected=np.array([4, 1, 0, 3, 2]),
-                                scores=rng.uniform(size=5), n_features=40)
+                                scores=rng.uniform(size=5), n_features=128 * 128)
         config = RunConfig(method="bank", seed=1, mi_top_k=5)
     return TrainedModel(
         ovo=ovo,
@@ -56,7 +59,7 @@ class TestRoundTrip:
         assert loaded.config == model.config
         assert np.array_equal(loaded.selection.selected, model.selection.selected)
         assert np.array_equal(loaded.selection.scores, model.selection.scores)
-        assert loaded.selection.n_features == 40
+        assert loaded.selection.n_features == 128 * 128
         assert np.array_equal(
             ovo_predict_batch(loaded.ovo, values),
             ovo_predict_batch(model.ovo, values),
@@ -112,6 +115,26 @@ class TestTransformRule:
             "no-patch-set": {"patch_set": None},
             "selection": {"selection": bank.selection},
         }[give]
+        with pytest.raises(SonoclassError, match=message):
+            replace(model, **change)
+
+    @pytest.mark.parametrize("with_patches, give, message", [
+        (False, "grid", "selection from 16384 features, but the 64x128 grid gives 8192"),
+        (False, "scaler", "5 transformed features, but a scaler of 4"),
+        (True, "scaler", "2 transformed features, but a scaler of 1"),
+        (False, "pair", "pair 0 2 support vectors have 4 features, expected 5"),
+    ], ids=["selection-vs-grid", "selection-vs-scaler", "patches-vs-scaler", "pair-width"])
+    def test_inconsistent_widths_rejected(self, with_patches, give, message):
+        model, _ = small_trained_model(with_patches=with_patches)
+        ovo = model.ovo
+        if give == "grid":
+            change = {"config": replace(model.config, fixed_rows=64)}
+        elif give == "scaler":
+            change = {"ovo": replace(ovo, scaler=tuple(side[:-1] for side in ovo.scaler))}
+        else:
+            pair = replace(ovo.pair_models[(0, 2)],
+                           support_vectors=ovo.pair_models[(0, 2)].support_vectors[:, :-1])
+            change = {"ovo": replace(ovo, pair_models={**ovo.pair_models, (0, 2): pair})}
         with pytest.raises(SonoclassError, match=message):
             replace(model, **change)
 
@@ -173,12 +196,10 @@ class TestErrors:
 
     @pytest.mark.parametrize("old, new, message", [
         ("pair 0 1\n", "pair 0 9\n", "pair 0 9 outside 3 classes"),
-        ("selected 0 ", "selected 5 ", "selected index outside 5 raw features"),
+        ("selected 4 ", "selected 16384 ", "selected index outside 16384 raw features"),
     ], ids=["pair", "selected"])
     def test_index_out_of_range(self, tmp_path, old, new, message):
         model, _ = small_trained_model()
-        model = replace(model, selection=MiSelection(
-            selected=np.array([0, 2, 4]), scores=np.zeros(3), n_features=5))
         path = tmp_path / "m.txt"
         save_model(path, model)
         text = path.read_text()

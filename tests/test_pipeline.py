@@ -1,4 +1,5 @@
 import re
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,7 +34,14 @@ from sonoclass.pipeline import (
     extract_features,
     train_model,
 )
-from sonoclass.report import evaluation_csv, evaluation_text, tabulate_report
+from sonoclass.report import (
+    comparison_csv,
+    comparison_text,
+    evaluation_csv,
+    evaluation_text,
+    single_grid_csv,
+    tabulate_report,
+)
 from sonoclass.svm import BinarySvmModel, KernelParams, OvoModel
 from sonoclass.wavelet_baseline import sample_patches
 
@@ -301,6 +309,81 @@ class TestExtract:
             extract_features(manifest, mini_config, cache_dir=mini_corpus["cache"])
         assert "missing_a.wav" in str(err.value)
         assert "missing_b.wav" in str(err.value)
+
+
+def files(root):
+    return {p.relative_to(root): p.read_bytes() for p in Path(root).rglob("*") if p.is_file()}
+
+
+def rendered(result):
+    return single_grid_csv(result), comparison_csv(result), comparison_text(result)
+
+
+@pytest.fixture(scope="module")
+def cold_compare(mini_corpus, mini_config, tmp_path_factory):
+    """A cold compare of the mini corpus: its cache directory and its result."""
+    cache = tmp_path_factory.mktemp("cold_compare") / "cache"
+    manifest = DatasetManifest(mini_corpus["manifest"].entries)
+    return cache, compare_methods(manifest, mini_config, cache_dir=cache)
+
+
+class TestCompareFiltersEachClipOnce:
+    def test_cold_compare_writes_the_per_config_entries(self, mini_corpus, mini_config,
+                                                        cold_compare, tmp_path):
+        singles = [
+            replace(mini_config, method="single", single_scale=s, single_orientation=o)
+            for s in range(1, mini_config.gabor_scales + 1)
+            for o in range(1, mini_config.gabor_orientations + 1)
+        ]
+        for cfg in singles + [replace(mini_config, method=m) for m in ("bank", "patches")]:
+            extract_features(mini_corpus["manifest"], cfg, cache_dir=tmp_path)
+        expected = files(tmp_path / "feat")
+        assert len(expected) == (len(singles) + 2) * len(mini_corpus["manifest"].entries)
+        assert files(cold_compare[0] / "feat") == expected
+
+    def test_warm_compare_filters_nothing_and_writes_nothing(self, mini_corpus, mini_config,
+                                                             cold_compare, monkeypatch):
+        cache, cold = cold_compare
+
+        def snapshot():  # a directory's mtime moves when a file is added or renamed into it
+            return {p: (p.stat().st_mtime_ns, p.is_file() and p.read_bytes())
+                    for p in [cache, *cache.rglob("*")]}
+
+        before = snapshot()
+        filtered = []
+        apply_filter = log_gabor.apply_filter
+        monkeypatch.setattr(log_gabor, "apply_filter",
+                            lambda *args: filtered.append(1) or apply_filter(*args))
+        warm = compare_methods(mini_corpus["manifest"], mini_config, cache_dir=cache)
+        assert filtered == []
+        assert snapshot() == before
+        assert rendered(warm) == rendered(cold)
+
+    def test_truncated_single_entry_is_rewritten(self, mini_corpus, mini_config, cold_compare,
+                                                 tmp_path):
+        cache = tmp_path / "cache"
+        shutil.copytree(cold_compare[0], cache)
+        content = pipeline._content_hash(mini_corpus["manifest"].rows("test")[0].path)
+        single = replace(mini_config, method="single", single_scale=2, single_orientation=3)
+        entry = FeatureExtractor(single, cache).feature_entry(content)
+        written = entry.read_bytes()
+        entry.write_bytes(written[:100])
+        compare_methods(mini_corpus["manifest"], mini_config, cache_dir=cache)
+        assert entry.read_bytes() == written
+
+    def test_cold_compare_makes_each_fixed_grid_once(self, mini_corpus, mini_config,
+                                                     cold_compare, tmp_path, monkeypatch):
+        made = []
+        to_fixed = pipeline.to_fixed
+        monkeypatch.setattr(pipeline, "to_fixed", lambda *args: made.append(1) or to_fixed(*args))
+        manifest = DatasetManifest(mini_corpus["manifest"].entries)
+        result = compare_methods(manifest, mini_config, cache_dir=tmp_path / "cache")
+        assert len(made) == len(manifest.entries)
+        assert rendered(result) == rendered(cold_compare[1])
+
+    def test_compare_without_cache_matches_cached(self, mini_corpus, mini_config, cold_compare):
+        manifest = DatasetManifest(mini_corpus["manifest"].entries)
+        assert rendered(compare_methods(manifest, mini_config)) == rendered(cold_compare[1])
 
 
 class TestTrainEvaluate:
