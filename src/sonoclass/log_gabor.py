@@ -50,7 +50,11 @@ class LogGaborParams:
         if self.n_scales < 1 or self.n_orientations < 1:
             raise ValueError("need at least one scale and one orientation")
         f0 = tuple(float(f) for f in self.f0_per_scale)
-        f0 = f0 or tuple((1.0 / 3.0) / 2 ** m for m in range(self.n_scales))
+        try:
+            f0 = f0 or tuple((1.0 / 3.0) / 2 ** m for m in range(self.n_scales))
+        except OverflowError:  # 2 ** 1024 has no float
+            raise ValueError(f"{self.n_scales} scales an octave apart go below the "
+                             "smallest float frequency") from None
         if len(f0) != self.n_scales:
             raise ValueError("f0_per_scale must list one frequency per scale")
         if any(not (0.0 < f <= 0.5) for f in f0):

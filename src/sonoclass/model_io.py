@@ -27,8 +27,9 @@ MODEL_HEADER = "SONOCLASS-MODEL v1"
 class TrainedModel:
     """Everything needed to classify new audio with a persisted model; its feature
     transform is the sampled patch set (wavelet) or the MI selection (the rest).
-    A selection picks from the config's fixed-grid cells, and the transform's
-    width is the scaler's and every pair's support-vector width."""
+    A selection picks from the config's fixed-grid cells, a patch set holds
+    wavelet.patches patches sized as sample_patches cycles wavelet.sizes, and
+    the transform's width is the scaler's and every pair's support-vector width."""
 
     ovo: OvoModel
     config: RunConfig
@@ -61,6 +62,16 @@ class TrainedModel:
             if pair.support_vectors.shape[1] != width:
                 raise SonoclassError(f"pair {a} {b} support vectors have "
                                      f"{pair.support_vectors.shape[1]} features, expected {width}")
+        if wavelet:
+            if width != self.config.wavelet_patches:
+                raise SonoclassError(
+                    f"{width} patches, but wavelet.patches = {self.config.wavelet_patches}"
+                )
+            sizes = self.config.wavelet_sizes
+            for i, patch in enumerate(self.patch_set.patches):
+                m = sizes[i % len(sizes)]
+                if patch.shape != (m, m, 3):
+                    raise SonoclassError(f"patch {i} has shape {patch.shape}, expected {(m, m, 3)}")
 
     @property
     def method(self) -> str:
@@ -146,10 +157,27 @@ class _Reader:
         return line
 
     def expect(self, prefix: str) -> list[str]:
+        """The next line's tokens; the first must be prefix."""
         line = self.next()
-        if not line.startswith(prefix):
+        tokens = line.split()
+        if tokens[:1] != [prefix]:
             raise SonoclassError(f"expected {prefix!r}, got {line[:40]!r}")
-        return line.split()
+        return tokens
+
+    def header(self, prefix: str, count: int) -> list[str]:
+        """The values after prefix on the next line, which holds exactly count of them."""
+        values = self.expect(prefix)[1:]
+        if len(values) != count:
+            raise SonoclassError(f"line {self.pos}: expected {count} value(s) after {prefix!r}, "
+                                 f"got {len(values)}")
+        return values
+
+    def none(self, prefix: str) -> bool:
+        """Whether the next line is `prefix none`, which is then consumed."""
+        if self.lines[self.pos:self.pos + 1] == [f"{prefix} none"]:
+            self.pos += 1
+            return True
+        return False
 
     def numbers(self, prefix: str, count: int, parse=float) -> np.ndarray:
         """The count finite numbers on the next line, after prefix unless it is ''."""
@@ -163,6 +191,14 @@ class _Reader:
             bad = tokens[int(np.argmin(finite))]
             raise SonoclassError(f"line {self.pos}: {bad!r} is not a finite number")
         return values
+
+    def rows(self, count: int, width: int) -> np.ndarray:
+        """The next count lines of width numbers each; a count beyond the lines
+        left is refused before anything is read."""
+        left = len(self.lines) - self.pos
+        if not 0 <= count <= left:
+            raise SonoclassError(f"line {self.pos}: {count} rows, but {left} lines follow")
+        return np.array([self.numbers("", width) for _ in range(count)]).reshape(count, width)
 
 
 def load_model(path) -> TrainedModel:
@@ -178,11 +214,11 @@ def _parse_model(path) -> TrainedModel:
     r = _Reader(path)
     if r.next() != MODEL_HEADER:
         raise SonoclassError(f"missing {MODEL_HEADER!r} header")
-    method = r.expect("method")[1]
+    (method,) = r.header("method", 1)
     if method not in METHODS:
         raise SonoclassError(f"method {method!r} is not one of {METHODS}")
 
-    n_cfg = int(r.expect("config")[1])
+    n_cfg = int(r.header("config", 1)[0])
     # each echo line is `key = value`
     config = config_from_flat(dict(r.next().partition(" = ")[::2] for _ in range(n_cfg)))
     if config.method != method:
@@ -190,7 +226,7 @@ def _parse_model(path) -> TrainedModel:
             f"method {method!r} disagrees with the config echo's {config.method!r}"
         )
 
-    n_classes = int(r.expect("classes")[1])
+    n_classes = int(r.header("classes", 1)[0])
     if n_classes < 2:
         raise SonoclassError(f"{n_classes} classes; a model needs at least 2")
     # pair indices and evaluate's label map need class i on the i-th line, names distinct
@@ -203,56 +239,53 @@ def _parse_model(path) -> TrainedModel:
     if len(set(class_names)) != n_classes:
         raise SonoclassError("a class name appears twice")
 
-    sel_line = r.expect("selection")
     selection = None
-    if sel_line[1] != "none":
-        k, n_raw = int(sel_line[1]), int(sel_line[2])
+    if not r.none("selection"):
+        k, n_raw = (int(t) for t in r.header("selection", 2))
         selected = r.numbers("selected", k, int)
         selection = MiSelection(selected=selected, scores=r.numbers("scores", k), n_features=n_raw)
 
-    dim = int(r.expect("scaler")[1])
+    dim = int(r.header("scaler", 1)[0])
     lo = r.numbers("min", dim)
     hi = r.numbers("max", dim)
 
-    n_pairs = int(r.expect("pairs")[1])
+    n_pairs = int(r.header("pairs", 1)[0])
     pair_models: dict[tuple[int, int], BinarySvmModel] = {}
     for _ in range(n_pairs):
-        a, b = (int(t) for t in r.expect("pair")[1:])
+        a, b = (int(t) for t in r.header("pair", 2))
         if not 0 <= a < b < n_classes:
             raise SonoclassError(f"pair {a} {b} outside {n_classes} classes")
         if (a, b) in pair_models:
             raise SonoclassError(f"pair {a} {b} appears twice")
-        _, gamma, c = r.expect("params")
-        bias = float(r.expect("bias")[1])
-        if not np.isfinite(bias):
-            raise SonoclassError(f"pair {a} {b} has bias {bias}")
-        converged = bool(int(r.expect("converged")[1]))
-        n_sv, sv_dim = (int(t) for t in r.expect("sv")[1:])
-        sv = np.empty((n_sv, sv_dim))
-        for row in range(n_sv):
-            sv[row] = r.numbers("", sv_dim)
+        gamma, c = r.header("params", 2)
+        bias = float(r.numbers("bias", 1)[0])
+        (converged,) = r.header("converged", 1)
+        if converged not in ("0", "1"):
+            raise SonoclassError(f"line {r.pos}: converged {converged!r} is not 0 or 1")
+        n_sv, sv_dim = (int(t) for t in r.header("sv", 2))
         pair_models[(a, b)] = BinarySvmModel(
-            support_vectors=sv,
+            support_vectors=r.rows(n_sv, sv_dim),
             dual_coef=r.numbers("coef", n_sv),
             bias=bias,
             params=KernelParams(gamma=float(gamma), c=float(c)),
-            converged=converged,
+            converged=converged == "1",
         )
     missing = [p for p in combinations(range(n_classes), 2) if p not in pair_models]
     if missing:
         a, b = missing[0]
         raise SonoclassError(f"no model for pair {a} {b} of {n_classes} classes")
 
-    patch_line = r.expect("patches")
     patch_set = None
-    if patch_line[1] != "none":
-        n_patches = int(patch_line[1])
+    if not r.none("patches"):
+        patch_line = r.expect("patches")
+        count = patch_line[1] if len(patch_line) > 1 else ""
+        n_patches = int(count) if count.isdigit() else config.wavelet_patches
         line, expected = " ".join(patch_line), _patches_line(n_patches, config)
         if line != expected:
             raise SonoclassError(f"expected {expected!r} from the config echo, got {line!r}")
         patches, sources = [], []
         for _ in range(n_patches):
-            m, clip, scale, u, v = (int(t) for t in r.expect("patch")[1:])
+            m, clip, scale, u, v = (int(t) for t in r.header("patch", 5))
             patch = r.numbers("", m * m * 3).reshape(m, m, 3)
             patch.setflags(write=False)
             patches.append(patch)

@@ -78,13 +78,14 @@ class CacheStats:
 class FeatureExtractor:
     """Per-clip feature computation with an optional on-disk cache.
 
-    Each stage (fixed grid, C1 pyramid, wavelet C2 vector, log-Gabor
-    feature) stores one array per clip at
-    cache_dir/<stage>/<stage hash>/<content hash>.npy, so a parameter change
-    invalidates exactly the affected stage. A file that is not a well-formed
-    .npy of the expected shape is recomputed and rewritten. A C2 miss
-    computes from the C1 pyramid the caller passes, else from the C1
-    stage. stats counts a hit or a miss for every stage looked up.
+    Each stage (C1 pyramid, wavelet C2 vector, log-Gabor feature) stores one
+    array per clip at cache_dir/<stage>/<stage hash>/<content hash>.npy, so
+    a parameter change invalidates exactly the affected stage. A file that
+    is not a well-formed .npy of the expected shape is recomputed and
+    rewritten. The fixed grid is not cached: it is computed on every call,
+    and each one counts as a fixed miss. A miss computes from the fixed grid
+    (C1, log-Gabor) or the C1 pyramid (C2) the caller passes, else from the
+    stage below. stats counts a hit or a miss for every stage looked up.
     content_hashes memoizes each clip's content hash by path; passing one
     dict to several extractors hashes each clip once between them.
     """
@@ -114,6 +115,10 @@ class FeatureExtractor:
         """Where gabor_feature caches a clip's feature; None with no cache."""
         return self._entry("feat", self._feature_hash, content)
 
+    def c1_entry(self, content: str) -> Path | None:
+        """Where c1 caches a clip's pyramid; None with no cache."""
+        return self._entry("c1", self._fixed_hash, content)
+
     def _cached(self, stage: str, stage_hash: str, content: str, shape: tuple[int, ...],
                 compute) -> np.ndarray:
         """The stage's cached array when it has this shape, else compute()'s,
@@ -135,32 +140,30 @@ class FeatureExtractor:
             _write_cache(path, array)
         return array
 
-    def fixed_values(self, path, content: str) -> np.ndarray:
-        rows, cols = self.config.fixed_rows, self.config.fixed_cols
+    def fixed_values(self, path) -> np.ndarray:
+        self.stats.count("fixed", hit=False)
+        clip = audio_io.peak_normalize(audio_io.load_wav(path))
+        return to_fixed(log_spectrogram(clip, self._stft_params),
+                        self.config.fixed_rows, self.config.fixed_cols)
 
-        def compute():
-            clip = audio_io.peak_normalize(audio_io.load_wav(path))
-            return to_fixed(log_spectrogram(clip, self._stft_params), rows, cols)
-
-        return self._cached("fixed", self._fixed_hash, content, (rows, cols), compute)
-
-    def c1(self, path) -> list[np.ndarray]:
-        """The C1 pyramid, cached as its planes raveled and joined in SCALES order."""
-        content = self._content(path)
+    def c1(self, path, fixed: np.ndarray | None = None) -> list[np.ndarray]:
+        """The C1 pyramid, cached as its planes raveled and joined in SCALES
+        order; fixed is the clip's grid when the caller already holds it."""
         rows, cols = self.config.fixed_rows, self.config.fixed_cols
         shapes = [(len(wavelet_baseline.ORIENTATIONS), rows >> j, cols >> j)
                   for j in wavelet_baseline.SCALES]
         ends = np.cumsum([np.prod(shape) for shape in shapes])
 
         def compute():
-            pyramid = c1_pyramid(self.fixed_values(path, content))
+            pyramid = c1_pyramid(self.fixed_values(path) if fixed is None else fixed)
             return np.concatenate([plane.ravel() for plane in pyramid])
 
-        joined = self._cached("c1", self._fixed_hash, content, (int(ends[-1]),), compute)
+        joined = self._cached("c1", self._fixed_hash, self._content(path), (int(ends[-1]),),
+                              compute)
         return [part.reshape(shape) for part, shape in zip(np.split(joined, ends[:-1]), shapes)]
 
     def c2(self, path, patch_set: PatchSet, pyramid: list[np.ndarray] | None = None) -> np.ndarray:
-        """The C2 vector for patch_set, cached under the fixed-stage config
+        """The C2 vector for patch_set, cached under the C1 stage's config
         hash joined with the patch set's digest; pyramid is the clip's C1
         when the caller already holds it."""
         key = hashlib.sha256(f"{self._fixed_hash}\n{patch_set.digest}".encode()).hexdigest()[:16]
@@ -171,23 +174,24 @@ class FeatureExtractor:
 
         return self._cached("c2", key, self._content(path), (len(patch_set),), compute)
 
-    def gabor_feature(self, path) -> np.ndarray:
-        content = self._content(path)
+    def gabor_feature(self, path, fixed: np.ndarray | None = None) -> np.ndarray:
+        """The log-Gabor feature; fixed is the clip's grid when the caller
+        already holds it."""
         cfg = self.config
 
         def compute():
-            fixed = self.fixed_values(path, content)
+            grid = self.fixed_values(path) if fixed is None else fixed
             bank = log_gabor.build_bank((cfg.fixed_rows, cfg.fixed_cols), cfg.gabor_params())
             if cfg.method == "single":
                 return log_gabor.single_filter_feature(
-                    fixed, bank, cfg.single_scale, cfg.single_orientation
+                    grid, bank, cfg.single_scale, cfg.single_orientation
                 )
             if cfg.method == "bank":
-                return log_gabor.bank_average_feature(fixed, bank)
-            return log_gabor.band_patch_feature(fixed, bank)
+                return log_gabor.bank_average_feature(grid, bank)
+            return log_gabor.band_patch_feature(grid, bank)
 
         # every log-Gabor method gives one value per fixed-grid cell
-        return self._cached("feat", self._feature_hash, content,
+        return self._cached("feat", self._feature_hash, self._content(path),
                             (cfg.fixed_rows * cfg.fixed_cols,), compute)
 
 
@@ -370,15 +374,18 @@ def grid_search(
     )
 
 
-def _filter_each_clip_once(manifest: DatasetManifest, configs: list[RunConfig],
-                           cache_dir) -> None:
-    """Write the single and bank configs' missing feat/ entries from one
-    stacked filtering per train or test clip: single (s, o) is slice
-    [s-1, o-1] of the stack and bank its mean, as gabor_feature would write.
+def _extract_each_clip_once(manifest: DatasetManifest, configs: list[RunConfig],
+                            cache_dir) -> None:
+    """Write the configs' missing feat/ entries, and the wavelet config's
+    missing c1/ entry, from one fixed grid per train or test clip. The
+    single and bank entries come from one stacked filtering: single (s, o)
+    is slice [s-1, o-1] of the stack and bank its mean, as gabor_feature
+    would write. The patches feature and the C1 pyramid are computed by
+    gabor_feature and c1 from the same grid.
 
-    A damaged entry is left to gabor_feature's read-and-check. With no cache
-    directory there is nothing to fill, so it does nothing. One error lists
-    every clip that failed."""
+    A damaged entry is left to the read-and-check of the configuration that
+    reads it. With no cache directory there is nothing to fill, so it does
+    nothing. One error lists every clip that failed."""
     if not cache_dir:
         return
     extractors = [FeatureExtractor(cfg, cache_dir, manifest.content_hashes) for cfg in configs]
@@ -387,19 +394,26 @@ def _filter_each_clip_once(manifest: DatasetManifest, configs: list[RunConfig],
 
     def fill(row) -> None:
         content = base._content(row.path)
-        missing = [(ex.config, entry) for ex in extractors
-                   if not (entry := ex.feature_entry(content)).is_file()]
+        missing = [ex for ex in extractors
+                   if not (ex.c1_entry(content) if ex.config.method == "wavelet"
+                           else ex.feature_entry(content)).is_file()]
         if not missing:
             return
-        # built on first use, so a warm run builds no bank
-        bank = log_gabor.build_bank(grid, base.config.gabor_params())
-        stack = log_gabor.apply_filter(base.fixed_values(row.path, content), bank.masks)
-        for cfg, entry in missing:
-            if cfg.method == "single":
-                feature = stack[cfg.single_scale - 1, cfg.single_orientation - 1]
+        fixed = base.fixed_values(row.path)
+        stack = None
+        for ex in missing:
+            cfg = ex.config
+            if cfg.method == "wavelet":
+                ex.c1(row.path, fixed)
+            elif cfg.method == "patches":
+                ex.gabor_feature(row.path, fixed)
             else:
-                feature = stack.mean(axis=(0, 1))
-            _write_cache(entry, feature.ravel())
+                if stack is None:  # only when a single or bank entry is missing
+                    bank = log_gabor.build_bank(grid, base.config.gabor_params())
+                    stack = log_gabor.apply_filter(fixed, bank.masks)
+                feature = (stack[cfg.single_scale - 1, cfg.single_orientation - 1]
+                           if cfg.method == "single" else stack.mean(axis=(0, 1)))
+                _write_cache(ex.feature_entry(content), feature.ravel())
 
     collect(manifest.rows("train") + manifest.rows("test"), fill)
 
@@ -423,7 +437,7 @@ def compare_methods(
     _check_train_classes(manifest)
     if not manifest.rows("test"):
         raise SonoclassError("manifest has no test rows")
-    _filter_each_clip_once(manifest, grid_configs + method_configs[:1], cache_dir)
+    _extract_each_clip_once(manifest, grid_configs + method_configs, cache_dir)
 
     def report(cfg: RunConfig) -> EvaluationReport:
         model = train_model(manifest, cfg, cache_dir=cache_dir)

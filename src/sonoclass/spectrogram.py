@@ -3,8 +3,8 @@
 The analysis chain is stft -> log_magnitude -> to_fixed; every feature
 method downstream consumes the fixed-size, [0, 1]-normalized matrix.
 to_fixed is an align-corners bilinear resize in numpy. Its index rule and
-the order of its four-term sum are fixed: existing fixed/ cache files and
-model files were made with them, and any other order changes their bits.
+the order of its four-term sum are fixed: existing cache files and model
+files were made with them, and any other order changes their bits.
 """
 
 from __future__ import annotations

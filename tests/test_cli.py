@@ -41,7 +41,7 @@ class TestSynthAndSplit:
         assert len(manifest.rows("train")) == 12  # ceil(2/3 * 4) = 3 per class
         assert len(manifest.rows("test")) == 4
         for e in manifest.entries[:3]:
-            assert open(e.path, "rb").read(4) == b"RIFF"
+            assert Path(e.path).read_bytes()[:4] == b"RIFF"
 
     def test_split_requires_three_per_class(self, tmp_path):
         bad = tmp_path / "bad.tsv"
@@ -274,6 +274,39 @@ class TestTrainEvaluate:
             f"error: {model_path}: line {at + 1}: 'nan' is not a finite number\n"
         )
 
+    @pytest.mark.parametrize("line, edit, message", [
+        (r"config \d+", " junk", "expected 1 value(s) after 'config', got 2"),
+        (r"classes \d+", " junk", "expected 1 value(s) after 'classes', got 2"),
+        (r"selection \d+ \d+", " junk", "expected 2 value(s) after 'selection', got 3"),
+        (r"scaler \d+", " junk", "expected 1 value(s) after 'scaler', got 2"),
+        (r"pairs \d+", " junk", "expected 1 value(s) after 'pairs', got 2"),
+        (r"bias \S+", " junk", "expected 1 numbers, got 2"),
+        (r"converged 1", "converged 7", "converged '7' is not 0 or 1"),
+        # numpy refuses an array of this many rows outright; it is refused before that
+        (r"sv \d+ \d+", "sv 100000000000 16", "100000000000 rows, but {left} lines follow"),
+    ], ids=["config", "classes", "selection", "scaler", "pairs", "bias", "converged", "sv"])
+    def test_damaged_header_line_is_data_error(self, corpus, tmp_path, capsys, line, edit,
+                                               message):
+        model_path = self._train(corpus, tmp_path, "bank")
+        lines = model_path.read_text().splitlines()
+        at = next(i for i, text in enumerate(lines) if re.fullmatch(line, text))
+        lines[at] = lines[at] + edit if edit.startswith(" ") else edit
+        model_path.write_text("\n".join(lines) + "\n")
+        message = message.format(left=len(lines) - at - 1)
+        assert self._evaluate_err(corpus, model_path, capsys) == (
+            f"error: {model_path}: line {at + 1}: {message}\n"
+        )
+
+    def test_damaged_empty_patches_line_is_data_error(self, corpus, tmp_path, capsys):
+        model_path = self._train(corpus, tmp_path, "bank")
+        text = model_path.read_text()
+        assert "\npatches none\n" in text
+        model_path.write_text(text.replace("\npatches none\n", "\npatches none junk\n"))
+        assert self._evaluate_err(corpus, model_path, capsys) == (
+            f"error: {model_path}: expected 'patches 20 seed 1 sizes 4 8 12' from the config "
+            "echo, got 'patches none junk'\n"
+        )
+
     def test_nonconvergence_exit_code(self, corpus, tmp_path):
         model_path = tmp_path / "model.txt"
         with pytest.warns(RuntimeWarning):
@@ -502,7 +535,6 @@ class TestErrorPaths:
         first, second = read_manifest(corpus["manifest"]).rows("train")[:2]
         stem = pipeline._content_hash(first.path)
         (feat,) = (cache / "feat").rglob(f"{stem}.npy")
-        (fixed,) = (cache / "fixed").rglob(f"{stem}.npy")
         (c1,) = (cache / "c1").rglob(f"{stem}.npy")
         (c2,) = (cache / "c2").rglob(f"{stem}.npy")
         (wrong_shape,) = (cache / "feat").rglob(f"{pipeline._content_hash(second.path)}.npy")
@@ -512,7 +544,6 @@ class TestErrorPaths:
         assert np.load(c1).shape == (c1_length,)
         assert np.load(c2).shape == (20,)  # one value per patch
         feat.write_bytes(feat.read_bytes()[:100])
-        fixed.write_bytes(b"")
         c1.write_bytes(c1.read_bytes()[:100])
         c2.write_bytes(c2.read_bytes()[:100])
         np.save(wrong_shape, np.zeros(3))
@@ -524,7 +555,6 @@ class TestErrorPaths:
             again = (tmp_path / f"{method}_again.txt").read_bytes()
             assert again == (tmp_path / f"{method}_first.txt").read_bytes()
         assert np.load(feat).shape == np.load(wrong_shape).shape == (128 * 128,)
-        assert np.load(fixed).shape == (128, 128)
         assert np.load(c1).shape == np.load(wrong_c1).shape == (c1_length,)
         assert np.load(c2).shape == np.load(wrong_c2).shape == (20,)
         # no temp file is left behind

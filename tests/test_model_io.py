@@ -28,7 +28,7 @@ def small_trained_model(seed=0, with_patches=False):
     if with_patches:
         patches = tuple(rng.normal(size=(m, m, 3)) for m in (4, 8))
         patch_set = PatchSet(patches=patches, sources=((0, 1, 2, 3), (1, 2, 0, 0)))
-        config = RunConfig(method="wavelet", seed=5, wavelet_sizes=(4, 8))
+        config = RunConfig(method="wavelet", seed=5, wavelet_patches=2, wavelet_sizes=(4, 8))
     else:
         selection = MiSelection(selected=np.array([4, 1, 0, 3, 2]),
                                 scores=rng.uniform(size=5), n_features=128 * 128)
@@ -138,6 +138,26 @@ class TestTransformRule:
         with pytest.raises(SonoclassError, match=message):
             replace(model, **change)
 
+    def test_patch_count_must_be_wavelet_patches(self):
+        model, _ = small_trained_model(with_patches=True)
+        with pytest.raises(SonoclassError, match="^2 patches, but wavelet.patches = 3$"):
+            replace(model, config=replace(model.config, wavelet_patches=3))
+
+    @pytest.mark.parametrize("sizes, message", [
+        ((8, 4), r"^patch 0 has shape \(4, 4, 3\), expected \(8, 8, 3\)$"),
+        ((4,), r"^patch 1 has shape \(8, 8, 3\), expected \(4, 4, 3\)$"),
+    ], ids=["swapped-sizes", "size-cycle"])
+    def test_patch_shapes_follow_the_size_cycle(self, sizes, message):
+        model, _ = small_trained_model(with_patches=True)
+        with pytest.raises(SonoclassError, match=message):
+            replace(model, config=replace(model.config, wavelet_sizes=sizes))
+
+    def test_patch_with_wrong_depth_rejected(self):
+        model, _ = small_trained_model(with_patches=True)
+        patches = (model.patch_set.patches[0], model.patch_set.patches[1][:, :, :2])
+        with pytest.raises(SonoclassError, match=r"^patch 1 has shape \(8, 8, 2\)"):
+            replace(model, patch_set=replace(model.patch_set, patches=patches))
+
     @pytest.mark.parametrize("old, new", [
         ("patches 2 seed 5 sizes 4 8\n", "patches 2 seed 6 sizes 4 8\n"),
         ("patches 2 seed 5 sizes 4 8\n", "patches 2 seed 5 sizes 4 8 12\n"),
@@ -212,8 +232,8 @@ class TestErrors:
         (r"^method bank$", "method cnn", "method 'cnn' is not one of"),
         (r"^method bank$", "method single",
          "method 'single' disagrees with the config echo's 'bank'"),
-        (r"^bias .*$", "bias nan", "pair 0 1 has bias nan"),
-        (r"^bias .*$", "bias -inf", "pair 0 1 has bias -inf"),
+        (r"^bias .*$", "bias nan", r"line \d+: 'nan' is not a finite number"),
+        (r"^bias .*$", "bias -inf", r"line \d+: '-inf' is not a finite number"),
     ], ids=["unknown-method", "method-vs-echo", "bias-nan", "bias-inf"])
     def test_inconsistent_values(self, tmp_path, line, new, message):
         model, _ = small_trained_model()

@@ -160,6 +160,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_flat({"stft.frame_size": "huge"})
 
+    def test_scales_past_the_float_range_rejected(self):
+        # the octave rule's 1025th frequency, (1/3) / 2**1024, has no float
+        with pytest.raises(ConfigError, match="^99999999999 scales an octave apart go below"):
+            config_from_flat({"gabor.scales": "99999999999"})
+
     def test_bad_method_rejected(self):
         with pytest.raises(ConfigError):
             config_from_flat({"method": "cnn"})
@@ -228,12 +233,12 @@ class TestExtract:
         warm = extract_features(mini_corpus["manifest"], mini_config, cache_dir=tmp_path)
         assert np.array_equal(cold.train.values, warm.train.values)
         assert np.array_equal(cold.test.values, warm.test.values)
-        # every stage counts: 24 clips miss both fixed/ and feat/
+        # every stage counts: 24 clips compute a fixed grid and miss feat/
         assert (cold.stats.hits, cold.stats.misses) == (0, 48)
         assert warm.stats.misses == 0
         assert warm.stats.hits == 24
 
-    @pytest.mark.parametrize("stage", ["fixed", "c1", "c2", "feat"])
+    @pytest.mark.parametrize("stage", ["c1", "c2", "feat"])
     def test_npz_bytes_in_an_entry_are_recomputed(self, mini_corpus, mini_config, tmp_path, stage):
         path = mini_corpus["manifest"].entries[0].path
         content = pipeline._content_hash(path)
@@ -241,9 +246,7 @@ class TestExtract:
 
         def lookup():
             extractor = FeatureExtractor(mini_config, cache_dir=tmp_path)
-            if stage == "fixed":
-                value = extractor.fixed_values(path, content)
-            elif stage == "c1":
+            if stage == "c1":
                 value = np.concatenate([plane.ravel() for plane in extractor.c1(path)])
             elif stage == "c2":
                 value = extractor.c2(path, patch_set)
@@ -258,7 +261,10 @@ class TestExtract:
             np.savez(fh, first)  # the right array, but in a zip archive
         again, stats = lookup()
         assert np.array_equal(again, first)
-        assert stats.misses == 1
+        if stage == "c2":
+            assert stats.misses == 1
+        else:  # recomputed from a new fixed grid
+            assert stats.stages == {"fixed": [0, 1], stage: [0, 1]}
         assert entry.read_bytes() == written
 
     def test_wavelet_warm_cache_identical(self, mini_corpus, mini_config, tmp_path):
@@ -350,14 +356,26 @@ class TestCompareFiltersEachClipOnce:
                     for p in [cache, *cache.rglob("*")]}
 
         before = snapshot()
-        filtered = []
-        apply_filter = log_gabor.apply_filter
-        monkeypatch.setattr(log_gabor, "apply_filter",
-                            lambda *args: filtered.append(1) or apply_filter(*args))
+        calls = []
+        for module, name in ((log_gabor, "apply_filter"), (pipeline, "to_fixed"),
+                             (pipeline, "c1_pyramid")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, name=name, fn=fn: calls.append(name) or fn(*args))
         warm = compare_methods(mini_corpus["manifest"], mini_config, cache_dir=cache)
-        assert filtered == []
+        assert calls == []
         assert snapshot() == before
         assert rendered(warm) == rendered(cold)
+
+    def test_cold_compare_writes_c1_entries_and_no_fixed_grids(self, mini_corpus, mini_config,
+                                                               cold_compare, tmp_path):
+        cache = cold_compare[0]
+        assert sorted(p.name for p in cache.iterdir()) == ["c1", "c2", "feat"]
+        extract_features(mini_corpus["manifest"], replace(mini_config, method="wavelet"),
+                         cache_dir=tmp_path)
+        expected = files(tmp_path / "c1")
+        assert len(expected) == len(mini_corpus["manifest"].entries)
+        assert files(cache / "c1") == expected
 
     def test_truncated_single_entry_is_rewritten(self, mini_corpus, mini_config, cold_compare,
                                                  tmp_path):
@@ -522,7 +540,5 @@ class TestGenerateCorpus:
         m2 = generate_corpus(tmp_path / "c2", clips_per_class=2,
                              duration_s=0.1, sample_rate=8000, seed=4)
         for e1, e2 in zip(m1.entries, m2.entries):
-            b1 = open(e1.path, "rb").read()
-            b2 = open(e2.path, "rb").read()
-            assert b1 == b2
+            assert Path(e1.path).read_bytes() == Path(e2.path).read_bytes()
         assert m1.classes == ("chirp", "harmonic_tone", "impulse_train", "noise_burst")

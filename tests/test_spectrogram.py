@@ -163,7 +163,7 @@ class TestToFixed:
         values = rng.normal(size=shape)
         rows, cols = 128, 128
         out = to_fixed(values, rows, cols)
-        assert out.flags.c_contiguous  # the fixed/ cache stores this layout
+        assert out.flags.c_contiguous
         rr = np.linspace(0, shape[0] - 1, rows)
         cc = np.linspace(0, shape[1] - 1, cols)
         raw = np.array([[bilinear_at(values, r, c) for c in cc] for r in rr])
