@@ -2,13 +2,15 @@
 
 Subcommands: synth, split, extract, train, evaluate, gridsearch, compare.
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
-non-convergence.
+non-convergence. Every message, a library warning included, is one line
+on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -254,17 +256,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.run(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SonoclassError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    with warnings.catch_warnings():  # restores showwarning on the way out
+        warnings.showwarning = _show_warning
+        try:
+            return args.run(args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except (SonoclassError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -19,6 +19,9 @@ from .spectrogram import StftParams
 from .svm import KernelParams
 
 METHODS = ("single", "bank", "patches", "wavelet")
+# the most values one fixed grid or one log-Gabor bank may hold (128 MiB of
+# float64); each is allocated whole, so a larger one is refused up front
+MAX_ARRAY_VALUES = 2 ** 24
 
 
 def _parse_float_tuple(text: str) -> tuple[float, ...]:
@@ -139,6 +142,15 @@ class RunConfig:
                 replace(kernel, gamma=gamma)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        cap, grid = MAX_ARRAY_VALUES, rows * cols
+        if grid > cap:
+            raise ConfigError(f"fixed grid {rows}x{cols} holds {grid} values, above the cap of {cap}")
+        bank = self.gabor_scales * self.gabor_orientations * grid
+        if bank > cap:
+            raise ConfigError(
+                f"log-Gabor bank of {self.gabor_scales} scales x {self.gabor_orientations} "
+                f"orientations of {rows}x{cols} holds {bank} values, above the cap of {cap}"
+            )
 
     def stft_params(self) -> StftParams:
         return StftParams(frame_size=self.frame_size, hop=self.hop, log_floor=self.log_floor)

@@ -29,7 +29,8 @@ class TrainedModel:
     transform is the sampled patch set (wavelet) or the MI selection (the rest).
     A selection picks from the config's fixed-grid cells, a patch set holds
     wavelet.patches patches sized as sample_patches cycles wavelet.sizes, and
-    the transform's width is the scaler's and every pair's support-vector width."""
+    the transform's width is the scaler's and every pair's support-vector width.
+    Every pair was trained at the config's svm.gamma and svm.c."""
 
     ovo: OvoModel
     config: RunConfig
@@ -58,10 +59,15 @@ class TrainedModel:
             raise SonoclassError(
                 f"{width} transformed features, but a scaler of {self.ovo.n_features}"
             )
+        params = self.config.kernel_params()
         for (a, b), pair in sorted(self.ovo.pair_models.items()):
             if pair.support_vectors.shape[1] != width:
                 raise SonoclassError(f"pair {a} {b} support vectors have "
                                      f"{pair.support_vectors.shape[1]} features, expected {width}")
+            if pair.params != params:
+                raise SonoclassError(f"pair {a} {b} has gamma {pair.params.gamma!r} and c "
+                                     f"{pair.params.c!r}, but svm.gamma = {params.gamma!r} "
+                                     f"and svm.c = {params.c!r}")
         if wavelet:
             if width != self.config.wavelet_patches:
                 raise SonoclassError(

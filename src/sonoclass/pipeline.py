@@ -425,7 +425,8 @@ def compare_methods(
 ) -> ComparisonResult:
     """Evaluate every single-filter configuration plus the three multi-filter
     methods on one shared split. Reporting only; nothing is asserted about
-    which method wins."""
+    which method wins. If any pair solve of the 15 models stops without
+    converging, one RuntimeWarning gives the count."""
     # every config is checked before the first model trains
     grid_configs = [
         replace(config, method="single", single_scale=scale, single_orientation=orientation)
@@ -439,12 +440,16 @@ def compare_methods(
         raise SonoclassError("manifest has no test rows")
     _extract_each_clip_once(manifest, grid_configs + method_configs, cache_dir)
 
+    converged: list[bool] = []  # one flag per pair solve
+
     def report(cfg: RunConfig) -> EvaluationReport:
         model = train_model(manifest, cfg, cache_dir=cache_dir)
+        converged.extend(m.converged for m in model.ovo.pair_models.values())
         return evaluate_model(model, manifest, cache_dir=cache_dir)
 
     grid_reports = [(c.single_scale, c.single_orientation, report(c)) for c in grid_configs]
     method_reports = {c.method: report(c) for c in method_configs}
+    svm.warn_unconverged(converged.count(False), len(converged))
     return ComparisonResult(
         grid_reports=grid_reports,
         method_reports=method_reports,

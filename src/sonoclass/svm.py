@@ -15,6 +15,7 @@ import math
 import multiprocessing
 import os
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import combinations
@@ -120,7 +121,7 @@ def smo_train(
     (seeded, so training is deterministic), pairing each violator with the
     point of maximum error difference. Terminates when a full pass finds
     no violator; if max_passes runs out first the best iterate is returned
-    with converged=False and a warning.
+    with converged=False. Nothing is warned: converged and n_passes say it.
 
     For every C' in [C, c_limit] of the returned model, the same call at C'
     takes every step the same way and returns the same model, bit for bit,
@@ -247,13 +248,6 @@ def smo_train(
             examine_all = False
         elif changed == 0:
             examine_all = True
-    if not converged:
-        warnings.warn(
-            f"SMO stopped after {passes} passes without satisfying the KKT "
-            f"conditions (tol={tol}); returning the best iterate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
 
     alpha = np.array(alpha)
     bias = _recompute_bias(kernel, y, alpha, c)
@@ -325,51 +319,55 @@ def apply_scaler(values: np.ndarray, scaler: tuple[np.ndarray, np.ndarray]) -> n
     return np.where(span > 0.0, (values - lo) / safe, 0.0)
 
 
+def _ovo_ladder(matrix: FeatureMatrix, gamma: float, c_values, tol: float,
+                max_passes: int, seed: int) -> Iterator[OvoModel]:
+    """Yield the one-vs-one model at each C of the ascending c_values.
+
+    Features are min-max scaled to [0, 1] with edges from the whole
+    training matrix, once for every C. Each pair trains on its own rows
+    only, with the lower class label mapped to +1 and seed + its index. A
+    pair solve is also the solve at every larger C up to its c_limit (see
+    smo_train), so a rung within that limit keeps it with only its params
+    replaced.
+    """
+    labels, counts = np.unique(matrix.labels, return_counts=True)
+    if labels.size < 2:
+        raise SonoclassError("need at least 2 classes")
+    small = [int(v) for v in labels[counts < 2]]
+    if small:
+        raise SonoclassError(f"classes {small} have fewer than 2 training samples")
+    classes = tuple(int(v) for v in labels)
+
+    scaler = fit_scaler(matrix.values)
+    scaled = apply_scaler(matrix.values, scaler)
+    pairs = list(combinations(classes, 2))
+    pair_models: dict[tuple[int, int], BinarySvmModel] = {}
+    for c in c_values:
+        params = KernelParams(gamma=gamma, c=c)
+        for pair_idx, (a, b) in enumerate(pairs):
+            kept = pair_models.get((a, b))
+            if kept is not None and c <= kept.c_limit:
+                pair_models[(a, b)] = replace(kept, params=params)
+                continue
+            rows = np.flatnonzero((matrix.labels == a) | (matrix.labels == b))
+            y = np.where(matrix.labels[rows] == a, 1.0, -1.0)
+            pair_models[(a, b)] = smo_train(
+                scaled[rows], y, params,
+                tol=tol, max_passes=max_passes, seed=seed + pair_idx,
+            )
+        yield OvoModel(classes=classes, pair_models=dict(pair_models), scaler=scaler)
+
+
 def ovo_train(
     matrix: FeatureMatrix,
     params: KernelParams,
     tol: float = DEFAULT_TOL,
     max_passes: int = DEFAULT_MAX_PASSES,
     seed: int = 0,
-    previous: OvoModel | None = None,
 ) -> OvoModel:
-    """Train one binary model per unordered class pair.
-
-    Features are min-max scaled to [0, 1] with edges from the whole
-    training matrix before any pair is trained. Each pair trains on its
-    own rows only, with the lower class label mapped to +1.
-
-    previous, if given, must come from this function with the same matrix,
-    tol, max_passes and seed. Each of its pair models with the same gamma,
-    a C no larger than params.c and a c_limit of at least params.c is
-    already this call's solve for that pair (see smo_train), so it is kept
-    with only its params replaced.
-    """
-    classes = tuple(int(v) for v in np.unique(matrix.labels))
-    if len(classes) < 2:
-        raise SonoclassError("need at least 2 classes")
-    counts = {cls: int(np.sum(matrix.labels == cls)) for cls in classes}
-    small = [cls for cls, n in counts.items() if n < 2]
-    if small:
-        raise SonoclassError(f"classes {small} have fewer than 2 training samples")
-
-    scaler = fit_scaler(matrix.values)
-    scaled = apply_scaler(matrix.values, scaler)
-
-    pair_models: dict[tuple[int, int], BinarySvmModel] = {}
-    for pair_idx, (a, b) in enumerate(combinations(classes, 2)):
-        earlier = previous.pair_models.get((a, b)) if previous is not None else None
-        if (earlier is not None and earlier.params.gamma == params.gamma
-                and earlier.params.c <= params.c <= earlier.c_limit):
-            pair_models[(a, b)] = replace(earlier, params=params)
-            continue
-        rows = np.flatnonzero((matrix.labels == a) | (matrix.labels == b))
-        y = np.where(matrix.labels[rows] == a, 1.0, -1.0)
-        pair_models[(a, b)] = smo_train(
-            scaled[rows], y, params,
-            tol=tol, max_passes=max_passes, seed=seed + pair_idx,
-        )
-    return OvoModel(classes=classes, pair_models=pair_models, scaler=scaler)
+    """Train one binary model per unordered class pair (see _ovo_ladder).
+    The model's converged says whether every pair solve converged."""
+    return next(_ovo_ladder(matrix, params.gamma, [params.c], tol, max_passes, seed))
 
 
 def ovo_predict_batch(model: OvoModel, x: np.ndarray) -> np.ndarray:
@@ -439,31 +437,29 @@ def _cv_ladder(
 
     Returns, per C, the number of correctly predicted held-out rows, the
     number of pair solves that did not converge and the number of pair
-    solves. Each rung hands its model to the next rung's ovo_train, which
-    keeps every pair whose solve is the same at the larger C. The
-    per-solve non-convergence warning is silenced here; grid_search_cv
-    reports the count once.
+    solves.
     """
     gamma, fold = task
     train_rows = assignment != fold
     train = FeatureMatrix(matrix.values[train_rows], matrix.labels[train_rows])
     test_values, test_labels = matrix.values[~train_rows], matrix.labels[~train_rows]
-    model = None
     rungs = []
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="SMO stopped", category=RuntimeWarning)
-        for c in c_values:
-            model = ovo_train(
-                train, KernelParams(gamma=gamma, c=c),
-                tol=tol, max_passes=max_passes, seed=seed + fold, previous=model,
-            )
-            predicted = ovo_predict_batch(model, test_values)
-            rungs.append((
-                int(np.sum(predicted == test_labels)),
-                sum(not m.converged for m in model.pair_models.values()),
-                len(model.pair_models),
-            ))
+    for model in _ovo_ladder(train, gamma, c_values, tol, max_passes, seed + fold):
+        predicted = ovo_predict_batch(model, test_values)
+        rungs.append((
+            int(np.sum(predicted == test_labels)),
+            sum(not m.converged for m in model.pair_models.values()),
+            len(model.pair_models),
+        ))
     return rungs
+
+
+def warn_unconverged(unconverged: int, solves: int) -> None:
+    """The one warning of a call that runs many pair solves and returns no
+    model to read converged from."""
+    if unconverged:
+        warnings.warn(f"{unconverged} of {solves} pair solves did not converge",
+                      RuntimeWarning, stacklevel=3)
 
 
 def grid_search_cv(
@@ -484,8 +480,9 @@ def grid_search_cv(
     The work is one task per (gamma, fold), which trains at every C in
     ascending order. A pair solve whose box never bound is also the solve
     at every larger C up to its c_limit (see smo_train), so the next rung
-    keeps that pair's model instead of solving it again. The table is the
-    same as from one independent solve per (C, gamma, fold, pair).
+    keeps that pair's model instead of solving it again (_ovo_ladder). The
+    table is the same as from one independent solve per (C, gamma, fold,
+    pair).
 
     Tasks are deterministic, so they run in a fork pool with one worker
     per CPU in this process's affinity mask; with one CPU they run in
@@ -525,10 +522,5 @@ def grid_search_cv(
             table.append((c, gamma, accuracy))
             if best is None or accuracy > best[0]:
                 best = (accuracy, KernelParams(gamma=gamma, c=c))
-    if unconverged:
-        warnings.warn(
-            f"{unconverged} of {solves} pair solves did not converge",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    warn_unconverged(unconverged, solves)
     return best[1], table

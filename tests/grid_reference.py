@@ -7,8 +7,6 @@ time in this process, so tests can require that both give the same table,
 the same best cell and the same non-convergence warning.
 """
 
-import warnings
-
 import numpy as np
 
 from sonoclass.feature_select import FeatureMatrix
@@ -18,19 +16,17 @@ from sonoclass.svm import KernelParams, ovo_predict_batch, ovo_train, stratified
 def _cv_cell(matrix, assignment, folds, seed, tol, max_passes, c, gamma):
     params = KernelParams(gamma=gamma, c=c)
     correct = unconverged = solves = 0
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="SMO stopped", category=RuntimeWarning)
-        for fold in range(folds):
-            train_rows = assignment != fold
-            test_rows = ~train_rows
-            model = ovo_train(
-                FeatureMatrix(matrix.values[train_rows], matrix.labels[train_rows]),
-                params, tol=tol, max_passes=max_passes, seed=seed + fold,
-            )
-            unconverged += sum(not m.converged for m in model.pair_models.values())
-            solves += len(model.pair_models)
-            predicted = ovo_predict_batch(model, matrix.values[test_rows])
-            correct += int(np.sum(predicted == matrix.labels[test_rows]))
+    for fold in range(folds):
+        train_rows = assignment != fold
+        test_rows = ~train_rows
+        model = ovo_train(
+            FeatureMatrix(matrix.values[train_rows], matrix.labels[train_rows]),
+            params, tol=tol, max_passes=max_passes, seed=seed + fold,
+        )
+        unconverged += sum(not m.converged for m in model.pair_models.values())
+        solves += len(model.pair_models)
+        predicted = ovo_predict_batch(model, matrix.values[test_rows])
+        correct += int(np.sum(predicted == matrix.labels[test_rows]))
     return correct, unconverged, solves
 
 

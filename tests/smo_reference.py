@@ -13,8 +13,6 @@ package's solver has no such mode, so the tests check its ascent through
 exact parity with this copy.
 """
 
-import warnings
-
 import numpy as np
 
 from qp_oracle import dual_objective
@@ -131,13 +129,6 @@ def smo_train(
             examine_all = False
         elif changed == 0:
             examine_all = True
-    if not converged:
-        warnings.warn(
-            f"SMO stopped after {passes} passes without satisfying the KKT "
-            f"conditions (tol={tol}); returning the best iterate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
 
     bias = _recompute_bias(kernel, y, alpha, c)
     mask = alpha > 0.0

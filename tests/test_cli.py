@@ -3,6 +3,7 @@ import multiprocessing
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from conftest import make_wav_bytes
 from sonoclass import cli, pipeline, svm
 from sonoclass.manifest import DatasetManifest, ManifestEntry, read_manifest, write_manifest
-from sonoclass.model_io import MODEL_HEADER
+from sonoclass.model_io import MODEL_HEADER, load_model, save_model
 
 
 @pytest.fixture(scope="module")
@@ -259,6 +260,35 @@ class TestTrainEvaluate:
         model_path.write_text(damaged)
         assert self._evaluate_err(corpus, model_path, capsys) == f"error: {model_path}: {message}\n"
 
+    def test_pair_params_must_match_the_config_echo(self, corpus, tmp_path, capsys):
+        model_path = self._train(corpus, tmp_path, "bank")
+        text = model_path.read_text()
+        resaved = tmp_path / "resaved.txt"
+        save_model(resaved, load_model(model_path))
+        assert resaved.read_text() == text  # an intact model loads and keeps every byte
+        assert "\nparams 0.5 10\n" in text
+        model_path.write_text(text.replace("\nparams 0.5 10\n", "\nparams 1e-9 10\n", 1))
+        assert self._evaluate_err(corpus, model_path, capsys) == (
+            f"error: {model_path}: pair 0 1 has gamma 1e-09 and c 10.0, "
+            "but svm.gamma = 0.5 and svm.c = 10.0\n"
+        )
+
+    @pytest.mark.parametrize("command", ["train", "extract"])
+    @pytest.mark.parametrize("text", ["gabor.orientations = 99999999999",
+                                      "fixed.rows = 100000000"])
+    def test_huge_grid_or_bank_is_config_error(self, corpus, tmp_path, capsys, monkeypatch,
+                                               command, text):
+        # were the config accepted, the run would stop here instead of allocating
+        for name in ("train_model", "extract_features"):
+            monkeypatch.setattr(pipeline, name, lambda *a, **k: pytest.fail("config accepted"))
+        rc = cli.main([command, "--manifest", str(corpus["manifest"]),
+                       "--config", str(write_cfg(tmp_path, text)),
+                       "--out", str(tmp_path / "out")])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "above the cap of 16777216" in err
+
     @pytest.mark.parametrize("method, prefix", [
         ("wavelet", "patch "), ("bank", "min "), ("bank", "coef "),
     ], ids=["wavelet-patch-row", "bank-min", "bank-coef"])
@@ -307,18 +337,30 @@ class TestTrainEvaluate:
             "echo, got 'patches none junk'\n"
         )
 
-    def test_nonconvergence_exit_code(self, corpus, tmp_path):
-        model_path = tmp_path / "model.txt"
-        with pytest.warns(RuntimeWarning):
-            rc = cli.main([
-                "train", "--manifest", str(corpus["manifest"]),
+    def _train_one_pass(self, corpus, tmp_path):
+        return ["train", "--manifest", str(corpus["manifest"]),
                 "--method", "bank", "--top-k", "32", "--c", "8", "--gamma", "0.5",
                 "--seed", "1", "--cache-dir", corpus["cache"],
                 "--config", str(write_cfg(tmp_path, "svm.max_passes = 1")),
-                "--out", str(model_path),
-            ])
+                "--out", str(tmp_path / "model.txt")]
+
+    def test_nonconvergence_exit_code(self, corpus, tmp_path, capsys):
+        rc = cli.main(self._train_one_pass(corpus, tmp_path))
         assert rc == cli.EXIT_NONCONVERGENCE
-        assert model_path.exists()  # best iterate still persisted
+        assert (tmp_path / "model.txt").exists()  # best iterate still persisted
+        assert capsys.readouterr().err == (
+            "warning: at least one pair solver did not converge\n"
+        )
+
+    def test_nonconvergence_is_one_line_when_warnings_are_errors(self, corpus, tmp_path,
+                                                                   src_env):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "sonoclass.cli",
+             *self._train_one_pass(corpus, tmp_path)],
+            capture_output=True, text=True, env=src_env(),
+        )
+        assert proc.returncode == cli.EXIT_NONCONVERGENCE
+        assert proc.stderr == "warning: at least one pair solver did not converge\n"
 
 
 def write_cfg(tmp_path, text):
@@ -364,8 +406,9 @@ class TestGridSearchCompare:
         assert "Traceback" not in err
         assert multiprocessing.active_children() == []
 
-    def test_gridsearch_nonconvergence_warns_once_and_exits_0(self, corpus, tmp_path):
-        with pytest.warns(RuntimeWarning) as record:
+    def test_gridsearch_nonconvergence_warns_once_and_exits_0(self, corpus, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")  # shown, as outside the test suite
             rc = cli.main([
                 "gridsearch", "--manifest", str(corpus["manifest"]),
                 "--method", "bank", "--top-k", "16", "--cache-dir", corpus["cache"],
@@ -374,8 +417,7 @@ class TestGridSearchCompare:
                 )),
             ])
         assert rc == cli.EXIT_OK
-        messages = [str(w.message) for w in record if w.category is RuntimeWarning]
-        assert messages == ["36 of 36 pair solves did not converge"]
+        assert capsys.readouterr().err == "warning: 36 of 36 pair solves did not converge\n"
 
     def test_compare_outputs(self, corpus, tmp_path):
         out_dir = tmp_path / "cmp"

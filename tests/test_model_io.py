@@ -28,11 +28,12 @@ def small_trained_model(seed=0, with_patches=False):
     if with_patches:
         patches = tuple(rng.normal(size=(m, m, 3)) for m in (4, 8))
         patch_set = PatchSet(patches=patches, sources=((0, 1, 2, 3), (1, 2, 0, 0)))
-        config = RunConfig(method="wavelet", seed=5, wavelet_patches=2, wavelet_sizes=(4, 8))
+        config = RunConfig(method="wavelet", seed=5, wavelet_patches=2, wavelet_sizes=(4, 8),
+                           svm_gamma=0.4, svm_c=7.0)
     else:
         selection = MiSelection(selected=np.array([4, 1, 0, 3, 2]),
                                 scores=rng.uniform(size=5), n_features=128 * 128)
-        config = RunConfig(method="bank", seed=1, mi_top_k=5)
+        config = RunConfig(method="bank", seed=1, mi_top_k=5, svm_gamma=0.4, svm_c=7.0)
     return TrainedModel(
         ovo=ovo,
         config=config,
@@ -137,6 +138,13 @@ class TestTransformRule:
             change = {"ovo": replace(ovo, pair_models={**ovo.pair_models, (0, 2): pair})}
         with pytest.raises(SonoclassError, match=message):
             replace(model, **change)
+
+    @pytest.mark.parametrize("with_patches", [False, True], ids=["bank", "wavelet"])
+    def test_pair_params_must_be_the_configs(self, with_patches):
+        model, _ = small_trained_model(with_patches=with_patches)
+        with pytest.raises(SonoclassError, match=r"^pair 0 1 has gamma 0.4 and c 7.0, "
+                                                 r"but svm.gamma = 0.4 and svm.c = 8.0$"):
+            replace(model, config=replace(model.config, svm_c=8.0))
 
     def test_patch_count_must_be_wavelet_patches(self):
         model, _ = small_trained_model(with_patches=True)
@@ -247,8 +255,8 @@ class TestErrors:
             load_model(path)
 
     @pytest.mark.parametrize("old, new, message", [
-        ("svm.c = 10\n", "svm.c = abc\n", "bad value for svm.c: 'abc'"),
-        ("svm.c = 10\n", "svm.k = 10\n", "unknown config key 'svm.k'"),
+        ("svm.c = 7\n", "svm.c = abc\n", "bad value for svm.c: 'abc'"),
+        ("svm.c = 7\n", "svm.k = 7\n", "unknown config key 'svm.k'"),
     ], ids=["bad-value", "unknown-key"])
     def test_bad_config_echo_is_a_data_error(self, tmp_path, old, new, message):
         model, _ = small_trained_model()

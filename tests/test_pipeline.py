@@ -10,6 +10,7 @@ from sonoclass import log_gabor, pipeline
 from sonoclass.audio_io import generate_corpus
 from sonoclass.config import (
     CONFIG_KEYS,
+    MAX_ARRAY_VALUES,
     METHODS,
     RunConfig,
     config_from_flat,
@@ -42,7 +43,7 @@ from sonoclass.report import (
     single_grid_csv,
     tabulate_report,
 )
-from sonoclass.svm import BinarySvmModel, KernelParams, OvoModel
+from sonoclass.svm import BinarySvmModel, OvoModel
 from sonoclass.wavelet_baseline import sample_patches
 
 
@@ -164,6 +165,29 @@ class TestConfig:
         # the octave rule's 1025th frequency, (1/3) / 2**1024, has no float
         with pytest.raises(ConfigError, match="^99999999999 scales an octave apart go below"):
             config_from_flat({"gabor.scales": "99999999999"})
+
+    @pytest.mark.parametrize("flat, message", [
+        ({"gabor.orientations": "99999999999"}, r"^log-Gabor bank of 2 scales x 99999999999 "
+         r"orientations of 128x128 holds 3276799999967232 values, above the cap of 16777216$"),
+        ({"fixed.rows": "100000000"},
+         r"^fixed grid 100000000x128 holds 12800000000 values, above the cap of 16777216$"),
+        ({"gabor.scales": "1", "gabor.orientations": "1", "fixed.rows": "4096",
+          "fixed.cols": "4097"}, "^fixed grid 4096x4097 holds 16781312 values"),
+        ({"gabor.scales": "4", "gabor.orientations": "4", "fixed.rows": "1024",
+          "fixed.cols": "1025"}, "^log-Gabor bank of 4 scales x 4 orientations of 1024x1025 "
+         "holds 16793600 values"),
+    ], ids=["orientations", "fixed.rows", "grid-above-cap", "bank-above-cap"])
+    def test_huge_grid_or_bank_rejected(self, flat, message):
+        # only the config is built: no grid or bank is allocated
+        with pytest.raises(ConfigError, match=message):
+            config_from_flat(flat)
+
+    def test_grid_and_bank_at_the_cap_accepted(self):
+        assert MAX_ARRAY_VALUES == 4096 * 4096
+        config_from_flat({"gabor.scales": "1", "gabor.orientations": "1",
+                          "fixed.rows": "4096", "fixed.cols": "4096"})
+        config_from_flat({"gabor.scales": "4", "gabor.orientations": "4",
+                          "fixed.rows": "1024", "fixed.cols": "1024"})
 
     def test_bad_method_rejected(self):
         with pytest.raises(ConfigError):
@@ -404,6 +428,14 @@ class TestCompareFiltersEachClipOnce:
         assert rendered(compare_methods(manifest, mini_config)) == rendered(cold_compare[1])
 
 
+def test_unconverged_compare_warns_once_with_the_count(mini_corpus, mini_config, cold_compare):
+    config = replace(mini_config, svm_max_passes=1)
+    with pytest.warns(RuntimeWarning) as record:
+        compare_methods(mini_corpus["manifest"], config, cache_dir=cold_compare[0])
+    # 15 models x 6 pairs of 4 classes; no solve converges in one pass
+    assert [str(w.message) for w in record] == ["90 of 90 pair solves did not converge"]
+
+
 class TestTrainEvaluate:
     def test_two_class_model(self, mini_corpus, mini_config, tmp_path):
         keep = {"chirp", "impulse_train"}
@@ -488,11 +520,10 @@ class TestTrainEvaluate:
         # rig every pair model to vote for its lower class: class 0 always wins
         classes = mini_corpus["manifest"].classes
         d = 128 * 128
-        params = KernelParams(gamma=1.0, c=1.0)
         pair_models = {
             (a, b): BinarySvmModel(
                 support_vectors=np.zeros((0, d)), dual_coef=np.zeros(0),
-                bias=1.0, params=params,
+                bias=1.0, params=mini_config.kernel_params(),
             )
             for a in range(4) for b in range(a + 1, 4)
         }
