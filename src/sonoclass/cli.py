@@ -18,7 +18,7 @@ import numpy as np
 from . import log_gabor, pipeline, report
 from .audio_io import generate_corpus, load_wav, peak_normalize
 from .config import CONFIG_KEYS, METHODS, RunConfig, load_config
-from .errors import ConfigError, SonoclassError
+from .errors import ConfigError, NonConvergenceWarning, SonoclassError
 from .manifest import TRAIN_FRACTION, auto_split, read_manifest, write_manifest
 from .model_io import load_model, save_model
 from .spectrogram import log_spectrogram
@@ -273,6 +273,9 @@ def main(argv=None) -> int:
         except (SonoclassError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA
+        except NonConvergenceWarning as exc:  # raised when warnings are errors
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NONCONVERGENCE
 
 
 if __name__ == "__main__":

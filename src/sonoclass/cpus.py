@@ -1,0 +1,18 @@
+"""How many workers a parallel step runs: one per CPU this process may run on.
+
+MI selection (threads) and the grid search (a fork pool) both follow this
+rule, so `taskset -c 0` runs either serially. Neither result depends on
+the count.
+"""
+
+import os
+
+
+def worker_count(n_tasks: int) -> int:
+    """One worker per CPU in this process's affinity mask, and never more
+    than tasks."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_tasks))

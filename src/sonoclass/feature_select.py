@@ -4,9 +4,10 @@ Features are discretized into equal-width histograms (edges fit on training
 data only) and scored by I(feature; label) in bits; the top-K indices by
 score reduce every feature vector thereafter.
 
-`mi_scores` scores a block of columns at a time: one `bincount` over
-(column, bin, class) codes gives every joint table of the block, and the
-MI terms of all its columns are computed together. The columns that have
+`mi_scores` scores a block of columns at a time, the blocks on every CPU
+of the affinity mask: one `bincount` over (column, bin, class) codes gives
+every joint table of the block, and the MI terms of the nonzero cells of
+all its columns are computed together. The columns that have
 the same number m of nonzero cells are summed together, each as one row of
 m terms; that rounds exactly like the 1-D `np.sum` in `_mi_from_counts`,
 so the scores are bit-identical to scoring each column with `discretize`
@@ -16,10 +17,12 @@ public estimator and the oracle the blocked pass is tested against.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import cpus
 from .errors import SonoclassError
 
 DEFAULT_N_BINS = 16
@@ -113,7 +116,14 @@ def _mi_from_counts(joint: np.ndarray) -> float:
 
 
 def mi_scores(matrix: FeatureMatrix, n_bins: int = DEFAULT_N_BINS) -> np.ndarray:
-    """MI with the labels, in bits, of every feature: shape (D,)."""
+    """MI with the labels, in bits, of every feature: shape (D,).
+
+    The column blocks are scored on this thread and on one pool thread per
+    further CPU in the affinity mask (`cpus.worker_count`), each block into
+    its own slice of the scores, so the scores do not depend on the count.
+    The blocks in flight together are no wider than one block on one CPU,
+    and the pool is shut down before this returns.
+    """
     labels = matrix.labels
     if np.unique(labels).size < 2:
         raise SonoclassError("selection needs at least 2 distinct classes")
@@ -123,13 +133,39 @@ def mi_scores(matrix: FeatureMatrix, n_bins: int = DEFAULT_N_BINS) -> np.ndarray
     _, label_idx = np.unique(labels, return_inverse=True)
     n_classes = int(label_idx.max()) + 1
     d = matrix.n_features
-    width = max(1, min(BLOCK_COLUMNS, BLOCK_CELLS // (n_bins * n_classes)))
+    budget = max(1, min(BLOCK_COLUMNS, BLOCK_CELLS // (n_bins * n_classes)))
+    workers = cpus.worker_count(budget)
+    width = budget // workers
+    blocks = range(0, d, width)
+    starts = iter(blocks)
+    taking = threading.Lock()
     scores = np.empty(d)
-    for start in range(0, d, width):
-        block = matrix.values[:, start:start + width]
-        scores[start:start + block.shape[1]] = _block_scores(
-            block, label_idx, n_classes, n_bins
-        )
+
+    def score() -> None:
+        # each thread takes the next block when it is free, so a thread
+        # that gets less CPU time scores fewer blocks
+        while True:
+            with taking:
+                start = next(starts, None)
+            if start is None:
+                return
+            block = matrix.values[:, start:start + width]
+            scores[start:start + block.shape[1]] = _block_scores(
+                block, label_idx, n_classes, n_bins
+            )
+
+    helpers = min(workers, len(blocks)) - 1
+    if helpers == 0:
+        score()
+        return scores
+    # imported here, so that importing the CLI does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(helpers) as pool:
+        futures = [pool.submit(score) for _ in range(helpers)]
+        score()
+        for future in futures:
+            future.result()
     return scores
 
 
@@ -157,27 +193,52 @@ def _block_scores(
     lo = block.min(axis=0)
     span = block.max(axis=0) - lo
     span[span == 0] = 1.0  # a constant column has x - lo == 0: bin 0
-    binned = np.floor((block - lo) * (n_bins / span)).astype(np.int64)
-    np.clip(binned, 0, n_bins - 1, out=binned)
-    codes = np.arange(width) * cells + binned * n_classes + label_idx[:, None]
+    # x - lo >= 0, so truncating to int is discretize's floor; only the
+    # column maximum can land on n_bins
+    scaled = block - lo
+    scaled *= n_bins / span
+    codes = scaled.astype(np.int64)
+    del scaled
+    np.minimum(codes, n_bins - 1, out=codes)
+    # code of sample i in column j: its cell (bin, class) of column j's table
+    codes *= n_classes
+    codes += label_idx[:, None]
+    codes += np.arange(0, width * cells, cells)
     joint = np.bincount(codes.ravel(), minlength=width * cells)
-    joint = joint.reshape(width, n_bins, n_classes)
+    del codes
 
     p_xy = joint / n_samples
-    p_x = p_xy.sum(axis=2, keepdims=True)
-    p_y = p_xy.sum(axis=1, keepdims=True)
-    mask = joint > 0
-    p = p_xy[mask]  # column by column, each in row-major (bin, class) order
-    terms = p * np.log2(p / (p_x * p_y)[mask])
+    p_x = p_xy.reshape(width * n_bins, n_classes).sum(axis=1)
+    # the nonzero cells, column by column, each in row-major (bin, class) order
+    nz = np.flatnonzero(joint > 0)  # a bool mask is searched faster
+    col = nz // cells
+    p = p_xy[nz]
+    # numpy sums the bins of a class one after another, and so does a
+    # weighted bincount over the nonzero cells in bin order
+    col_class = col * n_classes + nz % n_classes
+    p_y = np.bincount(col_class, weights=p, minlength=width * n_classes)
+    terms = p_x[nz // n_classes]
+    terms *= p_y[col_class]
+    np.divide(p, terms, out=terms)
+    np.log2(terms, out=terms)
+    terms *= p
 
     # columns with m nonzero cells are summed as rows of m terms, which
-    # rounds like np.sum over one column's m terms
-    nnz = mask.reshape(width, cells).sum(axis=1)
-    ends = np.cumsum(nnz)
+    # rounds like np.sum over one column's m terms; in order of m, each
+    # group's rows are one contiguous run
+    nnz = np.bincount(col, minlength=width)
+    order = np.argsort(nnz, kind="stable")
+    m_sorted = nnz[order]
+    # where each column's terms start in terms, less where they start in runs
+    shift = (np.cumsum(nnz) - nnz)[order] - (np.cumsum(m_sorted) - m_sorted)
+    runs = terms[np.repeat(shift, m_sorted) + np.arange(terms.size)]
     sums = np.empty(width)
-    for m in np.unique(nnz):
-        cols = np.flatnonzero(nnz == m)
-        sums[cols] = terms[(ends[cols] - m)[:, None] + np.arange(m)].sum(axis=1)
+    row = at = 0
+    ms, counts = np.unique(m_sorted, return_counts=True)
+    for m, count in zip(ms.tolist(), counts.tolist()):
+        sums[order[row:row + count]] = runs[at:at + count * m].reshape(count, m).sum(axis=1)
+        row += count
+        at += count * m
     return np.where(sums < 0.0, 0.0, sums)  # max(sum, 0.0), as _mi_from_counts
 
 

@@ -229,8 +229,9 @@ def extract_features(
     """Run the per-clip pipeline for the requested manifest splits.
 
     Rows follow manifest order within each split, and labels index
-    manifest.classes. Every requested split is extracted in one batch, so
-    one error lists every clip that failed. For the wavelet method a
+    manifest.classes. Every requested split is extracted in one batch into
+    one preallocated matrix, filled row by row, so one error lists every
+    clip that failed. For the wavelet method a
     missing patch_set is sampled from the training rows' C1 pyramids with
     the configured seed, and those pyramids are handed to
     FeatureExtractor.c2, so a training row's C2 is computed from them on a
@@ -254,18 +255,29 @@ def extract_features(
             )
             pyramids = {e.path: c1 for e, c1 in zip(train_rows, train_c1)}
         feature_fn = lambda e: extractor.c2(e.path, patch_set, pyramids.get(e.path))
+        n_features = len(patch_set)
     else:
         feature_fn = lambda e: extractor.gabor_feature(e.path)
+        n_features = config.fixed_rows * config.fixed_cols
 
     pending = [split for split in splits if manifest.rows(split)]
-    batch = iter(collect([e for split in pending for e in manifest.rows(split)], feature_fn))
+    entries = [e for split in pending for e in manifest.rows(split)]
+    values = np.empty((len(entries), n_features))
+    rows = iter(values)
+
+    def fill(entry) -> None:
+        row = next(rows)  # taken first, so a failed clip still uses up its row
+        row[:] = feature_fn(entry)
+
+    collect(entries, fill)
     label_index = {name: i for i, name in enumerate(manifest.classes)}
     matrices: dict[str, FeatureMatrix] = {}
+    start = 0
     for split in pending:
-        rows = manifest.rows(split)
-        values = np.vstack([next(batch) for _ in rows])
-        labels = np.array([label_index[e.label] for e in rows], dtype=np.int64)
-        matrices[split] = FeatureMatrix(values=values, labels=labels)
+        split_rows = manifest.rows(split)
+        labels = np.array([label_index[e.label] for e in split_rows], dtype=np.int64)
+        matrices[split] = FeatureMatrix(values[start:start + len(split_rows)], labels)
+        start += len(split_rows)
 
     return ExtractResult(
         train=matrices.get("train"),
@@ -426,7 +438,7 @@ def compare_methods(
     """Evaluate every single-filter configuration plus the three multi-filter
     methods on one shared split. Reporting only; nothing is asserted about
     which method wins. If any pair solve of the 15 models stops without
-    converging, one RuntimeWarning gives the count."""
+    converging, one NonConvergenceWarning gives the count."""
     # every config is checked before the first model trains
     grid_configs = [
         replace(config, method="single", single_scale=scale, single_orientation=orientation)

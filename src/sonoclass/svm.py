@@ -12,8 +12,6 @@ one binary model per class pair and majority voting.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -22,7 +20,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import SonoclassError
+from . import cpus
+from .errors import NonConvergenceWarning, SonoclassError
 from .feature_select import FeatureMatrix
 
 DEFAULT_TOL = 1e-3
@@ -320,15 +319,16 @@ def apply_scaler(values: np.ndarray, scaler: tuple[np.ndarray, np.ndarray]) -> n
 
 
 def _ovo_ladder(matrix: FeatureMatrix, gamma: float, c_values, tol: float,
-                max_passes: int, seed: int) -> Iterator[OvoModel]:
-    """Yield the one-vs-one model at each C of the ascending c_values.
+                max_passes: int, seed: int) -> Iterator[tuple[OvoModel, bool]]:
+    """Yield the one-vs-one model at each C of the ascending c_values, and
+    whether any of its pairs was solved at that C.
 
     Features are min-max scaled to [0, 1] with edges from the whole
     training matrix, once for every C. Each pair trains on its own rows
     only, with the lower class label mapped to +1 and seed + its index. A
     pair solve is also the solve at every larger C up to its c_limit (see
     smo_train), so a rung within that limit keeps it with only its params
-    replaced.
+    replaced. A rung that keeps every pair predicts as the one before it.
     """
     labels, counts = np.unique(matrix.labels, return_counts=True)
     if labels.size < 2:
@@ -344,18 +344,20 @@ def _ovo_ladder(matrix: FeatureMatrix, gamma: float, c_values, tol: float,
     pair_models: dict[tuple[int, int], BinarySvmModel] = {}
     for c in c_values:
         params = KernelParams(gamma=gamma, c=c)
+        solved = False
         for pair_idx, (a, b) in enumerate(pairs):
             kept = pair_models.get((a, b))
             if kept is not None and c <= kept.c_limit:
                 pair_models[(a, b)] = replace(kept, params=params)
                 continue
+            solved = True
             rows = np.flatnonzero((matrix.labels == a) | (matrix.labels == b))
             y = np.where(matrix.labels[rows] == a, 1.0, -1.0)
             pair_models[(a, b)] = smo_train(
                 scaled[rows], y, params,
                 tol=tol, max_passes=max_passes, seed=seed + pair_idx,
             )
-        yield OvoModel(classes=classes, pair_models=dict(pair_models), scaler=scaler)
+        yield OvoModel(classes=classes, pair_models=dict(pair_models), scaler=scaler), solved
 
 
 def ovo_train(
@@ -367,7 +369,8 @@ def ovo_train(
 ) -> OvoModel:
     """Train one binary model per unordered class pair (see _ovo_ladder).
     The model's converged says whether every pair solve converged."""
-    return next(_ovo_ladder(matrix, params.gamma, [params.c], tol, max_passes, seed))
+    model, _ = next(_ovo_ladder(matrix, params.gamma, [params.c], tol, max_passes, seed))
+    return model
 
 
 def ovo_predict_batch(model: OvoModel, x: np.ndarray) -> np.ndarray:
@@ -415,15 +418,6 @@ def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> np.ndarray:
     return assignment
 
 
-def _worker_count(n_tasks: int) -> int:
-    """One worker per CPU this process may run on, and never more than tasks."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_tasks))
-
-
 def _cv_ladder(
     matrix: FeatureMatrix,
     assignment: np.ndarray,
@@ -444,10 +438,12 @@ def _cv_ladder(
     train = FeatureMatrix(matrix.values[train_rows], matrix.labels[train_rows])
     test_values, test_labels = matrix.values[~train_rows], matrix.labels[~train_rows]
     rungs = []
-    for model in _ovo_ladder(train, gamma, c_values, tol, max_passes, seed + fold):
-        predicted = ovo_predict_batch(model, test_values)
+    correct = 0
+    for model, solved in _ovo_ladder(train, gamma, c_values, tol, max_passes, seed + fold):
+        if solved:  # else every pair is kept, and so is the prediction
+            correct = int(np.sum(ovo_predict_batch(model, test_values) == test_labels))
         rungs.append((
-            int(np.sum(predicted == test_labels)),
+            correct,
             sum(not m.converged for m in model.pair_models.values()),
             len(model.pair_models),
         ))
@@ -459,7 +455,7 @@ def warn_unconverged(unconverged: int, solves: int) -> None:
     model to read converged from."""
     if unconverged:
         warnings.warn(f"{unconverged} of {solves} pair solves did not converge",
-                      RuntimeWarning, stacklevel=3)
+                      NonConvergenceWarning, stacklevel=3)
 
 
 def grid_search_cv(
@@ -487,8 +483,8 @@ def grid_search_cv(
     Tasks are deterministic, so they run in a fork pool with one worker
     per CPU in this process's affinity mask; with one CPU they run in
     this process. The table is the same either way. If any pair solve
-    stops without converging, one RuntimeWarning gives the count; a kept
-    solve counts again at every C that keeps it.
+    stops without converging, one NonConvergenceWarning gives the count; a
+    kept solve counts again at every C that keeps it.
     """
     if folds < 2:
         raise ValueError("need at least 2 folds")
@@ -499,10 +495,13 @@ def grid_search_cv(
     assignment = stratified_folds(matrix.labels, folds, seed)
     tasks = [(gamma, fold) for gamma in gammas for fold in range(folds)]
     run_task = partial(_cv_ladder, matrix, assignment, seed, tol, max_passes, c_values)
-    workers = _worker_count(len(tasks))
+    workers = cpus.worker_count(len(tasks))
     if workers == 1:
         results = list(map(run_task, tasks))
     else:
+        # imported here, so that importing the CLI does not pay for it
+        import multiprocessing
+
         # fork, not spawn: a spawned worker re-imports the caller's main
         # module, which breaks scripts that call this at top level without a
         # __main__ guard (demos/06_svm_training.py). Tasks differ in cost,

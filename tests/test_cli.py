@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import make_wav_bytes
-from sonoclass import cli, pipeline, svm
+from sonoclass import cli, cpus, pipeline
 from sonoclass.manifest import DatasetManifest, ManifestEntry, read_manifest, write_manifest
 from sonoclass.model_io import MODEL_HEADER, load_model, save_model
 
@@ -387,7 +387,7 @@ class TestGridSearchCompare:
         assert len(lines) == 5
 
     def test_gridsearch_worker_error_is_data_error(self, corpus, tmp_path, capfd, monkeypatch):
-        monkeypatch.setattr(svm, "_worker_count", lambda n_cells: 2)
+        monkeypatch.setattr(cpus, "worker_count", lambda n_cells: 2)
         manifest = read_manifest(corpus["manifest"])
         moved = manifest.rows("train")[0]  # its class keeps exactly 2 training clips
         path = tmp_path / "two_in_one_class.tsv"
@@ -406,18 +406,29 @@ class TestGridSearchCompare:
         assert "Traceback" not in err
         assert multiprocessing.active_children() == []
 
-    def test_gridsearch_nonconvergence_warns_once_and_exits_0(self, corpus, tmp_path, capsys):
-        with warnings.catch_warnings():
-            warnings.simplefilter("default")  # shown, as outside the test suite
-            rc = cli.main([
-                "gridsearch", "--manifest", str(corpus["manifest"]),
+    def _gridsearch_one_pass(self, corpus, tmp_path):
+        return ["gridsearch", "--manifest", str(corpus["manifest"]),
                 "--method", "bank", "--top-k", "16", "--cache-dir", corpus["cache"],
                 "--config", str(write_cfg(
                     tmp_path, "grid.c = 1,8\ngrid.gamma = 0.5\ngrid.folds = 3\nsvm.max_passes = 1",
-                )),
-            ])
+                ))]
+
+    def test_gridsearch_nonconvergence_warns_once_and_exits_0(self, corpus, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")  # shown, as outside the test suite
+            rc = cli.main(self._gridsearch_one_pass(corpus, tmp_path))
         assert rc == cli.EXIT_OK
         assert capsys.readouterr().err == "warning: 36 of 36 pair solves did not converge\n"
+
+    def test_gridsearch_nonconvergence_is_one_error_when_warnings_are_errors(
+            self, corpus, tmp_path, src_env):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "sonoclass.cli",
+             *self._gridsearch_one_pass(corpus, tmp_path)],
+            capture_output=True, text=True, env=src_env(),
+        )
+        assert proc.returncode == cli.EXIT_NONCONVERGENCE
+        assert proc.stderr == "error: 36 of 36 pair solves did not converge\n"
 
     def test_compare_outputs(self, corpus, tmp_path):
         out_dir = tmp_path / "cmp"
@@ -736,6 +747,19 @@ class TestErrorPaths:
             "import sys\n"
             "import sonoclass.cli\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_loads_no_pool_module(self, src_env):
+        # only a pooled grid search or MI selection imports one
+        code = (
+            "import sys\n"
+            "import sonoclass.cli\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=src_env(),

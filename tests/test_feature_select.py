@@ -1,8 +1,10 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from sonoclass import cpus, feature_select
 from sonoclass.errors import SonoclassError
 from sonoclass.feature_select import (
     BLOCK_COLUMNS,
@@ -200,31 +202,35 @@ def parity_matrix(seed, n_samples, n_features, classes):
     return FeatureMatrix(values, labels)
 
 
+def per_column_oracle(matrix, n_bins):
+    return np.array([
+        mutual_information(discretize(col, n_bins), matrix.labels) for col in matrix.values.T
+    ])
+
+
 # 40 bins x 10 classes on 300 rows: some columns have more than 128 nonzero
 # joint cells, where numpy's pairwise sum recurses
 OVER_128_CELLS = (300, 200, tuple(range(10, 20)), 40)
+
+PARITY_SHAPES = [
+    pytest.param(40, 1, (3, 7), 16, id="one-column"),
+    pytest.param(120, 300, (0, 2, 5, 9, 11), 39, id="below-block"),
+    pytest.param(30, BLOCK_COLUMNS, (1, 0), 2, id="one-block"),
+    pytest.param(80, 2 * BLOCK_COLUMNS + 37, (0, 1, 2, 3), 16, id="ragged-blocks"),
+    pytest.param(*OVER_128_CELLS, id="over-128-cells"),
+    # 64 bins x 4 classes: the cell bound cuts blocks to 512 columns
+    pytest.param(60, 1100, (0, 1, 2, 3), 64, id="cell-bounded-blocks"),
+]
 
 
 class TestBlockedParity:
     """select_top_k scores blocks of columns at once; every score must
     equal the per-column discretize + mutual_information oracle exactly."""
 
-    @pytest.mark.parametrize("n_samples, n_features, classes, n_bins", [
-        (40, 1, (3, 7), 16),
-        (120, 300, (0, 2, 5, 9, 11), 39),
-        (30, BLOCK_COLUMNS, (1, 0), 2),
-        (80, 2 * BLOCK_COLUMNS + 37, (0, 1, 2, 3), 16),
-        OVER_128_CELLS,
-        # 64 bins x 4 classes: the cell bound cuts blocks to 512 columns
-        (60, 1100, (0, 1, 2, 3), 64),
-    ], ids=["one-column", "below-block", "one-block", "ragged-blocks", "over-128-cells",
-            "cell-bounded-blocks"])
+    @pytest.mark.parametrize("n_samples, n_features, classes, n_bins", PARITY_SHAPES)
     def test_scores_equal_per_column_oracle(self, n_samples, n_features, classes, n_bins):
         matrix = parity_matrix(n_features, n_samples, n_features, np.array(classes))
-        oracle = np.array([
-            mutual_information(discretize(col, n_bins), matrix.labels)
-            for col in matrix.values.T
-        ])
+        oracle = per_column_oracle(matrix, n_bins)
         k = min(n_features, 64)
         scores = mi_scores(matrix, n_bins=n_bins)
         assert np.array_equal(scores, oracle)
@@ -232,6 +238,37 @@ class TestBlockedParity:
         order = np.lexsort((np.arange(n_features), -oracle))
         assert np.array_equal(sel.selected, order[:k])
         assert np.array_equal(sel.scores, scores[sel.selected])
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("n_samples, n_features, classes, n_bins", PARITY_SHAPES + [
+        # a class's bins are summed over many cells, and a bin's classes over many
+        pytest.param(200, 300, (0, 1), 80, id="two-classes-80-bins"),
+        pytest.param(150, 400, tuple(range(9)), 16, id="nine-classes"),
+    ])
+    def test_scores_do_not_depend_on_worker_count(self, monkeypatch, workers, n_samples,
+                                                  n_features, classes, n_bins):
+        monkeypatch.setattr(cpus, "worker_count", lambda n_tasks: min(workers, n_tasks))
+        matrix = parity_matrix(n_features, n_samples, n_features, np.array(classes))
+        assert np.array_equal(mi_scores(matrix, n_bins=n_bins), per_column_oracle(matrix, n_bins))
+
+    def test_pool_threads_score_blocks_and_are_gone_after(self, monkeypatch):
+        monkeypatch.setattr(cpus, "worker_count", lambda n_tasks: min(3, n_tasks))
+        threads = set()
+        together = threading.Barrier(3, timeout=30)
+        score = feature_select._block_scores
+
+        def recorded(*args):
+            if threading.get_ident() not in threads:
+                threads.add(threading.get_ident())
+                together.wait()  # each of the 3 threads scores a block
+            return score(*args)
+
+        monkeypatch.setattr(feature_select, "_block_scores", recorded)
+        matrix = parity_matrix(7, 40, 2 * BLOCK_COLUMNS, np.array([0, 1, 2, 3]))
+        before = threading.active_count()
+        select_top_k(matrix, k=10)
+        assert threading.active_count() == before
+        assert len(threads) == 3 and threading.get_ident() in threads
 
     def test_over_128_cells_case_has_such_columns(self):
         n_samples, n_features, classes, n_bins = OVER_128_CELLS

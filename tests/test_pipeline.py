@@ -331,6 +331,20 @@ class TestExtract:
         compare_methods(manifest, mini_config, cache_dir=mini_corpus["cache"])
         assert sorted(hashed) == sorted(e.path for e in manifest.entries)
 
+    @pytest.mark.parametrize("method", ["bank", "wavelet"])
+    def test_matrices_are_the_stacked_clip_vectors(self, mini_corpus, mini_config, method):
+        config = replace(mini_config, method=method)
+        manifest = mini_corpus["manifest"]
+        result = extract_features(manifest, config, cache_dir=mini_corpus["cache"])
+        extractor = FeatureExtractor(config)
+        for split, matrix in (("train", result.train), ("test", result.test)):
+            rows = manifest.rows(split)
+            if method == "wavelet":
+                vectors = [extractor.c2(e.path, result.patch_set) for e in rows]
+            else:
+                vectors = [extractor.gabor_feature(e.path) for e in rows]
+            assert np.array_equal(matrix.values, np.vstack(vectors))
+
     def test_missing_file_aborts_with_report(self, mini_corpus, mini_config):
         manifest = DatasetManifest(mini_corpus["manifest"].entries + entries([
             ("missing_a.wav", "chirp", "train"), ("missing_b.wav", "chirp", "test"),

@@ -1,5 +1,8 @@
 import multiprocessing
 import os
+import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -8,8 +11,8 @@ import pytest
 import grid_reference
 import qp_oracle
 import smo_reference
-from sonoclass import svm
-from sonoclass.errors import SonoclassError
+from sonoclass import cpus, svm
+from sonoclass.errors import NonConvergenceWarning, SonoclassError
 from sonoclass.feature_select import FeatureMatrix
 from sonoclass.svm import (
     BinarySvmModel,
@@ -527,14 +530,21 @@ class TestOvo:
 @pytest.mark.parametrize("max_passes", [2, 200])
 def test_ladder_rungs_equal_direct_ovo_train(monkeypatch, max_passes):
     """Each rung of the C ladder is ovo_train at that C, pair by pair and bit
-    for bit, on a ladder that keeps some pair solves and solves others again."""
+    for bit, on a ladder that keeps some pair solves and solves others again.
+    A rung says whether it solved any pair."""
     matrix = multiclass_blobs(3, seed=17, n_per=9, spread=2.5)
     c_values = [2.0 ** p for p in range(-5, 22, 2)]
     solves = []
     solve = svm.smo_train
     monkeypatch.setattr(svm, "smo_train", lambda *a, **k: solves.append(1) or solve(*a, **k))
-    rungs = list(svm._ovo_ladder(matrix, 0.5, c_values, 1e-3, max_passes, seed=3))
+    rungs, flags, counted = [], [], 0
+    for rung, solved in svm._ovo_ladder(matrix, 0.5, c_values, 1e-3, max_passes, seed=3):
+        assert solved == (len(solves) > counted)  # this rung solved a pair
+        counted = len(solves)
+        rungs.append(rung)
+        flags.append(solved)
     assert 3 < len(solves) < 3 * len(c_values)
+    assert not all(flags)
     for c, rung in zip(c_values, rungs, strict=True):
         direct = ovo_train(matrix, KernelParams(gamma=0.5, c=c), max_passes=max_passes, seed=3)
         assert rung.classes == direct.classes
@@ -607,23 +617,50 @@ class TestGridSearch:
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity API")
     def test_worker_count_follows_affinity(self):
-        assert svm._worker_count(10_000) == len(os.sched_getaffinity(0))
-        assert svm._worker_count(1) == 1
+        assert cpus.worker_count(10_000) == len(os.sched_getaffinity(0))
+        assert cpus.worker_count(1) == 1
 
     def test_serial_and_pooled_give_the_same_result(self, monkeypatch):
         matrix = multiclass_blobs(3, seed=13, n_per=9, spread=3.0)
         grid = dict(c_grid=[0.5, 4.0, 64.0], gamma_grid=[0.05, 0.5, 5.0], folds=3, seed=2)
         results = []
         for count in (1, 2):
-            monkeypatch.setattr(svm, "_worker_count", lambda n_cells, count=count: count)
+            monkeypatch.setattr(cpus, "worker_count", lambda n_cells, count=count: count)
             results.append(grid_search_cv(matrix, **grid))
         assert results[0] == results[1]
         assert len({acc for _, _, acc in results[0][1]}) > 1
         assert multiprocessing.active_children() == []
 
+    def test_pool_forks_with_no_thread_left_by_selection(self, src_env):
+        """Python 3.12 and later warn when a process with more than one
+        thread forks. The child runs with one BLAS thread, so only a pool
+        thread that select_top_k left running would be counted."""
+        code = (
+            "import warnings\n"
+            "import numpy as np\n"
+            "from sonoclass import cpus, feature_select, svm\n"
+            "cpus.worker_count = lambda n_tasks: min(2, n_tasks)\n"
+            "rng = np.random.default_rng(0)\n"
+            "labels = np.repeat(np.arange(3), 6)\n"
+            "matrix = feature_select.FeatureMatrix(rng.normal(size=(18, 3000)), labels)\n"
+            "with warnings.catch_warnings(record=True) as record:\n"
+            "    warnings.simplefilter('always')\n"
+            "    selection = feature_select.select_top_k(matrix, k=8)\n"
+            "    selected = feature_select.apply_selection(matrix.values, selection)\n"
+            "    svm.grid_search_cv(feature_select.FeatureMatrix(selected, labels),\n"
+            "                       c_grid=[1.0], gamma_grid=[0.5], folds=2)\n"
+            "print([str(w.message) for w in record if w.category is DeprecationWarning])\n"
+        )
+        one_thread = {name: "1" for name in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=src_env(**one_thread), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_worker_error_reaches_caller(self, monkeypatch, workers):
-        monkeypatch.setattr(svm, "_worker_count", lambda n_cells: workers)
+        monkeypatch.setattr(cpus, "worker_count", lambda n_cells: workers)
         matrix = multiclass_blobs(3, seed=14, n_per=6)
         # class 2 keeps exactly 2 rows, so each 2-fold train split has one
         keep = np.r_[np.flatnonzero(matrix.labels != 2), np.flatnonzero(matrix.labels == 2)[:2]]
@@ -635,12 +672,12 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_nonconvergence_warning(self, monkeypatch, capfd, workers):
-        monkeypatch.setattr(svm, "_worker_count", lambda n_cells: workers)
+        monkeypatch.setattr(cpus, "worker_count", lambda n_cells: workers)
         matrix = multiclass_blobs(3, seed=15, n_per=9, spread=2.0)
         with pytest.warns(RuntimeWarning) as record:
             grid_search_cv(matrix, c_grid=[1.0, 100.0], gamma_grid=[0.5],
                            folds=3, max_passes=1)
-        messages = [str(w.message) for w in record if w.category is RuntimeWarning]
+        messages = [str(w.message) for w in record if w.category is NonConvergenceWarning]
         # 2 cells x 3 folds x 3 pairs; no solve converges in one pass
         assert messages == ["18 of 18 pair solves did not converge"]
         assert "SMO stopped" not in capfd.readouterr().err  # nor in a worker
@@ -652,7 +689,7 @@ class TestGridSearch:
     @pytest.mark.parametrize("max_passes", [8, 200])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_matches_per_cell_reference(self, monkeypatch, workers, max_passes):
-        monkeypatch.setattr(svm, "_worker_count", lambda n_tasks: workers)
+        monkeypatch.setattr(cpus, "worker_count", lambda n_tasks: workers)
         matrix = multiclass_blobs(3, seed=17, n_per=9, spread=2.5)
         grid = dict(self.REFERENCE_GRID, max_passes=max_passes)
         want_best, want_table, want_message = grid_reference.grid_search_cv(matrix, **grid)
@@ -665,8 +702,25 @@ class TestGridSearch:
         assert [str(w.message) for w in record] == [want_message]
         assert len({acc for _, _, acc in table}) > 1
 
+    def test_a_rung_that_keeps_every_pair_predicts_again_only_after_a_solve(self, monkeypatch):
+        monkeypatch.setattr(cpus, "worker_count", lambda n_tasks: 1)
+        matrix = multiclass_blobs(3, seed=17, n_per=9, spread=2.5)
+        _, want_table, _ = grid_reference.grid_search_cv(matrix, **self.REFERENCE_GRID)
+        events = []
+        solve, predict = svm.smo_train, svm.ovo_predict_batch
+        monkeypatch.setattr(svm, "smo_train", lambda *a, **k: events.append("s") or solve(*a, **k))
+        monkeypatch.setattr(svm, "ovo_predict_batch",
+                            lambda *a, **k: events.append("p") or predict(*a, **k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _, table = grid_search_cv(matrix, **self.REFERENCE_GRID)
+        assert table == want_table
+        # each rung that solves a pair predicts once; the others reuse its count
+        assert re.fullmatch("(s+p)+", "".join(events))
+        assert events.count("p") < 7 * 3 * 3  # C values x gammas x folds
+
     def test_ladder_solves_fewer_pairs_than_cells(self, monkeypatch):
-        monkeypatch.setattr(svm, "_worker_count", lambda n_tasks: 1)
+        monkeypatch.setattr(cpus, "worker_count", lambda n_tasks: 1)
         solves = []
         solve = svm.smo_train
         monkeypatch.setattr(svm, "smo_train", lambda *a, **k: solves.append(1) or solve(*a, **k))
