@@ -17,7 +17,6 @@ public estimator and the oracle the blocked pass is tested against.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,11 +117,12 @@ def _mi_from_counts(joint: np.ndarray) -> float:
 def mi_scores(matrix: FeatureMatrix, n_bins: int = DEFAULT_N_BINS) -> np.ndarray:
     """MI with the labels, in bits, of every feature: shape (D,).
 
-    The column blocks are scored on this thread and on one pool thread per
-    further CPU in the affinity mask (`cpus.worker_count`), each block into
-    its own slice of the scores, so the scores do not depend on the count.
-    The blocks in flight together are no wider than one block on one CPU,
-    and the pool is shut down before this returns.
+    The column blocks are scored on one pool thread per CPU in the
+    affinity mask (`cpus.worker_count`), each block into its own slice of
+    the scores, so the scores do not depend on the count. The blocks in
+    flight together are no wider than one block on one CPU, and the pool
+    is shut down before this returns; with one CPU or one block no thread
+    starts.
     """
     labels = matrix.labels
     if np.unique(labels).size < 2:
@@ -137,35 +137,24 @@ def mi_scores(matrix: FeatureMatrix, n_bins: int = DEFAULT_N_BINS) -> np.ndarray
     workers = cpus.worker_count(budget)
     width = budget // workers
     blocks = range(0, d, width)
-    starts = iter(blocks)
-    taking = threading.Lock()
     scores = np.empty(d)
 
-    def score() -> None:
-        # each thread takes the next block when it is free, so a thread
-        # that gets less CPU time scores fewer blocks
-        while True:
-            with taking:
-                start = next(starts, None)
-            if start is None:
-                return
-            block = matrix.values[:, start:start + width]
-            scores[start:start + block.shape[1]] = _block_scores(
-                block, label_idx, n_classes, n_bins
-            )
+    def score(start: int) -> np.ndarray:
+        block = matrix.values[:, start:start + width]
+        return _block_scores(block, label_idx, n_classes, n_bins)
 
-    helpers = min(workers, len(blocks)) - 1
-    if helpers == 0:
-        score()
-        return scores
-    # imported here, so that importing the CLI does not pay for it
-    from concurrent.futures import ThreadPoolExecutor
+    if min(workers, len(blocks)) == 1:
+        each = map(score, blocks)
+    else:
+        # imported here, so that importing the CLI does not pay for it
+        from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(helpers) as pool:
-        futures = [pool.submit(score) for _ in range(helpers)]
-        score()
-        for future in futures:
-            future.result()
+        # an idle thread takes the next block, so a thread that gets less
+        # CPU time scores fewer blocks
+        with ThreadPoolExecutor(workers) as pool:
+            each = list(pool.map(score, blocks))
+    for start, block_scores in zip(blocks, each):
+        scores[start:start + block_scores.size] = block_scores
     return scores
 
 
@@ -193,13 +182,14 @@ def _block_scores(
     lo = block.min(axis=0)
     span = block.max(axis=0) - lo
     span[span == 0] = 1.0  # a constant column has x - lo == 0: bin 0
-    # x - lo >= 0, so truncating to int is discretize's floor; only the
-    # column maximum can land on n_bins
+    # x - lo >= 0, so truncating to int is discretize's floor; the clip
+    # takes the column maximum from n_bins to the top bin, and, as in
+    # discretize, a NaN from an overflowing bin width to bin 0
     scaled = block - lo
     scaled *= n_bins / span
     codes = scaled.astype(np.int64)
     del scaled
-    np.minimum(codes, n_bins - 1, out=codes)
+    np.clip(codes, 0, n_bins - 1, out=codes)
     # code of sample i in column j: its cell (bin, class) of column j's table
     codes *= n_classes
     codes += label_idx[:, None]

@@ -255,19 +255,21 @@ def extract_features(
             )
             pyramids = {e.path: c1 for e, c1 in zip(train_rows, train_c1)}
         feature_fn = lambda e: extractor.c2(e.path, patch_set, pyramids.get(e.path))
-        n_features = len(patch_set)
     else:
         feature_fn = lambda e: extractor.gabor_feature(e.path)
-        n_features = config.fixed_rows * config.fixed_cols
 
     pending = [split for split in splits if manifest.rows(split)]
     entries = [e for split in pending for e in manifest.rows(split)]
-    values = np.empty((len(entries), n_features))
-    rows = iter(values)
+    rows = iter(range(len(entries)))
+    values = None
 
     def fill(entry) -> None:
+        nonlocal values
         row = next(rows)  # taken first, so a failed clip still uses up its row
-        row[:] = feature_fn(entry)
+        vector = feature_fn(entry)
+        if values is None:  # the first vector gives the row length
+            values = np.empty((len(entries), vector.size))
+        values[row] = vector
 
     collect(entries, fill)
     label_index = {name: i for i, name in enumerate(manifest.classes)}

@@ -1,5 +1,6 @@
 import math
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -260,7 +261,7 @@ class TestBlockedParity:
         def recorded(*args):
             if threading.get_ident() not in threads:
                 threads.add(threading.get_ident())
-                together.wait()  # each of the 3 threads scores a block
+                together.wait()  # each of the 3 pool threads scores a block
             return score(*args)
 
         monkeypatch.setattr(feature_select, "_block_scores", recorded)
@@ -268,7 +269,25 @@ class TestBlockedParity:
         before = threading.active_count()
         select_top_k(matrix, k=10)
         assert threading.active_count() == before
-        assert len(threads) == 3 and threading.get_ident() in threads
+        assert len(threads) == 3 and threading.get_ident() not in threads
+
+    def test_columns_whose_bin_width_overflows_match_the_oracle(self):
+        """n_bins / span overflows for a subnormal span, and x - lo for a
+        span past the float range: both give NaN bin positions, which
+        discretize clips to bin 0. An odd class count keeps a bin code
+        from wrapping back into range."""
+        matrix = parity_matrix(5, 30, 40, np.array([0, 1, 2]))
+        values = matrix.values.copy()
+        values[:, 3] = 0.0
+        values[::7, 3] = 5e-324
+        values[:, 11] = np.tile([-1e308, 0.0, 1e308], 10)
+        matrix = FeatureMatrix(values, matrix.labels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+            oracle = per_column_oracle(matrix, 16)
+            scores = mi_scores(matrix, n_bins=16)
+        assert np.array_equal(scores, oracle)
+        assert oracle[3] == oracle[11] == 0.0  # every row in bin 0
 
     def test_over_128_cells_case_has_such_columns(self):
         n_samples, n_features, classes, n_bins = OVER_128_CELLS
