@@ -11,12 +11,14 @@ The three feature methods share one filtering step, `apply_filter`:
 orientations) stack and averages, and 'patches' runs 'bank' on each of
 three row bands. `build_bank` keeps one bank per (grid, params).
 
-So one stacked filtering, `apply_filter(values, bank.masks)`, gives every
-'single' feature and the 'bank' feature at once: slice [s-1, o-1] of the
-stack, raveled, is single (s, o) and the stack's mean over the first two
-axes is bank, each equal element for element to what
+So one filtering of the whole stack, `apply_filter(values, bank.masks)`,
+gives every 'single' feature and the 'bank' feature at once: slice
+[s-1, o-1] of the stack, raveled, is single (s, o) and the stack's mean
+over the first two axes is bank, each equal element for element to what
 `single_filter_feature` and `bank_average_feature` return. `compare`
-fills its single and bank feature entries this way.
+fills its single and bank feature entries this way. A stack costs one
+forward FFT and then one 2D inverse FFT per mask, each written straight
+into the float output.
 """
 
 from __future__ import annotations
@@ -141,10 +143,20 @@ def build_bank(grid_shape: tuple[int, int], params: LogGaborParams | None = None
 
 def apply_filter(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Magnitude response of one frequency mask or a stack of masks
-    (circular convolution over the last two axes, one forward FFT)."""
+    (circular convolution over the last two axes).
+
+    One forward FFT of `values` serves every mask. Each mask then gets its
+    own 2D inverse FFT, whose modulus goes straight into its slice of the
+    float output: one inverse FFT over the whole stack would hold a complex
+    copy of it and run its column pass over an array too large for the
+    cache. Either way every output element is the same to the bit."""
     if values.shape != masks.shape[-2:]:
         raise SonoclassError(f"spectrogram {values.shape} vs mask {masks.shape}")
-    return np.abs(np.fft.ifft2(np.fft.fft2(values) * masks))
+    spectrum = np.fft.fft2(values)
+    out = np.empty(masks.shape)
+    for index in np.ndindex(masks.shape[:-2]):
+        np.abs(np.fft.ifft2(spectrum * masks[index]), out=out[index])
+    return out
 
 
 def single_filter_feature(values: np.ndarray, bank: LogGaborBank, scale: int,

@@ -5,9 +5,12 @@ Pipeline: undecimated Haar detail coefficients for 3 dyadic scales x
 2^j cells (C1) -> sliding scalar products against randomly sampled patches
 (S2) -> one global max per patch (C2). C2 vectors go straight to the SVM.
 
-S2 runs one tensordot per (patch size, scale) over the sliding windows of
-that scale's C1 planes, so every patch of a size is scored in one BLAS
-call, and C2 takes its maxima straight off those score arrays.
+S2 runs one matrix product per (patch size, scale) over the sliding
+windows of that scale's C1 planes, so every patch of a size is scored in
+one BLAS call, and C2 takes its maxima straight off those score arrays.
+The windows of every product are copied in turn into one operand buffer
+per clip, laid out as np.tensordot lays them out, so the scores are the
+tensordot scores bit for bit without a fresh operand array per product.
 """
 
 from __future__ import annotations
@@ -182,7 +185,7 @@ def patch_transform(
     whose planes can host that size; scores[r, u, v] is patch indices[r]'s
     correlation (summed over the 3 orientations) at offset (u, v).
     """
-    out = []
+    products = []
     for indices, stack in patch_set.stacks:
         m = stack.shape[1]
         for scale_idx, scale in enumerate(SCALES):
@@ -190,10 +193,22 @@ def patch_transform(
             if planes.shape[1] < m or planes.shape[2] < m:
                 continue
             windows = sliding_window_view(planes, (m, m), axis=(1, 2))  # (3, U, V, M, M)
-            # this axis order is the contraction einsum's optimizer picks;
-            # other orders differ in the last bit
-            scores = np.tensordot(stack, windows, axes=((1, 2, 3), (3, 4, 0)))
-            out.append((indices, scale, scores))
+            products.append((indices, stack, scale, windows))
+    # One operand buffer, sized for the largest product, holds each
+    # product's windows in turn, so a clip allocates it once instead of
+    # once per product. The windows go in as a C-contiguous (M, M, 3, U, V)
+    # array, the operand np.tensordot(stack, windows, axes=((1, 2, 3),
+    # (3, 4, 0))) builds: that is the contraction order einsum's optimizer
+    # picks, other orders differ in the last bit, and the one gemm below
+    # on operands of that shape and layout is the call tensordot makes.
+    buffer = np.empty(max((windows.size for *_, windows in products), default=0))
+    out = []
+    for indices, stack, scale, windows in products:
+        _, u, v, m, _ = windows.shape
+        operand = buffer[:windows.size].reshape(m, m, 3, u, v)
+        np.copyto(operand, windows.transpose(3, 4, 0, 1, 2))
+        scores = np.dot(stack.reshape(len(indices), -1), operand.reshape(-1, u * v))
+        out.append((indices, scale, scores.reshape(len(indices), u, v)))
     return out
 
 

@@ -1,8 +1,9 @@
 """Reference copy of S2/C2 in its einsum-and-dicts form.
 
 `sonoclass.wavelet_baseline.patch_transform` scores every patch of one
-size against one C1 scale with a single tensordot, and `global_max` takes
-its maxima straight off those arrays. This copy keeps the earlier form:
+size against one C1 scale with a single matrix product, the one
+`np.tensordot` makes, and `global_max` takes its maxima straight off
+those arrays. This copy keeps the earlier form:
 one `np.einsum(..., optimize=True)` per size and scale, each patch's score
 maps kept in a dict by scale, and a Python max per patch. Tests require
 that both give the same C2 vectors, bit for bit.

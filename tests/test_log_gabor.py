@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,22 @@ class TestApplyFilter:
         flat_masks = bank.masks.reshape(bank.n_filters, *shape)
         reshaped = np.abs(np.fft.ifft2(np.fft.fft2(values)[None] * flat_masks, axes=(1, 2)))
         assert np.array_equal(bank_average_feature(values, bank), reshaped.mean(axis=0).ravel())
+
+    def test_stack_peak_memory_is_under_twice_the_output(self):
+        # one inverse FFT per mask into the output; a stacked inverse FFT
+        # held a complex copy of all 12 responses and peaked near 6x
+        rng = np.random.default_rng(3)
+        values = rng.uniform(0, 1, size=(128, 128))
+        bank = build_bank((128, 128), PARAMS)
+        apply_filter(values, bank.masks)  # FFT set-up costs stay out of the peak
+        tracemalloc.start()
+        try:
+            out = apply_filter(values, bank.masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (2, 6, 128, 128) and out.dtype == np.float64
+        assert peak <= 2 * out.nbytes
 
     def test_matches_direct_circular_convolution(self):
         # oracle: spatial kernel = IFFT of the mask; direct wrap-around sum

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import c2_reference
 from sonoclass.errors import SonoclassError
@@ -256,6 +257,37 @@ class TestPatchTransform:
             (3, 1, (3, 9, 9)), (3, 2, (3, 1, 1)),
         ]
         assert [list(indices) for indices, _, _ in s2] == [[0, 2, 4, 6]] * 3 + [[1, 3, 5]] * 2
+
+    def test_every_product_reads_one_shared_operand(self, monkeypatch):
+        # the scale-3 plane of a 64x64 grid is 8x8, so size 12 fits scales 1-2 only
+        rng = np.random.default_rng(19)
+        c1 = c1_pyramid(rng.uniform(0, 1, size=(64, 64)))
+        ps = sample_patches([c1], n_patches=9, sizes=(4, 8, 12), seed=2)
+        operands = []  # kept alive, so a fresh array per product cannot reuse an address
+        dot = np.dot
+
+        def spy(a, b):
+            operands.append(b)
+            return dot(a, b)
+
+        monkeypatch.setattr(np, "dot", spy)
+        s2 = patch_transform(c1, ps)
+        monkeypatch.undo()
+        assert [(len(indices), scale) for indices, scale, _ in s2] == [
+            (3, 1), (3, 2), (3, 3), (3, 1), (3, 2), (3, 3), (3, 1), (3, 2)]
+        assert len(operands) == len(s2)
+        assert all(np.shares_memory(operands[0], b) for b in operands[1:])
+        stacks = {tuple(indices): stack for indices, stack in ps.stacks}
+        for indices, scale, scores in s2:
+            stack = stacks[tuple(indices)]
+            windows = sliding_window_view(c1[scale - 1], stack.shape[1:3], axis=(1, 2))
+            expected = np.tensordot(stack, windows, axes=((1, 2, 3), (3, 4, 0)))
+            assert np.array_equal(scores, expected)
+        # a set that fits nowhere scores nothing, and C2 refuses it
+        nowhere = PatchSet(patches=(np.zeros((40, 40, 3)),), sources=((0, 1, 0, 0),))
+        assert patch_transform(c1, nowhere) == []
+        with pytest.raises(SonoclassError, match="no patch scores"):
+            global_max(patch_transform(c1, nowhere), len(nowhere))
 
 
 class TestGlobalMax:
