@@ -15,10 +15,11 @@ So one filtering of the whole stack, `apply_filter(values, bank.masks)`,
 gives every 'single' feature and the 'bank' feature at once: slice
 [s-1, o-1] of the stack, raveled, is single (s, o) and the stack's mean
 over the first two axes is bank, each equal element for element to what
-`single_filter_feature` and `bank_average_feature` return. `compare`
-fills its single and bank feature entries this way. A stack costs one
-forward FFT and then one 2D inverse FFT per mask, each written straight
-into the float output.
+`single_filter_feature` and `bank_average_feature` return.
+`pipeline._grid_entries` computes a bank entry and single entries asked
+together this way, as `compare` does when it fills its cache. A stack
+costs one forward FFT and then one 2D inverse FFT per mask, each written
+straight into the float output.
 """
 
 from __future__ import annotations

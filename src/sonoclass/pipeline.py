@@ -81,11 +81,12 @@ class FeatureExtractor:
     Each stage (C1 pyramid, wavelet C2 vector, log-Gabor feature) stores one
     array per clip at cache_dir/<stage>/<stage hash>/<content hash>.npy, so
     a parameter change invalidates exactly the affected stage. A file that
-    is not a well-formed .npy of the expected shape is recomputed and
-    rewritten. The fixed grid is not cached: it is computed on every call,
-    and each one counts as a fixed miss. A miss computes from the fixed grid
-    (C1, log-Gabor) or the C1 pyramid (C2) the caller passes, else from the
-    stage below. stats counts a hit or a miss for every stage looked up.
+    is not a well-formed .npy of the expected shape, float64 and finite, is
+    recomputed and rewritten. The fixed grid is not cached: it is computed
+    on every call, and each one counts as a fixed miss. A C1 or log-Gabor
+    miss computes from a new fixed grid (the feature through _grid_entries),
+    a C2 miss from the C1 pyramid the caller passes, else from the C1 stage.
+    stats counts a hit or a miss for every stage looked up.
     content_hashes memoizes each clip's content hash by path; passing one
     dict to several extractors hashes each clip once between them.
     """
@@ -111,18 +112,17 @@ class FeatureExtractor:
             return None
         return self.cache_dir / stage / stage_hash / f"{content}.npy"
 
-    def feature_entry(self, content: str) -> Path | None:
-        """Where gabor_feature caches a clip's feature; None with no cache."""
+    def grid_entry(self, content: str) -> Path | None:
+        """Where the clip's _grid_entries array for this config is cached:
+        c1/ for wavelet, feat/ otherwise; None with no cache."""
+        if self.config.method == "wavelet":
+            return self._entry("c1", self._fixed_hash, content)
         return self._entry("feat", self._feature_hash, content)
-
-    def c1_entry(self, content: str) -> Path | None:
-        """Where c1 caches a clip's pyramid; None with no cache."""
-        return self._entry("c1", self._fixed_hash, content)
 
     def _cached(self, stage: str, stage_hash: str, content: str, shape: tuple[int, ...],
                 compute) -> np.ndarray:
-        """The stage's cached array when it has this shape, else compute()'s,
-        written to the cache (with no cache directory it only computes)."""
+        """The stage's cached array if it is finite float64 of this shape, else
+        compute()'s, written to the cache (with no cache directory it only computes)."""
         path = self._entry(stage, stage_hash, content)
         if path is not None:
             try:
@@ -131,7 +131,7 @@ class FeatureExtractor:
             except (OSError, ValueError):  # missing, truncated or not a plain .npy
                 pass
             else:
-                if array.shape == shape:
+                if array.shape == shape and array.dtype == np.float64 and np.isfinite(array).all():
                     self.stats.count(stage, hit=True)
                     return array
         self.stats.count(stage, hit=False)
@@ -146,20 +146,14 @@ class FeatureExtractor:
         return to_fixed(log_spectrogram(clip, self._stft_params),
                         self.config.fixed_rows, self.config.fixed_cols)
 
-    def c1(self, path, fixed: np.ndarray | None = None) -> list[np.ndarray]:
-        """The C1 pyramid, cached as its planes raveled and joined in SCALES
-        order; fixed is the clip's grid when the caller already holds it."""
+    def c1(self, path) -> list[np.ndarray]:
+        """The C1 pyramid, cached as its planes raveled and joined in SCALES order."""
         rows, cols = self.config.fixed_rows, self.config.fixed_cols
         shapes = [(len(wavelet_baseline.ORIENTATIONS), rows >> j, cols >> j)
                   for j in wavelet_baseline.SCALES]
         ends = np.cumsum([np.prod(shape) for shape in shapes])
-
-        def compute():
-            pyramid = c1_pyramid(self.fixed_values(path) if fixed is None else fixed)
-            return np.concatenate([plane.ravel() for plane in pyramid])
-
         joined = self._cached("c1", self._fixed_hash, self._content(path), (int(ends[-1]),),
-                              compute)
+                              lambda: _joined_c1(self.fixed_values(path)))
         return [part.reshape(shape) for part, shape in zip(np.split(joined, ends[:-1]), shapes)]
 
     def c2(self, path, patch_set: PatchSet, pyramid: list[np.ndarray] | None = None) -> np.ndarray:
@@ -174,25 +168,47 @@ class FeatureExtractor:
 
         return self._cached("c2", key, self._content(path), (len(patch_set),), compute)
 
-    def gabor_feature(self, path, fixed: np.ndarray | None = None) -> np.ndarray:
-        """The log-Gabor feature; fixed is the clip's grid when the caller
-        already holds it."""
-        cfg = self.config
-
-        def compute():
-            grid = self.fixed_values(path) if fixed is None else fixed
-            bank = log_gabor.build_bank((cfg.fixed_rows, cfg.fixed_cols), cfg.gabor_params())
-            if cfg.method == "single":
-                return log_gabor.single_filter_feature(
-                    grid, bank, cfg.single_scale, cfg.single_orientation
-                )
-            if cfg.method == "bank":
-                return log_gabor.bank_average_feature(grid, bank)
-            return log_gabor.band_patch_feature(grid, bank)
-
+    def gabor_feature(self, path) -> np.ndarray:
+        """The log-Gabor feature of the config's method."""
         # every log-Gabor method gives one value per fixed-grid cell
         return self._cached("feat", self._feature_hash, self._content(path),
-                            (cfg.fixed_rows * cfg.fixed_cols,), compute)
+                            (self.config.fixed_rows * self.config.fixed_cols,),
+                            lambda: _grid_entries([self.config], self.fixed_values(path))[0])
+
+
+def _joined_c1(grid: np.ndarray) -> np.ndarray:
+    """The grid's C1 planes raveled and joined in SCALES order."""
+    return np.concatenate([plane.ravel() for plane in c1_pyramid(grid)])
+
+
+def _grid_entries(configs: list[RunConfig], grid: np.ndarray) -> list[np.ndarray]:
+    """Each config's cache entry computed from one clip's fixed grid: the
+    joined C1 planes for wavelet, else the log-Gabor feature. The configs
+    share the grid and differ only in method and single filter. A bank
+    config and single configs asked together share one filtering of the
+    whole bank: single (s, o) is slice [s-1, o-1] of it and bank its mean,
+    equal to what single_filter_feature and bank_average_feature return."""
+    shared = {"single", "bank"} <= {cfg.method for cfg in configs}
+    stack = None
+    entries = []
+    for cfg in configs:
+        if cfg.method == "wavelet":
+            entries.append(_joined_c1(grid))
+            continue
+        bank = log_gabor.build_bank(grid.shape, cfg.gabor_params())
+        if shared and cfg.method in ("single", "bank"):
+            if stack is None:
+                stack = log_gabor.apply_filter(grid, bank.masks)
+            entries.append((stack[cfg.single_scale - 1, cfg.single_orientation - 1]
+                            if cfg.method == "single" else stack.mean(axis=(0, 1))).ravel())
+        elif cfg.method == "single":
+            entries.append(log_gabor.single_filter_feature(
+                grid, bank, cfg.single_scale, cfg.single_orientation))
+        elif cfg.method == "bank":
+            entries.append(log_gabor.bank_average_feature(grid, bank))
+        else:
+            entries.append(log_gabor.band_patch_feature(grid, bank))
+    return entries
 
 
 @dataclass
@@ -390,12 +406,9 @@ def grid_search(
 
 def _extract_each_clip_once(manifest: DatasetManifest, configs: list[RunConfig],
                             cache_dir) -> None:
-    """Write the configs' missing feat/ entries, and the wavelet config's
-    missing c1/ entry, from one fixed grid per train or test clip. The
-    single and bank entries come from one stacked filtering: single (s, o)
-    is slice [s-1, o-1] of the stack and bank its mean, as gabor_feature
-    would write. The patches feature and the C1 pyramid are computed by
-    gabor_feature and c1 from the same grid.
+    """Write each config's missing grid_entry from one fixed grid per train
+    or test clip, through _grid_entries, so a bank entry and single entries
+    missing together come from one filtering of the whole bank.
 
     A damaged entry is left to the read-and-check of the configuration that
     reads it. With no cache directory there is nothing to fill, so it does
@@ -404,30 +417,15 @@ def _extract_each_clip_once(manifest: DatasetManifest, configs: list[RunConfig],
         return
     extractors = [FeatureExtractor(cfg, cache_dir, manifest.content_hashes) for cfg in configs]
     base = extractors[0]
-    grid = (base.config.fixed_rows, base.config.fixed_cols)
 
     def fill(row) -> None:
         content = base._content(row.path)
-        missing = [ex for ex in extractors
-                   if not (ex.c1_entry(content) if ex.config.method == "wavelet"
-                           else ex.feature_entry(content)).is_file()]
+        missing = [ex for ex in extractors if not ex.grid_entry(content).is_file()]
         if not missing:
             return
-        fixed = base.fixed_values(row.path)
-        stack = None
-        for ex in missing:
-            cfg = ex.config
-            if cfg.method == "wavelet":
-                ex.c1(row.path, fixed)
-            elif cfg.method == "patches":
-                ex.gabor_feature(row.path, fixed)
-            else:
-                if stack is None:  # only when a single or bank entry is missing
-                    bank = log_gabor.build_bank(grid, base.config.gabor_params())
-                    stack = log_gabor.apply_filter(fixed, bank.masks)
-                feature = (stack[cfg.single_scale - 1, cfg.single_orientation - 1]
-                           if cfg.method == "single" else stack.mean(axis=(0, 1)))
-                _write_cache(ex.feature_entry(content), feature.ravel())
+        entries = _grid_entries([ex.config for ex in missing], base.fixed_values(row.path))
+        for ex, array in zip(missing, entries):
+            _write_cache(ex.grid_entry(content), array)
 
     collect(manifest.rows("train") + manifest.rows("test"), fill)
 

@@ -262,8 +262,12 @@ class TestExtract:
         assert warm.stats.misses == 0
         assert warm.stats.hits == 24
 
-    @pytest.mark.parametrize("stage", ["c1", "c2", "feat"])
-    def test_npz_bytes_in_an_entry_are_recomputed(self, mini_corpus, mini_config, tmp_path, stage):
+    @pytest.mark.parametrize("stage, damage", [
+        pytest.param(stage, damage, id=stage if damage == "npz" else f"{stage}-{damage}")
+        for damage in ("npz", "nan", "float32") for stage in ("c1", "c2", "feat")
+    ])
+    def test_npz_bytes_in_an_entry_are_recomputed(self, mini_corpus, mini_config, tmp_path, stage,
+                                                  damage):
         path = mini_corpus["manifest"].entries[0].path
         content = pipeline._content_hash(path)
         patch_set = sample_patches([FeatureExtractor(mini_config).c1(path)], n_patches=6, seed=0)
@@ -282,7 +286,12 @@ class TestExtract:
         (entry,) = (tmp_path / stage).rglob(f"{content}.npy")
         written = entry.read_bytes()
         with open(entry, "wb") as fh:
-            np.savez(fh, first)  # the right array, but in a zip archive
+            if damage == "npz":
+                np.savez(fh, first)  # the right array, but in a zip archive
+            elif damage == "nan":
+                np.save(fh, np.where(np.arange(first.size) == 0, np.nan, first))
+            else:
+                np.save(fh, first.astype(np.float32))
         again, stats = lookup()
         assert np.array_equal(again, first)
         if stage == "c2":
@@ -415,17 +424,31 @@ class TestCompareFiltersEachClipOnce:
         assert len(expected) == len(mini_corpus["manifest"].entries)
         assert files(cache / "c1") == expected
 
+    @pytest.mark.parametrize("damage", ["trunc", "deleted", "deleted-with-bank"])
     def test_truncated_single_entry_is_rewritten(self, mini_corpus, mini_config, cold_compare,
-                                                 tmp_path):
+                                                 tmp_path, monkeypatch, damage):
         cache = tmp_path / "cache"
         shutil.copytree(cold_compare[0], cache)
         content = pipeline._content_hash(mini_corpus["manifest"].rows("test")[0].path)
-        single = replace(mini_config, method="single", single_scale=2, single_orientation=3)
-        entry = FeatureExtractor(single, cache).feature_entry(content)
-        written = entry.read_bytes()
-        entry.write_bytes(written[:100])
+        configs = [replace(mini_config, method="single", single_scale=2, single_orientation=3)]
+        if damage == "deleted-with-bank":
+            configs.append(replace(mini_config, method="bank"))
+        entries = [FeatureExtractor(cfg, cache).grid_entry(content) for cfg in configs]
+        written = [entry.read_bytes() for entry in entries]
+        for entry, data in zip(entries, written):
+            if damage == "trunc":  # left to the read-and-check of train or evaluate
+                entry.write_bytes(data[:100])
+            else:  # written again by compare's fill
+                entry.unlink()
+        filtered = []
+        apply_filter = log_gabor.apply_filter
+        monkeypatch.setattr(log_gabor, "apply_filter", lambda values, masks:
+                            filtered.append(masks.shape) or apply_filter(values, masks))
         compare_methods(mini_corpus["manifest"], mini_config, cache_dir=cache)
-        assert entry.read_bytes() == written
+        assert [entry.read_bytes() for entry in entries] == written
+        # a lone single entry filters one mask; with the bank entry, one whole-bank stack
+        bank = log_gabor.build_bank((128, 128), mini_config.gabor_params())
+        assert filtered == [bank.masks.shape if len(entries) == 2 else (128, 128)]
 
     def test_cold_compare_makes_each_fixed_grid_once(self, mini_corpus, mini_config,
                                                      cold_compare, tmp_path, monkeypatch):
