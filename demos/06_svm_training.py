@@ -2,7 +2,7 @@
 
 The trainer does pairwise coordinate ascent on the dual, keeping
 sum(alpha*y) = 0 and 0 <= alpha <= C feasible at every step, and stops
-when a full pass finds no KKT violator.
+when the most violating pair is within the tolerance of optimality.
 """
 
 import numpy as np
@@ -26,7 +26,7 @@ values = np.vstack([rng.normal(size=(20, 2)) * 0.5 + c for c in centers])
 labels = np.repeat(np.arange(3), 20)
 matrix = FeatureMatrix(values, labels)
 
-ovo = ovo_train(matrix, KernelParams(gamma=0.5, c=10.0), seed=0)
+ovo = ovo_train(matrix, KernelParams(gamma=0.5, c=10.0))
 print(f"\n3 classes -> {len(ovo.pair_models)} pairwise models "
       f"(k(k-1)/2), pairs: {sorted(ovo.pair_models)}")
 predicted = ovo_predict_batch(ovo, values)

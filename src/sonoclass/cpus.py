@@ -1,8 +1,7 @@
 """How many workers a parallel step runs: one per CPU this process may run on.
 
-MI selection (threads) and the grid search (a fork pool) both follow this
-rule, so `taskset -c 0` runs either serially. Neither result depends on
-the count.
+MI selection, the only parallel step, runs this many threads, so
+`taskset -c 0` runs it serially. Its result does not depend on the count.
 """
 
 import os

@@ -347,7 +347,6 @@ def train_model(
         config.kernel_params(),
         tol=config.svm_tol,
         max_passes=config.svm_max_passes,
-        seed=config.seed,
     )
     return TrainedModel(
         ovo=ovo,

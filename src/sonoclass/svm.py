@@ -1,26 +1,29 @@
-"""Soft-margin RBF SVM: SMO dual solver, one-against-one voting, grid search.
+"""Soft-margin RBF SVM: batched SMO dual solver, one-against-one voting, grid search.
 
-The binary trainer does pairwise coordinate ascent on the dual
+The binary trainer minimizes the dual
 
-    max W(a) = sum_i a_i - 1/2 sum_ij y_i y_j a_i a_j k(x_i, x_j)
-    s.t.      sum_i a_i y_i = 0,  0 <= a_i <= C
+    f(a) = 1/2 sum_ij y_i y_j a_i a_j k(x_i, x_j) - sum_i a_i
+    s.t.   sum_i a_i y_i = 0,  0 <= a_i <= C
 
-keeping both constraints feasible at every step. Multiclass is handled by
-one binary model per class pair and majority voting.
+by sequential minimal optimization with the second-order working-set
+selection of Fan, Chen & Lin (JMLR 6, 2005), as LIBSVM does: each step
+moves one pair of multipliers along the equality constraint and keeps
+both constraints feasible. Independent problems are solved together, one
+row each of padded numpy arrays, so a one-vs-one model solves its class
+pairs in one batch and a grid search solves every (C, gamma, fold, pair)
+problem of the call in a few. Multiclass is handled by one binary model
+per class pair and majority voting.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
-from collections.abc import Iterator
-from dataclasses import dataclass, replace
-from functools import partial
+from collections.abc import Callable
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from . import cpus
 from .errors import NonConvergenceWarning, SonoclassError
 from .feature_select import FeatureMatrix
 
@@ -30,7 +33,13 @@ DEFAULT_FOLDS = 5
 DEFAULT_C_GRID = tuple(2.0 ** p for p in range(-5, 16, 2))
 DEFAULT_GAMMA_GRID = tuple(2.0 ** p for p in range(-15, 4, 2))
 
-_STEP_EPS = 1e-12
+# floor on a pair's curvature: a flat pair (duplicate rows) then steps to a
+# box edge, as with LIBSVM's TAU
+_TAU = 1e-12
+# grid_search_cv gives _solve_batch as many whole (gamma, fold) tasks as
+# fit in this many values (per pair: its kernel, and its rows at each C),
+# and at least one, so that the arrays in flight stay small
+BATCH_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -56,10 +65,7 @@ class BinarySvmModel:
     bias: float
     params: KernelParams
     converged: bool = True
-    n_passes: int = 0
-    # This solve is also the solve at every box C' in [params.c, c_limit]
-    # (see smo_train). 0 when unknown, as for a model read from a file.
-    c_limit: float = 0.0
+    n_passes: int = 0  # solver iterations (pair steps) taken
 
 
 @dataclass(frozen=True)
@@ -112,29 +118,14 @@ def smo_train(
     params: KernelParams,
     tol: float = DEFAULT_TOL,
     max_passes: int = DEFAULT_MAX_PASSES,
-    seed: int = 0,
 ) -> BinarySvmModel:
-    """Train one binary SVM by sequential minimal optimization.
+    """Train one binary SVM: a batch of one for _solve_batch.
 
-    Scans for KKT violators in a freshly shuffled order each pass
-    (seeded, so training is deterministic), pairing each violator with the
-    point of maximum error difference. Terminates when a full pass finds
-    no violator; if max_passes runs out first the best iterate is returned
-    with converged=False. Nothing is warned: converged and n_passes say it.
-
-    For every C' in [C, c_limit] of the returned model, the same call at C'
-    takes every step the same way and returns the same model, bit for bit,
-    but for params. C enters the solve only through the clips to the box
-    [0, C], the `a_i < C` and `0 < a_i < C` tests, the endpoint gains of a
-    step with eta <= 0, and the zero band 1e-12*C of the bias. While no alpha comes within a
-    relative 1e-9 of C, no clip or test at C decides anything, and a
-    larger C' decides nothing differently: every clip at a bound that
-    depends on C leaves some alpha at C, to rounding. A step with eta <= 0
-    whose endpoints depend on C (s < 0, or s > 0 with a_i + a_j > C)
-    compares gains that do, so it rules out any larger C'. Otherwise
-    c_limit is just below 1e12 times the least alpha ever assigned above
-    the zero band: up to there every alpha is on the same side of the
-    band at C' as at C. If the box bound, c_limit is C.
+    Stops when the maximal violating pair is within tol/2 of optimality,
+    so that the bias chosen for the returned model cannot push residuals
+    past tol, or after max_passes x n pair steps for n rows, and then
+    returns the last iterate with converged=False. Nothing is warned:
+    converged and n_passes (the steps taken) say it.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -144,122 +135,96 @@ def smo_train(
         raise ValueError("labels must be -1 or +1")
     if np.unique(y).size < 2:
         raise SonoclassError("both classes must be present")
+    return _solve_batch([(x, y, params.gamma)], [params.c], tol, max_passes)(0, 0)
 
-    n = x.shape[0]
-    c = params.c
-    kernel = rbf_kernel_matrix(x, x, params.gamma)
-    # The scalar work of a step runs on Python floats, which cost far less
-    # per operation than numpy scalars and round identically. numpy keeps
-    # the O(n) work: the g update, the max-|dE| pick and the bias.
-    ys = y.tolist()
-    diag = kernel.diagonal().tolist()
-    alpha = [0.0] * n
-    g = np.zeros(n)  # bias-free decision sums K @ (alpha*y), kept incrementally
-    gs = g.tolist()
-    rng = np.random.default_rng(seed)
-    # Check violations at half the contract tolerance so the bias chosen for
-    # the returned model cannot push residuals past tol.
-    inner_tol = tol / 2.0
-    b = 0.0  # refreshed from alpha at the start of every pass
-    # For c_limit: whether C decided a step, and the least alpha ever
-    # assigned above the zero band of _bias_from_state.
-    near_c = c * (1.0 - 1e-9)
-    band = 1e-12 * c
-    box_bound = False
-    least = math.inf
 
-    def take_step(i: int, j: int) -> bool:
-        # The pair step depends on errors only through e_i - e_j, so the
-        # current bias estimate cancels out of the update itself.
-        nonlocal g, gs, box_bound, least
-        if i == j:
-            return False
-        a_i, a_j = alpha[i], alpha[j]
-        y_i, y_j = ys[i], ys[j]
-        s = y_i * y_j
-        if s < 0:
-            lo, hi = max(0.0, a_j - a_i), min(c, c + a_j - a_i)
-        else:
-            lo, hi = max(0.0, a_i + a_j - c), min(c, a_i + a_j)
-        if lo >= hi:
-            return False
-        eta = diag[i] + diag[j] - 2.0 * kernel.item(i, j)
-        diff = (gs[i] - y_i) - (gs[j] - y_j)
-        slope = y_j * diff  # dW/da_j along the constraint line
-        if eta > 0.0:
-            a_j_new = min(max(a_j + slope / eta, lo), hi)
-        else:
-            # Flat or concave-up section: the restricted dual is the exact
-            # quadratic below, so the maximum sits at an endpoint.
-            if s < 0 or a_i + a_j > c:
-                box_bound = True
-            gain_lo = slope * (lo - a_j) - 0.5 * eta * (lo - a_j) ** 2
-            gain_hi = slope * (hi - a_j) - 0.5 * eta * (hi - a_j) ** 2
-            if gain_lo > gain_hi + _STEP_EPS:
-                a_j_new = lo
-            elif gain_hi > gain_lo + _STEP_EPS:
-                a_j_new = hi
-            else:
-                return False
-        if abs(a_j_new - a_j) < _STEP_EPS * (a_j_new + a_j + _STEP_EPS):
-            return False
-        a_i_new = min(max(a_i + s * (a_j - a_j_new), 0.0), c)
+def _solve_batch(groups, c_values, tol: float,
+                 max_passes: int) -> Callable[[int, int], BinarySvmModel]:
+    """Solve each group (x, y, gamma) at every C of c_values, cold from
+    alpha = 0, and return model(g, k): the BinarySvmModel of group g at
+    c_values[k].
 
-        alpha[i], alpha[j] = a_i_new, a_j_new
-        if a_i_new >= near_c or a_j_new >= near_c:
-            box_bound = True
-        if band < a_i_new < least:
-            least = a_i_new
-        if band < a_j_new < least:
-            least = a_j_new
-        g += (a_i_new - a_i) * y_i * kernel[i] + (a_j_new - a_j) * y_j * kernel[j]
-        gs = g.tolist()
-        return True
+    Problem p = g * len(c_values) + k is row p of arrays padded to the most
+    rows of any group; padding rows have y = 0, so they belong to neither
+    index set and never move. Every iteration takes one WSS2 step in every
+    live problem, with G the gradient of f: i maximizes -y_t G_t over I_up
+    (the maximum is m(a)), and j maximizes b^2/q over the I_low rows t
+    with gap b = m(a) + y_t G_t > 0, where q is the pair's curvature. The
+    step moves a_i by y_i d and a_j by -y_j d, with d = b/q clipped to
+    both boxes; a multiplier whose box clips d lands exactly on 0 or C,
+    and G += y d (K_i - K_j). A problem leaves the batch when its gap
+    m(a) - M(a) is at most tol/2, or after max_passes x its rows steps.
+    Problems share nothing, so each one's model is bit for bit the model
+    of that problem solved alone.
+    """
+    kernels = [rbf_kernel_matrix(x, x, gamma) for x, _, gamma in groups]
+    n_c, width = len(c_values), max(k.shape[0] for k in kernels)
+    tensor = np.zeros((len(kernels), width, width))
+    y = np.zeros((len(kernels) * n_c, width))
+    for g, ((_, labels, _), kernel) in enumerate(zip(groups, kernels)):
+        tensor[g, :labels.size, :labels.size] = kernel
+        y[g * n_c:(g + 1) * n_c, :labels.size] = labels
+    c = np.tile(np.asarray(c_values, dtype=np.float64), len(kernels))
+    cap = max_passes * np.count_nonzero(y, axis=1)
+    alphas = np.zeros_like(y)
+    steps = np.zeros(len(c), dtype=np.int64)
+    converged = np.zeros(len(c), dtype=bool)
 
-    def examine(i: int) -> bool:
-        y_i, a_i = ys[i], alpha[i]
-        r = (gs[i] + b - y_i) * y_i
-        if not ((r < -inner_tol and a_i < c) or (r > inner_tol and a_i > 0.0)):
-            return False
-        errors = g - y  # bias cancels in the pairwise difference
-        j = int(np.abs(errors[i] - errors).argmax())
-        if take_step(i, j):
-            return True
-        for j2 in rng.permutation(n).tolist():
-            if j2 != j and take_step(i, j2):
-                return True
-        return False
-
-    passes = 0
-    examine_all = True
-    converged = False
-    while passes < max_passes:
-        passes += 1
-        b = _bias_from_state(y, g, np.array(alpha), c)
-        order = rng.permutation(n).tolist()
-        if not examine_all:
-            order = [i for i in order if 0.0 < alpha[i] < c]
-        changed = sum(examine(i) for i in order)
-        if examine_all:
-            if changed == 0:
-                converged = True
+    # the live problems' state, one row each
+    live = np.arange(len(c))
+    kernel_of = live // n_c
+    pos, neg = y > 0.0, y < 0.0
+    diag = np.diagonal(tensor, axis1=1, axis2=2)[kernel_of]
+    a = np.zeros_like(y)
+    grad = -np.abs(y)  # G = Q a - 1 at a = 0
+    it = np.zeros(len(c), dtype=np.int64)
+    while True:
+        score = -(y * grad)
+        below, above = a < c[:, None], a > 0.0
+        up, low = np.where(pos, below, above), np.where(neg, below, above)
+        up_score = np.where(up, score, -np.inf)
+        i = up_score.argmax(axis=1)
+        m = up_score[np.arange(live.size), i]
+        done = m - np.where(low, score, np.inf).min(axis=1) <= tol / 2.0
+        stop = done | (it >= cap)
+        if stop.any():
+            finished = live[stop]
+            alphas[finished], steps[finished], converged[finished] = a[stop], it[stop], done[stop]
+            keep = ~stop
+            if not keep.any():
                 break
-            examine_all = False
-        elif changed == 0:
-            examine_all = True
+            live, kernel_of, y, pos, neg, c, cap, diag, a, grad, it, score, low, i, m = (
+                v[keep] for v in (live, kernel_of, y, pos, neg, c, cap, diag, a, grad, it,
+                                  score, low, i, m))
+        r = np.arange(live.size)
+        k_i = tensor[kernel_of, i]
+        gap = m[:, None] - score
+        curv = np.maximum(k_i[r, i][:, None] + diag - 2.0 * k_i, _TAU)
+        j = np.where(low & (gap > 0.0), gap * gap / curv, -np.inf).argmax(axis=1)
+        y_i, y_j, a_i, a_j = y[r, i], y[r, j], a[r, i], a[r, j]
+        room_i = np.where(y_i > 0.0, c - a_i, a_i)
+        room_j = np.where(y_j > 0.0, a_j, c - a_j)
+        d = np.minimum(np.minimum(gap[r, j] / curv[r, j], room_i), room_j)
+        a[r, i] = np.where(d == room_i, np.where(y_i > 0.0, c, 0.0), a_i + y_i * d)
+        a[r, j] = np.where(d == room_j, np.where(y_j > 0.0, 0.0, c), a_j - y_j * d)
+        grad += y * d[:, None] * (k_i - tensor[kernel_of, j])
+        it += 1
 
-    alpha = np.array(alpha)
-    bias = _recompute_bias(kernel, y, alpha, c)
-    mask = alpha > 0.0
-    return BinarySvmModel(
-        support_vectors=x[mask].copy(),
-        dual_coef=(alpha * y)[mask],
-        bias=bias,
-        params=params,
-        converged=converged,
-        n_passes=passes,
-        c_limit=c if box_bound else max(c, 1e12 * least * (1.0 - 1e-9)),
-    )
+    def model(g: int, k: int) -> BinarySvmModel:
+        x, y, gamma = groups[g]
+        p, c = g * n_c + k, float(c_values[k])
+        alpha = alphas[p, :y.size]
+        mask = alpha > 0.0
+        return BinarySvmModel(
+            support_vectors=x[mask],
+            dual_coef=(alpha * y)[mask],
+            bias=_recompute_bias(kernels[g], y, alpha, c),
+            params=KernelParams(gamma=gamma, c=c),
+            converged=bool(converged[p]),
+            n_passes=int(steps[p]),
+        )
+
+    return model
 
 
 def _bias_from_state(y: np.ndarray, g: np.ndarray, alpha: np.ndarray, c: float) -> float:
@@ -318,17 +283,12 @@ def apply_scaler(values: np.ndarray, scaler: tuple[np.ndarray, np.ndarray]) -> n
     return np.where(span > 0.0, (values - lo) / safe, 0.0)
 
 
-def _ovo_ladder(matrix: FeatureMatrix, gamma: float, c_values, tol: float,
-                max_passes: int, seed: int) -> Iterator[tuple[OvoModel, bool]]:
-    """Yield the one-vs-one model at each C of the ascending c_values, and
-    whether any of its pairs was solved at that C.
+def _pair_problems(matrix: FeatureMatrix):
+    """The classes, the scaler and one (x, y) per unordered class pair.
 
     Features are min-max scaled to [0, 1] with edges from the whole
-    training matrix, once for every C. Each pair trains on its own rows
-    only, with the lower class label mapped to +1 and seed + its index. A
-    pair solve is also the solve at every larger C up to its c_limit (see
-    smo_train), so a rung within that limit keeps it with only its params
-    replaced. A rung that keeps every pair predicts as the one before it.
+    training matrix. Each pair keeps its own rows only, with the lower
+    class label mapped to +1.
     """
     labels, counts = np.unique(matrix.labels, return_counts=True)
     if labels.size < 2:
@@ -337,27 +297,13 @@ def _ovo_ladder(matrix: FeatureMatrix, gamma: float, c_values, tol: float,
     if small:
         raise SonoclassError(f"classes {small} have fewer than 2 training samples")
     classes = tuple(int(v) for v in labels)
-
     scaler = fit_scaler(matrix.values)
     scaled = apply_scaler(matrix.values, scaler)
-    pairs = list(combinations(classes, 2))
-    pair_models: dict[tuple[int, int], BinarySvmModel] = {}
-    for c in c_values:
-        params = KernelParams(gamma=gamma, c=c)
-        solved = False
-        for pair_idx, (a, b) in enumerate(pairs):
-            kept = pair_models.get((a, b))
-            if kept is not None and c <= kept.c_limit:
-                pair_models[(a, b)] = replace(kept, params=params)
-                continue
-            solved = True
-            rows = np.flatnonzero((matrix.labels == a) | (matrix.labels == b))
-            y = np.where(matrix.labels[rows] == a, 1.0, -1.0)
-            pair_models[(a, b)] = smo_train(
-                scaled[rows], y, params,
-                tol=tol, max_passes=max_passes, seed=seed + pair_idx,
-            )
-        yield OvoModel(classes=classes, pair_models=dict(pair_models), scaler=scaler), solved
+    pairs = {}
+    for a, b in combinations(classes, 2):
+        rows = np.flatnonzero((matrix.labels == a) | (matrix.labels == b))
+        pairs[(a, b)] = (scaled[rows], np.where(matrix.labels[rows] == a, 1.0, -1.0))
+    return classes, scaler, pairs
 
 
 def ovo_train(
@@ -365,12 +311,15 @@ def ovo_train(
     params: KernelParams,
     tol: float = DEFAULT_TOL,
     max_passes: int = DEFAULT_MAX_PASSES,
-    seed: int = 0,
 ) -> OvoModel:
-    """Train one binary model per unordered class pair (see _ovo_ladder).
-    The model's converged says whether every pair solve converged."""
-    model, _ = next(_ovo_ladder(matrix, params.gamma, [params.c], tol, max_passes, seed))
-    return model
+    """Train one binary model per unordered class pair (see _pair_problems),
+    all pairs in one batch. The model's converged says whether every pair
+    solve converged."""
+    classes, scaler, pairs = _pair_problems(matrix)
+    model = _solve_batch([(x, y, params.gamma) for x, y in pairs.values()],
+                         [params.c], tol, max_passes)
+    return OvoModel(classes=classes, scaler=scaler,
+                    pair_models={pair: model(g, 0) for g, pair in enumerate(pairs)})
 
 
 def ovo_predict_batch(model: OvoModel, x: np.ndarray) -> np.ndarray:
@@ -418,38 +367,6 @@ def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> np.ndarray:
     return assignment
 
 
-def _cv_ladder(
-    matrix: FeatureMatrix,
-    assignment: np.ndarray,
-    seed: int,
-    tol: float,
-    max_passes: int,
-    c_values: list[float],
-    task: tuple[float, int],
-) -> list[tuple[int, int, int]]:
-    """Cross-validate one (gamma, fold) at every C of the ascending ladder.
-
-    Returns, per C, the number of correctly predicted held-out rows, the
-    number of pair solves that did not converge and the number of pair
-    solves.
-    """
-    gamma, fold = task
-    train_rows = assignment != fold
-    train = FeatureMatrix(matrix.values[train_rows], matrix.labels[train_rows])
-    test_values, test_labels = matrix.values[~train_rows], matrix.labels[~train_rows]
-    rungs = []
-    correct = 0
-    for model, solved in _ovo_ladder(train, gamma, c_values, tol, max_passes, seed + fold):
-        if solved:  # else every pair is kept, and so is the prediction
-            correct = int(np.sum(ovo_predict_batch(model, test_values) == test_labels))
-        rungs.append((
-            correct,
-            sum(not m.converged for m in model.pair_models.values()),
-            len(model.pair_models),
-        ))
-    return rungs
-
-
 def warn_unconverged(unconverged: int, solves: int) -> None:
     """The one warning of a call that runs many pair solves and returns no
     model to read converged from."""
@@ -473,18 +390,12 @@ def grid_search_cv(
     smaller gamma) and the full table of (c, gamma, accuracy) rows in
     evaluation order: C ascending, then gamma ascending.
 
-    The work is one task per (gamma, fold), which trains at every C in
-    ascending order. A pair solve whose box never bound is also the solve
-    at every larger C up to its c_limit (see smo_train), so the next rung
-    keeps that pair's model instead of solving it again (_ovo_ladder). The
-    table is the same as from one independent solve per (C, gamma, fold,
-    pair).
-
-    Tasks are deterministic, so they run in a fork pool with one worker
-    per CPU in this process's affinity mask; with one CPU they run in
-    this process. The table is the same either way. If any pair solve
-    stops without converging, one NonConvergenceWarning gives the count; a
-    kept solve counts again at every C that keeps it.
+    Every (C, gamma, fold, pair) problem is solved cold, so the table is
+    the one that ovo_train gives cell by cell. The problems of whole
+    (gamma, fold) tasks go to _solve_batch together, at most about
+    BATCH_VALUES values at once, and each cell's fold model predicts its
+    held-out rows through ovo_predict_batch. If any pair solve stops
+    without converging, one NonConvergenceWarning gives the count.
     """
     if folds < 2:
         raise ValueError("need at least 2 folds")
@@ -493,31 +404,44 @@ def grid_search_cv(
     if not c_values or not gammas:
         raise ValueError("need at least one C and one gamma value")
     assignment = stratified_folds(matrix.labels, folds, seed)
-    tasks = [(gamma, fold) for gamma in gammas for fold in range(folds)]
-    run_task = partial(_cv_ladder, matrix, assignment, seed, tol, max_passes, c_values)
-    workers = cpus.worker_count(len(tasks))
-    if workers == 1:
-        results = list(map(run_task, tasks))
-    else:
-        # imported here, so that importing the CLI does not pay for it
-        import multiprocessing
+    splits = []
+    for fold in range(folds):
+        train = assignment != fold
+        splits.append((*_pair_problems(FeatureMatrix(matrix.values[train], matrix.labels[train])),
+                       matrix.values[~train], matrix.labels[~train]))
 
-        # fork, not spawn: a spawned worker re-imports the caller's main
-        # module, which breaks scripts that call this at top level without a
-        # __main__ guard (demos/06_svm_training.py). Tasks differ in cost,
-        # so they are handed out one at a time.
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            results = pool.map(run_task, tasks, chunksize=1)
+    chunks, size = [[]], 0
+    for fold, (_, _, pairs, _, _) in enumerate(splits):
+        cost = sum(y.size * (y.size + len(c_values)) for _, y in pairs.values())
+        for g in range(len(gammas)):
+            if chunks[-1] and size + cost > BATCH_VALUES:
+                chunks.append([])
+                size = 0
+            chunks[-1].append((fold, g))
+            size += cost
+
+    correct = np.zeros((len(c_values), len(gammas)), dtype=np.int64)
+    unconverged = solves = 0
+    for chunk in chunks:
+        model = _solve_batch([(x, y, gammas[g]) for fold, g in chunk
+                              for x, y in splits[fold][2].values()],
+                             c_values, tol, max_passes)
+        first = 0
+        for fold, g in chunk:
+            classes, scaler, pairs, test_values, test_labels = splits[fold]
+            for k in range(len(c_values)):
+                pair_models = {pair: model(first + p, k) for p, pair in enumerate(pairs)}
+                unconverged += sum(not m.converged for m in pair_models.values())
+                solves += len(pair_models)
+                predicted = ovo_predict_batch(OvoModel(classes, pair_models, scaler), test_values)
+                correct[k, g] += int(np.sum(predicted == test_labels))
+            first += len(pairs)
 
     table: list[tuple[float, float, float]] = []
     best: tuple[float, KernelParams] | None = None
-    unconverged = solves = 0
     for k, c in enumerate(c_values):
         for g, gamma in enumerate(gammas):
-            rungs = [results[g * folds + fold][k] for fold in range(folds)]
-            accuracy = sum(r[0] for r in rungs) / matrix.n_samples
-            unconverged += sum(r[1] for r in rungs)
-            solves += sum(r[2] for r in rungs)
+            accuracy = int(correct[k, g]) / matrix.n_samples
             table.append((c, gamma, accuracy))
             if best is None or accuracy > best[0]:
                 best = (accuracy, KernelParams(gamma=gamma, c=c))

@@ -1,10 +1,9 @@
 """Reference copy of the grid search in its one-task-per-cell form.
 
-`sonoclass.svm.grid_search_cv` trains each (gamma, fold) up the C ladder
-and keeps a pair's model for the next C while its solve cannot change.
-This copy solves every (C, gamma, fold, pair) from scratch, one cell at a
-time in this process, so tests can require that both give the same table,
-the same best cell and the same non-convergence warning.
+`sonoclass.svm.grid_search_cv` solves the pair problems of many cells in
+one batch. This copy trains every (C, gamma, fold) cell with its own
+ovo_train call, one cell at a time, so tests can require that both give
+the same table, the same best cell and the same non-convergence warning.
 """
 
 import numpy as np
@@ -13,7 +12,7 @@ from sonoclass.feature_select import FeatureMatrix
 from sonoclass.svm import KernelParams, ovo_predict_batch, ovo_train, stratified_folds
 
 
-def _cv_cell(matrix, assignment, folds, seed, tol, max_passes, c, gamma):
+def _cv_cell(matrix, assignment, folds, tol, max_passes, c, gamma):
     params = KernelParams(gamma=gamma, c=c)
     correct = unconverged = solves = 0
     for fold in range(folds):
@@ -21,7 +20,7 @@ def _cv_cell(matrix, assignment, folds, seed, tol, max_passes, c, gamma):
         test_rows = ~train_rows
         model = ovo_train(
             FeatureMatrix(matrix.values[train_rows], matrix.labels[train_rows]),
-            params, tol=tol, max_passes=max_passes, seed=seed + fold,
+            params, tol=tol, max_passes=max_passes,
         )
         unconverged += sum(not m.converged for m in model.pair_models.values())
         solves += len(model.pair_models)
@@ -39,7 +38,7 @@ def grid_search_cv(matrix, c_grid, gamma_grid, folds=5, seed=0, tol=1e-3, max_pa
     ]
     assignment = stratified_folds(matrix.labels, folds, seed)
     results = [
-        _cv_cell(matrix, assignment, folds, seed, tol, max_passes, c, gamma)
+        _cv_cell(matrix, assignment, folds, tol, max_passes, c, gamma)
         for c, gamma in cells
     ]
     table = []

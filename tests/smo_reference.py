@@ -1,17 +1,20 @@
-"""Reference copy of the SMO trainer in its numpy-scalar form.
+"""Reference copy of the SMO trainer: one problem, in plain Python.
 
-`sonoclass.svm.smo_train` runs the scalar work of each pair step on
-Python floats. This copy keeps the same algorithm on numpy scalars,
-step for step, so tests can require that both give identical models:
-the same support vectors, dual weights, bias, pass count and
-convergence flag, bit for bit.
+`sonoclass.svm.smo_train` solves its problem as one row of the batched
+solver `svm._solve_batch`. This copy runs the same second-order
+working-set selection and pair step for a single problem with a loop over
+Python floats, so tests can require that both give identical models: the
+same support vectors, dual weights, bias, iteration count and convergence
+flag, bit for bit.
 
 Only the solver loop is copied; the kernel and bias helpers are shared
 with the package. With debug=True the dual objective (from qp_oracle) is
-recomputed after every accepted step and monotone ascent is asserted; the
-package's solver has no such mode, so the tests check its ascent through
-exact parity with this copy.
+recomputed after every step and monotone ascent is asserted; the package's
+solver has no such mode, so the tests check its ascent through exact
+parity with this copy.
 """
+
+import math
 
 import numpy as np
 
@@ -22,12 +25,11 @@ from sonoclass.svm import (
     DEFAULT_TOL,
     BinarySvmModel,
     KernelParams,
-    _bias_from_state,
     _recompute_bias,
     rbf_kernel_matrix,
 )
 
-_STEP_EPS = 1e-12
+_TAU = 1e-12
 
 
 def smo_train(
@@ -36,7 +38,6 @@ def smo_train(
     params: KernelParams,
     tol: float = DEFAULT_TOL,
     max_passes: int = DEFAULT_MAX_PASSES,
-    seed: int = 0,
     debug: bool = False,
 ) -> BinarySvmModel:
     x = np.asarray(x, dtype=np.float64)
@@ -51,92 +52,61 @@ def smo_train(
     n = x.shape[0]
     c = params.c
     kernel = rbf_kernel_matrix(x, x, params.gamma)
-    alpha = np.zeros(n)
-    g = np.zeros(n)  # bias-free decision sums K @ (alpha*y), kept incrementally
-    rng = np.random.default_rng(seed)
-    inner_tol = tol / 2.0
+    k = kernel.tolist()
+    ys = y.tolist()
+    alpha = [0.0] * n
+    grad = [-1.0] * n  # gradient of 1/2 a'Qa - sum(a) at a = 0
+    steps = 0
+    converged = False
     last_obj = 0.0
-    b = 0.0  # refreshed from alpha at the start of every pass
+    while True:
+        score = [-(ys[t] * grad[t]) for t in range(n)]
+        up = [(ys[t] > 0 and alpha[t] < c) or (ys[t] < 0 and alpha[t] > 0.0) for t in range(n)]
+        low = [(ys[t] < 0 and alpha[t] < c) or (ys[t] > 0 and alpha[t] > 0.0) for t in range(n)]
+        i, m = -1, -math.inf
+        for t in range(n):
+            if up[t] and score[t] > m:
+                i, m = t, score[t]
+        lowest = min((score[t] for t in range(n) if low[t]), default=math.inf)
+        if m - lowest <= tol / 2.0:
+            converged = True
+            break
+        if steps >= max_passes * n:
+            break
 
-    def take_step(i: int, j: int) -> bool:
-        nonlocal g, last_obj
-        if i == j:
-            return False
-        a_i, a_j = alpha[i], alpha[j]
-        y_i, y_j = y[i], y[j]
-        s = y_i * y_j
-        if s < 0:
-            lo, hi = max(0.0, a_j - a_i), min(c, c + a_j - a_i)
-        else:
-            lo, hi = max(0.0, a_i + a_j - c), min(c, a_i + a_j)
-        if lo >= hi:
-            return False
-        eta = kernel[i, i] + kernel[j, j] - 2.0 * kernel[i, j]
-        diff = (g[i] - y_i) - (g[j] - y_j)
-        slope = y_j * diff  # dW/da_j along the constraint line
-        if eta > 0.0:
-            a_j_new = min(max(a_j + slope / eta, lo), hi)
-        else:
-            gain_lo = slope * (lo - a_j) - 0.5 * eta * (lo - a_j) ** 2
-            gain_hi = slope * (hi - a_j) - 0.5 * eta * (hi - a_j) ** 2
-            if gain_lo > gain_hi + _STEP_EPS:
-                a_j_new = lo
-            elif gain_hi > gain_lo + _STEP_EPS:
-                a_j_new = hi
-            else:
-                return False
-        if abs(a_j_new - a_j) < _STEP_EPS * (a_j_new + a_j + _STEP_EPS):
-            return False
-        a_i_new = min(max(a_i + s * (a_j - a_j_new), 0.0), c)
-
-        alpha[i], alpha[j] = a_i_new, a_j_new
-        g += (a_i_new - a_i) * y_i * kernel[i] + (a_j_new - a_j) * y_j * kernel[j]
+        # the second-order pick: the largest gap^2 / curvature among the
+        # I_low rows below m
+        j, best, j_gap, j_curv = -1, -math.inf, 0.0, 0.0
+        for t in range(n):
+            gap = m - score[t]
+            if low[t] and gap > 0.0:
+                curv = max(k[i][i] + k[t][t] - 2.0 * k[i][t], _TAU)
+                obj = gap * gap / curv
+                if obj > best:
+                    j, best, j_gap, j_curv = t, obj, gap, curv
+        y_i, y_j, a_i, a_j = ys[i], ys[j], alpha[i], alpha[j]
+        room_i = c - a_i if y_i > 0.0 else a_i
+        room_j = a_j if y_j > 0.0 else c - a_j
+        d = min(j_gap / j_curv, room_i, room_j)
+        alpha[i] = (c if y_i > 0.0 else 0.0) if d == room_i else a_i + y_i * d
+        alpha[j] = (0.0 if y_j > 0.0 else c) if d == room_j else a_j - y_j * d
+        for t in range(n):
+            grad[t] += ys[t] * d * (k[i][t] - k[j][t])
+        steps += 1
         if debug:
-            obj = dual_objective(kernel, y, alpha)
+            obj = dual_objective(kernel, y, np.array(alpha))
             assert obj >= last_obj - 1e-9 * max(1.0, abs(last_obj)), (
                 f"dual objective decreased: {last_obj} -> {obj}"
             )
             last_obj = obj
-        return True
 
-    def examine(i: int) -> bool:
-        r = (g[i] + b - y[i]) * y[i]
-        if not ((r < -inner_tol and alpha[i] < c) or (r > inner_tol and alpha[i] > 0.0)):
-            return False
-        errors = g - y  # bias cancels in the pairwise difference
-        j = int(np.argmax(np.abs(errors[i] - errors)))
-        if take_step(i, j):
-            return True
-        for j2 in rng.permutation(n):
-            if j2 != j and take_step(i, int(j2)):
-                return True
-        return False
-
-    passes = 0
-    examine_all = True
-    converged = False
-    while passes < max_passes:
-        passes += 1
-        b = _bias_from_state(y, g, alpha, c)
-        order = rng.permutation(n)
-        if not examine_all:
-            order = order[(alpha[order] > 0.0) & (alpha[order] < c)]
-        changed = sum(examine(int(i)) for i in order)
-        if examine_all:
-            if changed == 0:
-                converged = True
-                break
-            examine_all = False
-        elif changed == 0:
-            examine_all = True
-
-    bias = _recompute_bias(kernel, y, alpha, c)
+    alpha = np.array(alpha)
     mask = alpha > 0.0
     return BinarySvmModel(
-        support_vectors=x[mask].copy(),
+        support_vectors=x[mask],
         dual_coef=(alpha * y)[mask],
-        bias=bias,
+        bias=_recompute_bias(kernel, y, alpha, c),
         params=params,
         converged=converged,
-        n_passes=passes,
+        n_passes=steps,
     )

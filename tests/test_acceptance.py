@@ -166,7 +166,7 @@ def test_criterion_4_smo_vs_qp():
             c = float(rng.uniform(0.1, 100.0))
             gamma = float(rng.uniform(0.01, 10.0))
             model = smo_train(x, y, KernelParams(gamma=gamma, c=c), tol=tol,
-                              max_passes=2000, seed=trial)
+                              max_passes=2000)
             kernel = rbf_kernel_matrix(x, x, gamma)
             ksv = rbf_kernel_matrix(model.support_vectors, model.support_vectors, gamma)
             w_smo = float(np.abs(model.dual_coef).sum()

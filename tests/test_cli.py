@@ -418,7 +418,7 @@ class TestGridSearchCompare:
             warnings.simplefilter("default")  # shown, as outside the test suite
             rc = cli.main(self._gridsearch_one_pass(corpus, tmp_path))
         assert rc == cli.EXIT_OK
-        assert capsys.readouterr().err == "warning: 36 of 36 pair solves did not converge\n"
+        assert capsys.readouterr().err == "warning: 29 of 36 pair solves did not converge\n"
 
     def test_gridsearch_nonconvergence_is_one_error_when_warnings_are_errors(
             self, corpus, tmp_path, src_env):
@@ -428,7 +428,7 @@ class TestGridSearchCompare:
             capture_output=True, text=True, env=src_env(),
         )
         assert proc.returncode == cli.EXIT_NONCONVERGENCE
-        assert proc.stderr == "error: 36 of 36 pair solves did not converge\n"
+        assert proc.stderr == "error: 29 of 36 pair solves did not converge\n"
 
     def test_compare_outputs(self, corpus, tmp_path):
         out_dir = tmp_path / "cmp"

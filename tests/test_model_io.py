@@ -23,7 +23,7 @@ def small_trained_model(seed=0, with_patches=False):
         rng.normal(size=(8, width)) + 8.0,
     ])
     labels = np.repeat(np.arange(3), 8)
-    ovo = ovo_train(FeatureMatrix(values, labels), KernelParams(gamma=0.4, c=7.0), seed=1)
+    ovo = ovo_train(FeatureMatrix(values, labels), KernelParams(gamma=0.4, c=7.0))
     patch_set = selection = None
     if with_patches:
         patches = tuple(rng.normal(size=(m, m, 3)) for m in (4, 8))

@@ -1,8 +1,4 @@
-import multiprocessing
 import os
-import re
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -95,7 +91,7 @@ class TestSmoTrain:
     def test_separable_blobs_perfect_training_accuracy(self):
         x, labels = blobs(seed=3)
         y = np.where(labels == 0, 1.0, -1.0)
-        model = smo_train(x, y, KernelParams(gamma=0.5, c=1000.0), seed=0)
+        model = smo_train(x, y, KernelParams(gamma=0.5, c=1000.0))
         assert np.all(np.sign(decision_values(model, x)) == y)
 
     def test_matches_dense_qp_oracle(self):
@@ -108,7 +104,7 @@ class TestSmoTrain:
             c = float(rng.uniform(0.5, 50.0))
             gamma = float(rng.uniform(0.05, 4.0))
             model = smo_train(x, y, KernelParams(gamma=gamma, c=c), tol=1e-8,
-                              max_passes=2000, seed=trial)
+                              max_passes=2000)
             kernel = rbf_kernel_matrix(x, x, gamma)
             _, w_oracle = qp_oracle.solve_dual(kernel, y, c)
             ksv = rbf_kernel_matrix(model.support_vectors, model.support_vectors, gamma)
@@ -124,7 +120,7 @@ class TestSmoTrain:
         y[y == 0] = 1.0
         c = 5.0
         model = smo_train(x, y, KernelParams(gamma=0.8, c=c), tol=tol,
-                          max_passes=2000, seed=1)
+                          max_passes=2000)
         # stored alphas respect the box and the equality constraint
         alphas = np.abs(model.dual_coef)
         assert np.all(alphas > 0.0) and np.all(alphas <= c)
@@ -155,18 +151,18 @@ class TestSmoTrain:
         x, labels = blobs(seed=6, n_per=10, spread=1.5)
         y = np.where(labels == 0, 1.0, -1.0)
         params = KernelParams(gamma=0.3, c=2.0)
-        want = smo_reference.smo_train(x, y, params, debug=True, seed=2)
-        got = smo_train(x, y, params, seed=2)
+        want = smo_reference.smo_train(x, y, params, debug=True)
+        got = smo_train(x, y, params)
         assert np.array_equal(got.dual_coef, want.dual_coef)
         assert got.bias == want.bias and got.n_passes == want.n_passes
 
-    def test_deterministic_given_seed(self):
+    def test_two_calls_give_equal_models(self):
         x, labels = blobs(seed=7, n_per=12, spread=1.2)
         y = np.where(labels == 0, 1.0, -1.0)
-        a = smo_train(x, y, KernelParams(gamma=0.4, c=3.0), seed=9)
-        b = smo_train(x, y, KernelParams(gamma=0.4, c=3.0), seed=9)
+        a = smo_train(x, y, KernelParams(gamma=0.4, c=3.0))
+        b = smo_train(x, y, KernelParams(gamma=0.4, c=3.0))
         assert np.array_equal(a.dual_coef, b.dual_coef)
-        assert a.bias == b.bias
+        assert a.bias == b.bias and a.n_passes == b.n_passes
 
     def test_single_class_rejected(self):
         x = np.random.default_rng(8).normal(size=(6, 2))
@@ -184,7 +180,8 @@ class TestSmoTrain:
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
             model = smo_train(x, y, KernelParams(gamma=0.5, c=10.0), max_passes=1)
-        assert not model.converged and model.n_passes == 1
+        # the cap is max_passes x rows pair steps
+        assert not model.converged and model.n_passes == 40
         assert record == []
 
 
@@ -225,109 +222,49 @@ PARITY_CASES = {
 @pytest.mark.parametrize("case", PARITY_CASES, ids=list(PARITY_CASES))
 @pytest.mark.parametrize("seed", [0, 5])
 def test_smo_matches_reference_exactly(case, seed):
-    """The Python-float solver takes the reference's trajectory bit for bit."""
+    """The batched solver takes the plain-Python reference's trajectory bit
+    for bit, with the rows in their generated order (seed 0) or shuffled by
+    the seed, since ties in the working-set pick go to the first row."""
     problem, gamma, c, kwargs = PARITY_CASES[case]
     x, y = problem()
+    if seed:
+        order = np.random.default_rng(seed).permutation(y.size)
+        x, y = x[order], y[order]
     params = KernelParams(gamma=gamma, c=c)
-    got = smo_train(x, y, params, seed=seed,
-                    **{k: v for k, v in kwargs.items() if k != "debug"})
-    want = smo_reference.smo_train(x, y, params, seed=seed, **kwargs)
+    got = smo_train(x, y, params, **{k: v for k, v in kwargs.items() if k != "debug"})
+    want = smo_reference.smo_train(x, y, params, **kwargs)
     assert np.array_equal(got.support_vectors, want.support_vectors)
     assert np.array_equal(got.dual_coef, want.dual_coef)
     assert got.bias == want.bias
     assert got.n_passes == want.n_passes
     assert got.converged == want.converged
-    if "max_passes" in kwargs:
-        assert not got.converged
+    if kwargs.get("max_passes", 3) < 3:  # 3 passes leave these solves room to converge
+        assert not got.converged and got.n_passes == kwargs["max_passes"] * y.size
 
 
-def random_pair_problem(seed, duplicates=False):
-    """6 to 15 Gaussian rows in 2-D with random labels, both present; with
-    duplicates, the first third of the rows repeats the last third."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(6, 16))
-    x = rng.normal(size=(n, 2))
-    if duplicates:
-        x[: n // 3] = x[n - n // 3:]
-    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    y[0], y[1] = 1.0, -1.0
-    return x, y
-
-
-def separable_with_duplicates(seed):
-    """Two close blobs plus a same-label copy of six rows: a row and its copy
-    have eta = 0 and s = +1, so their steps take the endpoint branch with
-    endpoints that do not depend on C once C is large."""
-    x, labels = blobs(seed=seed, n_per=10, centers=((0.0, 0.0), (2.0, 2.0)), spread=0.6)
-    y = np.where(labels == 0, 1.0, -1.0)
-    kept = np.r_[:3, -3:0]
-    return np.vstack([x, x[kept]]), np.r_[y, y[kept]]
-
-
-C_LADDER = tuple(2.0 ** p for p in range(-12, 22))
-
-# (problem, gamma, smo_train keyword arguments, what the ladder must show)
-REUSE_CASES = {
-    "duplicated-rows": (lambda: separable_with_duplicates(20), 0.5, {}, lambda models: True),
-    "box-binds-at-small-c": (
-        lambda: labelled_blobs(21, spread=3.0, n_per=25), 0.5, {},
-        lambda models: models[0].c_limit == C_LADDER[0],
-    ),
-    # an alpha of a few 1e-17 is at or below the zero band 1e-12*C
-    "dust-alphas": (
-        lambda: random_pair_problem(1, duplicates=True), 1.0, {},
-        lambda models: any(np.abs(m.dual_coef).min() <= 1e-12 * m.params.c for m in models),
-    ),
-    # the least alpha above the band, about 2e-6, ends reuse near C = 2e6
-    "band-limits-reuse": (
-        lambda: random_pair_problem(1682), 1.0, {},
-        lambda models: any(m.params.c < m.c_limit < C_LADDER[-1] for m in models),
-    ),
-    "max_passes=1": (
-        lambda: labelled_blobs(26, spread=3.0), 0.5, {"max_passes": 1},
-        lambda models: not any(m.converged for m in models),
-    ),
-}
-
-
-def solve_c_ladder(x, y, gamma, **kwargs):
-    """Solve at every C of C_LADDER, and check that a solve kept for a larger
-    C (C <= its c_limit) is that C's solve, bit for bit. Returns the direct
-    models and how many rungs could keep an earlier solve."""
-    models, kept, reused = [], None, 0
-    for c in C_LADDER:
-        direct = smo_train(x, y, KernelParams(gamma=gamma, c=c), seed=0, **kwargs)
-        models.append(direct)
-        assert direct.c_limit >= c
-        if kept is not None and kept.params.c <= c <= kept.c_limit:
-            reused += 1
-            assert direct.dual_coef.tobytes() == kept.dual_coef.tobytes()
-            assert np.array_equal(direct.support_vectors, kept.support_vectors)
-            assert direct.bias == kept.bias
-            assert direct.n_passes == kept.n_passes
-            assert direct.converged == kept.converged
-        else:
-            kept = direct
-    return models, reused
-
-
-@pytest.mark.parametrize("case", REUSE_CASES, ids=list(REUSE_CASES))
-def test_reuse_up_the_c_ladder_matches_direct_solves(case):
-    problem, gamma, kwargs, shows_case = REUSE_CASES[case]
-    models, reused = solve_c_ladder(*problem(), gamma, **kwargs)
-    assert 0 < reused < len(C_LADDER) - 1
-    assert shows_case(models)
-
-
-@pytest.mark.parametrize("start", [0, 10, 20])
-def test_reuse_on_random_problems(start):
-    """Random pair problems, half with duplicate rows, at 1, 3 and 200 passes."""
-    reused = 0
-    for seed in range(start, start + 10):
-        x, y = random_pair_problem(seed, duplicates=bool(seed % 2))
-        gamma = 2.0 ** (seed % 7 - 4)
-        reused += solve_c_ladder(x, y, gamma, max_passes=(1, 3, 200)[seed % 3])[1]
-    assert reused > 0
+def test_a_batch_equals_each_problem_solved_alone():
+    """Problems of 8, 50 and 32 rows at two C values, padded into one batch,
+    give bit for bit the models that smo_train gives each problem alone,
+    whether the problem converges or stops at its cap."""
+    groups = [
+        (*labelled_blobs(30, spread=0.4, n_per=4), 0.5),
+        (*labelled_blobs(31, spread=3.0, n_per=25), 0.5),
+        (*duplicated_rows(32), 2.0),
+    ]
+    c_values = [0.5, 64.0]
+    model = svm._solve_batch(groups, c_values, tol=1e-3, max_passes=2)
+    converged = []
+    for g, (x, y, gamma) in enumerate(groups):
+        for k, c in enumerate(c_values):
+            got = model(g, k)
+            want = smo_train(x, y, KernelParams(gamma=gamma, c=c), max_passes=2)
+            assert got.params == want.params
+            assert got.support_vectors.tobytes() == want.support_vectors.tobytes()
+            assert got.dual_coef.tobytes() == want.dual_coef.tobytes()
+            assert got.bias == want.bias
+            assert (got.n_passes, got.converged) == (want.n_passes, want.converged)
+            converged.append(got.converged)
+    assert any(converged) and not all(converged)
 
 
 class TestDecisionValue:
@@ -344,7 +281,7 @@ class TestDecisionValue:
         x, labels = blobs(seed=11)
         y = np.where(labels == 0, 1.0, -1.0)
         tol = 1e-6
-        model = smo_train(x, y, KernelParams(gamma=0.5, c=50.0), tol=tol, seed=0,
+        model = smo_train(x, y, KernelParams(gamma=0.5, c=50.0), tol=tol,
                           max_passes=2000)
         alphas = np.abs(model.dual_coef)
         unbounded = (alphas > 1e-9) & (alphas < 50.0 - 1e-9)
@@ -356,7 +293,7 @@ class TestDecisionValue:
     def test_summation_oracle(self):
         x, labels = blobs(seed=12)
         y = np.where(labels == 0, 1.0, -1.0)
-        model = smo_train(x, y, KernelParams(gamma=0.5, c=5.0), seed=0)
+        model = smo_train(x, y, KernelParams(gamma=0.5, c=5.0))
         probe = np.array([1.0, 2.0])
         direct = model.bias + sum(
             coef * rbf_kernel(probe, sv, 0.5)
@@ -367,7 +304,7 @@ class TestDecisionValue:
     def test_length_mismatch(self):
         x, labels = blobs(seed=13, n_per=5)
         y = np.where(labels == 0, 1.0, -1.0)
-        model = smo_train(x, y, KernelParams(gamma=0.5, c=5.0), seed=0)
+        model = smo_train(x, y, KernelParams(gamma=0.5, c=5.0))
         with pytest.raises(SonoclassError, match="x has 5 features, model expects 2"):
             decision_values(model, np.zeros((1, 5)))
 
@@ -386,17 +323,17 @@ def multiclass_blobs(k, seed=0, n_per=8, spread=0.3):
 class TestOvo:
     def test_pair_count_ten_classes(self):
         matrix = multiclass_blobs(10, seed=1, n_per=3)
-        model = ovo_train(matrix, KernelParams(gamma=0.5, c=10.0), seed=0)
+        model = ovo_train(matrix, KernelParams(gamma=0.5, c=10.0))
         assert len(model.pair_models) == 45
 
     def test_pair_count_two_classes(self):
         matrix = multiclass_blobs(2, seed=2, n_per=4)
-        model = ovo_train(matrix, KernelParams(gamma=0.5, c=10.0), seed=0)
+        model = ovo_train(matrix, KernelParams(gamma=0.5, c=10.0))
         assert len(model.pair_models) == 1
 
     def test_three_class_pairs_enumerated(self):
         matrix = multiclass_blobs(3, seed=3, n_per=4)
-        model = ovo_train(matrix, KernelParams(gamma=0.5, c=10.0), seed=0)
+        model = ovo_train(matrix, KernelParams(gamma=0.5, c=10.0))
         assert sorted(model.pair_models) == [(0, 1), (0, 2), (1, 2)]
 
     def test_class_too_small(self):
@@ -407,7 +344,7 @@ class TestOvo:
 
     def test_binary_prediction_equals_sign(self):
         matrix = multiclass_blobs(2, seed=5)
-        model = ovo_train(matrix, KernelParams(gamma=0.5, c=10.0), seed=0)
+        model = ovo_train(matrix, KernelParams(gamma=0.5, c=10.0))
         predicted = ovo_predict_batch(model, matrix.values)
         from sonoclass.svm import apply_scaler
         scaled = apply_scaler(matrix.values, model.scaler)
@@ -416,7 +353,7 @@ class TestOvo:
 
     def test_unanimous_vote_wins(self):
         matrix = multiclass_blobs(4, seed=6)
-        model = ovo_train(matrix, KernelParams(gamma=0.5, c=50.0), seed=0)
+        model = ovo_train(matrix, KernelParams(gamma=0.5, c=50.0))
         predicted = ovo_predict_batch(model, matrix.values)
         assert np.mean(predicted == matrix.labels) == 1.0
 
@@ -517,48 +454,14 @@ class TestOvo:
 
     def test_relabeling_invariance(self):
         matrix = multiclass_blobs(3, seed=7, n_per=10)
-        model = ovo_train(matrix, KernelParams(gamma=0.5, c=50.0), seed=0)
+        model = ovo_train(matrix, KernelParams(gamma=0.5, c=50.0))
         perm = np.array([2, 0, 1])  # new label of old class i is perm[i]
         permuted = FeatureMatrix(matrix.values, perm[matrix.labels])
-        model_p = ovo_train(permuted, KernelParams(gamma=0.5, c=50.0), seed=0)
+        model_p = ovo_train(permuted, KernelParams(gamma=0.5, c=50.0))
         probes = np.random.default_rng(8).normal(size=(20, 2)) * 4.0
         base = ovo_predict_batch(model, probes)
         inverse = np.argsort(perm)
         assert np.array_equal(inverse[ovo_predict_batch(model_p, probes)], base)
-
-
-@pytest.mark.parametrize("max_passes", [2, 200])
-def test_ladder_rungs_equal_direct_ovo_train(monkeypatch, max_passes):
-    """Each rung of the C ladder is ovo_train at that C, pair by pair and bit
-    for bit, on a ladder that keeps some pair solves and solves others again.
-    A rung says whether it solved any pair."""
-    matrix = multiclass_blobs(3, seed=17, n_per=9, spread=2.5)
-    c_values = [2.0 ** p for p in range(-5, 22, 2)]
-    solves = []
-    solve = svm.smo_train
-    monkeypatch.setattr(svm, "smo_train", lambda *a, **k: solves.append(1) or solve(*a, **k))
-    rungs, flags, counted = [], [], 0
-    for rung, solved in svm._ovo_ladder(matrix, 0.5, c_values, 1e-3, max_passes, seed=3):
-        assert solved == (len(solves) > counted)  # this rung solved a pair
-        counted = len(solves)
-        rungs.append(rung)
-        flags.append(solved)
-    assert 3 < len(solves) < 3 * len(c_values)
-    assert not all(flags)
-    for c, rung in zip(c_values, rungs, strict=True):
-        direct = ovo_train(matrix, KernelParams(gamma=0.5, c=c), max_passes=max_passes, seed=3)
-        assert rung.classes == direct.classes
-        assert all(np.array_equal(a, b) for a, b in zip(rung.scaler, direct.scaler))
-        assert list(rung.pair_models) == list(direct.pair_models)
-        for pair, want in direct.pair_models.items():
-            got = rung.pair_models[pair]
-            assert got.dual_coef.tobytes() == want.dual_coef.tobytes()
-            assert got.support_vectors.tobytes() == want.support_vectors.tobytes()
-            assert got.bias == want.bias
-            assert got.params == want.params
-            assert (got.n_passes, got.converged) == (want.n_passes, want.converged)
-    if max_passes == 2:
-        assert not any(m.converged for m in rungs[0].pair_models.values())
 
 
 class TestGridSearch:
@@ -620,47 +523,7 @@ class TestGridSearch:
         assert cpus.worker_count(10_000) == len(os.sched_getaffinity(0))
         assert cpus.worker_count(1) == 1
 
-    def test_serial_and_pooled_give_the_same_result(self, monkeypatch):
-        matrix = multiclass_blobs(3, seed=13, n_per=9, spread=3.0)
-        grid = dict(c_grid=[0.5, 4.0, 64.0], gamma_grid=[0.05, 0.5, 5.0], folds=3, seed=2)
-        results = []
-        for count in (1, 2):
-            monkeypatch.setattr(cpus, "worker_count", lambda n_cells, count=count: count)
-            results.append(grid_search_cv(matrix, **grid))
-        assert results[0] == results[1]
-        assert len({acc for _, _, acc in results[0][1]}) > 1
-        assert multiprocessing.active_children() == []
-
-    def test_pool_forks_with_no_thread_left_by_selection(self, src_env):
-        """Python 3.12 and later warn when a process with more than one
-        thread forks. The child runs with one BLAS thread, so only a pool
-        thread that select_top_k left running would be counted."""
-        code = (
-            "import warnings\n"
-            "import numpy as np\n"
-            "from sonoclass import cpus, feature_select, svm\n"
-            "cpus.worker_count = lambda n_tasks: min(2, n_tasks)\n"
-            "rng = np.random.default_rng(0)\n"
-            "labels = np.repeat(np.arange(3), 6)\n"
-            "matrix = feature_select.FeatureMatrix(rng.normal(size=(18, 3000)), labels)\n"
-            "with warnings.catch_warnings(record=True) as record:\n"
-            "    warnings.simplefilter('always')\n"
-            "    selection = feature_select.select_top_k(matrix, k=8)\n"
-            "    selected = feature_select.apply_selection(matrix.values, selection)\n"
-            "    svm.grid_search_cv(feature_select.FeatureMatrix(selected, labels),\n"
-            "                       c_grid=[1.0], gamma_grid=[0.5], folds=2)\n"
-            "print([str(w.message) for w in record if w.category is DeprecationWarning])\n"
-        )
-        one_thread = {name: "1" for name in (
-            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=src_env(**one_thread), timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_worker_error_reaches_caller(self, monkeypatch, workers):
-        monkeypatch.setattr(cpus, "worker_count", lambda n_cells: workers)
+    def test_worker_error_reaches_caller(self):
         matrix = multiclass_blobs(3, seed=14, n_per=6)
         # class 2 keeps exactly 2 rows, so each 2-fold train split has one
         keep = np.r_[np.flatnonzero(matrix.labels != 2), np.flatnonzero(matrix.labels == 2)[:2]]
@@ -668,29 +531,28 @@ class TestGridSearch:
         with pytest.raises(SonoclassError,
                            match=r"classes \[2\] have fewer than 2 training samples"):
             grid_search_cv(small, c_grid=[1.0, 2.0], gamma_grid=[0.5], folds=2)
-        assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_one_nonconvergence_warning(self, monkeypatch, capfd, workers):
-        monkeypatch.setattr(cpus, "worker_count", lambda n_cells: workers)
-        matrix = multiclass_blobs(3, seed=15, n_per=9, spread=2.0)
+    def test_one_nonconvergence_warning(self, capfd):
+        matrix = multiclass_blobs(3, seed=15, n_per=9, spread=3.0)
         with pytest.warns(RuntimeWarning) as record:
             grid_search_cv(matrix, c_grid=[1.0, 100.0], gamma_grid=[0.5],
                            folds=3, max_passes=1)
         caught = [w for w in record if issubclass(w.category, RuntimeWarning)]
         assert all(w.category is NonConvergenceWarning for w in caught)
-        # 2 cells x 3 folds x 3 pairs; no solve converges in one pass
-        assert [str(w.message) for w in caught] == ["18 of 18 pair solves did not converge"]
-        assert "SMO stopped" not in capfd.readouterr().err  # nor in a worker
+        # 2 cells x 3 folds x 3 pairs; 8 do not converge within one step per row
+        assert [str(w.message) for w in caught] == ["8 of 18 pair solves did not converge"]
+        assert "SMO stopped" not in capfd.readouterr().err
 
     # unsorted, with a repeated C; 7 C x 3 gamma x 3 folds x 3 pairs = 189 pair solves
     REFERENCE_GRID = dict(c_grid=[64.0, 0.25, 4.0, 2.0 ** 12, 4.0, 2.0 ** -5, 1024.0],
                           gamma_grid=[5.0, 0.05, 0.5], folds=3, seed=4)
 
     @pytest.mark.parametrize("max_passes", [8, 200])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_matches_per_cell_reference(self, monkeypatch, workers, max_passes):
-        monkeypatch.setattr(cpus, "worker_count", lambda n_tasks: workers)
+    @pytest.mark.parametrize("batch_values", [1, svm.BATCH_VALUES])
+    def test_matches_per_cell_reference(self, monkeypatch, batch_values, max_passes):
+        """With a budget of 1 value each (gamma, fold) task is its own batch;
+        with the default one batch holds all nine."""
+        monkeypatch.setattr(svm, "BATCH_VALUES", batch_values)
         matrix = multiclass_blobs(3, seed=17, n_per=9, spread=2.5)
         grid = dict(self.REFERENCE_GRID, max_passes=max_passes)
         want_best, want_table, want_message = grid_reference.grid_search_cv(matrix, **grid)
@@ -699,34 +561,7 @@ class TestGridSearch:
             best, table = grid_search_cv(matrix, **grid)
         assert best == want_best
         assert table == want_table
-        # some solves stop at either max_passes
-        assert [str(w.message) for w in record] == [want_message]
+        # some solves stop at 8 passes and none at 200
+        assert (want_message is None) == (max_passes == 200)
+        assert [str(w.message) for w in record] == [want_message] * (max_passes == 8)
         assert len({acc for _, _, acc in table}) > 1
-
-    def test_a_rung_that_keeps_every_pair_predicts_again_only_after_a_solve(self, monkeypatch):
-        monkeypatch.setattr(cpus, "worker_count", lambda n_tasks: 1)
-        matrix = multiclass_blobs(3, seed=17, n_per=9, spread=2.5)
-        _, want_table, _ = grid_reference.grid_search_cv(matrix, **self.REFERENCE_GRID)
-        events = []
-        solve, predict = svm.smo_train, svm.ovo_predict_batch
-        monkeypatch.setattr(svm, "smo_train", lambda *a, **k: events.append("s") or solve(*a, **k))
-        monkeypatch.setattr(svm, "ovo_predict_batch",
-                            lambda *a, **k: events.append("p") or predict(*a, **k))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            _, table = grid_search_cv(matrix, **self.REFERENCE_GRID)
-        assert table == want_table
-        # each rung that solves a pair predicts once; the others reuse its count
-        assert re.fullmatch("(s+p)+", "".join(events))
-        assert events.count("p") < 7 * 3 * 3  # C values x gammas x folds
-
-    def test_ladder_solves_fewer_pairs_than_cells(self, monkeypatch):
-        monkeypatch.setattr(cpus, "worker_count", lambda n_tasks: 1)
-        solves = []
-        solve = svm.smo_train
-        monkeypatch.setattr(svm, "smo_train", lambda *a, **k: solves.append(1) or solve(*a, **k))
-        matrix = multiclass_blobs(3, seed=17, n_per=9, spread=2.5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            grid_search_cv(matrix, **self.REFERENCE_GRID)
-        assert len(solves) < 189
