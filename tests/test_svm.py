@@ -156,7 +156,8 @@ class TestSmoTrain:
         assert np.array_equal(got.dual_coef, want.dual_coef)
         assert got.bias == want.bias and got.n_passes == want.n_passes
 
-    def test_two_calls_give_equal_models(self):
+    def test_deterministic_given_seed(self):
+        # the solver draws no random numbers, so two calls give equal models
         x, labels = blobs(seed=7, n_per=12, spread=1.2)
         y = np.where(labels == 0, 1.0, -1.0)
         a = smo_train(x, y, KernelParams(gamma=0.4, c=3.0))
@@ -523,20 +524,38 @@ class TestGridSearch:
         assert cpus.worker_count(10_000) == len(os.sched_getaffinity(0))
         assert cpus.worker_count(1) == 1
 
-    def test_worker_error_reaches_caller(self):
+    @pytest.mark.parametrize("short", [1, 2])
+    def test_worker_error_reaches_caller(self, short):
         matrix = multiclass_blobs(3, seed=14, n_per=6)
-        # class 2 keeps exactly 2 rows, so each 2-fold train split has one
-        keep = np.r_[np.flatnonzero(matrix.labels != 2), np.flatnonzero(matrix.labels == 2)[:2]]
+        # the short class keeps exactly 2 rows, so each 2-fold train split has one
+        keep = np.r_[np.flatnonzero(matrix.labels != short),
+                     np.flatnonzero(matrix.labels == short)[:2]]
         small = FeatureMatrix(matrix.values[keep], matrix.labels[keep])
         with pytest.raises(SonoclassError,
-                           match=r"classes \[2\] have fewer than 2 training samples"):
+                           match=rf"classes \[{short}\] have fewer than 2 training samples"):
             grid_search_cv(small, c_grid=[1.0, 2.0], gamma_grid=[0.5], folds=2)
 
-    def test_one_nonconvergence_warning(self, capfd):
+    @staticmethod
+    def tasks_per_batch(monkeypatch, tasks, pairs, rows, n_c):
+        """Sets the batch budget so that each _solve_batch call of
+        grid_search_cv takes `tasks` (gamma, fold) tasks, each of `pairs`
+        pair problems of `rows` rows over `n_c` C values. Returns the list
+        the problem count of each call is appended to."""
+        monkeypatch.setattr(svm, "BATCH_VALUES", tasks * pairs * rows * (rows + n_c))
+        calls, solve = [], svm._solve_batch
+        monkeypatch.setattr(svm, "_solve_batch",
+                            lambda groups, *a: calls.append(len(groups)) or solve(groups, *a))
+        return calls
+
+    @pytest.mark.parametrize("tasks", [1, 2])
+    def test_one_nonconvergence_warning(self, monkeypatch, capfd, tasks):
+        """The count sums over every batch of the call, 3 tasks in 3 or 2 batches."""
+        calls = self.tasks_per_batch(monkeypatch, tasks, pairs=3, rows=12, n_c=2)
         matrix = multiclass_blobs(3, seed=15, n_per=9, spread=3.0)
         with pytest.warns(RuntimeWarning) as record:
             grid_search_cv(matrix, c_grid=[1.0, 100.0], gamma_grid=[0.5],
                            folds=3, max_passes=1)
+        assert calls == {1: [3, 3, 3], 2: [6, 3]}[tasks]
         caught = [w for w in record if issubclass(w.category, RuntimeWarning)]
         assert all(w.category is NonConvergenceWarning for w in caught)
         # 2 cells x 3 folds x 3 pairs; 8 do not converge within one step per row
@@ -548,14 +567,14 @@ class TestGridSearch:
                           gamma_grid=[5.0, 0.05, 0.5], folds=3, seed=4)
 
     @pytest.mark.parametrize("max_passes", [8, 200])
-    @pytest.mark.parametrize("batch_values", [1, svm.BATCH_VALUES])
-    def test_matches_per_cell_reference(self, monkeypatch, batch_values, max_passes):
-        """With a budget of 1 value each (gamma, fold) task is its own batch;
-        with the default one batch holds all nine."""
-        monkeypatch.setattr(svm, "BATCH_VALUES", batch_values)
+    @pytest.mark.parametrize("tasks", [1, 2, 9])
+    def test_matches_per_cell_reference(self, monkeypatch, tasks, max_passes):
+        """Each batch takes 1, 2 or all 9 (gamma, fold) tasks; with 2, a
+        batch holds problems of two folds or two gammas."""
         matrix = multiclass_blobs(3, seed=17, n_per=9, spread=2.5)
         grid = dict(self.REFERENCE_GRID, max_passes=max_passes)
         want_best, want_table, want_message = grid_reference.grid_search_cv(matrix, **grid)
+        calls = self.tasks_per_batch(monkeypatch, tasks, pairs=3, rows=12, n_c=7)
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
             best, table = grid_search_cv(matrix, **grid)
@@ -565,3 +584,4 @@ class TestGridSearch:
         assert (want_message is None) == (max_passes == 200)
         assert [str(w.message) for w in record] == [want_message] * (max_passes == 8)
         assert len({acc for _, _, acc in table}) > 1
+        assert calls == {1: [3] * 9, 2: [6] * 4 + [3], 9: [27]}[tasks]
