@@ -11,16 +11,16 @@ moves one pair of multipliers along the equality constraint and keeps
 both constraints feasible. Independent problems are solved together, one
 row each of padded numpy arrays, so a one-vs-one model solves its class
 pairs in one batch and a grid search solves every (C, gamma, fold, pair)
-problem of the call in a few. Multiclass is handled by one binary model
-per class pair and majority voting.
+problem of the call in a few, then scores each (gamma, fold, pair) group
+at all its C values at once from the multipliers. Multiclass is handled
+by one binary model per class pair and majority voting.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -90,6 +90,35 @@ class OvoModel:
         return all(m.converged for m in self.pair_models.values())
 
 
+@dataclass(frozen=True)
+class _Batch:
+    """_solve_batch's result: problem p = g * len(c_values) + k (group g at
+    c_values[k]) has multipliers alphas[p], zero-padded to the widest group,
+    and kernels[g] is group g's kernel. Called as (g, k), it builds p's model."""
+
+    groups: list
+    c_values: list
+    kernels: list
+    alphas: np.ndarray
+    converged: np.ndarray
+    steps: np.ndarray
+
+    def __call__(self, g: int, k: int) -> BinarySvmModel:
+        x, y, gamma = self.groups[g]
+        p, c = g * len(self.c_values) + k, float(self.c_values[k])
+        alpha = self.alphas[p, :y.size]
+        mask = alpha > 0.0
+        return BinarySvmModel(
+            support_vectors=x[mask],
+            dual_coef=(alpha * y)[mask],
+            bias=float(_bias_from_state(y, (self.kernels[g] @ (alpha * y))[None],
+                                        alpha[None], np.array([c]))[0]),
+            params=KernelParams(gamma=gamma, c=c),
+            converged=bool(self.converged[p]),
+            n_passes=int(self.steps[p]),
+        )
+
+
 def rbf_kernel(x: np.ndarray, x2: np.ndarray, gamma: float) -> float:
     """exp(-gamma * ||x - x2||^2); equals 1 at zero distance."""
     x = np.asarray(x, dtype=np.float64)
@@ -138,11 +167,9 @@ def smo_train(
     return _solve_batch([(x, y, params.gamma)], [params.c], tol, max_passes)(0, 0)
 
 
-def _solve_batch(groups, c_values, tol: float,
-                 max_passes: int) -> Callable[[int, int], BinarySvmModel]:
+def _solve_batch(groups, c_values, tol: float, max_passes: int) -> _Batch:
     """Solve each group (x, y, gamma) at every C of c_values, cold from
-    alpha = 0, and return model(g, k): the BinarySvmModel of group g at
-    c_values[k].
+    alpha = 0, and return the multipliers, flags and kernels as a _Batch.
 
     Problem p = g * len(c_values) + k is row p of arrays padded to the most
     rows of any group; padding rows have y = 0, so they belong to neither
@@ -210,51 +237,30 @@ def _solve_batch(groups, c_values, tol: float,
         grad += y * d[:, None] * (k_i - tensor[kernel_of, j])
         it += 1
 
-    def model(g: int, k: int) -> BinarySvmModel:
-        x, y, gamma = groups[g]
-        p, c = g * n_c + k, float(c_values[k])
-        alpha = alphas[p, :y.size]
-        mask = alpha > 0.0
-        return BinarySvmModel(
-            support_vectors=x[mask],
-            dual_coef=(alpha * y)[mask],
-            bias=_recompute_bias(kernels[g], y, alpha, c),
-            params=KernelParams(gamma=gamma, c=c),
-            converged=bool(converged[p]),
-            n_passes=int(steps[p]),
-        )
-
-    return model
+    return _Batch(groups, c_values, kernels, alphas, converged, steps)
 
 
-def _bias_from_state(y: np.ndarray, g: np.ndarray, alpha: np.ndarray, c: float) -> float:
-    """Average over unbounded support vectors, or the feasible-interval midpoint.
+def _bias_from_state(y: np.ndarray, g: np.ndarray, alpha: np.ndarray, c: np.ndarray):
+    """The bias of each problem, one a row: the mean of y - g over unbounded
+    support vectors, else the feasible interval's midpoint, its one finite
+    end, or 0. g holds the bias-free decision sums K @ (alpha*y), c each
+    row's box; one y may serve every row.
 
-    g holds the bias-free decision sums K @ (alpha*y). Bound status is
-    decided inside a tiny relative band: pair updates can leave an alpha one
-    rounding step away from 0 or C, and averaging such a point as if it were
-    interior would corrupt the bias.
+    Bound status is decided inside a tiny relative band: pair updates can
+    leave an alpha one rounding step away from 0 or C, and averaging such
+    a point as if it were interior would corrupt the bias.
     """
-    band = 1e-12 * c
-    at_zero = alpha <= band
-    at_c = alpha >= c - band
+    band = 1e-12 * c[:, None]
+    at_zero, at_c = alpha <= band, alpha >= c[:, None] - band
     unbounded = ~at_zero & ~at_c
-    if np.any(unbounded):
-        return float(np.mean(y[unbounded] - g[unbounded]))
     resid = y - g
-    lower = ((y > 0) & at_zero) | ((y < 0) & at_c)
-    upper = ((y < 0) & at_zero) | ((y > 0) & at_c)
-    b_lo = float(resid[lower].max()) if np.any(lower) else None
-    b_hi = float(resid[upper].min()) if np.any(upper) else None
-    if b_lo is None:
-        return b_hi if b_hi is not None else 0.0
-    if b_hi is None:
-        return b_lo
-    return 0.5 * (b_lo + b_hi)
-
-
-def _recompute_bias(kernel: np.ndarray, y: np.ndarray, alpha: np.ndarray, c: float) -> float:
-    return _bias_from_state(y, kernel @ (alpha * y), alpha, c)
+    b_lo = np.where((y > 0) & at_zero | (y < 0) & at_c, resid, -np.inf).max(axis=1)
+    b_hi = np.where((y < 0) & at_zero | (y > 0) & at_c, resid, np.inf).min(axis=1)
+    has_lo, has_hi = b_lo > -np.inf, b_hi < np.inf
+    # the missing end counts as 0, so that no inf - inf is ever evaluated
+    ends = np.where(has_lo, b_lo, 0.0) + np.where(has_hi, b_hi, 0.0)
+    mean = np.where(unbounded, resid, 0.0).sum(axis=1) / np.maximum(unbounded.sum(axis=1), 1)
+    return np.where(unbounded.any(axis=1), mean, np.where(has_lo & has_hi, 0.5, 1.0) * ends)
 
 
 def decision_values(model: BinarySvmModel, x: np.ndarray) -> np.ndarray:
@@ -322,14 +328,28 @@ def ovo_train(
                     pair_models={pair: model(g, 0) for g, pair in enumerate(pairs)})
 
 
-def ovo_predict_batch(model: OvoModel, x: np.ndarray) -> np.ndarray:
-    """The one-vs-one class label (int64) of each row of x; a 1-D x is one row.
-
-    Each pair model votes for a when its margin is positive, else for b,
-    and adds |margin| to its winner's support. The class with the most
-    votes wins; a vote tie goes to the largest support, then to the
-    lowest class (the first in model.classes).
+def _ovo_vote(classes: tuple[int, ...], pairs, d: np.ndarray) -> np.ndarray:
+    """The one-vs-one class label (int64) of each (batch, row) of d, where
+    d[:, p] holds the margins of the p-th pair (a, b) of pairs: each pair
+    votes for a when its margin is positive, else for b, and adds |margin|
+    to its winner's support, pair by pair in order. The class with the most
+    votes wins; a vote tie goes to the largest support, then to the lowest
+    class (the first in classes).
     """
+    at = tuple(np.ogrid[:d.shape[0], :d.shape[2]])
+    votes = np.zeros((d.shape[0], d.shape[2], len(classes)))
+    support = np.zeros_like(votes)
+    for p, (a, b) in enumerate(pairs):
+        winner = at + (np.where(d[:, p] > 0.0, classes.index(a), classes.index(b)),)
+        votes[winner] += 1.0
+        support[winner] += np.abs(d[:, p])
+    # argmax takes the first of the equal maxima
+    support[votes < votes.max(axis=2, keepdims=True)] = -np.inf
+    return np.asarray(classes, dtype=np.int64)[np.argmax(support, axis=2)]
+
+
+def ovo_predict_batch(model: OvoModel, x: np.ndarray) -> np.ndarray:
+    """The one-vs-one label (int64, see _ovo_vote) of each row of x; a 1-D x is one row."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
@@ -338,18 +358,8 @@ def ovo_predict_batch(model: OvoModel, x: np.ndarray) -> np.ndarray:
             f"x has {x.shape[1]} features, model expects {model.n_features}"
         )
     scaled = apply_scaler(x, model.scaler)
-    index = {cls: i for i, cls in enumerate(model.classes)}
-    rows = np.arange(x.shape[0])
-    votes = np.zeros((x.shape[0], len(model.classes)))
-    support = np.zeros_like(votes)
-    for (a, b), pair_model in model.pair_models.items():
-        d = decision_values(pair_model, scaled)
-        winner = np.where(d > 0.0, index[a], index[b])
-        votes[rows, winner] += 1.0
-        support[rows, winner] += np.abs(d)
-    # argmax takes the first of the equal maxima
-    support[votes < votes.max(axis=1, keepdims=True)] = -np.inf
-    return np.asarray(model.classes, dtype=np.int64)[np.argmax(support, axis=1)]
+    d = np.stack([decision_values(m, scaled) for m in model.pair_models.values()])
+    return _ovo_vote(model.classes, model.pair_models, d[None])[0]
 
 
 def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> np.ndarray:
@@ -393,8 +403,10 @@ def grid_search_cv(
     Every (C, gamma, fold, pair) problem is solved cold, so the table is
     the one that ovo_train gives cell by cell. The problems of whole
     (gamma, fold) tasks go to _solve_batch together, at most about
-    BATCH_VALUES values at once, and each cell's fold model predicts its
-    held-out rows through ovo_predict_batch. If any pair solve stops
+    BATCH_VALUES values at once. Each (gamma, fold, pair) group is then
+    scored at every C together, from the multipliers, with no model objects:
+    one bias call, one held-out kernel and one product give its margins,
+    and _ovo_vote labels a task's held-out rows. If any pair solve stops
     without converging, one NonConvergenceWarning gives the count.
     """
     if folds < 2:
@@ -403,15 +415,19 @@ def grid_search_cv(
     gammas = sorted(float(v) for v in gamma_grid)
     if not c_values or not gammas:
         raise ValueError("need at least one C and one gamma value")
+    for gamma, c in product(gammas, c_values):
+        KernelParams(gamma=gamma, c=c)  # rejects a bad value before any solve
     assignment = stratified_folds(matrix.labels, folds, seed)
     splits = []
     for fold in range(folds):
         train = assignment != fold
-        splits.append((*_pair_problems(FeatureMatrix(matrix.values[train], matrix.labels[train])),
-                       matrix.values[~train], matrix.labels[~train]))
+        classes, scaler, pairs = _pair_problems(FeatureMatrix(matrix.values[train],
+                                                              matrix.labels[train]))
+        splits.append((classes, pairs, apply_scaler(matrix.values[~train], scaler),
+                       matrix.labels[~train]))
 
     chunks, size = [[]], 0
-    for fold, (_, _, pairs, _, _) in enumerate(splits):
+    for fold, (_, pairs, _, _) in enumerate(splits):
         cost = sum(y.size * (y.size + len(c_values)) for _, y in pairs.values())
         for g in range(len(gammas)):
             if chunks[-1] and size + cost > BATCH_VALUES:
@@ -420,22 +436,26 @@ def grid_search_cv(
             chunks[-1].append((fold, g))
             size += cost
 
-    correct = np.zeros((len(c_values), len(gammas)), dtype=np.int64)
+    n_c, c_column = len(c_values), np.asarray(c_values)
+    correct = np.zeros((n_c, len(gammas)), dtype=np.int64)
     unconverged = solves = 0
     for chunk in chunks:
-        model = _solve_batch([(x, y, gammas[g]) for fold, g in chunk
-                              for x, y in splits[fold][2].values()],
+        batch = _solve_batch([(x, y, gammas[g]) for fold, g in chunk
+                              for x, y in splits[fold][1].values()],
                              c_values, tol, max_passes)
-        first = 0
+        unconverged += int(np.count_nonzero(~batch.converged))
+        solves += batch.converged.size
+        group = 0
         for fold, g in chunk:
-            classes, scaler, pairs, test_values, test_labels = splits[fold]
-            for k in range(len(c_values)):
-                pair_models = {pair: model(first + p, k) for p, pair in enumerate(pairs)}
-                unconverged += sum(not m.converged for m in pair_models.values())
-                solves += len(pair_models)
-                predicted = ovo_predict_batch(OvoModel(classes, pair_models, scaler), test_values)
-                correct[k, g] += int(np.sum(predicted == test_labels))
-            first += len(pairs)
+            classes, pairs, test_scaled, test_labels = splits[fold]
+            d = np.empty((n_c, len(pairs), test_labels.size))
+            for p, (x, y) in enumerate(pairs.values()):
+                alpha = batch.alphas[group * n_c:(group + 1) * n_c, :y.size]
+                ay = alpha * y
+                bias = _bias_from_state(y, ay @ batch.kernels[group], alpha, c_column)
+                d[:, p] = ay @ rbf_kernel_matrix(test_scaled, x, gammas[g]).T + bias[:, None]
+                group += 1
+            correct[:, g] += np.sum(_ovo_vote(classes, pairs, d) == test_labels, axis=1)
 
     table: list[tuple[float, float, float]] = []
     best: tuple[float, KernelParams] | None = None

@@ -25,7 +25,7 @@ from sonoclass.svm import (
     DEFAULT_TOL,
     BinarySvmModel,
     KernelParams,
-    _recompute_bias,
+    _bias_from_state,
     rbf_kernel_matrix,
 )
 
@@ -105,7 +105,8 @@ def smo_train(
     return BinarySvmModel(
         support_vectors=x[mask],
         dual_coef=(alpha * y)[mask],
-        bias=_recompute_bias(kernel, y, alpha, c),
+        bias=float(_bias_from_state(y, (kernel @ (alpha * y))[None], alpha[None],
+                                    np.array([c]))[0]),
         params=params,
         converged=converged,
         n_passes=steps,

@@ -268,6 +268,57 @@ def test_a_batch_equals_each_problem_solved_alone():
     assert any(converged) and not all(converged)
 
 
+def plain_bias(y, g, alpha, c):
+    """The bias formula of one problem, in plain Python."""
+    band = 1e-12 * c
+    resid = [yt - gt for yt, gt in zip(y, g)]
+    free = [r for r, a in zip(resid, alpha) if band < a < c - band]
+    if free:
+        return sum(free) / len(free)
+    lower = [r for r, yt, a in zip(resid, y, alpha)
+             if (yt > 0 and a <= band) or (yt < 0 and a >= c - band)]
+    upper = [r for r, yt, a in zip(resid, y, alpha)
+             if (yt < 0 and a <= band) or (yt > 0 and a >= c - band)]
+    if lower and upper:
+        return 0.5 * (max(lower) + min(upper))
+    if lower or upper:
+        return max(lower) if lower else min(upper)
+    return 0.0
+
+
+def test_bias_matches_plain_formula_per_row():
+    """One batch whose rows take each branch of the bias: unbounded support
+    vectors, lower bounds only, upper bounds only, both, and neither (a row
+    of padding). Rows near a bound sit within the band of it."""
+    c = np.array([2.0, 2.0, 1.0, 0.5, 4.0, 1.0])
+    y = np.array([
+        [1.0, -1.0, 1.0, -1.0, 1.0],
+        [1.0, 1.0, -1.0, -1.0, 0.0],
+        [1.0, 1.0, -1.0, -1.0, 1.0],
+        [1.0, -1.0, 1.0, -1.0, 0.0],
+        [-1.0, 1.0, 1.0, -1.0, 1.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+    ])
+    alpha = np.array([
+        [0.5, 2.0, 1.25, 0.0, 0.75],                    # the mean over entries 0, 2 and 4
+        [0.0, 1e-13, 2.0, 2.0 * (1 - 1e-13), 0.0],      # lower only
+        [1.0, 1.0 - 1e-13, 0.0, 0.0, 1.0],              # upper only
+        [0.0, 0.0, 0.5, 0.5, 0.0],                      # both: the midpoint
+        [0.0, 0.0, 4.0, 4.0, 0.0],                      # both, other bounds
+        [0.0, 0.0, 0.0, 0.0, 0.0],                      # neither: 0
+    ])
+    g = np.random.default_rng(40).normal(size=y.shape)
+    got = svm._bias_from_state(y, g, alpha, c)
+    assert got.shape == (6,)
+    for r in range(6):
+        want = plain_bias(y[r].tolist(), g[r].tolist(), alpha[r].tolist(), float(c[r]))
+        assert got[r] == pytest.approx(want, rel=1e-12)
+    assert got[5] == 0.0
+    # row 1's padding entry bounds nothing; every entry of row 2 is an upper bound
+    assert got[1] == max(y[1, :4] - g[1, :4])
+    assert got[2] == min(y[2] - g[2])
+
+
 class TestDecisionValue:
     def test_empty_support_set(self):
         model = BinarySvmModel(
@@ -453,6 +504,36 @@ class TestOvo:
         assert predicted.dtype == np.int64
         assert predicted.tolist() == expected == [5, 5, 9]
 
+    def test_vote_over_a_c_axis_equals_each_model(self):
+        """_ovo_vote on the rigged pair margins of
+        test_one_batch_takes_every_tie_outcome, one C row per rig (the rig,
+        its margins doubled, its margins negated, and with pair (5, 9)
+        flipped), gives each row the labels ovo_predict_batch gives that
+        row's model, with its exact ties."""
+        from sonoclass.svm import OvoModel, apply_scaler
+        params = KernelParams(gamma=1.0, c=1.0)
+        probes = np.array([[0.0, 0.0], [0.0, 100.0], [-100.0, -100.0]])
+        rig = {(2, 5): ((0.0, 0.0), -1.5, +1.0), (2, 9): ((0.0, 0.0), -3.0, -2.0),
+               (5, 9): ((0.0, 100.0), 1.0, +1.0)}
+        signs = [{}, {}, {}, {(5, 9): -1.0}]
+        scales = [1.0, 2.0, -1.0, 1.0]
+        models = []
+        for scale, sign in zip(scales, signs):
+            models.append(OvoModel(classes=(2, 5, 9), pair_models={
+                pair: BinarySvmModel(support_vectors=np.array([sv]),
+                                     dual_coef=np.array([scale * sign.get(pair, 1.0) * coef]),
+                                     bias=scale * sign.get(pair, 1.0) * bias, params=params)
+                for pair, (sv, coef, bias) in rig.items()}, scaler=(np.zeros(2), np.ones(2))))
+        scaled = apply_scaler(probes, models[0].scaler)
+        d = np.array([[decision_values(m, scaled) for m in model.pair_models.values()]
+                      for model in models])
+        labels = svm._ovo_vote((2, 5, 9), list(rig), d)
+        assert labels.dtype == np.int64 and labels.shape == (4, 3)
+        for row, model in zip(labels, models):
+            assert row.tolist() == ovo_predict_batch(model, probes).tolist()
+        assert labels[0].tolist() == labels[1].tolist() == [5, 5, 9]
+        assert len({tuple(row) for row in labels.tolist()}) == 3
+
     def test_relabeling_invariance(self):
         matrix = multiclass_blobs(3, seed=7, n_per=10)
         model = ovo_train(matrix, KernelParams(gamma=0.5, c=50.0))
@@ -518,6 +599,38 @@ class TestGridSearch:
         top = max(accs.values())
         winners = sorted([cg for cg, a in accs.items() if a == top])
         assert (best.c, best.gamma) == winners[0]
+
+    @pytest.mark.parametrize("grids, message", [
+        ({"c_grid": [-1.0]}, "c must be positive and finite, got -1.0"),
+        ({"gamma_grid": [float("nan")]}, "gamma must be positive and finite, got nan"),
+        ({"c_grid": [float("inf")]}, "c must be positive and finite, got inf"),
+    ], ids=["negative_c", "nan_gamma", "inf_c"])
+    def test_bad_grid_value_rejected_before_any_solve(self, monkeypatch, grids, message):
+        calls = []
+        monkeypatch.setattr(svm, "_solve_batch", lambda *a: calls.append(a))
+        matrix = multiclass_blobs(2, seed=9, n_per=9)
+        grid = {"c_grid": [4.0], "gamma_grid": [0.5], **grids}
+        with pytest.raises(ValueError, match=message):
+            grid_search_cv(matrix, folds=3, seed=0, **grid)
+        assert calls == []
+
+    def test_scoring_builds_one_test_kernel_per_group_and_no_models(self, monkeypatch):
+        """2 C x 2 gamma x 3 folds x 3 pairs: one training and one held-out
+        kernel per (gamma, fold, pair) group, at any number of C values,
+        and no per-cell model or ovo_predict_batch call."""
+        counts = {"rbf_kernel_matrix": 0, "ovo_predict_batch": 0,
+                  "BinarySvmModel": 0, "OvoModel": 0}
+        for name in counts:
+            def spy(*args, _name=name, _real=getattr(svm, name), **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(svm, name, spy)
+        matrix = multiclass_blobs(3, seed=16, n_per=9, spread=2.0)
+        _, table = grid_search_cv(matrix, c_grid=[1.0, 100.0], gamma_grid=[0.05, 0.5],
+                                  folds=3, seed=0)
+        assert len(table) == 4
+        assert counts == {"rbf_kernel_matrix": 2 * 2 * 3 * 3, "ovo_predict_batch": 0,
+                          "BinarySvmModel": 0, "OvoModel": 0}
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity API")
     def test_worker_count_follows_affinity(self):
