@@ -19,7 +19,7 @@ from sonoclass import (
     tiwt,
     to_fixed,
 )
-from sonoclass.wavelet_baseline import c1_pyramid
+from sonoclass.wavelet_baseline import c1_pyramid, s2_products, score_product
 
 fixed = [
     to_fixed(log_spectrogram(peak_normalize(
@@ -44,8 +44,17 @@ patch_set = sample_patches(train_c1, n_patches=12, sizes=(4, 8, 12), seed=9)
 print(f"\nsampled {len(patch_set)} patches, sizes {[p.shape[0] for p in patch_set.patches]}")
 print("first three sources (clip, scale, row, col):", patch_set.sources[:3])
 
-scores = patch_transform(c1, patch_set)
-c2 = global_max(scores, len(patch_set))
+# S2: one matrix product per (patch size, scale) scores every patch of that
+# size at every offset; patch_transform keeps only each patch's peak
+product = s2_products(c1, patch_set)[0]
+scores = score_product(product, np.empty(product.windows.size), np.empty(np.prod(product.shape)))
+print(f"\nS2 score maps of the size-{product.stack.shape[1]} patches at scale "
+      f"{product.scale}: {scores.shape} (patches x row offsets x column offsets)")
+print(f"patch {product.indices[0]}'s map at this scale peaks at {scores[0].max():.3e}")
+
+c2 = global_max(patch_transform(c1, patch_set), len(patch_set))
 print(f"\nC2 feature vector: length {c2.size}, range "
       f"[{c2.min():.3e}, {c2.max():.3e}]")
+first = product.indices[0]
+print(f"patch {first}'s C2 value, its peak over every scale: {c2[first]:.3e}")
 print("these vectors go straight to the one-vs-one SVM (no MI step)")

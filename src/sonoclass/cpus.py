@@ -1,7 +1,9 @@
 """How many workers a parallel step runs: one per CPU this process may run on.
 
-MI selection, the only parallel step, runs this many threads, so
-`taskset -c 0` runs it serially. Its result does not depend on the count.
+The two parallel steps, MI selection (`feature_select.mi_scores`) and
+S2 (`wavelet_baseline.patch_transform`), each run this many threads, so
+`taskset -c 0` runs both serially. Their results do not depend on the
+count.
 """
 
 import os

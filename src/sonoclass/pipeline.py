@@ -88,7 +88,8 @@ class FeatureExtractor:
     a C2 miss from the C1 pyramid the caller passes, else from the C1 stage.
     stats counts a hit or a miss for every stage looked up.
     content_hashes memoizes each clip's content hash by path; passing one
-    dict to several extractors hashes each clip once between them.
+    dict to several extractors hashes each clip once between them. With no
+    cache directory no clip is hashed.
     """
 
     def __init__(self, config: RunConfig, cache_dir=None, content_hashes=None):
@@ -107,37 +108,38 @@ class FeatureExtractor:
             content = self._content_hashes[path] = _content_hash(path)
         return content
 
-    def _entry(self, stage: str, stage_hash: str, content: str) -> Path | None:
-        if self.cache_dir is None:
-            return None
+    def _entry(self, stage: str, stage_hash: str, content: str) -> Path:
         return self.cache_dir / stage / stage_hash / f"{content}.npy"
 
-    def grid_entry(self, content: str) -> Path | None:
+    def grid_entry(self, content: str) -> Path:
         """Where the clip's _grid_entries array for this config is cached:
-        c1/ for wavelet, feat/ otherwise; None with no cache."""
+        c1/ for wavelet, feat/ otherwise (with a cache directory only)."""
         if self.config.method == "wavelet":
             return self._entry("c1", self._fixed_hash, content)
         return self._entry("feat", self._feature_hash, content)
 
-    def _cached(self, stage: str, stage_hash: str, content: str, shape: tuple[int, ...],
+    def _cached(self, stage: str, stage_hash, path, shape: tuple[int, ...],
                 compute) -> np.ndarray:
         """The stage's cached array if it is finite float64 of this shape, else
-        compute()'s, written to the cache (with no cache directory it only computes)."""
-        path = self._entry(stage, stage_hash, content)
-        if path is not None:
-            try:
-                with open(path, "rb") as fh:
-                    array = np.lib.format.read_array(fh)
-            except (OSError, ValueError):  # missing, truncated or not a plain .npy
-                pass
-            else:
-                if array.shape == shape and array.dtype == np.float64 and np.isfinite(array).all():
-                    self.stats.count(stage, hit=True)
-                    return array
+        compute()'s, written to the cache. stage_hash() gives the stage's
+        hash; it and the clip's content hash are computed only with a cache
+        directory, and without one this only computes."""
+        if self.cache_dir is None:
+            self.stats.count(stage, hit=False)
+            return compute()
+        entry = self._entry(stage, stage_hash(), self._content(path))
+        try:
+            with open(entry, "rb") as fh:
+                array = np.lib.format.read_array(fh)
+        except (OSError, ValueError):  # missing, truncated or not a plain .npy
+            pass
+        else:
+            if array.shape == shape and array.dtype == np.float64 and np.isfinite(array).all():
+                self.stats.count(stage, hit=True)
+                return array
         self.stats.count(stage, hit=False)
         array = compute()
-        if path is not None:
-            _write_cache(path, array)
+        _write_cache(entry, array)
         return array
 
     def fixed_values(self, path) -> np.ndarray:
@@ -152,7 +154,7 @@ class FeatureExtractor:
         shapes = [(len(wavelet_baseline.ORIENTATIONS), rows >> j, cols >> j)
                   for j in wavelet_baseline.SCALES]
         ends = np.cumsum([np.prod(shape) for shape in shapes])
-        joined = self._cached("c1", self._fixed_hash, self._content(path), (int(ends[-1]),),
+        joined = self._cached("c1", lambda: self._fixed_hash, path, (int(ends[-1]),),
                               lambda: _joined_c1(self.fixed_values(path)))
         return [part.reshape(shape) for part, shape in zip(np.split(joined, ends[:-1]), shapes)]
 
@@ -160,18 +162,20 @@ class FeatureExtractor:
         """The C2 vector for patch_set, cached under the C1 stage's config
         hash joined with the patch set's digest; pyramid is the clip's C1
         when the caller already holds it."""
-        key = hashlib.sha256(f"{self._fixed_hash}\n{patch_set.digest}".encode()).hexdigest()[:16]
+        def key():
+            text = f"{self._fixed_hash}\n{patch_set.digest}"
+            return hashlib.sha256(text.encode()).hexdigest()[:16]
 
         def compute():
             c1 = self.c1(path) if pyramid is None else pyramid
             return global_max(patch_transform(c1, patch_set), len(patch_set))
 
-        return self._cached("c2", key, self._content(path), (len(patch_set),), compute)
+        return self._cached("c2", key, path, (len(patch_set),), compute)
 
     def gabor_feature(self, path) -> np.ndarray:
         """The log-Gabor feature of the config's method."""
         # every log-Gabor method gives one value per fixed-grid cell
-        return self._cached("feat", self._feature_hash, self._content(path),
+        return self._cached("feat", lambda: self._feature_hash, path,
                             (self.config.fixed_rows * self.config.fixed_cols,),
                             lambda: _grid_entries([self.config], self.fixed_values(path))[0])
 

@@ -7,21 +7,28 @@ Pipeline: undecimated Haar detail coefficients for 3 dyadic scales x
 
 S2 runs one matrix product per (patch size, scale) over the sliding
 windows of that scale's C1 planes, so every patch of a size is scored in
-one BLAS call, and C2 takes its maxima straight off those score arrays.
-The windows of every product are copied in turn into one operand buffer
-per clip, laid out as np.tensordot lays them out, so the scores are the
-tensordot scores bit for bit without a fresh operand array per product.
+one BLAS call (`score_product`). `patch_transform` scores a clip's
+products on one thread per CPU of the affinity mask, the caller's thread
+among them, largest product first. Each product runs whole on one thread,
+and each thread copies its products' windows in turn into one operand
+array of its own, laid out as np.tensordot lays them out, so the scores
+are the tensordot scores bit for bit on any number of threads. A thread
+keeps only each product's per-patch peaks, so a clip's score maps are
+never all held at once, and C2 takes its maxima straight off the peaks.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import cpus
 from .errors import SonoclassError
 
 SCALES = (1, 2, 3)
@@ -120,7 +127,9 @@ def normalize_scale(planes: np.ndarray) -> np.ndarray:
 def local_max(normalized: np.ndarray) -> list[np.ndarray]:
     """Max-pool each scale's planes over non-overlapping 2^j x 2^j cells.
 
-    Returns one (3, N1/2^j, N2/2^j) array per scale.
+    Returns one (3, N1/2^j, N2/2^j) array per scale. A cell's max is taken
+    by halving the planes j times, pairwise rows then pairwise columns;
+    max is exact, so this equals the max over each reshaped cell.
     """
     n1, n2 = normalized.shape[2], normalized.shape[3]
     pooled = []
@@ -128,8 +137,11 @@ def local_max(normalized: np.ndarray) -> list[np.ndarray]:
         cell = 2 ** scale
         if n1 % cell or n2 % cell:
             raise SonoclassError(f"plane {n1}x{n2} not divisible by cell {cell}")
-        block = normalized[idx].reshape(3, n1 // cell, cell, n2 // cell, cell)
-        pooled.append(block.max(axis=(2, 4)))
+        planes = normalized[idx]
+        for _ in range(scale):
+            planes = np.maximum(planes[:, 0::2], planes[:, 1::2])
+            planes = np.maximum(planes[:, :, 0::2], planes[:, :, 1::2])
+        pooled.append(planes)
     return pooled
 
 
@@ -176,15 +188,25 @@ def sample_patches(
     return PatchSet(patches=tuple(patches), sources=tuple(sources))
 
 
-def patch_transform(
-    c1: list[np.ndarray], patch_set: PatchSet
-) -> list[tuple[np.ndarray, int, np.ndarray]]:
-    """Sliding scalar product of every patch against every C1 scale it fits.
+class S2Product(NamedTuple):
+    """One (patch size, scale) product: the patches of a size (their
+    indices and (P, M, M, 3) stack) against the (3, U, V, M, M) sliding
+    windows of one scale's C1 planes."""
 
-    Result: one (indices, scale, scores) entry per patch size and scale j
-    whose planes can host that size; scores[r, u, v] is patch indices[r]'s
-    correlation (summed over the 3 orientations) at offset (u, v).
-    """
+    indices: np.ndarray
+    stack: np.ndarray
+    scale: int
+    windows: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """(P, U, V), the shape of its score maps."""
+        return len(self.indices), self.windows.shape[1], self.windows.shape[2]
+
+
+def s2_products(c1: list[np.ndarray], patch_set: PatchSet) -> list[S2Product]:
+    """Every (patch size, scale) product whose planes can host the size,
+    by patch size in order of first appearance, then by scale."""
     products = []
     for indices, stack in patch_set.stacks:
         m = stack.shape[1]
@@ -192,28 +214,96 @@ def patch_transform(
             planes = c1[scale_idx]
             if planes.shape[1] < m or planes.shape[2] < m:
                 continue
-            windows = sliding_window_view(planes, (m, m), axis=(1, 2))  # (3, U, V, M, M)
-            products.append((indices, stack, scale, windows))
-    # One operand buffer, sized for the largest product, holds each
-    # product's windows in turn, so a clip allocates it once instead of
-    # once per product. The windows go in as a C-contiguous (M, M, 3, U, V)
-    # array, the operand np.tensordot(stack, windows, axes=((1, 2, 3),
-    # (3, 4, 0))) builds: that is the contraction order einsum's optimizer
-    # picks, other orders differ in the last bit, and the one gemm below
-    # on operands of that shape and layout is the call tensordot makes.
-    buffer = np.empty(max((windows.size for *_, windows in products), default=0))
-    out = []
-    for indices, stack, scale, windows in products:
-        _, u, v, m, _ = windows.shape
-        operand = buffer[:windows.size].reshape(m, m, 3, u, v)
-        np.copyto(operand, windows.transpose(3, 4, 0, 1, 2))
-        scores = np.dot(stack.reshape(len(indices), -1), operand.reshape(-1, u * v))
-        out.append((indices, scale, scores.reshape(len(indices), u, v)))
-    return out
+            windows = sliding_window_view(planes, (m, m), axis=(1, 2))
+            products.append(S2Product(indices, stack, scale, windows))
+    return products
+
+
+def score_product(product: S2Product, operand: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """The product's score maps, a (P, U, V) view into scores:
+    [r, u, v] is patch indices[r]'s correlation (summed over the 3
+    orientations) at offset (u, v). operand and scores are flat float64
+    work arrays of at least product.windows.size and P * U * V values;
+    both are overwritten.
+
+    The windows go into operand as a C-contiguous (M, M, 3, U, V) array,
+    the operand np.tensordot(stack, windows, axes=((1, 2, 3), (3, 4, 0)))
+    builds: that is the contraction order einsum's optimizer picks, other
+    orders differ in the last bit, and the one gemm below on operands of
+    that shape and layout is the call tensordot makes.
+    """
+    _, stack, _, windows = product
+    p, u, v = product.shape
+    m = stack.shape[1]
+    operand = operand[:windows.size].reshape(m, m, 3, u, v)
+    np.copyto(operand, windows.transpose(3, 4, 0, 1, 2))
+    out = scores[:p * u * v].reshape(p, u * v)
+    np.dot(stack.reshape(p, -1), operand.reshape(-1, u * v), out=out)
+    return out.reshape(p, u, v)
+
+
+def patch_transform(
+    c1: list[np.ndarray], patch_set: PatchSet
+) -> list[tuple[np.ndarray, int, np.ndarray]]:
+    """Sliding scalar product of every patch against every C1 scale it
+    fits, reduced to each patch's peak over offsets.
+
+    Result: one (indices, scale, peaks) entry per `s2_products` product,
+    in that order; peaks[r] is the largest of patch indices[r]'s
+    `score_product` scores at that scale. The products are scored on
+    `cpus.worker_count` threads, this one included, largest first: the
+    caller's thread takes the largest, each helper the next, and a thread
+    takes the next product when it is done with its last, so each
+    thread's first product is its largest. Every thread reuses one
+    operand and one score array, which this thread allocates before any
+    helper starts, so a helper allocates no array of its own (one that did
+    held its memory in a malloc arena of its own, and raised the peak
+    RSS). The result does not depend on the number of threads. An error
+    in any thread is raised here once every thread has stopped.
+    """
+    products = s2_products(c1, patch_set)
+    if not products:
+        return []
+    order = iter(sorted(range(len(products)), key=lambda i: -products[i].windows.size))
+    firsts = [next(order) for _ in range(cpus.worker_count(len(products)))]
+    scores_size = max(np.prod(product.shape) for product in products)
+    work = [(np.empty(products[i].windows.size), np.empty(scores_size)) for i in firsts]
+    peaks: list[np.ndarray | None] = [None] * len(products)
+    errors: list[BaseException] = []
+    lock = threading.Lock()
+
+    def score_from(i: int | None, operand: np.ndarray, scores: np.ndarray) -> None:
+        try:
+            while i is not None:
+                product = products[i]
+                maps = score_product(product, operand, scores)
+                peaks[i] = maps.reshape(len(maps), -1).max(axis=1)
+                with lock:
+                    i = next(order, None)
+        except BaseException as exc:  # raised again by the caller
+            with lock:
+                errors.append(exc)
+                for _ in order:  # the other threads stop after their product
+                    pass
+
+    helpers = [threading.Thread(target=score_from, args=(i, *arrays))
+               for i, arrays in zip(firsts[1:], work[1:])]
+    try:
+        for thread in helpers:
+            thread.start()
+        score_from(firsts[0], *work[0])
+    finally:
+        for thread in helpers:
+            if thread.is_alive():  # not one that failed to start
+                thread.join()
+    if errors:
+        raise errors[0]
+    return [(p.indices, p.scale, peak) for p, peak in zip(products, peaks)]
 
 
 def global_max(s2: list[tuple[np.ndarray, int, np.ndarray]], n_patches: int) -> np.ndarray:
-    """One scalar per patch: max over every scale and offset, in patch order."""
+    """One scalar per patch, in patch order: the max over every entry's
+    scores, which are patch_transform's peaks or whole score maps."""
     if not s2:
         raise SonoclassError("no patch scores")
     values = np.full(n_patches, -np.inf)

@@ -1,6 +1,7 @@
 import os
 import struct
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,16 @@ def make_wav_bytes(fmt_tag, channels, rate, bits, data, extra=b""):
     if len(data) % 2:
         chunks += b"\x00"
     return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fails a test that ends with a live thread it did not start with, such
+    as a helper of a parallel step (MI selection or S2) left unjoined."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    assert not left, f"threads left running: {left}"
 
 
 @pytest.fixture

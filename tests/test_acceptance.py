@@ -28,11 +28,10 @@ from sonoclass.wavelet_baseline import (
     PatchSet,
     local_max,
     normalize_scale,
-    patch_transform,
     tiwt,
 )
 from test_feature_select import mi_table_oracle, samples_from_counts
-from test_wavelet_baseline import direct_detail, score_maps
+from test_wavelet_baseline import direct_detail, s2_maps, score_maps
 
 
 class Timer:
@@ -233,7 +232,7 @@ def test_criterion_5_wavelet_oracles():
             c1 = [rng.normal(size=(3, 6, 6)) for _ in SCALES]
             patch = rng.normal(size=(4, 4, 3))
             ps = PatchSet(patches=(patch,), sources=((0, 1, 0, 0),))
-            s2 = score_maps(patch_transform(c1, ps))
+            s2 = score_maps(s2_maps(c1, ps))
             for scale_idx, scale in enumerate(SCALES):
                 planes = c1[scale_idx]
                 assert s2[0, scale].shape == (3, 3)  # every offset is read below

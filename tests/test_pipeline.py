@@ -341,6 +341,17 @@ class TestExtract:
         assert sorted(hashed) == sorted(e.path for e in manifest.entries)
 
     @pytest.mark.parametrize("method", ["bank", "wavelet"])
+    def test_no_cache_hashes_no_clip(self, mini_corpus, mini_config, monkeypatch, method):
+        def refuse(path):
+            raise AssertionError(f"{path} hashed with no cache")
+
+        monkeypatch.setattr(pipeline, "_content_hash", refuse)
+        manifest = DatasetManifest(mini_corpus["manifest"].entries)  # an empty memo
+        result = extract_features(manifest, replace(mini_config, method=method))
+        assert (result.train.n_samples, result.test.n_samples) == (16, 8)
+        assert manifest.content_hashes == {}
+
+    @pytest.mark.parametrize("method", ["bank", "wavelet"])
     def test_matrices_are_the_stacked_clip_vectors(self, mini_corpus, mini_config, method):
         config = replace(mini_config, method=method)
         manifest = mini_corpus["manifest"]

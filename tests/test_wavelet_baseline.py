@@ -1,8 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 import c2_reference
+from sonoclass import cpus
 from sonoclass.errors import SonoclassError
 from sonoclass.wavelet_baseline import (
     SCALES,
@@ -12,7 +15,9 @@ from sonoclass.wavelet_baseline import (
     local_max,
     normalize_scale,
     patch_transform,
+    s2_products,
     sample_patches,
+    score_product,
     tiwt,
 )
 
@@ -126,6 +131,25 @@ class TestNormalizeScale:
         assert np.any(s1[0, 0] > 0.0)
 
 
+def reshape_max(normalized):
+    """Each scale's cells pooled by one max over a reshaped 5-D block."""
+    n1, n2 = normalized.shape[2], normalized.shape[3]
+    return [
+        normalized[idx].reshape(3, n1 // 2 ** scale, 2 ** scale, n2 // 2 ** scale, 2 ** scale)
+        .max(axis=(2, 4))
+        for idx, scale in enumerate(SCALES)
+    ]
+
+
+def dead_planes():
+    """normalize_scale output with one live plane, one plane of rounding
+    dust that comes out dead (all zero), and all-zero planes."""
+    planes = np.zeros((3, 3, 32, 64))
+    planes[0, 0] = np.random.default_rng(20).normal(size=(32, 64))
+    planes[1, 2] = 1e-16 * np.random.default_rng(21).normal(size=(32, 64))
+    return normalize_scale(planes)
+
+
 class TestLocalMax:
     def test_constant_plane(self):
         s1 = np.full((3, 3, 16, 16), 2.5)
@@ -154,6 +178,24 @@ class TestLocalMax:
                 assert np.array_equal(
                     np.argmax(a[k].reshape(-1)), np.argmax(b[k].reshape(-1))
                 )
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: normalize_scale(tiwt(
+            np.random.default_rng(22).uniform(0, 1, size=(128, 128)))), id="random-128"),
+        pytest.param(lambda: np.random.default_rng(23).uniform(0, 1, size=(3, 3, 16, 40)),
+                     id="random-16x40"),
+        pytest.param(lambda: np.zeros((3, 3, 64, 64)), id="all-zero"),
+        pytest.param(dead_planes, id="dead"),
+    ])
+    def test_equals_reshape_max_bit_for_bit(self, make):
+        normalized = make()
+        for got, expected in zip(local_max(normalized), reshape_max(normalized), strict=True):
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    def test_cell_that_does_not_divide_the_plane(self):
+        with pytest.raises(SonoclassError, match="plane 12x16 not divisible by cell 8"):
+            local_max(np.zeros((3, 3, 12, 16)))
 
 
 def make_c1(seed, shapes=((3, 16, 16), (3, 8, 8), (3, 4, 4))):
@@ -198,8 +240,17 @@ class TestSamplePatches:
             sample_patches([make_c1(6)], n_patches=0, seed=0)
 
 
+def s2_maps(c1, patch_set):
+    """patch_transform's (indices, scale, scores) entries, each with the
+    product's whole score maps from score_product instead of its peaks."""
+    products = s2_products(c1, patch_set)
+    operand = np.empty(max((p.windows.size for p in products), default=0))
+    return [(p.indices, p.scale, score_product(p, operand, np.empty(np.prod(p.shape))))
+            for p in products]
+
+
 def score_maps(s2):
-    """{(patch index, scale): 2D score array} from patch_transform's entries."""
+    """{(patch index, scale): 2D score array} from s2_maps' entries."""
     return {
         (int(i), scale): scores[row]
         for indices, scale, scores in s2
@@ -211,7 +262,7 @@ class TestPatchTransform:
     def test_zero_c1_zero_scores(self):
         c1 = [np.zeros((3, 8, 8))] * 3
         ps = sample_patches([make_c1(7)], n_patches=3, sizes=(4,), seed=2)
-        s2 = patch_transform(c1, ps)
+        s2 = s2_maps(c1, ps)
         for _, _, scores in s2:
             assert np.all(scores == 0.0)
 
@@ -219,7 +270,7 @@ class TestPatchTransform:
         c1 = make_c1(8)
         window = np.moveaxis(c1[1][:, 2:6, 3:7], 0, -1).copy()
         ps = PatchSet(patches=(window,), sources=((0, 2, 2, 3),))
-        s2 = score_maps(patch_transform(c1, ps))
+        s2 = score_maps(s2_maps(c1, ps))
         assert s2[0, 2][2, 3] == pytest.approx(float(np.sum(window**2)), rel=1e-12)
 
     def test_matches_triple_loop_oracle(self):
@@ -227,7 +278,7 @@ class TestPatchTransform:
         c1 = [rng.normal(size=(3, 6, 6)) for _ in range(3)]
         patch = rng.normal(size=(4, 4, 3))
         ps = PatchSet(patches=(patch,), sources=((0, 1, 0, 0),))
-        s2 = score_maps(patch_transform(c1, ps))
+        s2 = score_maps(s2_maps(c1, ps))
         for scale_idx, scale in enumerate(SCALES):
             planes = c1[scale_idx]
             assert s2[0, scale].shape == (3, 3)  # every offset is read below
@@ -250,7 +301,7 @@ class TestPatchTransform:
     def test_one_entry_per_size_and_scale(self):
         c1 = make_c1(15, shapes=((3, 16, 16), (3, 8, 8), (3, 4, 4)))
         ps = sample_patches([c1], n_patches=7, sizes=(4, 8), seed=8)
-        s2 = patch_transform(c1, ps)
+        s2 = s2_maps(c1, ps)
         # size 4 fits all three scales, size 8 the first two
         assert [(len(indices), scale, scores.shape) for indices, scale, scores in s2] == [
             (4, 1, (4, 13, 13)), (4, 2, (4, 5, 5)), (4, 3, (4, 1, 1)),
@@ -263,12 +314,15 @@ class TestPatchTransform:
         rng = np.random.default_rng(19)
         c1 = c1_pyramid(rng.uniform(0, 1, size=(64, 64)))
         ps = sample_patches([c1], n_patches=9, sizes=(4, 8, 12), seed=2)
+        monkeypatch.setattr(cpus, "worker_count", lambda n_tasks: 1)
         operands = []  # kept alive, so a fresh array per product cannot reuse an address
+        maps = {}  # each product's scores, by (patch values, offsets)
         dot = np.dot
 
-        def spy(a, b):
+        def spy(a, b, out):
             operands.append(b)
-            return dot(a, b)
+            maps[a.shape[1], b.shape[1]] = dot(a, b, out=out).copy()
+            return out
 
         monkeypatch.setattr(np, "dot", spy)
         s2 = patch_transform(c1, ps)
@@ -277,17 +331,72 @@ class TestPatchTransform:
             (3, 1), (3, 2), (3, 3), (3, 1), (3, 2), (3, 3), (3, 1), (3, 2)]
         assert len(operands) == len(s2)
         assert all(np.shares_memory(operands[0], b) for b in operands[1:])
-        stacks = {tuple(indices): stack for indices, stack in ps.stacks}
-        for indices, scale, scores in s2:
-            stack = stacks[tuple(indices)]
-            windows = sliding_window_view(c1[scale - 1], stack.shape[1:3], axis=(1, 2))
-            expected = np.tensordot(stack, windows, axes=((1, 2, 3), (3, 4, 0)))
-            assert np.array_equal(scores, expected)
+        assert_maps_are_tensordots(c1, ps, s2, maps)
         # a set that fits nowhere scores nothing, and C2 refuses it
         nowhere = PatchSet(patches=(np.zeros((40, 40, 3)),), sources=((0, 1, 0, 0),))
         assert patch_transform(c1, nowhere) == []
         with pytest.raises(SonoclassError, match="no patch scores"):
             global_max(patch_transform(c1, nowhere), len(nowhere))
+
+    def test_each_thread_reads_one_operand_of_its_own(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        c1 = c1_pyramid(rng.uniform(0, 1, size=(64, 64)))
+        ps = sample_patches([c1], n_patches=9, sizes=(4, 8, 12), seed=2)
+        monkeypatch.setattr(cpus, "worker_count", lambda n_tasks: min(2, n_tasks))
+        operands = {}  # thread -> its operands, kept alive
+        maps = {}
+        dot = np.dot
+
+        def spy(a, b, out):
+            operands.setdefault(threading.get_ident(), []).append(b)
+            maps[a.shape[1], b.shape[1]] = dot(a, b, out=out).copy()
+            return out
+
+        monkeypatch.setattr(np, "dot", spy)
+        s2 = patch_transform(c1, ps)
+        monkeypatch.undo()
+        assert len(operands) == 2
+        assert sum(map(len, operands.values())) == len(s2)
+        for each in operands.values():
+            assert all(np.shares_memory(each[0], b) for b in each[1:])
+        first, second = (each[0] for each in operands.values())
+        assert not np.shares_memory(first, second)
+        # the caller's thread scores the largest product first
+        largest = max(b.size for each in operands.values() for b in each)
+        assert operands[threading.get_ident()][0].size == largest
+        assert_maps_are_tensordots(c1, ps, s2, maps)
+
+    def test_helper_thread_error_reaches_the_caller(self, monkeypatch):
+        c1 = make_c1(18)
+        ps = sample_patches([c1], n_patches=6, sizes=(4, 8), seed=3)
+        monkeypatch.setattr(cpus, "worker_count", lambda n_tasks: min(2, n_tasks))
+        caller = threading.get_ident()
+        dot = np.dot
+
+        def fail_off_the_caller(a, b, out):
+            if threading.get_ident() != caller:
+                raise RuntimeError("helper failed")
+            return dot(a, b, out=out)
+
+        monkeypatch.setattr(np, "dot", fail_off_the_caller)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="helper failed"):
+            patch_transform(c1, ps)
+        assert set(threading.enumerate()) == before
+
+
+def assert_maps_are_tensordots(c1, patch_set, s2, maps):
+    """Every product's scores in maps, keyed by (patch values, offsets),
+    equal np.tensordot's bit for bit, and its peaks in s2 are their maxima."""
+    assert len(maps) == len(s2)
+    stacks = {tuple(indices): stack for indices, stack in patch_set.stacks}
+    for indices, scale, peaks in s2:
+        stack = stacks[tuple(indices)]
+        windows = sliding_window_view(c1[scale - 1], stack.shape[1:3], axis=(1, 2))
+        expected = np.tensordot(stack, windows, axes=((1, 2, 3), (3, 4, 0)))
+        scores = maps[stack[0].size, expected[0].size].reshape(expected.shape)
+        assert np.array_equal(scores, expected)
+        assert np.array_equal(peaks, expected.reshape(len(indices), -1).max(axis=1))
 
 
 class TestGlobalMax:
@@ -305,8 +414,8 @@ class TestGlobalMax:
     def test_upper_bounds_every_score(self):
         c1 = make_c1(12)
         ps = sample_patches([c1], n_patches=6, sizes=(4, 8), seed=5)
-        s2 = patch_transform(c1, ps)
-        c2 = global_max(s2, len(ps))
+        s2 = s2_maps(c1, ps)
+        c2 = global_max(patch_transform(c1, ps), len(ps))
         for indices, _, scores in s2:
             for row, i in enumerate(indices):
                 assert c2[i] >= scores[row].max() - 1e-15
@@ -330,7 +439,7 @@ class TestGlobalMax:
         with pytest.raises(SonoclassError, match="patch 1 has no valid placements"):
             global_max(patch_transform(c1, ps), len(ps))
 
-    def test_c2_matches_einsum_reference_exactly(self):
+    def test_c2_matches_einsum_reference_exactly(self, monkeypatch):
         # the scale-3 plane of a 64x64 grid is 8x8, so size 12 fits scales 1-2 only
         rng = np.random.default_rng(17)
         for shape in ((128, 128), (64, 64)):
@@ -339,7 +448,11 @@ class TestGlobalMax:
             ps = sample_patches(c1s[:3], n_patches=40, sizes=(4, 8, 12), seed=11)
             for c1 in c1s:
                 expected = c2_reference.global_max(c2_reference.patch_transform(c1, ps))
-                assert np.array_equal(global_max(patch_transform(c1, ps), len(ps)), expected)
+                # one loop, not a parametrization, so the test keeps its name
+                for workers in (1, 2, 3):
+                    monkeypatch.setattr(cpus, "worker_count",
+                                        lambda n_tasks, w=workers: min(w, n_tasks))
+                    assert np.array_equal(global_max(patch_transform(c1, ps), len(ps)), expected)
 
 
 class TestEndToEnd:
