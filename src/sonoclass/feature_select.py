@@ -5,14 +5,15 @@ data only) and scored by I(feature; label) in bits; the top-K indices by
 score reduce every feature vector thereafter.
 
 `mi_scores` scores a block of columns at a time, the blocks on every CPU
-of the affinity mask: one `bincount` over (column, bin, class) codes gives
-every joint table of the block, and the MI terms of the nonzero cells of
-all its columns are computed together. The columns that have
-the same number m of nonzero cells are summed together, each as one row of
-m terms; that rounds exactly like the 1-D `np.sum` in `_mi_from_counts`,
-so the scores are bit-identical to scoring each column with `discretize`
-and `mutual_information`. Those per-column functions stay: they are the
-public estimator and the oracle the blocked pass is tested against.
+of the affinity mask through `cpus.run_each`: one `bincount` over
+(column, bin, class) codes gives every joint table of the block, and the
+MI terms of the nonzero cells of all its columns are computed together.
+The columns that have the same number m of nonzero cells are summed
+together, each as one row of m terms; that rounds exactly like the 1-D
+`np.sum` in `_mi_from_counts`, so the scores are bit-identical to scoring
+each column with `discretize` and `mutual_information`. Those per-column
+functions stay: they are the public estimator and the oracle the blocked
+pass is tested against.
 """
 
 from __future__ import annotations
@@ -117,12 +118,10 @@ def _mi_from_counts(joint: np.ndarray) -> float:
 def mi_scores(matrix: FeatureMatrix, n_bins: int = DEFAULT_N_BINS) -> np.ndarray:
     """MI with the labels, in bits, of every feature: shape (D,).
 
-    The column blocks are scored on one pool thread per CPU in the
-    affinity mask (`cpus.worker_count`), each block into its own slice of
-    the scores, so the scores do not depend on the count. The blocks in
-    flight together are no wider than one block on one CPU, and the pool
-    is shut down before this returns; with one CPU or one block no thread
-    starts.
+    The column blocks are scored by `cpus.run_each` on one worker per CPU
+    in the affinity mask (`cpus.worker_count`), and the scores do not
+    depend on the count. The blocks in flight together are no wider than
+    one block on one CPU.
     """
     labels = matrix.labels
     if np.unique(labels).size < 2:
@@ -136,26 +135,12 @@ def mi_scores(matrix: FeatureMatrix, n_bins: int = DEFAULT_N_BINS) -> np.ndarray
     budget = max(1, min(BLOCK_COLUMNS, BLOCK_CELLS // (n_bins * n_classes)))
     workers = cpus.worker_count(budget)
     width = budget // workers
-    blocks = range(0, d, width)
-    scores = np.empty(d)
 
-    def score(start: int) -> np.ndarray:
+    def score(start: int, _worker: int) -> np.ndarray:
         block = matrix.values[:, start:start + width]
         return _block_scores(block, label_idx, n_classes, n_bins)
 
-    if min(workers, len(blocks)) == 1:
-        each = map(score, blocks)
-    else:
-        # imported here, so that importing the CLI does not pay for it
-        from concurrent.futures import ThreadPoolExecutor
-
-        # an idle thread takes the next block, so a thread that gets less
-        # CPU time scores fewer blocks
-        with ThreadPoolExecutor(workers) as pool:
-            each = list(pool.map(score, blocks))
-    for start, block_scores in zip(blocks, each):
-        scores[start:start + block_scores.size] = block_scores
-    return scores
+    return np.concatenate(cpus.run_each(score, range(0, d, width), workers) or [np.zeros(0)])
 
 
 def select_top_k(matrix: FeatureMatrix, k: int, n_bins: int = DEFAULT_N_BINS) -> MiSelection:

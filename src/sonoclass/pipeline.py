@@ -309,28 +309,33 @@ def extract_features(
     )
 
 
-def _check_train_classes(manifest: DatasetManifest) -> None:
+def _check_train_classes(manifest: DatasetManifest, folds: int = 0) -> None:
     """A model holds a pair SVM for every two manifest classes, so it needs
-    train rows of two or more classes and of each."""
-    trained = {e.label for e in manifest.rows("train")}
-    if not trained:
+    train rows of two or more classes, and max(folds, 2) rows of each."""
+    labels = [e.label for e in manifest.rows("train")]
+    if not labels:
         raise SonoclassError("manifest has no train rows")
-    if len(trained) < 2:
-        raise SonoclassError(f"train rows of one class only ({min(trained)}); a model needs 2 or more")
-    missing = [name for name in manifest.classes if name not in trained]
+    if len(set(labels)) < 2:
+        raise SonoclassError(f"train rows of one class only ({labels[0]}); a model needs 2 or more")
+    missing = [name for name in manifest.classes if name not in labels]
     if missing:
         raise SonoclassError(f"no train rows for class(es): {', '.join(missing)}")
+    for name in manifest.classes:
+        if labels.count(name) < max(folds, 2):
+            why = f"{folds}-fold cross-validation needs {folds}" if folds else "a model needs 2"
+            raise SonoclassError(f"class {name} has {labels.count(name)} train row(s); {why} or more")
 
 
 def _selected_train(
     manifest: DatasetManifest,
     config: RunConfig,
     cache_dir=None,
+    folds: int = 0,
 ) -> tuple[ExtractResult, FeatureMatrix, MiSelection | None]:
     """Extract the train split and keep its MI top-K columns (log-Gabor
     methods; wavelet C2 vectors pass through unselected). The train classes
     are checked before any clip is read."""
-    _check_train_classes(manifest)
+    _check_train_classes(manifest, folds)
     result = extract_features(manifest, config, cache_dir=cache_dir, splits=("train",))
     if config.method == "wavelet":
         return result, result.train, None
@@ -397,7 +402,7 @@ def grid_search(
     cache_dir=None,
 ) -> tuple[KernelParams, list[tuple[float, float, float]]]:
     """Cross-validated (C, gamma) search on the training split's features."""
-    _, matrix, _ = _selected_train(manifest, config, cache_dir)
+    _, matrix, _ = _selected_train(manifest, config, cache_dir, config.grid_folds)
     c_grid = config.grid_c or svm.DEFAULT_C_GRID
     gamma_grid = config.grid_gamma or svm.DEFAULT_GAMMA_GRID
     return grid_search_cv(

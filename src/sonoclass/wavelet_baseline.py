@@ -7,20 +7,19 @@ Pipeline: undecimated Haar detail coefficients for 3 dyadic scales x
 
 S2 runs one matrix product per (patch size, scale) over the sliding
 windows of that scale's C1 planes, so every patch of a size is scored in
-one BLAS call (`score_product`). `patch_transform` scores a clip's
-products on one thread per CPU of the affinity mask, the caller's thread
-among them, largest product first. Each product runs whole on one thread,
-and each thread copies its products' windows in turn into one operand
-array of its own, laid out as np.tensordot lays them out, so the scores
-are the tensordot scores bit for bit on any number of threads. A thread
-keeps only each product's per-patch peaks, so a clip's score maps are
-never all held at once, and C2 takes its maxima straight off the peaks.
+one BLAS call (`score_product`). `patch_transform` maps a clip's
+products over every CPU of the affinity mask with `cpus.run_each`. Each
+product runs whole on one worker, which copies its windows into the
+worker's one operand array, laid out as np.tensordot lays them out, so
+the scores are the tensordot scores bit for bit on any number of CPUs.
+A worker keeps only each product's per-patch peaks, so a clip's score
+maps are never all held at once, and C2 takes its maxima straight off
+the peaks.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -250,55 +249,24 @@ def patch_transform(
 
     Result: one (indices, scale, peaks) entry per `s2_products` product,
     in that order; peaks[r] is the largest of patch indices[r]'s
-    `score_product` scores at that scale. The products are scored on
-    `cpus.worker_count` threads, this one included, largest first: the
-    caller's thread takes the largest, each helper the next, and a thread
-    takes the next product when it is done with its last, so each
-    thread's first product is its largest. Every thread reuses one
-    operand and one score array, which this thread allocates before any
-    helper starts, so a helper allocates no array of its own (one that did
-    held its memory in a malloc arena of its own, and raised the peak
-    RSS). The result does not depend on the number of threads. An error
-    in any thread is raised here once every thread has stopped.
+    `score_product` scores at that scale. `cpus.run_each` scores the
+    products, largest first, each whole on one worker, into the operand
+    and score arrays this thread allocated for that worker, so a helper
+    thread allocates no array of its own (one that did held its memory in
+    a malloc arena of its own, and raised the peak RSS).
     """
     products = s2_products(c1, patch_set)
-    if not products:
-        return []
-    order = iter(sorted(range(len(products)), key=lambda i: -products[i].windows.size))
-    firsts = [next(order) for _ in range(cpus.worker_count(len(products)))]
-    scores_size = max(np.prod(product.shape) for product in products)
-    work = [(np.empty(products[i].windows.size), np.empty(scores_size)) for i in firsts]
-    peaks: list[np.ndarray | None] = [None] * len(products)
-    errors: list[BaseException] = []
-    lock = threading.Lock()
+    order = sorted(range(len(products)), key=lambda i: -products[i].windows.size)
+    workers = cpus.worker_count(len(products))
+    scores_size = max((np.prod(product.shape) for product in products), default=0)
+    work = [(np.empty(products[i].windows.size), np.empty(scores_size)) for i in order[:workers]]
 
-    def score_from(i: int | None, operand: np.ndarray, scores: np.ndarray) -> None:
-        try:
-            while i is not None:
-                product = products[i]
-                maps = score_product(product, operand, scores)
-                peaks[i] = maps.reshape(len(maps), -1).max(axis=1)
-                with lock:
-                    i = next(order, None)
-        except BaseException as exc:  # raised again by the caller
-            with lock:
-                errors.append(exc)
-                for _ in order:  # the other threads stop after their product
-                    pass
+    def peaks(i: int, w: int) -> np.ndarray:
+        maps = score_product(products[i], *work[w])
+        return maps.reshape(len(maps), -1).max(axis=1)
 
-    helpers = [threading.Thread(target=score_from, args=(i, *arrays))
-               for i, arrays in zip(firsts[1:], work[1:])]
-    try:
-        for thread in helpers:
-            thread.start()
-        score_from(firsts[0], *work[0])
-    finally:
-        for thread in helpers:
-            if thread.is_alive():  # not one that failed to start
-                thread.join()
-    if errors:
-        raise errors[0]
-    return [(p.indices, p.scale, peak) for p, peak in zip(products, peaks)]
+    peaks_of = dict(zip(order, cpus.run_each(peaks, order, workers)))
+    return [(p.indices, p.scale, peaks_of[i]) for i, p in enumerate(products)]
 
 
 def global_max(s2: list[tuple[np.ndarray, int, np.ndarray]], n_patches: int) -> np.ndarray:

@@ -32,7 +32,8 @@ def make_wav_bytes(fmt_tag, channels, rate, bits, data, extra=b""):
 @pytest.fixture(autouse=True)
 def no_thread_left_running():
     """Fails a test that ends with a live thread it did not start with, such
-    as a helper of a parallel step (MI selection or S2) left unjoined."""
+    as a helper thread of `cpus.run_each`, which every parallel step (MI
+    selection and S2) runs on, left unjoined."""
     before = set(threading.enumerate())
     yield
     left = [t.name for t in threading.enumerate() if t not in before]

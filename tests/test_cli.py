@@ -556,6 +556,37 @@ class TestErrorPaths:
         assert not out.exists()
         assert not cache.exists()  # refused before any clip is read
 
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_class_with_one_train_row_is_data_error(self, corpus, tmp_path, capsys, command):
+        manifest = read_manifest(corpus["manifest"])
+        moved = [e for e in manifest.rows("train") if e.label == "chirp"][1:]
+        path = tmp_path / "one_chirp_train.tsv"
+        write_manifest(path, DatasetManifest(tuple(
+            replace(e, split="test") if e in moved else e for e in manifest.entries
+        )))
+        out, cache = tmp_path / "out", tmp_path / "cache"
+        rc = cli.main([command, "--manifest", str(path), "--cache-dir", str(cache),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            "error: class chirp has 1 train row(s); a model needs 2 or more\n"
+        )
+        assert not out.exists()
+        assert not cache.exists()  # refused before any clip is read
+
+    def test_class_with_fewer_train_rows_than_folds_is_data_error(self, corpus, tmp_path, capsys):
+        manifest = read_manifest(corpus["manifest"])  # 3 train rows of each class
+        out, cache = tmp_path / "cv.csv", tmp_path / "cache"
+        rc = cli.main(["gridsearch", "--manifest", str(corpus["manifest"]),
+                       "--cache-dir", str(cache), "--out", str(out)])  # 5 folds by default
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: class {manifest.classes[0]} has 3 train row(s); "
+            "5-fold cross-validation needs 5 or more\n"
+        )
+        assert not out.exists()
+        assert not cache.exists()  # refused before any clip is read
+
     @pytest.mark.parametrize("dump", [False, True], ids=["features", "dump-spectrograms"])
     def test_bad_wav_files_are_each_named_once(self, corpus, tmp_path, capsys, dump):
         junk, hot = tmp_path / "junk.wav", tmp_path / "hot.wav"
@@ -755,7 +786,8 @@ class TestErrorPaths:
         assert proc.stdout.strip() == "[]"
 
     def test_cli_import_loads_no_pool_module(self, src_env):
-        # only a pooled grid search or MI selection imports one
+        # no step pools through either module: every parallel step runs on
+        # cpus.run_each's threads, and grid search runs in one process
         code = (
             "import sys\n"
             "import sonoclass.cli\n"

@@ -269,7 +269,7 @@ class TestBlockedParity:
         before = threading.active_count()
         select_top_k(matrix, k=10)
         assert threading.active_count() == before
-        assert len(threads) == 3 and threading.get_ident() not in threads
+        assert len(threads) == 3 and threading.get_ident() in threads
 
     def test_columns_whose_bin_width_overflows_match_the_oracle(self):
         """n_bins / span overflows for a subnormal span, and x - lo for a
