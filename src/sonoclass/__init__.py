@@ -7,6 +7,14 @@ information feature selection and a one-against-one RBF SVM trained with
 an SMO dual solver.
 """
 
+import os
+
+# One BLAS thread, forced before numpy is first imported: the parallel steps
+# already run on every CPU (`cpus.run_each`), and a BLAS thread count moves
+# the last bits of S2's scores, so the bytes must not depend on the caller's
+# environment. A program that imported numpy first keeps its BLAS threads.
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
 from .audio_io import AudioClip, generate_corpus, load_wav, peak_normalize, save_wav, synthesize_clip
 from .config import RunConfig
 from .feature_select import (

@@ -1,5 +1,6 @@
-"""Every parallel step, MI selection (`feature_select.mi_scores`) and S2
-(`wavelet_baseline.patch_transform`), maps its tasks with `run_each` on
+"""Every parallel step, MI selection (`feature_select.mi_scores`), S2
+(`wavelet_baseline.patch_transform`) and compare's cold cache fill
+(`pipeline._extract_each_clip_once`), maps its tasks with `run_each` on
 `worker_count` workers, one per CPU, so `taskset -c 0` runs each serially.
 Their results do not depend on the count."""
 

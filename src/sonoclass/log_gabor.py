@@ -9,7 +9,8 @@ magnitude of the real+imaginary spatial filter pair.
 The three feature methods share one filtering step, `apply_filter`:
 'single' filters with one mask, 'bank' with the whole (scales x
 orientations) stack and averages, and 'patches' runs 'bank' on each of
-three row bands. `build_bank` keeps one bank per (grid, params).
+three row bands. `build_bank` keeps one bank per (grid, params), and
+threads that ask for one bank together build it once.
 
 So one filtering of the whole stack, `apply_filter(values, bank.masks)`,
 gives every 'single' feature and the 'bank' feature at once: slice
@@ -24,6 +25,7 @@ straight into the float output.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -111,14 +113,24 @@ def log_gabor_value(r, theta, f0, theta0, sigma_ratio, sigma_theta):
     return radial * angular
 
 
-@lru_cache(maxsize=32)
+_BANK_LOCK = threading.Lock()
+
+
 def build_bank(grid_shape: tuple[int, int], params: LogGaborParams | None = None) -> LogGaborBank:
     """Evaluate all masks on an FFT-layout frequency grid.
 
     Each mask is rescaled by its grid maximum so its peak is exactly 1;
     the DC sample is exactly 0. Banks are cached per (grid, params): the
-    masks are read-only, so every caller can share one bank.
+    masks are read-only, so every caller can share one bank. The cache is
+    read under one lock, so threads that miss it together, such as the
+    clip tasks of compare's cache fill, build a bank once.
     """
+    with _BANK_LOCK:
+        return _cached_bank(grid_shape, params)
+
+
+@lru_cache(maxsize=32)
+def _cached_bank(grid_shape: tuple[int, int], params: LogGaborParams | None) -> LogGaborBank:
     if params is None:
         params = LogGaborParams()
     rows, cols = grid_shape
@@ -140,6 +152,10 @@ def build_bank(grid_shape: tuple[int, int], params: LogGaborParams | None = None
             masks[m, n] = mask / mask.max()
     masks.setflags(write=False)
     return LogGaborBank(masks=masks, params=params)
+
+
+build_bank.cache_info = _cached_bank.cache_info
+build_bank.cache_clear = _cached_bank.cache_clear
 
 
 def apply_filter(values: np.ndarray, masks: np.ndarray) -> np.ndarray:

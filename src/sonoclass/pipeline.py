@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import audio_io, log_gabor, svm, wavelet_baseline
+from . import audio_io, cpus, log_gabor, svm, wavelet_baseline
 from .config import RunConfig, config_to_flat
 from .errors import SonoclassError
 from .feature_select import FeatureMatrix, MiSelection, apply_selection, select_top_k
@@ -46,15 +46,21 @@ def _content_hash(path) -> str:
 
 def _write_cache(path: Path, array: np.ndarray) -> None:
     """Save array to a unique temp file beside path, then rename it into
-    place, so neither a crash nor a concurrent run leaves a partial file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    place, so neither a crash nor a concurrent run leaves a partial file.
+    The stage directory is made only when the temp file has nowhere to go."""
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
-        with open(tmp, "xb") as fh:
+        fh = open(tmp, "xb")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(tmp, "xb")
+    try:
+        with fh:
             np.save(fh, array)
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass
@@ -223,20 +229,34 @@ class ExtractResult:
     stats: CacheStats
 
 
-def collect(entries, fn) -> list:
-    """Apply fn to every entry; failures abort the run with every one listed."""
-    out = []
-    failures = []
-    for e in entries:
-        try:
-            out.append(fn(e))
-        except (SonoclassError, OSError) as exc:
-            failures.append(f"{e.path}: {exc}")
+def _attempt(fn, entry) -> tuple:
+    """(fn(entry), None), or (None, the error) for a clip that failed."""
+    try:
+        return fn(entry), None
+    except (SonoclassError, OSError) as exc:
+        return None, exc
+
+
+def collect(entries, fn, workers: int = 1, key=None) -> list:
+    """fn(entry) for every entry, mapped over `workers` threads by
+    cpus.run_each. With key, the entries of one key(entry) share the one
+    call of fn on the first of them. A failure, of key or of fn, aborts the
+    run with one error that lists every entry it failed for, in order."""
+    entries = list(entries)
+    keys = [_attempt(key, e) if key else (i, None) for i, e in enumerate(entries)]
+    firsts = {}  # key -> the first entry with it
+    for e, (k, error) in zip(entries, keys):
+        if error is None:
+            firsts.setdefault(k, e)
+    done = dict(zip(firsts, cpus.run_each(lambda e, _worker: _attempt(fn, e),
+                                          list(firsts.values()), workers)))
+    outcomes = [(None, error) if error else done[k] for k, error in keys]
+    failures = [f"{e.path}: {error}" for e, (_, error) in zip(entries, outcomes) if error]
     if failures:
         raise SonoclassError(
             f"{len(failures)} file(s) failed:\n" + "\n".join(failures)
         )
-    return out
+    return [value for value, _ in outcomes]
 
 
 def extract_features(
@@ -418,24 +438,39 @@ def _extract_each_clip_once(manifest: DatasetManifest, configs: list[RunConfig],
     or test clip, through _grid_entries, so a bank entry and single entries
     missing together come from one filtering of the whole bank.
 
-    A damaged entry is left to the read-and-check of the configuration that
-    reads it. With no cache directory there is nothing to fill, so it does
-    nothing. One error lists every clip that failed."""
+    This cold cache fill is a parallel step: the clips with a missing entry
+    are mapped by collect over cpus.run_each, one task per distinct clip
+    content, on one worker per CPU, so a clip repeated under two paths is
+    filtered once and a warm cache starts no thread. The entries are the
+    same bytes on any number of CPUs. A damaged entry is left to the
+    read-and-check of the configuration that reads it. With no cache
+    directory there is nothing to fill, so it does nothing. One error lists
+    every clip that failed."""
     if not cache_dir:
         return
     extractors = [FeatureExtractor(cfg, cache_dir, manifest.content_hashes) for cfg in configs]
     base = extractors[0]
 
+    def missing(content: str) -> list[FeatureExtractor]:
+        return [ex for ex in extractors if not ex.grid_entry(content).is_file()]
+
+    def incomplete(row) -> bool:
+        try:
+            return bool(missing(base._content(row.path)))
+        except OSError:  # unreadable: listed by collect
+            return True
+
     def fill(row) -> None:
+        # memoized by collect's key before the map, so no task writes the memo;
+        # the counts base.stats takes across threads are discarded
         content = base._content(row.path)
-        missing = [ex for ex in extractors if not ex.grid_entry(content).is_file()]
-        if not missing:
-            return
-        entries = _grid_entries([ex.config for ex in missing], base.fixed_values(row.path))
-        for ex, array in zip(missing, entries):
+        todo = missing(content)
+        entries = _grid_entries([ex.config for ex in todo], base.fixed_values(row.path))
+        for ex, array in zip(todo, entries):
             _write_cache(ex.grid_entry(content), array)
 
-    collect(manifest.rows("train") + manifest.rows("test"), fill)
+    rows = [row for row in manifest.rows("train") + manifest.rows("test") if incomplete(row)]
+    collect(rows, fill, cpus.worker_count(len(rows)), key=lambda row: base._content(row.path))
 
 
 def compare_methods(

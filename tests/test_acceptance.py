@@ -156,6 +156,7 @@ def test_criterion_4_smo_vs_qp():
         worst_rel = 0.0
         worst_kkt = -np.inf
         mismatches = 0
+        problems = []  # (x, y, c, gamma, model, kernel)
         for trial in range(200):
             n = int(rng.integers(4, 13))
             d = int(rng.integers(1, 5))
@@ -166,11 +167,15 @@ def test_criterion_4_smo_vs_qp():
             gamma = float(rng.uniform(0.01, 10.0))
             model = smo_train(x, y, KernelParams(gamma=gamma, c=c), tol=tol,
                               max_passes=2000)
-            kernel = rbf_kernel_matrix(x, x, gamma)
+            problems.append((x, y, c, gamma, model, rbf_kernel_matrix(x, x, gamma)))
+        # the oracle solves all 200 duals in one batch
+        _, ys, cs, _, _, kernels = zip(*problems)
+        oracle = qp_oracle.solve_dual_batch(kernels, ys, cs)
+        for (x, y, c, gamma, model, kernel), (alpha_pg, w_pg) in zip(problems, oracle):
+            n, d = x.shape
             ksv = rbf_kernel_matrix(model.support_vectors, model.support_vectors, gamma)
             w_smo = float(np.abs(model.dual_coef).sum()
                           - 0.5 * model.dual_coef @ ksv @ model.dual_coef)
-            alpha_pg, w_pg = qp_oracle.solve_dual(kernel, y, c)
             worst_rel = max(worst_rel, abs(w_smo - w_pg) / abs(w_pg))
 
             # KKT residuals on every training point, model-side bias

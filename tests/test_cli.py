@@ -798,3 +798,36 @@ class TestErrorPaths:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class TestBlasThreads:
+    def test_import_forces_one_blas_thread(self, src_env):
+        code = f"import os, sonoclass\nprint([os.environ[name] for name in {BLAS_THREAD_VARIABLES}])\n"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=src_env(**dict.fromkeys(BLAS_THREAD_VARIABLES, "4")),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['1', '1', '1']"
+
+    def test_c2_bytes_do_not_depend_on_the_blas_setting(self, corpus, tmp_path, src_env):
+        # unset, OpenBLAS would run one thread per CPU and move the last bits
+        # of S2's scores; on one CPU the two runs agree whatever the setting
+        cfg = write_cfg(tmp_path, "wavelet.patches = 20")
+        unset = {k: v for k, v in src_env().items() if k not in BLAS_THREAD_VARIABLES}
+        caches = []
+        for env in (unset, {**unset, "OPENBLAS_NUM_THREADS": "1"}):
+            cache = tmp_path / f"cache{len(caches)}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "sonoclass.cli", "extract",
+                 "--manifest", str(corpus["manifest"]), "--method", "wavelet",
+                 "--config", str(cfg), "--cache-dir", str(cache)],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            caches.append({p.relative_to(cache): p.read_bytes()
+                           for p in (cache / "c2").rglob("*.npy")})
+        assert caches[0] and caches[0] == caches[1]

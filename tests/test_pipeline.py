@@ -1,12 +1,14 @@
 import re
 import shutil
+import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sonoclass import log_gabor, pipeline
+from sonoclass import cpus, log_gabor, pipeline
 from sonoclass.audio_io import generate_corpus
 from sonoclass.config import (
     CONFIG_KEYS,
@@ -474,6 +476,130 @@ class TestCompareFiltersEachClipOnce:
     def test_compare_without_cache_matches_cached(self, mini_corpus, mini_config, cold_compare):
         manifest = DatasetManifest(mini_corpus["manifest"].entries)
         assert rendered(compare_methods(manifest, mini_config)) == rendered(cold_compare[1])
+
+
+def fill_configs(config):
+    """The configurations compare fills its cache for."""
+    singles = [replace(config, method="single", single_scale=s, single_orientation=o)
+               for s in range(1, config.gabor_scales + 1)
+               for o in range(1, config.gabor_orientations + 1)]
+    return singles + [replace(config, method=m) for m in ("bank", "patches", "wavelet")]
+
+
+class TestParallelFill:
+    """compare's cold cache fill, one clip task per distinct content on
+    cpus.run_each; the tests that do not set the worker count get one per
+    CPU in the affinity mask, so `taskset -c 0` runs them serially."""
+
+    def test_two_workers_write_the_one_worker_and_per_config_bytes(
+            self, mini_corpus, mini_config, tmp_path, monkeypatch):
+        manifest = DatasetManifest(mini_corpus["manifest"].entries)
+        configs = fill_configs(mini_config)
+        threads = set()
+        to_fixed = pipeline.to_fixed
+        monkeypatch.setattr(pipeline, "to_fixed", lambda *args: threads.add(
+            threading.get_ident()) or to_fixed(*args))
+        fills = {}
+        for workers in (1, 2):
+            threads.clear()
+            monkeypatch.setattr(cpus, "worker_count", lambda n_tasks, w=workers: min(w, n_tasks))
+            pipeline._extract_each_clip_once(manifest, configs, tmp_path / f"fill{workers}")
+            assert len(threads) == workers
+            fills[workers] = files(tmp_path / f"fill{workers}")
+        assert fills[2] == fills[1]
+        for cfg in configs:
+            extract_features(manifest, cfg, cache_dir=tmp_path / "each")
+        each = {path: data for path, data in files(tmp_path / "each").items()
+                if path.parts[0] != "c2"}
+        assert len(each) == len(configs) * len(manifest.entries)
+        assert fills[2] == each
+
+    def test_four_workers_switching_often_build_each_bank_once(
+            self, mini_corpus, mini_config, cold_compare, tmp_path, monkeypatch):
+        monkeypatch.setattr(cpus, "worker_count", lambda n_tasks: min(4, n_tasks))
+        log_gabor.build_bank.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pipeline._extract_each_clip_once(mini_corpus["manifest"], fill_configs(mini_config),
+                                             tmp_path / "cache")
+        finally:
+            sys.setswitchinterval(interval)
+        # 128x128 for single and bank, 43x128 and 42x128 for the patches bands
+        assert log_gabor.build_bank.cache_info().misses == 3
+        assert files(tmp_path / "cache") == {
+            path: data for path, data in files(cold_compare[0]).items() if path.parts[0] != "c2"}
+
+    def test_failing_clips_are_each_listed_once(self, mini_corpus, mini_config, tmp_path):
+        good = mini_corpus["manifest"].entries[:5]
+        corrupt = [tmp_path / "corrupt_a.wav", tmp_path / "corrupt_b.wav"]  # one content
+        for path in corrupt:
+            path.write_bytes(b"RIFF\x04\x00\x00\x00WAVX")
+        missing = tmp_path / "missing.wav"
+        failing = [str(corrupt[0]), str(missing), str(corrupt[1])]
+        manifest = DatasetManifest(good + entries([
+            (failing[0], "chirp", "train"), (failing[1], "chirp", "test"),
+            (failing[2], "chirp", "train"),
+        ]))
+        cache = tmp_path / "cache"
+        with pytest.raises(SonoclassError, match=r"^3 file\(s\) failed:\n") as err:
+            pipeline._extract_each_clip_once(manifest, fill_configs(mini_config), cache)
+        listed = str(err.value).splitlines()[1:]
+        assert [line.split(": ")[0] for line in listed] == [
+            e.path for e in manifest.rows("train") + manifest.rows("test") if e.path in failing]
+        assert listed[0].endswith("not a RIFF/WAVE file")
+        assert not list(cache.rglob("*.tmp"))
+        # the good clips' entries are all written
+        assert len(files(cache)) == len(fill_configs(mini_config)) * len(good)
+
+    def test_a_repeated_clip_is_filtered_once(self, mini_corpus, mini_config, tmp_path,
+                                              monkeypatch):
+        rows = mini_corpus["manifest"].rows("train")[:4]
+        copy = tmp_path / "copy.wav"
+        copy.write_bytes(Path(rows[0].path).read_bytes())
+        # the copy comes second, so two workers would take both at once
+        manifest = DatasetManifest(rows[:1] + entries([(str(copy), rows[0].label, "train")])
+                                   + rows[1:])
+        made = []
+        to_fixed = pipeline.to_fixed
+        monkeypatch.setattr(pipeline, "to_fixed", lambda *args: made.append(1) or to_fixed(*args))
+        pipeline._extract_each_clip_once(manifest, fill_configs(mini_config), tmp_path / "cache")
+        assert len(made) == len(rows)
+        assert len(files(tmp_path / "cache")) == len(fill_configs(mini_config)) * len(rows)
+
+    def test_warm_compare_fill_starts_no_thread(self, mini_corpus, mini_config, cold_compare,
+                                                monkeypatch):
+        monkeypatch.setattr(cpus, "worker_count", lambda n_tasks: min(2, n_tasks))
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        pipeline._extract_each_clip_once(mini_corpus["manifest"], fill_configs(mini_config),
+                                         cold_compare[0])
+        assert started == []
+
+
+class TestWriteCache:
+    def test_makes_the_stage_directory_and_leaves_only_the_entry(self, tmp_path):
+        entry = tmp_path / "feat" / "abc" / "clip.npy"
+        pipeline._write_cache(entry, np.arange(3.0))
+        pipeline._write_cache(entry, np.arange(4.0))  # into the directory it made
+        assert list(entry.parent.iterdir()) == [entry]
+        assert np.array_equal(np.load(entry), np.arange(4.0))
+
+    def test_a_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        entry = tmp_path / "feat" / "clip.npy"
+        pipeline._write_cache(entry, np.arange(3.0))
+
+        def fail(fh, array):
+            fh.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pipeline.np, "save", fail)
+        with pytest.raises(OSError, match="disk full"):
+            pipeline._write_cache(entry, np.arange(4.0))
+        assert list(entry.parent.iterdir()) == [entry]
+        assert np.array_equal(np.load(entry), np.arange(3.0))
 
 
 def test_unconverged_compare_warns_once_with_the_count(mini_corpus, mini_config, cold_compare):

@@ -96,6 +96,7 @@ class TestSmoTrain:
 
     def test_matches_dense_qp_oracle(self):
         rng = np.random.default_rng(4)
+        problems = []  # (y, c, kernel, gamma, model)
         for trial in range(20):
             n = int(rng.integers(4, 9))
             x = rng.normal(size=(n, 3))
@@ -105,12 +106,34 @@ class TestSmoTrain:
             gamma = float(rng.uniform(0.05, 4.0))
             model = smo_train(x, y, KernelParams(gamma=gamma, c=c), tol=1e-8,
                               max_passes=2000)
-            kernel = rbf_kernel_matrix(x, x, gamma)
-            _, w_oracle = qp_oracle.solve_dual(kernel, y, c)
+            problems.append((y, c, rbf_kernel_matrix(x, x, gamma), gamma, model))
+        ys, cs, kernels, gammas, models = zip(*problems)
+        oracle = qp_oracle.solve_dual_batch(kernels, ys, cs)
+        for gamma, model, (_, w_oracle) in zip(gammas, models, oracle):
             ksv = rbf_kernel_matrix(model.support_vectors, model.support_vectors, gamma)
             w_smo = float(np.abs(model.dual_coef).sum()
                           - 0.5 * model.dual_coef @ ksv @ model.dual_coef)
             assert abs(w_smo - w_oracle) <= 1e-6 * abs(w_oracle)
+
+    def test_batched_qp_oracle_matches_the_per_problem_one(self):
+        # criterion 4 runs the oracle as one batch; a few problems of mixed
+        # sizes, padded to the largest, check it against the per-problem loop
+        rng = np.random.default_rng(6)
+        kernels, ys, cs = [], [], []
+        for n in (12, 4, 9, 7):
+            x = rng.normal(size=(n, 2))
+            y = np.concatenate([np.ones(n // 2), -np.ones(n - n // 2)])
+            rng.shuffle(y)
+            kernels.append(rbf_kernel_matrix(x, x, float(rng.uniform(0.05, 4.0))))
+            ys.append(y)
+            cs.append(float(rng.uniform(0.5, 50.0)))
+        batch = qp_oracle.solve_dual_batch(kernels, ys, cs)
+        for kernel, y, c, (alpha, w) in zip(kernels, ys, cs, batch):
+            alpha_one, w_one = qp_oracle.solve_dual(kernel, y, c)
+            assert alpha.shape == y.shape
+            assert abs(w - w_one) <= 1e-12 * abs(w_one)
+            assert np.all((alpha >= 0.0) & (alpha <= c))
+            assert abs(alpha @ y) <= 1e-9 * c
 
     def test_kkt_and_feasibility(self):
         tol = 1e-6
