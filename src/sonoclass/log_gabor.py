@@ -123,7 +123,8 @@ def build_bank(grid_shape: tuple[int, int], params: LogGaborParams | None = None
     the DC sample is exactly 0. Banks are cached per (grid, params): the
     masks are read-only, so every caller can share one bank. The cache is
     read under one lock, so threads that miss it together, such as the
-    clip tasks of compare's cache fill, build a bank once.
+    clip tasks of an extraction or of compare's cache fill, build a bank
+    once.
     """
     with _BANK_LOCK:
         return _cached_bank(grid_shape, params)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import threading
 import uuid
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -65,12 +66,15 @@ def _write_cache(path: Path, array: np.ndarray) -> None:
 
 @dataclass
 class CacheStats:
-    """Cache hits and misses per stage; hits and misses are the totals."""
+    """Cache hits and misses per stage; hits and misses are the totals.
+    count takes one lock, so clip tasks on several threads count exactly."""
 
     stages: dict[str, list[int]] = field(default_factory=dict)  # stage -> [hits, misses]
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def count(self, stage: str, hit: bool) -> None:
-        self.stages.setdefault(stage, [0, 0])[0 if hit else 1] += 1
+        with self._lock:
+            self.stages.setdefault(stage, [0, 0])[0 if hit else 1] += 1
 
     @property
     def hits(self) -> int:
@@ -95,7 +99,9 @@ class FeatureExtractor:
     stats counts a hit or a miss for every stage looked up.
     content_hashes memoizes each clip's content hash by path; passing one
     dict to several extractors hashes each clip once between them. With no
-    cache directory no clip is hashed.
+    cache directory no clip is hashed. Clip tasks on several threads may
+    share one extractor: each writes only its own clip's files and memo
+    entry, and stats counts under a lock.
     """
 
     def __init__(self, config: RunConfig, cache_dir=None, content_hashes=None):
@@ -237,10 +243,12 @@ def _attempt(fn, entry) -> tuple:
         return None, exc
 
 
-def collect(entries, fn, workers: int = 1, key=None) -> list:
+def collect(entries, fn, workers: int = 1, key=None, warm=None) -> list:
     """fn(entry) for every entry, mapped over `workers` threads by
     cpus.run_each. With key, the entries of one key(entry) share the one
-    call of fn on the first of them. A failure, of key or of fn, aborts the
+    call of fn on the first of them. With warm, fn runs on the first entry
+    on this thread alone, and if warm() is then true the rest run here
+    too, with no thread started. A failure, of key or of fn, aborts the
     run with one error that lists every entry it failed for, in order."""
     entries = list(entries)
     keys = [_attempt(key, e) if key else (i, None) for i, e in enumerate(entries)]
@@ -248,8 +256,14 @@ def collect(entries, fn, workers: int = 1, key=None) -> list:
     for e, (k, error) in zip(entries, keys):
         if error is None:
             firsts.setdefault(k, e)
-    done = dict(zip(firsts, cpus.run_each(lambda e, _worker: _attempt(fn, e),
-                                          list(firsts.values()), workers)))
+    tasks = list(firsts.values())
+    outcomes = []
+    if warm is not None and tasks:
+        outcomes.append(_attempt(fn, tasks.pop(0)))
+        if warm():
+            workers = 1
+    outcomes += cpus.run_each(lambda e, _worker: _attempt(fn, e), tasks, workers)
+    done = dict(zip(firsts, outcomes))
     outcomes = [(None, error) if error else done[k] for k, error in keys]
     failures = [f"{e.path}: {error}" for e, (_, error) in zip(entries, outcomes) if error]
     if failures:
@@ -270,14 +284,29 @@ def extract_features(
 
     Rows follow manifest order within each split, and labels index
     manifest.classes. Every requested split is extracted in one batch into
-    one preallocated matrix, filled row by row, so one error lists every
-    clip that failed. For the wavelet method a
-    missing patch_set is sampled from the training rows' C1 pyramids with
-    the configured seed, and those pyramids are handed to
-    FeatureExtractor.c2, so a training row's C2 is computed from them on a
-    miss. Each clip is hashed once per manifest object.
+    one preallocated matrix, one clip task per row, so one error lists
+    every clip that failed. For the wavelet method a missing patch_set is
+    sampled from the training rows' C1 pyramids with the configured seed,
+    and those pyramids are handed to FeatureExtractor.c2, so a training
+    row's C2 is computed from them on a miss. Each clip is hashed once per
+    manifest object.
+
+    Per-clip extraction is a parallel step. The first clip runs on this
+    thread; if it was computed rather than read from the cache (no
+    cache_dir, or a cold one), the rest are mapped by cpus.run_each on one
+    worker per CPU, each task filling its own row, and S2 inside a task
+    runs on that task's worker alone. If the first clip was read, the rest
+    are read serially, with no thread started. The wavelet train rows' C1
+    pyramids are mapped by the same rule. The matrix is the same bytes on
+    any number of CPUs.
     """
     extractor = FeatureExtractor(config, cache_dir, manifest.content_hashes)
+
+    def each_clip(rows, fn) -> list:
+        misses = extractor.stats.misses
+        return collect(rows, fn, cpus.worker_count(len(rows)),
+                       warm=lambda: extractor.stats.misses == misses)
+
     if config.method == "wavelet":
         pyramids: dict[str, list[np.ndarray]] = {}
         if patch_set is None:
@@ -286,7 +315,7 @@ def extract_features(
                 raise SonoclassError(
                     "wavelet method needs a non-empty train split to sample patches"
                 )
-            train_c1 = collect(train_rows, lambda e: extractor.c1(e.path))
+            train_c1 = each_clip(train_rows, lambda e: extractor.c1(e.path))
             patch_set = sample_patches(
                 train_c1,
                 n_patches=config.wavelet_patches,
@@ -295,23 +324,20 @@ def extract_features(
             )
             pyramids = {e.path: c1 for e, c1 in zip(train_rows, train_c1)}
         feature_fn = lambda e: extractor.c2(e.path, patch_set, pyramids.get(e.path))
+        width = len(patch_set)
     else:
         feature_fn = lambda e: extractor.gabor_feature(e.path)
+        width = config.fixed_rows * config.fixed_cols  # one value per fixed-grid cell
 
     pending = [split for split in splits if manifest.rows(split)]
     entries = [e for split in pending for e in manifest.rows(split)]
-    rows = iter(range(len(entries)))
-    values = None
+    row_of = {e.path: row for row, e in enumerate(entries)}  # manifest paths are unique
+    values = np.empty((len(entries), width))
 
     def fill(entry) -> None:
-        nonlocal values
-        row = next(rows)  # taken first, so a failed clip still uses up its row
-        vector = feature_fn(entry)
-        if values is None:  # the first vector gives the row length
-            values = np.empty((len(entries), vector.size))
-        values[row] = vector
+        values[row_of[entry.path]] = feature_fn(entry)
 
-    collect(entries, fill)
+    each_clip(entries, fill)
     label_index = {name: i for i, name in enumerate(manifest.classes)}
     matrices: dict[str, FeatureMatrix] = {}
     start = 0
@@ -462,7 +488,7 @@ def _extract_each_clip_once(manifest: DatasetManifest, configs: list[RunConfig],
 
     def fill(row) -> None:
         # memoized by collect's key before the map, so no task writes the memo;
-        # the counts base.stats takes across threads are discarded
+        # the counts base.stats takes are discarded
         content = base._content(row.path)
         todo = missing(content)
         entries = _grid_entries([ex.config for ex in todo], base.fixed_values(row.path))

@@ -9,8 +9,8 @@ S2 runs one matrix product per (patch size, scale) over the sliding
 windows of that scale's C1 planes, so every patch of a size is scored in
 one BLAS call (`score_product`). `patch_transform` maps a clip's
 products over every CPU of the affinity mask with `cpus.run_each`. Each
-product runs whole on one worker, which copies its windows into the
-worker's one operand array, laid out as np.tensordot lays them out, so
+product runs whole on one worker, which copies its windows into the head
+of the worker's one work array, laid out as np.tensordot lays them out, so
 the scores are the tensordot scores bit for bit on any number of CPUs.
 A worker keeps only each product's per-patch peaks, so a clip's score
 maps are never all held at once, and C2 takes its maxima straight off
@@ -250,19 +250,22 @@ def patch_transform(
     Result: one (indices, scale, peaks) entry per `s2_products` product,
     in that order; peaks[r] is the largest of patch indices[r]'s
     `score_product` scores at that scale. `cpus.run_each` scores the
-    products, largest first, each whole on one worker, into the operand
-    and score arrays this thread allocated for that worker, so a helper
-    thread allocates no array of its own (one that did held its memory in
-    a malloc arena of its own, and raised the peak RSS).
+    products, largest first, each whole on one worker, in the one flat work
+    array this thread allocated for that worker: its operand is the
+    array's head and its scores the rest. So a helper thread allocates no
+    array of its own (one that did held its memory in a malloc arena of
+    its own, and raised the peak RSS). Inside a task of another map, such
+    as one clip of extract_features, this runs on one worker.
     """
     products = s2_products(c1, patch_set)
     order = sorted(range(len(products)), key=lambda i: -products[i].windows.size)
     workers = cpus.worker_count(len(products))
-    scores_size = max((np.prod(product.shape) for product in products), default=0)
-    work = [(np.empty(products[i].windows.size), np.empty(scores_size)) for i in order[:workers]]
+    size = max((p.windows.size + np.prod(p.shape) for p in products), default=0)
+    work = [np.empty(size) for _ in order[:workers]]
 
     def peaks(i: int, w: int) -> np.ndarray:
-        maps = score_product(products[i], *work[w])
+        head = products[i].windows.size
+        maps = score_product(products[i], work[w][:head], work[w][head:])
         return maps.reshape(len(maps), -1).max(axis=1)
 
     peaks_of = dict(zip(order, cpus.run_each(peaks, order, workers)))

@@ -1,8 +1,10 @@
 import json
 import multiprocessing
+import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -103,6 +105,26 @@ class TestExtract:
         assert len(mask_files) == 12
         grid = np.loadtxt(masks / mask_files[0], delimiter=",")
         assert grid.shape == (128, 128)
+
+    def test_no_cache_counts_are_exact_on_two_workers(self, corpus, capsys, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            rc = cli.main(["extract", "--manifest", str(corpus["manifest"]), "--method", "bank"])
+        finally:
+            sys.setswitchinterval(interval)
+        assert rc == 0
+        assert len(started) == 1  # the clips ran on two workers
+        n = len(read_manifest(corpus["manifest"]).entries)
+        lines = capsys.readouterr().out.splitlines()
+        assert f"cache fixed: 0 hits, {n} misses" in lines
+        assert f"cache feat: 0 hits, {n} misses" in lines
+        assert f"cache: 0 hits, {2 * n} misses" in lines
 
     def test_dump_spectrograms(self, corpus, tmp_path):
         target = tmp_path / "specs"
@@ -708,13 +730,17 @@ class TestErrorPaths:
     def test_traced_cache_counts_match_extract(self, corpus, tmp_path, src_env):
         # perfbench/run.py gates warm runs on the misses its tracer counts
         # (a stage span with a compute child) for the fixed, c1 and feat
-        # stages; each must agree with the line extract prints for it.
+        # stages; each must agree with the line extract prints for it. The
+        # tracer keeps one span stack for all threads, so a cold extraction's
+        # clip tasks on several workers would nest each other's spans: the
+        # child runs on one worker. A warm extraction is serial anyway.
         repo = Path(__file__).resolve().parents[1]
         cfg = write_cfg(tmp_path, "wavelet.patches = 20")
         code = (
             "import contextlib, io, json, sys; sys.path.insert(0, sys.argv[1])\n"
             "from tracer import Tracer, summarize\n"
-            "import sonoclass.cli\n"
+            "import sonoclass.cli, sonoclass.cpus\n"
+            "sonoclass.cpus.worker_count = lambda n_tasks: 1\n"
             "tracer = Tracer()\n"
             "tracer.install()\n"
             "for argv in json.loads(sys.argv[2]):\n"

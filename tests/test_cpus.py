@@ -1,5 +1,6 @@
 """cpus.run_each, the one map every parallel step runs on."""
 
+import os
 import subprocess
 import sys
 import threading
@@ -115,6 +116,38 @@ def test_one_worker_starts_no_thread(monkeypatch, workers, n_tasks):
     caller = threading.get_ident()
     threads = cpus.run_each(lambda task, w: (threading.get_ident(), w), range(n_tasks), workers)
     assert threads == [(caller, 0)] * n_tasks
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity API")
+def test_worker_count_follows_affinity():
+    assert cpus.worker_count(10_000) == len(os.sched_getaffinity(0))
+    assert cpus.worker_count(1) == 1
+
+
+def test_worker_count_is_one_inside_a_map_on_two_workers(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    together = threading.Barrier(2, timeout=30)
+
+    def inner(task, w):
+        together.wait()  # both workers are inside a task at once
+        return cpus.worker_count(10)
+
+    assert cpus.worker_count(10) == 3
+    assert cpus.run_each(inner, range(4), 2) == [1] * 4
+    assert cpus.worker_count(10) == 3
+    # one worker sets nothing, so a step inside it still gets every CPU
+    assert cpus.run_each(lambda task, w: cpus.worker_count(10), range(3), 1) == [3] * 3
+
+
+def test_a_failed_map_restores_the_worker_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def fail(task, w):
+        raise RuntimeError(f"task {task} failed")
+
+    with pytest.raises(RuntimeError):
+        cpus.run_each(fail, range(2), 2)
+    assert cpus.worker_count(10) == 2
 
 
 def test_mi_selection_imports_no_pool_module(src_env):

@@ -1,3 +1,4 @@
+import os
 import re
 import shutil
 import sys
@@ -486,6 +487,21 @@ def fill_configs(config):
     return singles + [replace(config, method=m) for m in ("bank", "patches", "wavelet")]
 
 
+def use_cpus(monkeypatch, n):
+    """n CPUs in the affinity mask, as cpus.worker_count sees it; a task of
+    a map on two or more workers still gets one."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def spy_thread_starts(monkeypatch) -> list:
+    """The list every thread started from now on is appended to."""
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread) or start(thread))
+    return started
+
+
 class TestParallelFill:
     """compare's cold cache fill, one clip task per distinct content on
     cpus.run_each; the tests that do not set the worker count get one per
@@ -570,13 +586,84 @@ class TestParallelFill:
     def test_warm_compare_fill_starts_no_thread(self, mini_corpus, mini_config, cold_compare,
                                                 monkeypatch):
         monkeypatch.setattr(cpus, "worker_count", lambda n_tasks: min(2, n_tasks))
-        started = []
-        start = threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start",
-                            lambda thread: started.append(thread) or start(thread))
+        started = spy_thread_starts(monkeypatch)
         pipeline._extract_each_clip_once(mini_corpus["manifest"], fill_configs(mini_config),
                                          cold_compare[0])
         assert started == []
+
+
+class TestParallelExtract:
+    """extract_features' clip tasks on cpus.run_each: mapped when the first
+    clip is computed, serial when it is read from the cache. The tests that
+    do not set the CPU count get one worker per CPU in the affinity mask,
+    so `taskset -c 0` runs them serially."""
+
+    @pytest.mark.parametrize("method", ["bank", "wavelet"])
+    def test_matrices_are_the_same_bytes_on_one_two_and_four_workers(
+            self, mini_corpus, mini_config, monkeypatch, method):
+        config = replace(mini_config, method=method)
+        started = spy_thread_starts(monkeypatch)
+        n = len(mini_corpus["manifest"].entries)
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            for workers in (1, 2, 4):
+                use_cpus(monkeypatch, workers)
+                started.clear()
+                manifest = DatasetManifest(mini_corpus["manifest"].entries)
+                results[workers] = extract_features(manifest, config)
+                # bank maps its clips; wavelet maps the train C1 pyramids, scores
+                # the first clip's S2 on every CPU and maps the other clips,
+                # whose S2 runs on the task's worker alone
+                assert len(started) == (workers - 1) * (3 if method == "wavelet" else 1)
+        finally:
+            sys.setswitchinterval(interval)
+        for result in results.values():
+            # each clip's C1 once: a train row's to sample patches, a test row's in its C2
+            assert result.stats.stages == ({"fixed": [0, n], "c1": [0, n], "c2": [0, n]}
+                                           if method == "wavelet" else
+                                           {"fixed": [0, n], "feat": [0, n]})
+        for workers in (2, 4):
+            for split in ("train", "test"):
+                one, many = getattr(results[1], split), getattr(results[workers], split)
+                assert one.values.tobytes() == many.values.tobytes()
+                assert np.array_equal(one.labels, many.labels)
+        if method == "wavelet":
+            assert results[4].patch_set.digest == results[1].patch_set.digest
+
+    def test_failing_clips_in_the_middle_are_each_listed_once_in_row_order(
+            self, mini_corpus, mini_config, tmp_path):
+        rows = mini_corpus["manifest"].entries
+        corrupt = tmp_path / "corrupt.wav"
+        corrupt.write_bytes(b"RIFF\x04\x00\x00\x00WAVX")
+        failing = entries([(str(corrupt), "chirp", "test"),
+                           (str(tmp_path / "missing_a.wav"), "chirp", "train"),
+                           (str(tmp_path / "missing_b.wav"), "chirp", "test")])
+        manifest = DatasetManifest(rows[:3] + failing[:1] + rows[3:9] + failing[1:] + rows[9:])
+        before = set(threading.enumerate())
+        with pytest.raises(SonoclassError, match=r"^3 file\(s\) failed:\n") as err:
+            extract_features(manifest, mini_config)
+        assert set(threading.enumerate()) == before
+        listed = [line.split(": ")[0] for line in str(err.value).splitlines()[1:]]
+        paths = {e.path for e in failing}
+        assert listed == [e.path for e in manifest.rows("train") + manifest.rows("test")
+                          if e.path in paths]
+
+    @pytest.mark.parametrize("method", ["bank", "wavelet"])
+    def test_warm_extraction_starts_no_thread(self, mini_corpus, mini_config, tmp_path,
+                                              monkeypatch, method):
+        config = replace(mini_config, method=method)
+        use_cpus(monkeypatch, 2)
+        started = spy_thread_starts(monkeypatch)
+        cold = extract_features(mini_corpus["manifest"], config, cache_dir=tmp_path)
+        assert started
+        started.clear()
+        warm = extract_features(mini_corpus["manifest"], config, cache_dir=tmp_path)
+        assert started == []
+        assert warm.stats.misses == 0
+        assert warm.train.values.tobytes() == cold.train.values.tobytes()
+        assert warm.test.values.tobytes() == cold.test.values.tobytes()
 
 
 class TestWriteCache:

@@ -1,4 +1,3 @@
-import os
 import warnings
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 import grid_reference
 import qp_oracle
 import smo_reference
-from sonoclass import cpus, svm
+from sonoclass import svm
 from sonoclass.errors import NonConvergenceWarning, SonoclassError
 from sonoclass.feature_select import FeatureMatrix
 from sonoclass.svm import (
@@ -654,11 +653,6 @@ class TestGridSearch:
         assert len(table) == 4
         assert counts == {"rbf_kernel_matrix": 2 * 2 * 3 * 3, "ovo_predict_batch": 0,
                           "BinarySvmModel": 0, "OvoModel": 0}
-
-    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity API")
-    def test_worker_count_follows_affinity(self):
-        assert cpus.worker_count(10_000) == len(os.sched_getaffinity(0))
-        assert cpus.worker_count(1) == 1
 
     @pytest.mark.parametrize("short", [1, 2])
     def test_worker_error_reaches_caller(self, short):
