@@ -1,6 +1,6 @@
 """Every parallel step, MI selection (`feature_select.mi_scores`), S2
-(`wavelet_baseline.patch_transform`), per-clip extraction
-(`pipeline.extract_features`) and compare's cold cache fill
+(`wavelet_baseline.patch_transform`), per-clip extraction without a
+cache (`pipeline.extract_features`) and compare's cold cache fill
 (`pipeline._extract_each_clip_once`), maps its tasks with `run_each` on
 `worker_count` workers, one per CPU, so `taskset -c 0` runs each serially.
 Parallel steps do not nest: inside a task of a map on two or more

@@ -243,12 +243,10 @@ def _attempt(fn, entry) -> tuple:
         return None, exc
 
 
-def collect(entries, fn, workers: int = 1, key=None, warm=None) -> list:
+def collect(entries, fn, workers: int = 1, key=None) -> list:
     """fn(entry) for every entry, mapped over `workers` threads by
     cpus.run_each. With key, the entries of one key(entry) share the one
-    call of fn on the first of them. With warm, fn runs on the first entry
-    on this thread alone, and if warm() is then true the rest run here
-    too, with no thread started. A failure, of key or of fn, aborts the
+    call of fn on the first of them. A failure, of key or of fn, aborts the
     run with one error that lists every entry it failed for, in order."""
     entries = list(entries)
     keys = [_attempt(key, e) if key else (i, None) for i, e in enumerate(entries)]
@@ -256,14 +254,8 @@ def collect(entries, fn, workers: int = 1, key=None, warm=None) -> list:
     for e, (k, error) in zip(entries, keys):
         if error is None:
             firsts.setdefault(k, e)
-    tasks = list(firsts.values())
-    outcomes = []
-    if warm is not None and tasks:
-        outcomes.append(_attempt(fn, tasks.pop(0)))
-        if warm():
-            workers = 1
-    outcomes += cpus.run_each(lambda e, _worker: _attempt(fn, e), tasks, workers)
-    done = dict(zip(firsts, outcomes))
+    done = dict(zip(firsts, cpus.run_each(lambda e, _worker: _attempt(fn, e),
+                                          list(firsts.values()), workers)))
     outcomes = [(None, error) if error else done[k] for k, error in keys]
     failures = [f"{e.path}: {error}" for e, (_, error) in zip(entries, outcomes) if error]
     if failures:
@@ -291,21 +283,19 @@ def extract_features(
     row's C2 is computed from them on a miss. Each clip is hashed once per
     manifest object.
 
-    Per-clip extraction is a parallel step. The first clip runs on this
-    thread; if it was computed rather than read from the cache (no
-    cache_dir, or a cold one), the rest are mapped by cpus.run_each on one
-    worker per CPU, each task filling its own row, and S2 inside a task
-    runs on that task's worker alone. If the first clip was read, the rest
-    are read serially, with no thread started. The wavelet train rows' C1
-    pyramids are mapped by the same rule. The matrix is the same bytes on
-    any number of CPUs.
+    Without cache_dir, per-clip extraction is a parallel step: the clips
+    are mapped by cpus.run_each on one worker per CPU, each task filling
+    its own row, and S2 inside a task runs on that task's worker alone; the
+    wavelet train rows' C1 pyramids are mapped the same way. With cache_dir
+    the clips run serially on this thread, cold or warm, so a warm run
+    starts no thread and a cold run's stage calls nest as a single-stack
+    tracer (perfbench/tracer.py) counts them. The matrix is the same bytes
+    on any number of CPUs.
     """
     extractor = FeatureExtractor(config, cache_dir, manifest.content_hashes)
 
     def each_clip(rows, fn) -> list:
-        misses = extractor.stats.misses
-        return collect(rows, fn, cpus.worker_count(len(rows)),
-                       warm=lambda: extractor.stats.misses == misses)
+        return collect(rows, fn, cpus.worker_count(len(rows)) if cache_dir is None else 1)
 
     if config.method == "wavelet":
         pyramids: dict[str, list[np.ndarray]] = {}

@@ -254,14 +254,18 @@ def patch_transform(
     array this thread allocated for that worker: its operand is the
     array's head and its scores the rest. So a helper thread allocates no
     array of its own (one that did held its memory in a malloc arena of
-    its own, and raised the peak RSS). Inside a task of another map, such
-    as one clip of extract_features, this runs on one worker.
+    its own, and raised the peak RSS). Each array is sized to the largest
+    product its worker can be given, not to the largest of all: with two
+    arrays of the largest size, a cold `compare` took about 50% more page
+    faults and 6% more time. Inside a task of another map, such as one
+    clip of extract_features, this runs on one worker.
     """
     products = s2_products(c1, patch_set)
     order = sorted(range(len(products)), key=lambda i: -products[i].windows.size)
     workers = cpus.worker_count(len(products))
-    size = max((p.windows.size + np.prod(p.shape) for p in products), default=0)
-    work = [np.empty(size) for _ in order[:workers]]
+    sizes = [products[i].windows.size + np.prod(products[i].shape) for i in order]
+    # worker w scores product order[w] first, then only products from order[workers:]
+    work = [np.empty(max([sizes[w], *sizes[workers:]])) for w in range(len(order[:workers]))]
 
     def peaks(i: int, w: int) -> np.ndarray:
         head = products[i].windows.size

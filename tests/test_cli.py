@@ -730,17 +730,13 @@ class TestErrorPaths:
     def test_traced_cache_counts_match_extract(self, corpus, tmp_path, src_env):
         # perfbench/run.py gates warm runs on the misses its tracer counts
         # (a stage span with a compute child) for the fixed, c1 and feat
-        # stages; each must agree with the line extract prints for it. The
-        # tracer keeps one span stack for all threads, so a cold extraction's
-        # clip tasks on several workers would nest each other's spans: the
-        # child runs on one worker. A warm extraction is serial anyway.
+        # stages; each must agree with the line extract prints for it.
         repo = Path(__file__).resolve().parents[1]
         cfg = write_cfg(tmp_path, "wavelet.patches = 20")
         code = (
             "import contextlib, io, json, sys; sys.path.insert(0, sys.argv[1])\n"
             "from tracer import Tracer, summarize\n"
-            "import sonoclass.cli, sonoclass.cpus\n"
-            "sonoclass.cpus.worker_count = lambda n_tasks: 1\n"
+            "import sonoclass.cli\n"
             "tracer = Tracer()\n"
             "tracer.install()\n"
             "for argv in json.loads(sys.argv[2]):\n"

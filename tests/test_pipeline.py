@@ -593,10 +593,10 @@ class TestParallelFill:
 
 
 class TestParallelExtract:
-    """extract_features' clip tasks on cpus.run_each: mapped when the first
-    clip is computed, serial when it is read from the cache. The tests that
-    do not set the CPU count get one worker per CPU in the affinity mask,
-    so `taskset -c 0` runs them serially."""
+    """extract_features' clip tasks on cpus.run_each: mapped without a cache
+    directory, serial with one. The tests that do not set the CPU count get
+    one worker per CPU in the affinity mask, so `taskset -c 0` runs them
+    serially."""
 
     @pytest.mark.parametrize("method", ["bank", "wavelet"])
     def test_matrices_are_the_same_bytes_on_one_two_and_four_workers(
@@ -613,10 +613,9 @@ class TestParallelExtract:
                 started.clear()
                 manifest = DatasetManifest(mini_corpus["manifest"].entries)
                 results[workers] = extract_features(manifest, config)
-                # bank maps its clips; wavelet maps the train C1 pyramids, scores
-                # the first clip's S2 on every CPU and maps the other clips,
-                # whose S2 runs on the task's worker alone
-                assert len(started) == (workers - 1) * (3 if method == "wavelet" else 1)
+                # bank maps its clips; wavelet maps the train C1 pyramids, then
+                # the clips, whose S2 runs on the task's worker alone
+                assert len(started) == (workers - 1) * (2 if method == "wavelet" else 1)
         finally:
             sys.setswitchinterval(interval)
         for result in results.values():
@@ -657,7 +656,9 @@ class TestParallelExtract:
         use_cpus(monkeypatch, 2)
         started = spy_thread_starts(monkeypatch)
         cold = extract_features(mini_corpus["manifest"], config, cache_dir=tmp_path)
-        assert started
+        # a cold cached run maps no clip: only wavelet starts threads, one S2 helper a clip
+        n = len(mini_corpus["manifest"].entries)
+        assert len(started) == (n if method == "wavelet" else 0)
         started.clear()
         warm = extract_features(mini_corpus["manifest"], config, cache_dir=tmp_path)
         assert started == []
