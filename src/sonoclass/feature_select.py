@@ -136,7 +136,7 @@ def mi_scores(matrix: FeatureMatrix, n_bins: int = DEFAULT_N_BINS) -> np.ndarray
     workers = cpus.worker_count(budget)
     width = budget // workers
 
-    def score(start: int, _worker: int) -> np.ndarray:
+    def score(start: int) -> np.ndarray:
         block = matrix.values[:, start:start + width]
         return _block_scores(block, label_idx, n_classes, n_bins)
 

@@ -254,7 +254,7 @@ def collect(entries, fn, workers: int = 1, key=None) -> list:
     for e, (k, error) in zip(entries, keys):
         if error is None:
             firsts.setdefault(k, e)
-    done = dict(zip(firsts, cpus.run_each(lambda e, _worker: _attempt(fn, e),
+    done = dict(zip(firsts, cpus.run_each(lambda e: _attempt(fn, e),
                                           list(firsts.values()), workers)))
     outcomes = [(None, error) if error else done[k] for k, error in keys]
     failures = [f"{e.path}: {error}" for e, (_, error) in zip(entries, outcomes) if error]
@@ -285,20 +285,22 @@ def extract_features(
 
     Without cache_dir, per-clip extraction is a parallel step: the clips
     are mapped by cpus.run_each on one worker per CPU, each task filling
-    its own row, and S2 inside a task runs on that task's worker alone; the
-    wavelet train rows' C1 pyramids are mapped the same way. With cache_dir
-    the clips run serially on this thread, cold or warm, so a warm run
-    starts no thread and a cold run's stage calls nest as a single-stack
-    tracer (perfbench/tracer.py) counts them. The matrix is the same bytes
-    on any number of CPUs.
+    its own row on its own thread, S2 included; the wavelet train rows' C1
+    pyramids are mapped the same way. With cache_dir the clips run
+    serially on this thread, cold or warm, so a cold run's stage calls
+    nest as a single-stack tracer (perfbench/tracer.py) counts them and a
+    warm run's feature reads start no thread. The C2 pass of a wavelet
+    train extraction is the exception: each of its tasks scores a C1
+    pyramid already held and reads no traced stage, so it is mapped with
+    a cache too. The matrix is the same bytes on any number of CPUs.
     """
     extractor = FeatureExtractor(config, cache_dir, manifest.content_hashes)
 
-    def each_clip(rows, fn) -> list:
-        return collect(rows, fn, cpus.worker_count(len(rows)) if cache_dir is None else 1)
+    def each_clip(rows, fn, mapped: bool = cache_dir is None) -> list:
+        return collect(rows, fn, cpus.worker_count(len(rows)) if mapped else 1)
 
+    pyramids: dict[str, list[np.ndarray]] = {}
     if config.method == "wavelet":
-        pyramids: dict[str, list[np.ndarray]] = {}
         if patch_set is None:
             train_rows = manifest.rows("train")
             if not train_rows:
@@ -327,7 +329,7 @@ def extract_features(
     def fill(entry) -> None:
         values[row_of[entry.path]] = feature_fn(entry)
 
-    each_clip(entries, fill)
+    each_clip(entries, fill, cache_dir is None or all(e.path in pyramids for e in entries))
     label_index = {name: i for i, name in enumerate(manifest.classes)}
     matrices: dict[str, FeatureMatrix] = {}
     start = 0

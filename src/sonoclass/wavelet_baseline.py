@@ -7,14 +7,14 @@ Pipeline: undecimated Haar detail coefficients for 3 dyadic scales x
 
 S2 runs one matrix product per (patch size, scale) over the sliding
 windows of that scale's C1 planes, so every patch of a size is scored in
-one BLAS call (`score_product`). `patch_transform` maps a clip's
-products over every CPU of the affinity mask with `cpus.run_each`. Each
-product runs whole on one worker, which copies its windows into the head
-of the worker's one work array, laid out as np.tensordot lays them out, so
-the scores are the tensordot scores bit for bit on any number of CPUs.
-A worker keeps only each product's per-patch peaks, so a clip's score
-maps are never all held at once, and C2 takes its maxima straight off
-the peaks.
+one BLAS call (`score_product`). `patch_transform` scores a clip's
+products in order on the calling thread, copying each product's windows
+into the head of one work array, laid out as np.tensordot lays them out,
+so the scores are the tensordot scores bit for bit. It keeps only each
+product's per-patch peaks, so a clip's score maps are never all held at
+once, and C2 takes its maxima straight off the peaks. A clip is the unit
+of parallel work (`pipeline.extract_features`); nothing here starts a
+thread.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import cpus
 from .errors import SonoclassError
 
 SCALES = (1, 2, 3)
@@ -249,31 +248,18 @@ def patch_transform(
 
     Result: one (indices, scale, peaks) entry per `s2_products` product,
     in that order; peaks[r] is the largest of patch indices[r]'s
-    `score_product` scores at that scale. `cpus.run_each` scores the
-    products, largest first, each whole on one worker, in the one flat work
-    array this thread allocated for that worker: its operand is the
-    array's head and its scores the rest. So a helper thread allocates no
-    array of its own (one that did held its memory in a malloc arena of
-    its own, and raised the peak RSS). Each array is sized to the largest
-    product its worker can be given, not to the largest of all: with two
-    arrays of the largest size, a cold `compare` took about 50% more page
-    faults and 6% more time. Inside a task of another map, such as one
-    clip of extract_features, this runs on one worker.
+    `score_product` scores at that scale. The products are scored in
+    order on the calling thread, in one flat work array sized to the
+    largest: its operand is the array's head and its scores the rest.
     """
     products = s2_products(c1, patch_set)
-    order = sorted(range(len(products)), key=lambda i: -products[i].windows.size)
-    workers = cpus.worker_count(len(products))
-    sizes = [products[i].windows.size + np.prod(products[i].shape) for i in order]
-    # worker w scores product order[w] first, then only products from order[workers:]
-    work = [np.empty(max([sizes[w], *sizes[workers:]])) for w in range(len(order[:workers]))]
-
-    def peaks(i: int, w: int) -> np.ndarray:
-        head = products[i].windows.size
-        maps = score_product(products[i], work[w][:head], work[w][head:])
-        return maps.reshape(len(maps), -1).max(axis=1)
-
-    peaks_of = dict(zip(order, cpus.run_each(peaks, order, workers)))
-    return [(p.indices, p.scale, peaks_of[i]) for i, p in enumerate(products)]
+    work = np.empty(max((p.windows.size + np.prod(p.shape) for p in products), default=0))
+    result = []
+    for product in products:
+        head = product.windows.size
+        maps = score_product(product, work[:head], work[head:])
+        result.append((product.indices, product.scale, maps.reshape(len(maps), -1).max(axis=1)))
+    return result
 
 
 def global_max(s2: list[tuple[np.ndarray, int, np.ndarray]], n_patches: int) -> np.ndarray:

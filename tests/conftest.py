@@ -33,8 +33,8 @@ def make_wav_bytes(fmt_tag, channels, rate, bits, data, extra=b""):
 def no_thread_left_running():
     """Fails a test that ends with a live thread it did not start with, such
     as a helper thread of `cpus.run_each`, which every parallel step (MI
-    selection, S2, per-clip extraction and compare's cold cache fill) runs
-    on, left unjoined."""
+    selection, per-clip extraction and compare's cold cache fill) runs on,
+    left unjoined."""
     before = set(threading.enumerate())
     yield
     left = [t.name for t in threading.enumerate() if t not in before]

@@ -808,8 +808,10 @@ class TestErrorPaths:
         assert proc.stdout.strip() == "[]"
 
     def test_cli_import_loads_no_pool_module(self, src_env):
-        # no step pools through either module: every parallel step runs on
-        # cpus.run_each's threads, and grid search runs in one process
+        # no step pools through either module: MI selection, per-clip
+        # extraction and compare's cold cache fill map over cpus.run_each's
+        # threads, nothing inside a task starts more, and grid search runs
+        # in one process
         code = (
             "import sys\n"
             "import sonoclass.cli\n"

@@ -14,32 +14,30 @@ from sonoclass import cpus
 @pytest.mark.parametrize("n_tasks", [0, 1, 2, 7])
 def test_results_come_back_in_task_order(workers, n_tasks):
     tasks = [f"task {i}" for i in range(n_tasks)]
-    assert cpus.run_each(lambda task, w: task.upper(), tasks, workers) == [
+    assert cpus.run_each(lambda task: task.upper(), tasks, workers) == [
         task.upper() for task in tasks]
 
 
 def test_worker_zero_is_the_caller_and_worker_w_starts_with_task_w():
-    runs = []  # (worker, task, thread), in the order they start
+    runs = []  # (thread, task), in the order they start
     lock = threading.Lock()
     together = threading.Barrier(3, timeout=30)
 
-    def record(task, w):
+    def record(task):
         with lock:
-            runs.append((w, task, threading.get_ident()))
+            runs.append((threading.get_ident(), task))
         if task < 3:
             together.wait()  # every worker is running its first task at once
-        return w
+        return threading.get_ident()
 
     ran_by = cpus.run_each(record, range(12), 3)
-    firsts = {}
-    for w, task, thread in runs:
-        firsts.setdefault(w, (task, thread))
-    assert {w: task for w, (task, _) in firsts.items()} == {0: 0, 1: 1, 2: 2}
-    assert firsts[0][1] == threading.get_ident()
-    assert len({thread for _, (_, thread) in firsts.items()}) == 3
-    # each worker runs its tasks on its own thread, and w says which it was
-    assert all(thread == firsts[w][1] for w, _, thread in runs)
-    assert ran_by == [w for w, _, _ in sorted(runs, key=lambda run: run[1])]
+    firsts = {}  # thread -> its first task
+    for thread, task in runs:
+        firsts.setdefault(thread, task)
+    assert sorted(firsts.values()) == [0, 1, 2]
+    assert firsts[threading.get_ident()] == 0
+    assert sorted(task for _, task in runs) == list(range(12))
+    assert ran_by == [thread for thread, _ in sorted(runs, key=lambda run: run[1])]
 
 
 def test_a_helper_error_reaches_the_caller_and_no_task_starts_after_it():
@@ -47,7 +45,7 @@ def test_a_helper_error_reaches_the_caller_and_no_task_starts_after_it():
     helper = []
     failing = threading.Event()
 
-    def fail_in_task_1(task, w):
+    def fail_in_task_1(task):
         started.append(task)
         if task == 1:  # the helper's first task
             helper.append(threading.current_thread())
@@ -75,7 +73,7 @@ def test_a_caller_error_reaches_the_caller_and_no_task_starts_after_it(monkeypat
         joining.set()
         return join(thread, timeout)
 
-    def fail_in_task_0(task, w):
+    def fail_in_task_0(task):
         started.append(task)
         if task == 0:
             raise RuntimeError("caller failed")
@@ -93,18 +91,20 @@ def test_a_caller_error_reaches_the_caller_and_no_task_starts_after_it(monkeypat
 
 
 def test_every_task_runs_once_with_more_workers_than_cpus():
-    runs = [0] * 3000
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
     try:
-        def count(task, w):
-            runs[task] += 1
-            return task
+        for workers in (1, 2, 3, 8):
+            runs = [0] * 3000
 
-        assert cpus.run_each(count, range(len(runs)), 8) == list(range(len(runs)))
+            def count(task):
+                runs[task] += 1
+                return task
+
+            assert cpus.run_each(count, range(len(runs)), workers) == list(range(len(runs)))
+            assert runs == [1] * len(runs), workers
     finally:
         sys.setswitchinterval(interval)
-    assert runs == [1] * len(runs)
 
 
 @pytest.mark.parametrize("workers, n_tasks", [(1, 5), (3, 1)])
@@ -114,40 +114,14 @@ def test_one_worker_starts_no_thread(monkeypatch, workers, n_tasks):
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     caller = threading.get_ident()
-    threads = cpus.run_each(lambda task, w: (threading.get_ident(), w), range(n_tasks), workers)
-    assert threads == [(caller, 0)] * n_tasks
+    threads = cpus.run_each(lambda task: threading.get_ident(), range(n_tasks), workers)
+    assert threads == [caller] * n_tasks
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity API")
 def test_worker_count_follows_affinity():
     assert cpus.worker_count(10_000) == len(os.sched_getaffinity(0))
     assert cpus.worker_count(1) == 1
-
-
-def test_worker_count_is_one_inside_a_map_on_two_workers(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    together = threading.Barrier(2, timeout=30)
-
-    def inner(task, w):
-        together.wait()  # both workers are inside a task at once
-        return cpus.worker_count(10)
-
-    assert cpus.worker_count(10) == 3
-    assert cpus.run_each(inner, range(4), 2) == [1] * 4
-    assert cpus.worker_count(10) == 3
-    # one worker sets nothing, so a step inside it still gets every CPU
-    assert cpus.run_each(lambda task, w: cpus.worker_count(10), range(3), 1) == [3] * 3
-
-
-def test_a_failed_map_restores_the_worker_count(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-    def fail(task, w):
-        raise RuntimeError(f"task {task} failed")
-
-    with pytest.raises(RuntimeError):
-        cpus.run_each(fail, range(2), 2)
-    assert cpus.worker_count(10) == 2
 
 
 def test_mi_selection_imports_no_pool_module(src_env):

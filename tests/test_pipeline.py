@@ -488,8 +488,7 @@ def fill_configs(config):
 
 
 def use_cpus(monkeypatch, n):
-    """n CPUs in the affinity mask, as cpus.worker_count sees it; a task of
-    a map on two or more workers still gets one."""
+    """n CPUs in the affinity mask, as cpus.worker_count sees it."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
@@ -594,9 +593,9 @@ class TestParallelFill:
 
 class TestParallelExtract:
     """extract_features' clip tasks on cpus.run_each: mapped without a cache
-    directory, serial with one. The tests that do not set the CPU count get
-    one worker per CPU in the affinity mask, so `taskset -c 0` runs them
-    serially."""
+    directory, serial with one but for the C2 pass of a wavelet train
+    extraction. The tests that do not set the CPU count get one worker per
+    CPU in the affinity mask, so `taskset -c 0` runs them serially."""
 
     @pytest.mark.parametrize("method", ["bank", "wavelet"])
     def test_matrices_are_the_same_bytes_on_one_two_and_four_workers(
@@ -656,15 +655,33 @@ class TestParallelExtract:
         use_cpus(monkeypatch, 2)
         started = spy_thread_starts(monkeypatch)
         cold = extract_features(mini_corpus["manifest"], config, cache_dir=tmp_path)
-        # a cold cached run maps no clip: only wavelet starts threads, one S2 helper a clip
-        n = len(mini_corpus["manifest"].entries)
-        assert len(started) == (n if method == "wavelet" else 0)
-        started.clear()
+        # a cold cached run of both splits maps no clip, and nothing inside a
+        # clip starts a thread
+        assert started == []
         warm = extract_features(mini_corpus["manifest"], config, cache_dir=tmp_path)
         assert started == []
         assert warm.stats.misses == 0
         assert warm.train.values.tobytes() == cold.train.values.tobytes()
         assert warm.test.values.tobytes() == cold.test.values.tobytes()
+
+    def test_cached_train_c2_pass_maps_its_clips(self, mini_corpus, mini_config, tmp_path,
+                                                 monkeypatch):
+        config = replace(mini_config, method="wavelet")
+        started = spy_thread_starts(monkeypatch)
+        results = {}
+        for workers in (1, 2):
+            use_cpus(monkeypatch, workers)
+            for run in ("cold", "warm"):
+                started.clear()
+                results[workers, run] = extract_features(
+                    mini_corpus["manifest"], config, cache_dir=tmp_path / str(workers),
+                    splits=("train",))
+                # the C1 pass reads the cache serially, the C2 pass maps its clips
+                assert len(started) == workers - 1
+        assert files(tmp_path / "2") == files(tmp_path / "1")
+        expected = results[1, "cold"].train.values.tobytes()
+        assert all(result.train.values.tobytes() == expected for result in results.values())
+        assert results[2, "warm"].stats.misses == 0
 
 
 class TestWriteCache:

@@ -1,3 +1,4 @@
+import os
 import threading
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 import c2_reference
-from sonoclass import cpus
 from sonoclass.errors import SonoclassError
 from sonoclass.wavelet_baseline import (
     SCALES,
@@ -314,7 +314,11 @@ class TestPatchTransform:
         rng = np.random.default_rng(19)
         c1 = c1_pyramid(rng.uniform(0, 1, size=(64, 64)))
         ps = sample_patches([c1], n_patches=9, sizes=(4, 8, 12), seed=2)
-        monkeypatch.setattr(cpus, "worker_count", lambda n_tasks: 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
         operands = []  # kept alive, so a fresh array per product cannot reuse an address
         maps = {}  # each product's scores, by (patch values, offsets)
         dot = np.dot
@@ -329,6 +333,7 @@ class TestPatchTransform:
         monkeypatch.undo()
         assert [(len(indices), scale) for indices, scale, _ in s2] == [
             (3, 1), (3, 2), (3, 3), (3, 1), (3, 2), (3, 3), (3, 1), (3, 2)]
+        assert started == []  # on two CPUs, the products are scored on this thread
         assert len(operands) == len(s2)
         assert all(np.shares_memory(operands[0], b) for b in operands[1:])
         assert_maps_are_tensordots(c1, ps, s2, maps)
@@ -337,52 +342,6 @@ class TestPatchTransform:
         assert patch_transform(c1, nowhere) == []
         with pytest.raises(SonoclassError, match="no patch scores"):
             global_max(patch_transform(c1, nowhere), len(nowhere))
-
-    def test_each_thread_reads_one_operand_of_its_own(self, monkeypatch):
-        rng = np.random.default_rng(19)
-        c1 = c1_pyramid(rng.uniform(0, 1, size=(64, 64)))
-        ps = sample_patches([c1], n_patches=9, sizes=(4, 8, 12), seed=2)
-        monkeypatch.setattr(cpus, "worker_count", lambda n_tasks: min(2, n_tasks))
-        operands = {}  # thread -> its operands, kept alive
-        maps = {}
-        dot = np.dot
-
-        def spy(a, b, out):
-            operands.setdefault(threading.get_ident(), []).append(b)
-            maps[a.shape[1], b.shape[1]] = dot(a, b, out=out).copy()
-            return out
-
-        monkeypatch.setattr(np, "dot", spy)
-        s2 = patch_transform(c1, ps)
-        monkeypatch.undo()
-        assert len(operands) == 2
-        assert sum(map(len, operands.values())) == len(s2)
-        for each in operands.values():
-            assert all(np.shares_memory(each[0], b) for b in each[1:])
-        first, second = (each[0] for each in operands.values())
-        assert not np.shares_memory(first, second)
-        # the caller's thread scores the largest product first
-        largest = max(b.size for each in operands.values() for b in each)
-        assert operands[threading.get_ident()][0].size == largest
-        assert_maps_are_tensordots(c1, ps, s2, maps)
-
-    def test_helper_thread_error_reaches_the_caller(self, monkeypatch):
-        c1 = make_c1(18)
-        ps = sample_patches([c1], n_patches=6, sizes=(4, 8), seed=3)
-        monkeypatch.setattr(cpus, "worker_count", lambda n_tasks: min(2, n_tasks))
-        caller = threading.get_ident()
-        dot = np.dot
-
-        def fail_off_the_caller(a, b, out):
-            if threading.get_ident() != caller:
-                raise RuntimeError("helper failed")
-            return dot(a, b, out=out)
-
-        monkeypatch.setattr(np, "dot", fail_off_the_caller)
-        before = set(threading.enumerate())
-        with pytest.raises(RuntimeError, match="helper failed"):
-            patch_transform(c1, ps)
-        assert set(threading.enumerate()) == before
 
 
 def assert_maps_are_tensordots(c1, patch_set, s2, maps):
@@ -439,7 +398,7 @@ class TestGlobalMax:
         with pytest.raises(SonoclassError, match="patch 1 has no valid placements"):
             global_max(patch_transform(c1, ps), len(ps))
 
-    def test_c2_matches_einsum_reference_exactly(self, monkeypatch):
+    def test_c2_matches_einsum_reference_exactly(self):
         # the scale-3 plane of a 64x64 grid is 8x8, so size 12 fits scales 1-2 only
         rng = np.random.default_rng(17)
         for shape in ((128, 128), (64, 64)):
@@ -448,11 +407,7 @@ class TestGlobalMax:
             ps = sample_patches(c1s[:3], n_patches=40, sizes=(4, 8, 12), seed=11)
             for c1 in c1s:
                 expected = c2_reference.global_max(c2_reference.patch_transform(c1, ps))
-                # one loop, not a parametrization, so the test keeps its name
-                for workers in (1, 2, 3):
-                    monkeypatch.setattr(cpus, "worker_count",
-                                        lambda n_tasks, w=workers: min(w, n_tasks))
-                    assert np.array_equal(global_max(patch_transform(c1, ps), len(ps)), expected)
+                assert np.array_equal(global_max(patch_transform(c1, ps), len(ps)), expected)
 
 
 class TestEndToEnd:
