@@ -47,7 +47,7 @@ print("first three sources (clip, scale, row, col):", patch_set.sources[:3])
 # S2: one matrix product per (patch size, scale) scores every patch of that
 # size at every offset; patch_transform keeps only each patch's peak
 product = s2_products(c1, patch_set)[0]
-scores = score_product(product, np.empty(product.windows.size), np.empty(np.prod(product.shape)))
+scores = score_product(product, np.empty(product.windows.size + np.prod(product.shape)))
 print(f"\nS2 score maps of the size-{product.stack.shape[1]} patches at scale "
       f"{product.scale}: {scores.shape} (patches x row offsets x column offsets)")
 print(f"patch {product.indices[0]}'s map at this scale peaks at {scores[0].max():.3e}")

@@ -57,6 +57,19 @@ def _config_from_args(args) -> RunConfig:
     return load_config(args.config, overrides)
 
 
+def _check_out(path, directory: bool) -> None:
+    """Refuse, before any clip is read, an --out that cannot be written: an
+    existing directory where a file is written, an existing file where a
+    report directory is, or a path under a file."""
+    if path is None:
+        return
+    out = Path(path)
+    if out.exists() and out.is_dir() != directory:
+        raise SonoclassError(f"--out {path} is {'not a directory' if directory else 'a directory'}")
+    if any(p.exists() and not p.is_dir() for p in out.parents):
+        raise SonoclassError(f"--out {path} lies under a file")
+
+
 def _cmd_synth(args) -> int:
     manifest = generate_corpus(
         args.out,
@@ -142,6 +155,7 @@ def _cmd_train(args) -> int:
     config = _config_from_args(args)
     if args.dump_mi_scores and config.method == "wavelet":
         raise ConfigError("--dump-mi-scores needs a log-Gabor method; wavelet selects no features")
+    _check_out(args.out, directory=False)
     manifest = read_manifest(args.manifest)
     model = pipeline.train_model(manifest, config, cache_dir=args.cache_dir)
     save_model(args.out, model)
@@ -173,6 +187,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_gridsearch(args) -> int:
     config = _config_from_args(args)
+    _check_out(args.out, directory=False)
     manifest = read_manifest(args.manifest)
     best, table = pipeline.grid_search(manifest, config, cache_dir=args.cache_dir)
     if args.out:
@@ -187,6 +202,7 @@ def _cmd_gridsearch(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = _config_from_args(args)
+    _check_out(args.out, directory=True)
     manifest = read_manifest(args.manifest)
     result = pipeline.compare_methods(manifest, config, cache_dir=args.cache_dir)
     out_dir = Path(args.out)

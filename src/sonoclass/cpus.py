@@ -1,9 +1,10 @@
-"""Every parallel step, MI selection (`feature_select.mi_scores`),
-per-clip extraction (`pipeline.extract_features`) and compare's cold
-cache fill (`pipeline._extract_each_clip_once`), maps its tasks with
-`run_each` on `worker_count` workers, one per CPU, so `taskset -c 0` runs
-each serially. Threads map only clips and MI column blocks: nothing
-inside a task starts threads. Their results do not depend on the count."""
+"""Every parallel step maps its tasks with `run_each` on `worker_count`
+workers, one per CPU, so `taskset -c 0` runs each serially. MI selection
+(`feature_select.mi_scores`) maps column blocks; `pipeline.collect` maps
+clips, one task per manifest row, for per-clip extraction
+(`pipeline.extract_features`) and compare's cold cache fill
+(`pipeline._extract_each_clip_once`). Nothing inside a task starts
+threads. Their results do not depend on the count."""
 
 import os
 import threading

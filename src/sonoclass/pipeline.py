@@ -99,14 +99,19 @@ class FeatureExtractor:
     stats counts a hit or a miss for every stage looked up.
     content_hashes memoizes each clip's content hash by path; passing one
     dict to several extractors hashes each clip once between them. With no
-    cache directory no clip is hashed. Clip tasks on several threads may
-    share one extractor: each writes only its own clip's files and memo
-    entry, and stats counts under a lock.
+    cache directory no clip is hashed. A cache directory that is a file,
+    or lies under one, is refused here, before any clip is read; one that
+    does not exist yet is made by the first write. Clip tasks on several
+    threads may share one extractor: each writes only its own clip's files
+    and memo entry, and stats counts under a lock.
     """
 
     def __init__(self, config: RunConfig, cache_dir=None, content_hashes=None):
         self.config = config
         self.cache_dir = Path(cache_dir) if cache_dir else None
+        if self.cache_dir is not None and any(
+                p.exists() and not p.is_dir() for p in (self.cache_dir, *self.cache_dir.parents)):
+            raise SonoclassError(f"cache directory {cache_dir} is not a directory")
         self.stats = CacheStats()
         flat = config_to_flat(config)
         self._fixed_hash = _subset_hash(flat, _FIXED_KEYS)
@@ -130,16 +135,16 @@ class FeatureExtractor:
             return self._entry("c1", self._fixed_hash, content)
         return self._entry("feat", self._feature_hash, content)
 
-    def _cached(self, stage: str, stage_hash, path, shape: tuple[int, ...],
+    def _cached(self, stage: str, stage_hash: str, path, shape: tuple[int, ...],
                 compute) -> np.ndarray:
         """The stage's cached array if it is finite float64 of this shape, else
-        compute()'s, written to the cache. stage_hash() gives the stage's
-        hash; it and the clip's content hash are computed only with a cache
-        directory, and without one this only computes."""
+        compute()'s, written to the cache under stage_hash. The clip's
+        content hash is computed only with a cache directory, and without
+        one this only computes."""
         if self.cache_dir is None:
             self.stats.count(stage, hit=False)
             return compute()
-        entry = self._entry(stage, stage_hash(), self._content(path))
+        entry = self._entry(stage, stage_hash, self._content(path))
         try:
             with open(entry, "rb") as fh:
                 array = np.lib.format.read_array(fh)
@@ -166,7 +171,7 @@ class FeatureExtractor:
         shapes = [(len(wavelet_baseline.ORIENTATIONS), rows >> j, cols >> j)
                   for j in wavelet_baseline.SCALES]
         ends = np.cumsum([np.prod(shape) for shape in shapes])
-        joined = self._cached("c1", lambda: self._fixed_hash, path, (int(ends[-1]),),
+        joined = self._cached("c1", self._fixed_hash, path, (int(ends[-1]),),
                               lambda: _joined_c1(self.fixed_values(path)))
         return [part.reshape(shape) for part, shape in zip(np.split(joined, ends[:-1]), shapes)]
 
@@ -174,9 +179,8 @@ class FeatureExtractor:
         """The C2 vector for patch_set, cached under the C1 stage's config
         hash joined with the patch set's digest; pyramid is the clip's C1
         when the caller already holds it."""
-        def key():
-            text = f"{self._fixed_hash}\n{patch_set.digest}"
-            return hashlib.sha256(text.encode()).hexdigest()[:16]
+        text = f"{self._fixed_hash}\n{patch_set.digest}"
+        key = hashlib.sha256(text.encode()).hexdigest()[:16]
 
         def compute():
             c1 = self.c1(path) if pyramid is None else pyramid
@@ -187,7 +191,7 @@ class FeatureExtractor:
     def gabor_feature(self, path) -> np.ndarray:
         """The log-Gabor feature of the config's method."""
         # every log-Gabor method gives one value per fixed-grid cell
-        return self._cached("feat", lambda: self._feature_hash, path,
+        return self._cached("feat", self._feature_hash, path,
                             (self.config.fixed_rows * self.config.fixed_cols,),
                             lambda: _grid_entries([self.config], self.fixed_values(path))[0])
 
@@ -235,28 +239,20 @@ class ExtractResult:
     stats: CacheStats
 
 
-def _attempt(fn, entry) -> tuple:
-    """(fn(entry), None), or (None, the error) for a clip that failed."""
-    try:
-        return fn(entry), None
-    except (SonoclassError, OSError) as exc:
-        return None, exc
+def collect(entries, fn, mapped: bool = False) -> list:
+    """[fn(entry) for entry in entries], one task per entry: on the calling
+    thread, or with mapped over cpus.run_each on one worker per CPU
+    (cpus.worker_count). A failing entry does not stop the others; the run
+    then ends in one error that lists every entry it failed for, once each,
+    in entry order."""
+    def attempt(entry) -> tuple:
+        try:
+            return fn(entry), None
+        except (SonoclassError, OSError) as exc:
+            return None, exc
 
-
-def collect(entries, fn, workers: int = 1, key=None) -> list:
-    """fn(entry) for every entry, mapped over `workers` threads by
-    cpus.run_each. With key, the entries of one key(entry) share the one
-    call of fn on the first of them. A failure, of key or of fn, aborts the
-    run with one error that lists every entry it failed for, in order."""
     entries = list(entries)
-    keys = [_attempt(key, e) if key else (i, None) for i, e in enumerate(entries)]
-    firsts = {}  # key -> the first entry with it
-    for e, (k, error) in zip(entries, keys):
-        if error is None:
-            firsts.setdefault(k, e)
-    done = dict(zip(firsts, cpus.run_each(lambda e: _attempt(fn, e),
-                                          list(firsts.values()), workers)))
-    outcomes = [(None, error) if error else done[k] for k, error in keys]
+    outcomes = cpus.run_each(attempt, entries, cpus.worker_count(len(entries)) if mapped else 1)
     failures = [f"{e.path}: {error}" for e, (_, error) in zip(entries, outcomes) if error]
     if failures:
         raise SonoclassError(
@@ -283,9 +279,9 @@ def extract_features(
     row's C2 is computed from them on a miss. Each clip is hashed once per
     manifest object.
 
-    Without cache_dir, per-clip extraction is a parallel step: the clips
-    are mapped by cpus.run_each on one worker per CPU, each task filling
-    its own row on its own thread, S2 included; the wavelet train rows' C1
+    Without cache_dir, per-clip extraction is a parallel step: collect
+    maps the clips, one task per manifest row, each task filling its own
+    row on its own thread, S2 included; the wavelet train rows' C1
     pyramids are mapped the same way. With cache_dir the clips run
     serially on this thread, cold or warm, so a cold run's stage calls
     nest as a single-stack tracer (perfbench/tracer.py) counts them and a
@@ -295,10 +291,6 @@ def extract_features(
     a cache too. The matrix is the same bytes on any number of CPUs.
     """
     extractor = FeatureExtractor(config, cache_dir, manifest.content_hashes)
-
-    def each_clip(rows, fn, mapped: bool = cache_dir is None) -> list:
-        return collect(rows, fn, cpus.worker_count(len(rows)) if mapped else 1)
-
     pyramids: dict[str, list[np.ndarray]] = {}
     if config.method == "wavelet":
         if patch_set is None:
@@ -307,7 +299,7 @@ def extract_features(
                 raise SonoclassError(
                     "wavelet method needs a non-empty train split to sample patches"
                 )
-            train_c1 = each_clip(train_rows, lambda e: extractor.c1(e.path))
+            train_c1 = collect(train_rows, lambda e: extractor.c1(e.path), cache_dir is None)
             patch_set = sample_patches(
                 train_c1,
                 n_patches=config.wavelet_patches,
@@ -329,7 +321,7 @@ def extract_features(
     def fill(entry) -> None:
         values[row_of[entry.path]] = feature_fn(entry)
 
-    each_clip(entries, fill, cache_dir is None or all(e.path in pyramids for e in entries))
+    collect(entries, fill, cache_dir is None or all(e.path in pyramids for e in entries))
     label_index = {name: i for i, name in enumerate(manifest.classes)}
     matrices: dict[str, FeatureMatrix] = {}
     start = 0
@@ -456,14 +448,15 @@ def _extract_each_clip_once(manifest: DatasetManifest, configs: list[RunConfig],
     or test clip, through _grid_entries, so a bank entry and single entries
     missing together come from one filtering of the whole bank.
 
-    This cold cache fill is a parallel step: the clips with a missing entry
-    are mapped by collect over cpus.run_each, one task per distinct clip
-    content, on one worker per CPU, so a clip repeated under two paths is
-    filtered once and a warm cache starts no thread. The entries are the
-    same bytes on any number of CPUs. A damaged entry is left to the
-    read-and-check of the configuration that reads it. With no cache
-    directory there is nothing to fill, so it does nothing. One error lists
-    every clip that failed."""
+    This cold cache fill is a parallel step: collect maps the rows with a
+    missing entry, one task per manifest row, on one worker per CPU, so a
+    warm cache starts no thread. A clip repeated under two paths gets one
+    task per row: each writes the entries still missing when it starts,
+    and two that race write the same bytes through _write_cache's rename.
+    The entries are the same bytes on any number of CPUs. A damaged entry
+    is left to the read-and-check of the configuration that reads it. With
+    no cache directory there is nothing to fill, so it does nothing. One
+    error lists every clip that failed."""
     if not cache_dir:
         return
     extractors = [FeatureExtractor(cfg, cache_dir, manifest.content_hashes) for cfg in configs]
@@ -479,8 +472,8 @@ def _extract_each_clip_once(manifest: DatasetManifest, configs: list[RunConfig],
             return True
 
     def fill(row) -> None:
-        # memoized by collect's key before the map, so no task writes the memo;
-        # the counts base.stats takes are discarded
+        # memoized by incomplete before the map, so no task writes the memo (an
+        # unreadable clip raises again); the counts base.stats takes are discarded
         content = base._content(row.path)
         todo = missing(content)
         entries = _grid_entries([ex.config for ex in todo], base.fixed_values(row.path))
@@ -488,7 +481,7 @@ def _extract_each_clip_once(manifest: DatasetManifest, configs: list[RunConfig],
             _write_cache(ex.grid_entry(content), array)
 
     rows = [row for row in manifest.rows("train") + manifest.rows("test") if incomplete(row)]
-    collect(rows, fill, cpus.worker_count(len(rows)), key=lambda row: base._content(row.path))
+    collect(rows, fill, mapped=True)
 
 
 def compare_methods(

@@ -217,12 +217,12 @@ def s2_products(c1: list[np.ndarray], patch_set: PatchSet) -> list[S2Product]:
     return products
 
 
-def score_product(product: S2Product, operand: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """The product's score maps, a (P, U, V) view into scores:
+def score_product(product: S2Product, work: np.ndarray) -> np.ndarray:
+    """The product's score maps, a (P, U, V) view into work:
     [r, u, v] is patch indices[r]'s correlation (summed over the 3
-    orientations) at offset (u, v). operand and scores are flat float64
-    work arrays of at least product.windows.size and P * U * V values;
-    both are overwritten.
+    orientations) at offset (u, v). work is one flat float64 array of at
+    least product.windows.size + P * U * V values, overwritten: the
+    operand at its head, the scores after.
 
     The windows go into operand as a C-contiguous (M, M, 3, U, V) array,
     the operand np.tensordot(stack, windows, axes=((1, 2, 3), (3, 4, 0)))
@@ -233,9 +233,9 @@ def score_product(product: S2Product, operand: np.ndarray, scores: np.ndarray) -
     _, stack, _, windows = product
     p, u, v = product.shape
     m = stack.shape[1]
-    operand = operand[:windows.size].reshape(m, m, 3, u, v)
+    operand = work[:windows.size].reshape(m, m, 3, u, v)
     np.copyto(operand, windows.transpose(3, 4, 0, 1, 2))
-    out = scores[:p * u * v].reshape(p, u * v)
+    out = work[windows.size:windows.size + p * u * v].reshape(p, u * v)
     np.dot(stack.reshape(p, -1), operand.reshape(-1, u * v), out=out)
     return out.reshape(p, u, v)
 
@@ -249,15 +249,14 @@ def patch_transform(
     Result: one (indices, scale, peaks) entry per `s2_products` product,
     in that order; peaks[r] is the largest of patch indices[r]'s
     `score_product` scores at that scale. The products are scored in
-    order on the calling thread, in one flat work array sized to the
-    largest: its operand is the array's head and its scores the rest.
+    order on the calling thread, all in one work array sized to the
+    largest.
     """
     products = s2_products(c1, patch_set)
     work = np.empty(max((p.windows.size + np.prod(p.shape) for p in products), default=0))
     result = []
     for product in products:
-        head = product.windows.size
-        maps = score_product(product, work[:head], work[head:])
+        maps = score_product(product, work)
         result.append((product.indices, product.scale, maps.reshape(len(maps), -1).max(axis=1)))
     return result
 

@@ -563,6 +563,47 @@ class TestErrorPaths:
                        "wavelet selects no features\n")
         assert not cache.exists() and not scores.exists()  # refused before any clip is read
 
+    @staticmethod
+    def refuse_clip_reads(monkeypatch):
+        def refuse(path):
+            raise AssertionError(f"{path} read")
+
+        monkeypatch.setattr(pipeline.audio_io, "load_wav", refuse)
+        monkeypatch.setattr(pipeline, "_content_hash", refuse)
+
+    @pytest.mark.parametrize("command", ["extract", "train", "gridsearch", "compare"])
+    def test_cache_dir_that_is_a_file_is_refused_before_any_clip_is_read(
+            self, corpus, tmp_path, capsys, monkeypatch, command):
+        self.refuse_clip_reads(monkeypatch)
+        cache = tmp_path / "cache"
+        cache.write_text("not a directory\n")
+        out = tmp_path / "out"
+        rc = cli.main([command, "--manifest", str(corpus["manifest"]), "--cache-dir", str(cache),
+                       "--config", str(write_cfg(tmp_path, "grid.folds = 3")), "--out", str(out)])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"error: cache directory {cache} is not a directory\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, kind, why", [
+        ("train", "directory", "is a directory"), ("gridsearch", "directory", "is a directory"),
+        ("compare", "file", "is not a directory"), ("train", "under_a_file", "lies under a file"),
+        ("compare", "under_a_file", "lies under a file"),
+    ])
+    def test_out_of_the_wrong_kind_is_refused_before_any_clip_is_read(
+            self, corpus, tmp_path, capsys, monkeypatch, command, kind, why):
+        self.refuse_clip_reads(monkeypatch)
+        out = tmp_path / "out"
+        if kind == "directory":
+            out.mkdir()
+        else:
+            out.write_text("a file\n")
+            if kind == "under_a_file":
+                out = out / "sub"
+        rc = cli.main([command, "--manifest", str(corpus["manifest"]),
+                       "--config", str(write_cfg(tmp_path, "grid.folds = 3")), "--out", str(out)])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"error: --out {out} {why}\n"
+
     @pytest.mark.parametrize("command", ["train", "gridsearch", "compare"])
     def test_class_without_train_rows_is_data_error(self, corpus, tmp_path, capsys, command):
         manifest = read_manifest(corpus["manifest"])

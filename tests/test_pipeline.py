@@ -343,6 +343,18 @@ class TestExtract:
         compare_methods(manifest, mini_config, cache_dir=mini_corpus["cache"])
         assert sorted(hashed) == sorted(e.path for e in manifest.entries)
 
+    @pytest.mark.parametrize("where", ["file", "under_a_file"])
+    def test_a_cache_dir_that_is_not_a_directory_is_refused(self, mini_config, tmp_path,
+                                                            where):
+        blocker = tmp_path / "cache"
+        blocker.write_text("not a directory\n")
+        cache = blocker if where == "file" else blocker / "sub"
+        with pytest.raises(SonoclassError, match=f"^cache directory {re.escape(str(cache))} "
+                                                 "is not a directory$"):
+            FeatureExtractor(mini_config, cache)
+        # a path that does not exist yet is made by the first write
+        FeatureExtractor(mini_config, tmp_path / "new" / "cache")
+
     @pytest.mark.parametrize("method", ["bank", "wavelet"])
     def test_no_cache_hashes_no_clip(self, mini_corpus, mini_config, monkeypatch, method):
         def refuse(path):
@@ -501,9 +513,61 @@ def spy_thread_starts(monkeypatch) -> list:
     return started
 
 
+class TestCollect:
+    """collect's one task per entry, on the calling thread or mapped over
+    cpus.run_each."""
+
+    @staticmethod
+    def rows(n):
+        return entries([(f"clip_{i}.wav", "chirp", "train") for i in range(n)])
+
+    def test_unmapped_runs_on_the_calling_thread(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        started = spy_thread_starts(monkeypatch)
+        caller = threading.get_ident()
+        assert pipeline.collect(self.rows(4), lambda e: (e.path, threading.get_ident())) == [
+            (f"clip_{i}.wav", caller) for i in range(4)]
+        assert started == []
+
+    @pytest.mark.parametrize("n_cpus, n_rows", [(1, 5), (2, 5), (4, 5), (4, 3)])
+    def test_mapped_starts_one_thread_per_worker_but_the_caller(self, monkeypatch, n_cpus,
+                                                                 n_rows):
+        use_cpus(monkeypatch, n_cpus)
+        started = spy_thread_starts(monkeypatch)
+        rows = self.rows(n_rows)
+        assert pipeline.collect(rows, lambda e: e.path, mapped=True) == [e.path for e in rows]
+        assert len(started) == cpus.worker_count(n_rows) - 1 == min(n_cpus, n_rows) - 1
+
+    def test_an_empty_mapped_list_starts_no_thread(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        started = spy_thread_starts(monkeypatch)
+        assert pipeline.collect([], lambda e: 1 / 0, mapped=True) == []
+        assert started == []
+
+    @pytest.mark.parametrize("mapped", [False, True])
+    def test_every_failure_is_listed_once_in_entry_order(self, monkeypatch, mapped):
+        use_cpus(monkeypatch, 2)
+        rows = self.rows(7)
+        ran = []
+
+        def fn(e):
+            ran.append(e.path)
+            if e.path in ("clip_1.wav", "clip_6.wav"):
+                raise SonoclassError("bad data")
+            if e.path == "clip_2.wav":
+                raise FileNotFoundError("gone")
+            return e.path
+
+        with pytest.raises(SonoclassError) as err:
+            pipeline.collect(rows, fn, mapped)
+        assert str(err.value) == ("3 file(s) failed:\nclip_1.wav: bad data\n"
+                                  "clip_2.wav: gone\nclip_6.wav: bad data")
+        assert sorted(ran) == [e.path for e in rows]  # a failure stops no other entry
+
+
 class TestParallelFill:
-    """compare's cold cache fill, one clip task per distinct content on
-    cpus.run_each; the tests that do not set the worker count get one per
+    """compare's cold cache fill, one clip task per manifest row, mapped
+    by collect; the tests that do not set the worker count get one per
     CPU in the affinity mask, so `taskset -c 0` runs them serially."""
 
     def test_two_workers_write_the_one_worker_and_per_config_bytes(
@@ -567,20 +631,26 @@ class TestParallelFill:
         # the good clips' entries are all written
         assert len(files(cache)) == len(fill_configs(mini_config)) * len(good)
 
-    def test_a_repeated_clip_is_filtered_once(self, mini_corpus, mini_config, tmp_path,
-                                              monkeypatch):
+    def test_a_repeated_clip_writes_one_set_of_entries(self, mini_corpus, mini_config,
+                                                       tmp_path, monkeypatch):
         rows = mini_corpus["manifest"].rows("train")[:4]
         copy = tmp_path / "copy.wav"
         copy.write_bytes(Path(rows[0].path).read_bytes())
-        # the copy comes second, so two workers would take both at once
+        # the copy comes second, so two of the four workers take both at once
         manifest = DatasetManifest(rows[:1] + entries([(str(copy), rows[0].label, "train")])
                                    + rows[1:])
-        made = []
-        to_fixed = pipeline.to_fixed
-        monkeypatch.setattr(pipeline, "to_fixed", lambda *args: made.append(1) or to_fixed(*args))
-        pipeline._extract_each_clip_once(manifest, fill_configs(mini_config), tmp_path / "cache")
-        assert len(made) == len(rows)
+        monkeypatch.setattr(cpus, "worker_count", lambda n_tasks: min(4, n_tasks))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pipeline._extract_each_clip_once(manifest, fill_configs(mini_config),
+                                             tmp_path / "cache")
+        finally:
+            sys.setswitchinterval(interval)
+        pipeline._extract_each_clip_once(DatasetManifest(rows), fill_configs(mini_config),
+                                         tmp_path / "no_copy")
         assert len(files(tmp_path / "cache")) == len(fill_configs(mini_config)) * len(rows)
+        assert files(tmp_path / "cache") == files(tmp_path / "no_copy")
 
     def test_warm_compare_fill_starts_no_thread(self, mini_corpus, mini_config, cold_compare,
                                                 monkeypatch):

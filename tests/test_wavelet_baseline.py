@@ -243,10 +243,8 @@ class TestSamplePatches:
 def s2_maps(c1, patch_set):
     """patch_transform's (indices, scale, scores) entries, each with the
     product's whole score maps from score_product instead of its peaks."""
-    products = s2_products(c1, patch_set)
-    operand = np.empty(max((p.windows.size for p in products), default=0))
-    return [(p.indices, p.scale, score_product(p, operand, np.empty(np.prod(p.shape))))
-            for p in products]
+    return [(p.indices, p.scale, score_product(p, np.empty(p.windows.size + np.prod(p.shape))))
+            for p in s2_products(c1, patch_set)]
 
 
 def score_maps(s2):
