@@ -22,8 +22,9 @@ from sonoclass import (
 from sonoclass.log_gabor import band_row_ranges
 
 bank = build_bank((128, 128))
-print(f"bank: {bank.n_filters} filters "
-      f"({bank.params.n_scales} scales x {bank.params.n_orientations} orientations)")
+n_scales, n_orientations = bank.masks.shape[:2]
+print(f"bank: {n_scales * n_orientations} filters "
+      f"({n_scales} scales x {n_orientations} orientations)")
 print(f"central frequencies: {[round(f, 4) for f in bank.params.f0_per_scale]} cycles/pixel")
 for scale in (1, 2):
     mask = bank.mask(scale, 1)

@@ -7,15 +7,15 @@ when the most violating pair is within the tolerance of optimality.
 
 import numpy as np
 
-from sonoclass import FeatureMatrix, KernelParams, ovo_train, rbf_kernel, smo_train
-from sonoclass.svm import grid_search_cv, ovo_predict_batch
+from sonoclass import FeatureMatrix, KernelParams, ovo_train, smo_train
+from sonoclass.svm import grid_search_cv, ovo_predict_batch, rbf_kernel_matrix
 
 rng = np.random.default_rng(1)
 
 # --- binary problem with a known closed form -------------------------------
 x = rng.normal(size=(2, 3))
 y = np.array([1.0, -1.0])
-k12 = rbf_kernel(x[0], x[1], gamma=0.5)
+k12 = rbf_kernel_matrix(x, x, gamma=0.5)[0, 1]
 model = smo_train(x, y, KernelParams(gamma=0.5, c=100.0), tol=1e-10, max_passes=200)
 print(f"two-point problem: alpha = {abs(model.dual_coef[0]):.6f}, "
       f"closed form 1/(1-K12) = {1 / (1 - k12):.6f}")

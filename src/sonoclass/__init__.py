@@ -21,9 +21,7 @@ from .feature_select import (
     FeatureMatrix,
     MiSelection,
     apply_selection,
-    discretize,
     mi_scores,
-    mutual_information,
     select_top_k,
 )
 from .log_gabor import (
@@ -54,7 +52,6 @@ from .svm import (
     grid_search_cv,
     ovo_predict_batch,
     ovo_train,
-    rbf_kernel,
     smo_train,
 )
 from .wavelet_baseline import (

@@ -101,6 +101,8 @@ def _cmd_split(args) -> int:
 
 def _cmd_extract(args) -> int:
     config = _config_from_args(args)
+    if args.out:  # np.savez appends .npz to a name that lacks it
+        _check_out(args.out if args.out.endswith(".npz") else args.out + ".npz", directory=False)
     manifest = read_manifest(args.manifest)
 
     if args.dump_spectrograms:
@@ -173,6 +175,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    if args.out:
+        for suffix in (".csv", ".txt"):
+            _check_out(args.out + suffix, directory=False)
     model = load_model(args.model)
     manifest = read_manifest(args.manifest)
     result = pipeline.evaluate_model(model, manifest, cache_dir=args.cache_dir)

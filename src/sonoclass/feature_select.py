@@ -4,16 +4,15 @@ Features are discretized into equal-width histograms (edges fit on training
 data only) and scored by I(feature; label) in bits; the top-K indices by
 score reduce every feature vector thereafter.
 
-`mi_scores` scores a block of columns at a time, the blocks on every CPU
-of the affinity mask through `cpus.run_each`: one `bincount` over
-(column, bin, class) codes gives every joint table of the block, and the
-MI terms of the nonzero cells of all its columns are computed together.
-The columns that have the same number m of nonzero cells are summed
-together, each as one row of m terms; that rounds exactly like the 1-D
-`np.sum` in `_mi_from_counts`, so the scores are bit-identical to scoring
-each column with `discretize` and `mutual_information`. Those per-column
-functions stay: they are the public estimator and the oracle the blocked
-pass is tested against.
+`mi_scores` is the library's one MI estimator. It scores a block of
+columns at a time, the blocks on every CPU of the affinity mask through
+`cpus.run_each`: one `bincount` over (column, bin, class) codes gives every
+joint table of the block, and the MI terms of the nonzero cells of all its
+columns are computed together. The columns that have the same number m of
+nonzero cells are summed together, each as one row of m terms; that rounds
+exactly like a 1-D `np.sum` over one column's m terms, so the scores are
+bit-identical to scoring each column on its own. The per-column reference
+the tests hold it to is `tests/mi_reference.py`.
 """
 
 from __future__ import annotations
@@ -78,43 +77,6 @@ class MiSelection:
             raise SonoclassError(f"{self.scores.size} scores for {self.selected.size} indices")
 
 
-def discretize(column: np.ndarray, n_bins: int) -> np.ndarray:
-    """Equal-width bins over [min, max]; a constant column maps to bin 0."""
-    if n_bins < 2:
-        raise ValueError("need at least 2 bins")
-    column = np.asarray(column, dtype=np.float64)
-    lo = column.min()
-    hi = column.max()
-    if hi == lo:
-        return np.zeros(column.shape, dtype=np.int64)
-    idx = np.floor((column - lo) * (n_bins / (hi - lo))).astype(np.int64)
-    return np.clip(idx, 0, n_bins - 1)
-
-
-def mutual_information(x: np.ndarray, y: np.ndarray) -> float:
-    """I(X; Y) in bits from empirical joint frequencies (0 log 0 = 0)."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape or x.ndim != 1 or x.size == 0:
-        raise SonoclassError(f"x has shape {x.shape}, y has shape {y.shape}")
-    _, xi = np.unique(x, return_inverse=True)
-    _, yi = np.unique(y, return_inverse=True)
-    n_x = int(xi.max()) + 1
-    n_y = int(yi.max()) + 1
-    joint = np.bincount(xi * n_y + yi, minlength=n_x * n_y).reshape(n_x, n_y)
-    return _mi_from_counts(joint)
-
-
-def _mi_from_counts(joint: np.ndarray) -> float:
-    total = joint.sum()
-    p_xy = joint / total
-    p_x = p_xy.sum(axis=1, keepdims=True)
-    p_y = p_xy.sum(axis=0, keepdims=True)
-    mask = p_xy > 0
-    ratio = p_xy[mask] / (p_x @ p_y)[mask]
-    return max(float(np.sum(p_xy[mask] * np.log2(ratio))), 0.0)
-
-
 def mi_scores(matrix: FeatureMatrix, n_bins: int = DEFAULT_N_BINS) -> np.ndarray:
     """MI with the labels, in bits, of every feature: shape (D,).
 
@@ -160,16 +122,17 @@ def select_top_k(matrix: FeatureMatrix, k: int, n_bins: int = DEFAULT_N_BINS) ->
 def _block_scores(
     block: np.ndarray, label_idx: np.ndarray, n_classes: int, n_bins: int
 ) -> np.ndarray:
-    """MI of each column of an S x B block, as `discretize` followed by
-    `_mi_from_counts` would give it, bit for bit."""
+    """MI of each column of an S x B block, bit for bit as the per-column
+    reference in `tests/mi_reference.py` gives it: equal-width bins over
+    [min, max], then one 1-D sum of the column's terms."""
     n_samples, width = block.shape
     cells = n_bins * n_classes
     lo = block.min(axis=0)
     span = block.max(axis=0) - lo
     span[span == 0] = 1.0  # a constant column has x - lo == 0: bin 0
-    # x - lo >= 0, so truncating to int is discretize's floor; the clip
-    # takes the column maximum from n_bins to the top bin, and, as in
-    # discretize, a NaN from an overflowing bin width to bin 0
+    # x - lo >= 0, so truncating to int is a floor; the clip takes the
+    # column maximum from n_bins to the top bin, and a NaN from an
+    # overflowing bin width to bin 0
     scaled = block - lo
     scaled *= n_bins / span
     codes = scaled.astype(np.int64)
@@ -214,7 +177,7 @@ def _block_scores(
         sums[order[row:row + count]] = runs[at:at + count * m].reshape(count, m).sum(axis=1)
         row += count
         at += count * m
-    return np.where(sums < 0.0, 0.0, sums)  # max(sum, 0.0), as _mi_from_counts
+    return np.where(sums < 0.0, 0.0, sums)  # max(sum, 0.0): rounding can dip below 0
 
 
 def apply_selection(vector: np.ndarray, selection: MiSelection) -> np.ndarray:

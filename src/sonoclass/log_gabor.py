@@ -82,10 +82,6 @@ class LogGaborBank:
     masks: np.ndarray  # (n_scales, n_orientations, rows, cols), FFT layout
     params: LogGaborParams
 
-    @property
-    def n_filters(self) -> int:
-        return self.masks.shape[0] * self.masks.shape[1]
-
     def mask(self, scale: int, orientation: int) -> np.ndarray:
         n_s, n_o = self.masks.shape[:2]
         if not (1 <= scale <= n_s and 1 <= orientation <= n_o):
@@ -153,10 +149,6 @@ def _cached_bank(grid_shape: tuple[int, int], params: LogGaborParams | None) -> 
             masks[m, n] = mask / mask.max()
     masks.setflags(write=False)
     return LogGaborBank(masks=masks, params=params)
-
-
-build_bank.cache_info = _cached_bank.cache_info
-build_bank.cache_clear = _cached_bank.cache_clear
 
 
 def apply_filter(values: np.ndarray, masks: np.ndarray) -> np.ndarray:

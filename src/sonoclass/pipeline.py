@@ -452,7 +452,8 @@ def _extract_each_clip_once(manifest: DatasetManifest, configs: list[RunConfig],
     missing entry, one task per manifest row, on one worker per CPU, so a
     warm cache starts no thread. A clip repeated under two paths gets one
     task per row: each writes the entries still missing when it starts,
-    and two that race write the same bytes through _write_cache's rename.
+    computing no fixed grid if there are none, and two that race write the
+    same bytes through _write_cache's rename.
     The entries are the same bytes on any number of CPUs. A damaged entry
     is left to the read-and-check of the configuration that reads it. With
     no cache directory there is nothing to fill, so it does nothing. One
@@ -476,6 +477,8 @@ def _extract_each_clip_once(manifest: DatasetManifest, configs: list[RunConfig],
         # unreadable clip raises again); the counts base.stats takes are discarded
         content = base._content(row.path)
         todo = missing(content)
+        if not todo:  # a copy whose twin's task wrote every entry first
+            return
         entries = _grid_entries([ex.config for ex in todo], base.fixed_values(row.path))
         for ex, array in zip(todo, entries):
             _write_cache(ex.grid_entry(content), array)

@@ -119,16 +119,6 @@ class _Batch:
         )
 
 
-def rbf_kernel(x: np.ndarray, x2: np.ndarray, gamma: float) -> float:
-    """exp(-gamma * ||x - x2||^2); equals 1 at zero distance."""
-    x = np.asarray(x, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    if x.shape != x2.shape:
-        raise SonoclassError(f"{x.shape} vs {x2.shape}")
-    diff = x - x2
-    return float(np.exp(-gamma * np.dot(diff, diff)))
-
-
 def rbf_kernel_matrix(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     """Pairwise kernel values between the rows of a and b."""
     a = np.asarray(a, dtype=np.float64)

@@ -10,7 +10,8 @@ import pytest
 import qp_oracle
 from sonoclass.audio_io import AudioClip, generate_corpus, synthesize_clip
 from sonoclass.config import RunConfig
-from sonoclass.feature_select import mutual_information
+from sonoclass.errors import SonoclassError
+from sonoclass.feature_select import FeatureMatrix, mi_scores
 from sonoclass.log_gabor import build_bank
 from sonoclass.manifest import DatasetManifest, ManifestEntry, auto_split
 from sonoclass.pipeline import (
@@ -30,7 +31,7 @@ from sonoclass.wavelet_baseline import (
     normalize_scale,
     tiwt,
 )
-from test_feature_select import mi_table_oracle, samples_from_counts
+from mi_reference import mi_table_oracle, samples_from_counts
 from test_wavelet_baseline import direct_detail, s2_maps, score_maps
 
 
@@ -122,27 +123,39 @@ def test_criterion_2_log_gabor_contract():
 # ---------------------------------------------------------------------------
 
 def test_criterion_3_mi_oracle():
+    def library_mi(counts, seed):
+        # r bins over the codes 0..r-1 keep every code in a bin of its own,
+        # so mi_scores sees the table itself
+        x, y = samples_from_counts(counts, seed=seed)
+        return mi_scores(FeatureMatrix(x[:, None], y), n_bins=counts.shape[0])[0]
+
     with Timer() as t:
         rng = np.random.default_rng(103)
         worst = 0.0
-        done = 0
+        done = refused = one_class = 0
         while done < 1000:
             counts = rng.integers(0, 6, size=(int(rng.integers(2, 5)),
                                               int(rng.integers(2, 5))))
             if counts.sum() < 2:
                 continue
-            x, y = samples_from_counts(counts, seed=done)
-            worst = max(worst, abs(mutual_information(x, y) - mi_table_oracle(counts)))
+            if np.count_nonzero(counts.sum(axis=0)) < 2:
+                one_class += 1  # mi_scores refuses one class, by design
+                try:
+                    library_mi(counts, done)
+                except SonoclassError:
+                    refused += 1
+            else:
+                worst = max(worst, abs(library_mi(counts, done) - mi_table_oracle(counts)))
             done += 1
-        tables_ok = worst <= 1e-12
+        tables_ok = worst <= 1e-12 and refused == one_class > 0
 
-        x, y = samples_from_counts(np.array([[4, 1], [1, 4]]))
-        worked = mutual_information(x, y)
+        worked = library_mi(np.array([[4, 1], [1, 4]]), 0)
         worked_ok = (
             abs(worked - 0.27807190511263774) <= 1e-12 and round(worked, 4) == 0.2781
         )
     report(3, tables_ok and worked_ok, t.elapsed, 5.0,
-           f"1000 tables worst diff {worst:.1e}; 2x2 table = {worked:.4f} bits")
+           f"1000 tables worst diff {worst:.1e}, {refused}/{one_class} one-class refused; "
+           f"2x2 table = {worked:.4f} bits")
 
 
 # ---------------------------------------------------------------------------

@@ -604,6 +604,44 @@ class TestErrorPaths:
         assert rc == cli.EXIT_DATA
         assert capsys.readouterr().err == f"error: --out {out} {why}\n"
 
+    @pytest.mark.parametrize("out, made, written, why", [
+        ("feats", "feats.npz", "feats.npz", "is a directory"),  # np.savez appends .npz
+        ("feats.npz", "feats.npz", "feats.npz", "is a directory"),
+        ("afile/feats", "afile", "afile/feats.npz", "lies under a file"),
+    ])
+    def test_extract_out_of_the_wrong_kind_is_refused_before_any_clip_is_read(
+            self, corpus, tmp_path, capsys, monkeypatch, out, made, written, why):
+        if made == "afile":
+            (tmp_path / made).write_text("a file\n")
+        else:
+            (tmp_path / made).mkdir()
+        self.refuse_clip_reads(monkeypatch)
+        rc = cli.main(["extract", "--manifest", str(corpus["manifest"]),
+                       "--out", str(tmp_path / out)])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"error: --out {tmp_path / written} {why}\n"
+
+    @pytest.mark.parametrize("made, prefix, written, why", [
+        ("r.txt", "r", "r.txt", "is a directory"),
+        ("afile", "afile/r", "afile/r.csv", "lies under a file"),
+    ])
+    def test_evaluate_out_of_the_wrong_kind_is_refused_before_any_clip_is_read(
+            self, corpus, tmp_path, capsys, monkeypatch, made, prefix, written, why):
+        model = tmp_path / "m.txt"
+        assert cli.main(["train", "--manifest", str(corpus["manifest"]), "--top-k", "16",
+                         "--cache-dir", corpus["cache"], "--out", str(model)]) == 0
+        if made == "afile":
+            (tmp_path / made).write_text("a file\n")
+        else:
+            (tmp_path / made).mkdir()
+        self.refuse_clip_reads(monkeypatch)
+        capsys.readouterr()
+        rc = cli.main(["evaluate", str(model), "--manifest", str(corpus["manifest"]),
+                       "--out", str(tmp_path / prefix)])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"error: --out {tmp_path / written} {why}\n"
+        assert not (tmp_path / "r.csv").exists()
+
     @pytest.mark.parametrize("command", ["train", "gridsearch", "compare"])
     def test_class_without_train_rows_is_data_error(self, corpus, tmp_path, capsys, command):
         manifest = read_manifest(corpus["manifest"])

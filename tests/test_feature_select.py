@@ -5,6 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
+from mi_reference import (
+    discretize,
+    mi_table_oracle,
+    mutual_information,
+    per_column_oracle,
+    samples_from_counts,
+)
 from sonoclass import cpus, feature_select
 from sonoclass.errors import SonoclassError
 from sonoclass.feature_select import (
@@ -12,42 +19,20 @@ from sonoclass.feature_select import (
     FeatureMatrix,
     MiSelection,
     apply_selection,
-    discretize,
     mi_scores,
-    mutual_information,
     select_top_k,
 )
 
 # Frozen from the direct evaluation of the joint table [[0.4, 0.1], [0.1, 0.4]]
-# (computed with mi_table_oracle below before being pinned here).
+# (computed with mi_table_oracle before being pinned here).
 MI_2X2_BITS = 0.27807190511263774
 
 
-def mi_table_oracle(joint):
-    """Direct textbook evaluation over an explicit probability table."""
-    joint = np.asarray(joint, dtype=float)
-    joint = joint / joint.sum()
-    p_x = joint.sum(axis=1)
-    p_y = joint.sum(axis=0)
-    total = 0.0
-    for i in range(joint.shape[0]):
-        for j in range(joint.shape[1]):
-            if joint[i, j] > 0:
-                total += joint[i, j] * math.log2(joint[i, j] / (p_x[i] * p_y[j]))
-    return total
-
-
-def samples_from_counts(counts, seed=0):
-    """Expand a count table into (x, y) sample arrays, shuffled."""
-    xs, ys = [], []
-    for i in range(counts.shape[0]):
-        for j in range(counts.shape[1]):
-            xs += [i] * counts[i, j]
-            ys += [j] * counts[i, j]
-    xs = np.array(xs)
-    ys = np.array(ys)
-    order = np.random.default_rng(seed).permutation(xs.size)
-    return xs[order], ys[order]
+def library_mi(x, y, n_bins):
+    """mi_scores of the one column x of integer codes against the labels y.
+    With at least as many bins as x has integers in its range, each code
+    keeps a bin of its own, so the joint table is the codes' table."""
+    return mi_scores(FeatureMatrix(np.asarray(x, dtype=float)[:, None], y), n_bins=n_bins)[0]
 
 
 class TestDiscretize:
@@ -67,19 +52,22 @@ class TestDiscretize:
 
 
 class TestMutualInformation:
+    """The estimator's properties, on mi_scores; symmetry and the shape
+    error are the per-column reference's own."""
+
     def test_identity_uniform_binary_is_one_bit(self):
         y = np.array([0, 1] * 8)
-        assert mutual_information(y, y) == pytest.approx(1.0)
+        assert library_mi(y, y, n_bins=2) == pytest.approx(1.0)
 
     def test_constant_is_independent(self):
         x = np.zeros(12, dtype=int)
         y = np.array([0, 1, 2] * 4)
-        assert mutual_information(x, y) == 0.0
+        assert library_mi(x, y, n_bins=2) == 0.0
 
     def test_worked_2x2_table(self):
         counts = np.array([[4, 1], [1, 4]])
         x, y = samples_from_counts(counts)
-        assert mutual_information(x, y) == pytest.approx(MI_2X2_BITS, abs=1e-12)
+        assert library_mi(x, y, n_bins=2) == pytest.approx(MI_2X2_BITS, abs=1e-12)
         assert mi_table_oracle(counts) == pytest.approx(MI_2X2_BITS, abs=1e-15)
 
     def test_symmetry_exact(self):
@@ -93,7 +81,7 @@ class TestMutualInformation:
         for _ in range(50):
             x = rng.integers(0, 5, size=40)
             y = rng.integers(0, 4, size=40)
-            assert mutual_information(x, y) >= 0.0
+            assert library_mi(x, y, n_bins=5) >= 0.0
 
     def test_matches_table_oracle_on_random_tables(self):
         rng = np.random.default_rng(2)
@@ -102,7 +90,11 @@ class TestMutualInformation:
             if counts.sum() == 0:
                 continue
             x, y = samples_from_counts(counts, seed=int(rng.integers(1 << 30)))
-            assert mutual_information(x, y) == pytest.approx(
+            if np.unique(y).size < 2:  # one class: refused, by design
+                with pytest.raises(SonoclassError, match="at least 2 distinct classes"):
+                    library_mi(x, y, n_bins=counts.shape[0])
+                continue
+            assert library_mi(x, y, n_bins=counts.shape[0]) == pytest.approx(
                 mi_table_oracle(counts), abs=1e-12
             )
 
@@ -112,7 +104,7 @@ class TestMutualInformation:
         for _ in range(50):
             x = rng.integers(0, 8, size=80)
             y = rng.integers(0, 3, size=80)
-            assert mutual_information(x // 2, y) <= mutual_information(x, y) + 1e-12
+            assert library_mi(x // 2, y, n_bins=4) <= library_mi(x, y, n_bins=8) + 1e-12
 
     def test_length_mismatch(self):
         with pytest.raises(SonoclassError, match=r"x has shape \(4,\), y has shape \(5,\)"):
@@ -201,12 +193,6 @@ def parity_matrix(seed, n_samples, n_features, classes):
     dup = np.flatnonzero(kind == 3)
     values[:, dup] = values[:, rng.integers(0, n_features, size=dup.size)]
     return FeatureMatrix(values, labels)
-
-
-def per_column_oracle(matrix, n_bins):
-    return np.array([
-        mutual_information(discretize(col, n_bins), matrix.labels) for col in matrix.values.T
-    ])
 
 
 # 40 bins x 10 classes on 300 rows: some columns have more than 128 nonzero

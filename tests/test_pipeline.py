@@ -1,15 +1,17 @@
 import os
 import re
 import shutil
+import subprocess
 import sys
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sonoclass import cpus, log_gabor, pipeline
+from sonoclass import cli, cpus, log_gabor, pipeline
 from sonoclass.audio_io import generate_corpus
 from sonoclass.config import (
     CONFIG_KEYS,
@@ -233,10 +235,10 @@ class TestConfig:
 
 class TestExtract:
     def test_cold_compare_builds_one_bank_per_grid(self, mini_corpus, mini_config, tmp_path):
-        log_gabor.build_bank.cache_clear()
+        log_gabor._cached_bank.cache_clear()
         compare_methods(mini_corpus["manifest"], mini_config, cache_dir=tmp_path / "cache")
         # 128x128 for single and bank, 43x128 and 42x128 for the patches bands
-        assert log_gabor.build_bank.cache_info().misses == 3
+        assert log_gabor._cached_bank.cache_info().misses == 3
 
     def test_bank_dimensions_and_order(self, mini_corpus, mini_config):
         result = extract_features(mini_corpus["manifest"], mini_config,
@@ -596,7 +598,7 @@ class TestParallelFill:
     def test_four_workers_switching_often_build_each_bank_once(
             self, mini_corpus, mini_config, cold_compare, tmp_path, monkeypatch):
         monkeypatch.setattr(cpus, "worker_count", lambda n_tasks: min(4, n_tasks))
-        log_gabor.build_bank.cache_clear()
+        log_gabor._cached_bank.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -605,7 +607,7 @@ class TestParallelFill:
         finally:
             sys.setswitchinterval(interval)
         # 128x128 for single and bank, 43x128 and 42x128 for the patches bands
-        assert log_gabor.build_bank.cache_info().misses == 3
+        assert log_gabor._cached_bank.cache_info().misses == 3
         assert files(tmp_path / "cache") == {
             path: data for path, data in files(cold_compare[0]).items() if path.parts[0] != "c2"}
 
@@ -650,6 +652,24 @@ class TestParallelFill:
         pipeline._extract_each_clip_once(DatasetManifest(rows), fill_configs(mini_config),
                                          tmp_path / "no_copy")
         assert len(files(tmp_path / "cache")) == len(fill_configs(mini_config)) * len(rows)
+        assert files(tmp_path / "cache") == files(tmp_path / "no_copy")
+
+    def test_a_copy_filled_after_its_twin_makes_no_fixed_grid(self, mini_corpus, mini_config,
+                                                             tmp_path, monkeypatch):
+        rows = mini_corpus["manifest"].rows("train")[:4]
+        copy = tmp_path / "copy.wav"
+        copy.write_bytes(Path(rows[0].path).read_bytes())
+        manifest = DatasetManifest(rows[:1] + entries([(str(copy), rows[0].label, "train")])
+                                   + rows[1:])
+        # one worker: the copy's task starts after its twin's has written every entry
+        monkeypatch.setattr(cpus, "worker_count", lambda n_tasks: min(1, n_tasks))
+        made = []
+        to_fixed = pipeline.to_fixed
+        monkeypatch.setattr(pipeline, "to_fixed", lambda *args: made.append(1) or to_fixed(*args))
+        pipeline._extract_each_clip_once(manifest, fill_configs(mini_config), tmp_path / "cache")
+        assert len(made) == len(rows)
+        pipeline._extract_each_clip_once(DatasetManifest(rows), fill_configs(mini_config),
+                                         tmp_path / "no_copy")
         assert files(tmp_path / "cache") == files(tmp_path / "no_copy")
 
     def test_warm_compare_fill_starts_no_thread(self, mini_corpus, mini_config, cold_compare,
@@ -775,6 +795,93 @@ class TestWriteCache:
             pipeline._write_cache(entry, np.arange(4.0))
         assert list(entry.parent.iterdir()) == [entry]
         assert np.array_equal(np.load(entry), np.arange(3.0))
+
+
+# Runs the sonoclass CLI with its argv[3:] and ends the process with
+# os._exit(9) at the argv[2]-th cache write: "rename" exits in place of that
+# write's os.replace, "write" after saving half of its bytes.
+CRASH_CHILD = """
+import io, itertools, os, sys
+from sonoclass import cli, pipeline
+
+kind, k = sys.argv[1], int(sys.argv[2])
+calls = itertools.count(1)  # next() is atomic, so the fill's threads count exactly
+replace, save = pipeline.os.replace, pipeline.np.save
+
+def replace_or_die(src, dst):
+    if kind == "rename" and next(calls) == k:
+        os._exit(9)
+    replace(src, dst)
+
+def save_or_die(fh, array):
+    if kind == "write" and next(calls) == k:
+        buf = io.BytesIO()
+        save(buf, array)
+        data = buf.getvalue()
+        fh.write(data[:len(data) // 2])
+        fh.flush()
+        os._exit(9)
+    save(fh, array)
+
+pipeline.os.replace, pipeline.np.save = replace_or_die, save_or_die
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+
+def entry_files(root):
+    """Every file under root but the orphan temp files of a crashed run."""
+    return {path: data for path, data in files(root).items() if path.suffix != ".tmp"}
+
+
+class TestCrashedCompare:
+    """A cold compare killed at one of its cache writes leaves only whole
+    entries, and a rerun on that cache completes it byte for byte."""
+
+    @pytest.fixture(scope="class")
+    def clean(self, mini_corpus, tmp_path_factory):
+        """The flags of a compare of the mini corpus, a clean cold run's
+        cache and reports, and the number of cache writes it made."""
+        root = tmp_path_factory.mktemp("crash")
+        write_manifest(root / "manifest.tsv", mini_corpus["manifest"])
+        (root / "run.cfg").write_text("wavelet.patches = 30\n")
+        flags = ["--manifest", str(root / "manifest.tsv"), "--config", str(root / "run.cfg"),
+                 "--top-k", "32", "--c", "8", "--gamma", "0.5", "--seed", "1"]
+        writes = []
+        save = np.save
+        np.save = lambda fh, array: writes.append(fh) or save(fh, array)
+        try:
+            rc = cli.main(["compare", *flags, "--cache-dir", str(root / "cache"),
+                           "--out", str(root / "out")])
+        finally:
+            np.save = save
+        assert rc == 0
+        return flags, entry_files(root / "cache"), files(root / "out"), len(writes)
+
+    @pytest.mark.parametrize("kind, at", [
+        ("rename", "first"), ("rename", "middle"), ("rename", "last but one"),
+        ("write", "middle"),
+    ])
+    def test_a_rerun_completes_the_cache_of_a_killed_cold_compare(
+            self, clean, tmp_path, src_env, kind, at):
+        flags, entries, reports, n_writes = clean
+        k = {"first": 1, "middle": n_writes // 2, "last but one": n_writes - 1}[at]
+        cache, out = tmp_path / "cache", tmp_path / "out"
+        t0 = time.perf_counter()
+        child = subprocess.run(
+            [sys.executable, "-c", CRASH_CHILD, kind, str(k), "compare", *flags,
+             "--cache-dir", str(cache), "--out", str(out)],
+            capture_output=True, text=True, env=src_env(), timeout=30,
+        )
+        assert child.returncode == 9, child.stderr
+        left = entry_files(cache)
+        # at most the writes before the k-th, each one whole
+        assert len(left) < k
+        assert all(entries.get(path) == data for path, data in left.items())
+        assert not out.exists()
+        assert cli.main(["compare", *flags, "--cache-dir", str(cache), "--out", str(out)]) == 0
+        assert entry_files(cache) == entries
+        assert files(out) == reports
+        assert time.perf_counter() - t0 < 30.0
 
 
 def test_unconverged_compare_warns_once_with_the_count(mini_corpus, mini_config, cold_compare):

@@ -16,7 +16,6 @@ from sonoclass.svm import (
     grid_search_cv,
     ovo_predict_batch,
     ovo_train,
-    rbf_kernel,
     rbf_kernel_matrix,
     smo_train,
     stratified_folds,
@@ -34,21 +33,17 @@ def blobs(seed=0, n_per=15, centers=((0.0, 0.0), (4.0, 4.0)), spread=0.4):
 
 class TestRbfKernel:
     def test_zero_distance(self):
-        x = np.array([1.0, -2.0, 0.5])
-        assert rbf_kernel(x, x, gamma=3.0) == 1.0
+        x = np.array([[1.0, -2.0, 0.5]])
+        assert rbf_kernel_matrix(x, x, gamma=3.0)[0, 0] == 1.0
 
     def test_unit_exponent(self):
-        x = np.zeros(2)
-        x2 = np.array([1.0, 0.0])  # squared distance 1 = 1/gamma
-        assert rbf_kernel(x, x2, gamma=1.0) == pytest.approx(np.exp(-1.0))
+        x = np.zeros((1, 2))
+        x2 = np.array([[1.0, 0.0]])  # squared distance 1 = 1/gamma
+        assert rbf_kernel_matrix(x, x2, gamma=1.0)[0, 0] == pytest.approx(np.exp(-1.0))
 
     def test_small_gamma_limit(self):
-        x, x2 = np.zeros(3), np.ones(3)
-        assert rbf_kernel(x, x2, gamma=1e-12) > 0.999999
-
-    def test_length_mismatch(self):
-        with pytest.raises(SonoclassError, match=r"\(2,\) vs \(3,\)"):
-            rbf_kernel(np.zeros(2), np.zeros(3), gamma=1.0)
+        x, x2 = np.zeros((1, 3)), np.ones((1, 3))
+        assert rbf_kernel_matrix(x, x2, gamma=1e-12)[0, 0] > 0.999999
 
     def test_matrix_matches_scalar(self):
         rng = np.random.default_rng(0)
@@ -56,7 +51,8 @@ class TestRbfKernel:
         k = rbf_kernel_matrix(a, b, gamma=0.7)
         for i in range(4):
             for j in range(5):
-                assert k[i, j] == pytest.approx(rbf_kernel(a[i], b[j], 0.7), rel=1e-12)
+                direct = np.exp(-0.7 * np.sum((a[i] - b[j]) ** 2))
+                assert k[i, j] == pytest.approx(direct, rel=1e-12)
 
     def test_param_validation(self):
         for bad in (0.0, -1.0, np.inf):
@@ -73,7 +69,7 @@ class TestSmoTrain:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(2, 3))
         y = np.array([1.0, -1.0])
-        k12 = rbf_kernel(x[0], x[1], gamma=0.7)
+        k12 = np.exp(-0.7 * np.sum((x[0] - x[1]) ** 2))
         expected = 1.0 / (1.0 - k12)
         model = smo_train(x, y, KernelParams(gamma=0.7, c=1e4), tol=1e-10,
                           max_passes=500)
@@ -370,7 +366,7 @@ class TestDecisionValue:
         model = smo_train(x, y, KernelParams(gamma=0.5, c=5.0))
         probe = np.array([1.0, 2.0])
         direct = model.bias + sum(
-            coef * rbf_kernel(probe, sv, 0.5)
+            coef * np.exp(-0.5 * np.sum((probe - sv) ** 2))
             for coef, sv in zip(model.dual_coef, model.support_vectors)
         )
         assert decision_values(model, probe[None, :])[0] == pytest.approx(direct, rel=1e-12)
