@@ -57,17 +57,17 @@ def _config_from_args(args) -> RunConfig:
     return load_config(args.config, overrides)
 
 
-def _check_out(path, directory: bool) -> None:
-    """Refuse, before any clip is read, an --out that cannot be written: an
-    existing directory where a file is written, an existing file where a
-    report directory is, or a path under a file."""
+def _check_out(flag: str, path, directory: bool) -> None:
+    """Refuse, before any clip is read, an output path given by flag that
+    cannot be written: an existing directory where a file is written, an
+    existing file where a directory is, or a path under a file."""
     if path is None:
         return
     out = Path(path)
     if out.exists() and out.is_dir() != directory:
-        raise SonoclassError(f"--out {path} is {'not a directory' if directory else 'a directory'}")
+        raise SonoclassError(f"{flag} {path} is {'not a directory' if directory else 'a directory'}")
     if any(p.exists() and not p.is_dir() for p in out.parents):
-        raise SonoclassError(f"--out {path} lies under a file")
+        raise SonoclassError(f"{flag} {path} lies under a file")
 
 
 def _cmd_synth(args) -> int:
@@ -102,7 +102,10 @@ def _cmd_split(args) -> int:
 def _cmd_extract(args) -> int:
     config = _config_from_args(args)
     if args.out:  # np.savez appends .npz to a name that lacks it
-        _check_out(args.out if args.out.endswith(".npz") else args.out + ".npz", directory=False)
+        _check_out("--out", args.out if args.out.endswith(".npz") else args.out + ".npz",
+                   directory=False)
+    _check_out("--dump-spectrograms", args.dump_spectrograms, directory=True)
+    _check_out("--dump-masks", args.dump_masks, directory=True)
     manifest = read_manifest(args.manifest)
 
     if args.dump_spectrograms:
@@ -157,7 +160,8 @@ def _cmd_train(args) -> int:
     config = _config_from_args(args)
     if args.dump_mi_scores and config.method == "wavelet":
         raise ConfigError("--dump-mi-scores needs a log-Gabor method; wavelet selects no features")
-    _check_out(args.out, directory=False)
+    _check_out("--out", args.out, directory=False)
+    _check_out("--dump-mi-scores", args.dump_mi_scores, directory=False)
     manifest = read_manifest(args.manifest)
     model = pipeline.train_model(manifest, config, cache_dir=args.cache_dir)
     save_model(args.out, model)
@@ -177,7 +181,7 @@ def _cmd_train(args) -> int:
 def _cmd_evaluate(args) -> int:
     if args.out:
         for suffix in (".csv", ".txt"):
-            _check_out(args.out + suffix, directory=False)
+            _check_out("--out", args.out + suffix, directory=False)
     model = load_model(args.model)
     manifest = read_manifest(args.manifest)
     result = pipeline.evaluate_model(model, manifest, cache_dir=args.cache_dir)
@@ -192,7 +196,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_gridsearch(args) -> int:
     config = _config_from_args(args)
-    _check_out(args.out, directory=False)
+    _check_out("--out", args.out, directory=False)
     manifest = read_manifest(args.manifest)
     best, table = pipeline.grid_search(manifest, config, cache_dir=args.cache_dir)
     if args.out:
@@ -207,7 +211,7 @@ def _cmd_gridsearch(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = _config_from_args(args)
-    _check_out(args.out, directory=True)
+    _check_out("--out", args.out, directory=True)
     manifest = read_manifest(args.manifest)
     result = pipeline.compare_methods(manifest, config, cache_dir=args.cache_dir)
     out_dir = Path(args.out)

@@ -7,7 +7,9 @@ report types and renderers in `report`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import io
 import os
 import threading
 import uuid
@@ -64,6 +66,16 @@ def _write_cache(path: Path, array: np.ndarray) -> None:
         raise
 
 
+@functools.cache
+def _npy_header(shape: tuple[int, ...]) -> bytes:
+    """The .npy header that _write_cache writes before a float64 array of
+    shape: the bytes np.save writes ahead of np.zeros(shape)'s data."""
+    zeros = np.zeros(shape)
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, zeros)  # what np.save calls, and a test may patch np.save
+    return buf.getvalue()[:buf.tell() - zeros.nbytes]
+
+
 @dataclass
 class CacheStats:
     """Cache hits and misses per stage; hits and misses are the totals.
@@ -90,8 +102,9 @@ class FeatureExtractor:
 
     Each stage (C1 pyramid, wavelet C2 vector, log-Gabor feature) stores one
     array per clip at cache_dir/<stage>/<stage hash>/<content hash>.npy, so
-    a parameter change invalidates exactly the affected stage. A file that
-    is not a well-formed .npy of the expected shape, float64 and finite, is
+    a parameter change invalidates exactly the affected stage. An entry is
+    a hit only if its bytes are exactly what _write_cache writes for a
+    finite float64 array of the expected shape; any other file is
     recomputed and rewritten. The fixed grid is not cached: it is computed
     on every call, and each one counts as a fixed miss. A C1 or log-Gabor
     miss computes from a new fixed grid (the feature through _grid_entries),
@@ -118,6 +131,7 @@ class FeatureExtractor:
         self._feature_hash = _subset_hash(flat, _GABOR_KEYS)
         self._stft_params = config.stft_params()
         self._content_hashes = {} if content_hashes is None else content_hashes
+        self._stage_dirs: dict[tuple[str, str], Path] = {}
 
     def _content(self, path) -> str:
         content = self._content_hashes.get(path)
@@ -126,7 +140,10 @@ class FeatureExtractor:
         return content
 
     def _entry(self, stage: str, stage_hash: str, content: str) -> Path:
-        return self.cache_dir / stage / stage_hash / f"{content}.npy"
+        stage_dir = self._stage_dirs.get((stage, stage_hash))
+        if stage_dir is None:  # two threads may both build it; either is the same path
+            stage_dir = self._stage_dirs[stage, stage_hash] = self.cache_dir / stage / stage_hash
+        return stage_dir / f"{content}.npy"
 
     def grid_entry(self, content: str) -> Path:
         """Where the clip's _grid_entries array for this config is cached:
@@ -137,23 +154,27 @@ class FeatureExtractor:
 
     def _cached(self, stage: str, stage_hash: str, path, shape: tuple[int, ...],
                 compute) -> np.ndarray:
-        """The stage's cached array if it is finite float64 of this shape, else
-        compute()'s, written to the cache under stage_hash. The clip's
+        """The stage's cached array if the entry's bytes are exactly what
+        _write_cache writes for a finite float64 array of this shape, else
+        compute()'s, written to the cache under stage_hash. Another header
+        (another shape, dtype or .npy version, or another numpy's padding),
+        a short or long file, or a NaN or infinity is a miss. The clip's
         content hash is computed only with a cache directory, and without
         one this only computes."""
         if self.cache_dir is None:
             self.stats.count(stage, hit=False)
             return compute()
         entry = self._entry(stage, stage_hash, self._content(path))
+        header, array = _npy_header(shape), np.empty(shape)
         try:
             with open(entry, "rb") as fh:
-                array = np.lib.format.read_array(fh)
-        except (OSError, ValueError):  # missing, truncated or not a plain .npy
-            pass
-        else:
-            if array.shape == shape and array.dtype == np.float64 and np.isfinite(array).all():
-                self.stats.count(stage, hit=True)
-                return array
+                whole = (fh.read(len(header)) == header and fh.readinto(array) == array.nbytes
+                         and not fh.read(1))
+        except OSError:  # missing or unreadable
+            whole = False
+        if whole and np.isfinite(array).all():
+            self.stats.count(stage, hit=True)
+            return array
         self.stats.count(stage, hit=False)
         array = compute()
         _write_cache(entry, array)

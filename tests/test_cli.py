@@ -621,6 +621,34 @@ class TestErrorPaths:
         assert rc == cli.EXIT_DATA
         assert capsys.readouterr().err == f"error: --out {tmp_path / written} {why}\n"
 
+    @pytest.mark.parametrize("command, flag, kind, why", [
+        ("extract", "--dump-spectrograms", "file", "is not a directory"),
+        ("extract", "--dump-masks", "file", "is not a directory"),
+        ("extract", "--dump-masks", "under_a_file", "lies under a file"),
+        ("train", "--dump-mi-scores", "directory", "is a directory"),
+        ("train", "--dump-mi-scores", "under_a_file", "lies under a file"),
+    ])
+    def test_dump_path_of_the_wrong_kind_is_refused_before_any_clip_is_read(
+            self, corpus, tmp_path, capsys, monkeypatch, command, flag, kind, why):
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_text("a file\n")
+            if kind == "under_a_file":
+                bad = bad / "sub"
+        out = tmp_path / ("m.txt" if command == "train" else "f.npz")
+        argv = [command, "--manifest", str(corpus["manifest"]), "--top-k", "16",
+                "--out", str(out), flag, str(bad)]
+        if flag == "--dump-masks":  # the spectrogram dump runs first
+            argv += ["--dump-spectrograms", str(tmp_path / "spectrograms")]
+        self.refuse_clip_reads(monkeypatch)
+        rc = cli.main(argv)
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"error: {flag} {bad} {why}\n"
+        assert not out.exists() and not (tmp_path / "spectrograms").exists()
+        assert not list(tmp_path.rglob("*.csv"))
+
     @pytest.mark.parametrize("made, prefix, written, why", [
         ("r.txt", "r", "r.txt", "is a directory"),
         ("afile", "afile/r", "afile/r.csv", "lies under a file"),

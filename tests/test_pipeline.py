@@ -269,7 +269,8 @@ class TestExtract:
 
     @pytest.mark.parametrize("stage, damage", [
         pytest.param(stage, damage, id=stage if damage == "npz" else f"{stage}-{damage}")
-        for damage in ("npz", "nan", "float32") for stage in ("c1", "c2", "feat")
+        for damage in ("npz", "nan", "float32", "short", "long", "v2", "shape")
+        for stage in ("c1", "c2", "feat")
     ])
     def test_npz_bytes_in_an_entry_are_recomputed(self, mini_corpus, mini_config, tmp_path, stage,
                                                   damage):
@@ -295,8 +296,16 @@ class TestExtract:
                 np.savez(fh, first)  # the right array, but in a zip archive
             elif damage == "nan":
                 np.save(fh, np.where(np.arange(first.size) == 0, np.nan, first))
-            else:
+            elif damage == "float32":
                 np.save(fh, first.astype(np.float32))
+            elif damage == "short":  # the last byte cut off
+                fh.write(written[:-1])
+            elif damage == "long":  # one trailing byte
+                fh.write(written + b"\0")
+            elif damage == "v2":  # the right array under a version-2.0 header
+                np.lib.format.write_array(fh, first, version=(2, 0))
+            else:  # the right bytes under a header for another shape
+                np.save(fh, first.reshape(1, -1))
         again, stats = lookup()
         assert np.array_equal(again, first)
         if stage == "c2":
@@ -833,29 +842,30 @@ def entry_files(root):
     return {path: data for path, data in files(root).items() if path.suffix != ".tmp"}
 
 
+@pytest.fixture(scope="module")
+def clean(mini_corpus, tmp_path_factory):
+    """The flags of a compare of the mini corpus, a clean cold run's cache
+    and reports, and the number of cache writes it made."""
+    root = tmp_path_factory.mktemp("crash")
+    write_manifest(root / "manifest.tsv", mini_corpus["manifest"])
+    (root / "run.cfg").write_text("wavelet.patches = 30\n")
+    flags = ["--manifest", str(root / "manifest.tsv"), "--config", str(root / "run.cfg"),
+             "--top-k", "32", "--c", "8", "--gamma", "0.5", "--seed", "1"]
+    writes = []
+    save = np.save
+    np.save = lambda fh, array: writes.append(fh) or save(fh, array)
+    try:
+        rc = cli.main(["compare", *flags, "--cache-dir", str(root / "cache"),
+                       "--out", str(root / "out")])
+    finally:
+        np.save = save
+    assert rc == 0
+    return flags, entry_files(root / "cache"), files(root / "out"), len(writes)
+
+
 class TestCrashedCompare:
     """A cold compare killed at one of its cache writes leaves only whole
     entries, and a rerun on that cache completes it byte for byte."""
-
-    @pytest.fixture(scope="class")
-    def clean(self, mini_corpus, tmp_path_factory):
-        """The flags of a compare of the mini corpus, a clean cold run's
-        cache and reports, and the number of cache writes it made."""
-        root = tmp_path_factory.mktemp("crash")
-        write_manifest(root / "manifest.tsv", mini_corpus["manifest"])
-        (root / "run.cfg").write_text("wavelet.patches = 30\n")
-        flags = ["--manifest", str(root / "manifest.tsv"), "--config", str(root / "run.cfg"),
-                 "--top-k", "32", "--c", "8", "--gamma", "0.5", "--seed", "1"]
-        writes = []
-        save = np.save
-        np.save = lambda fh, array: writes.append(fh) or save(fh, array)
-        try:
-            rc = cli.main(["compare", *flags, "--cache-dir", str(root / "cache"),
-                           "--out", str(root / "out")])
-        finally:
-            np.save = save
-        assert rc == 0
-        return flags, entry_files(root / "cache"), files(root / "out"), len(writes)
 
     @pytest.mark.parametrize("kind, at", [
         ("rename", "first"), ("rename", "middle"), ("rename", "last but one"),
@@ -881,6 +891,31 @@ class TestCrashedCompare:
         assert cli.main(["compare", *flags, "--cache-dir", str(cache), "--out", str(out)]) == 0
         assert entry_files(cache) == entries
         assert files(out) == reports
+        assert time.perf_counter() - t0 < 30.0
+
+
+class TestConcurrentCompare:
+    def test_two_cold_compares_on_one_cache_write_a_clean_runs_bytes(self, clean, tmp_path,
+                                                                     src_env):
+        """Two cold compares started together on one cache both read entries
+        the other may be writing, and both end with a clean run's bytes."""
+        flags, entries, reports, _ = clean
+        cache = tmp_path / "cache"
+        t0 = time.perf_counter()
+        children = [subprocess.Popen(
+            [sys.executable, "-m", "sonoclass.cli", "compare", *flags,
+             "--cache-dir", str(cache), "--out", str(tmp_path / f"out{i}")],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=src_env(),
+        ) for i in range(2)]
+        try:
+            errors = [child.communicate(timeout=30)[1] for child in children]
+        finally:
+            for child in children:
+                child.kill()
+                child.wait()
+        assert [child.returncode for child in children] == [0, 0], errors
+        assert files(cache) == entries  # whole entries, and no orphan temp file
+        assert files(tmp_path / "out0") == files(tmp_path / "out1") == reports
         assert time.perf_counter() - t0 < 30.0
 
 
