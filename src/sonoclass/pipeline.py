@@ -382,17 +382,18 @@ def _selected_train(
     config: RunConfig,
     cache_dir=None,
     folds: int = 0,
-) -> tuple[ExtractResult, FeatureMatrix, MiSelection | None]:
+) -> tuple[FeatureMatrix, MiSelection | None, PatchSet | None]:
     """Extract the train split and keep its MI top-K columns (log-Gabor
-    methods; wavelet C2 vectors pass through unselected). The train classes
-    are checked before any clip is read."""
+    methods; wavelet C2 vectors pass through unselected). Returns that
+    matrix, the selection and the wavelet patch set, not the full train
+    matrix. The train classes are checked before any clip is read."""
     _check_train_classes(manifest, folds)
     result = extract_features(manifest, config, cache_dir=cache_dir, splits=("train",))
     if config.method == "wavelet":
-        return result, result.train, None
+        return result.train, None, result.patch_set
     selection = select_top_k(result.train, k=config.mi_top_k, n_bins=config.mi_n_bins)
     matrix = FeatureMatrix(apply_selection(result.train.values, selection), result.train.labels)
-    return result, matrix, selection
+    return matrix, selection, None
 
 
 def train_model(
@@ -401,7 +402,7 @@ def train_model(
     cache_dir=None,
 ) -> TrainedModel:
     """Fit MI selection (log-Gabor methods), the scaler, and all pair SVMs."""
-    result, matrix, selection = _selected_train(manifest, config, cache_dir)
+    matrix, selection, patch_set = _selected_train(manifest, config, cache_dir)
     ovo = ovo_train(
         matrix,
         config.kernel_params(),
@@ -413,7 +414,7 @@ def train_model(
         config=config,
         class_names=manifest.classes,
         selection=selection,
-        patch_set=result.patch_set,
+        patch_set=patch_set,
     )
 
 
@@ -453,7 +454,7 @@ def grid_search(
     cache_dir=None,
 ) -> tuple[KernelParams, list[tuple[float, float, float]]]:
     """Cross-validated (C, gamma) search on the training split's features."""
-    _, matrix, _ = _selected_train(manifest, config, cache_dir, config.grid_folds)
+    matrix, _, _ = _selected_train(manifest, config, cache_dir, config.grid_folds)
     c_grid = config.grid_c or svm.DEFAULT_C_GRID
     gamma_grid = config.grid_gamma or svm.DEFAULT_GAMMA_GRID
     return grid_search_cv(
@@ -516,7 +517,14 @@ def compare_methods(
     """Evaluate every single-filter configuration plus the three multi-filter
     methods on one shared split. Reporting only; nothing is asserted about
     which method wins. If any pair solve of the 15 models stops without
-    converging, one NonConvergenceWarning gives the count."""
+    converging, one NonConvergenceWarning gives the count.
+
+    Each configuration's train features are selected first, as train_model
+    selects them, and only its selected train matrix, MI selection and
+    patch set are kept. One svm.ovo_train_each batch then solves the pair
+    problems of all 15 models, and each model is built and evaluated in
+    turn, before the next is built. Every model is the one train_model
+    gives, so every report is the one evaluate_model gives for it."""
     # every config is checked before the first model trains
     grid_configs = [
         replace(config, method="single", single_scale=scale, single_orientation=orientation)
@@ -524,25 +532,30 @@ def compare_methods(
         for orientation in range(1, config.gabor_orientations + 1)
     ]
     method_configs = [replace(config, method=m) for m in ("bank", "patches", "wavelet")]
+    configs = grid_configs + method_configs
     # refused before any clip is read
     _check_train_classes(manifest)
     if not manifest.rows("test"):
         raise SonoclassError("manifest has no test rows")
-    _extract_each_clip_once(manifest, grid_configs + method_configs, cache_dir)
+    _extract_each_clip_once(manifest, configs, cache_dir)
 
+    # the configs differ only in method and single filter, so they share
+    # the kernel parameters and solver settings
+    selected = [_selected_train(manifest, cfg, cache_dir) for cfg in configs]
+    models = svm.ovo_train_each([matrix for matrix, _, _ in selected], config.kernel_params(),
+                                tol=config.svm_tol, max_passes=config.svm_max_passes)
     converged: list[bool] = []  # one flag per pair solve
-
-    def report(cfg: RunConfig) -> EvaluationReport:
-        model = train_model(manifest, cfg, cache_dir=cache_dir)
-        converged.extend(m.converged for m in model.ovo.pair_models.values())
-        return evaluate_model(model, manifest, cache_dir=cache_dir)
-
-    grid_reports = [(c.single_scale, c.single_orientation, report(c)) for c in grid_configs]
-    method_reports = {c.method: report(c) for c in method_configs}
+    reports = []
+    for cfg, (_, selection, patch_set), ovo in zip(configs, selected, models):
+        converged.extend(m.converged for m in ovo.pair_models.values())
+        model = TrainedModel(ovo=ovo, config=cfg, class_names=manifest.classes,
+                             selection=selection, patch_set=patch_set)
+        reports.append(evaluate_model(model, manifest, cache_dir=cache_dir))
     svm.warn_unconverged(converged.count(False), len(converged))
     return ComparisonResult(
-        grid_reports=grid_reports,
-        method_reports=method_reports,
+        grid_reports=[(c.single_scale, c.single_orientation, r)
+                      for c, r in zip(grid_configs, reports)],
+        method_reports={c.method: r for c, r in zip(method_configs, reports[len(grid_configs):])},
         class_names=manifest.classes,
         split_hash=manifest.split_hash(),
     )

@@ -9,18 +9,20 @@ by sequential minimal optimization with the second-order working-set
 selection of Fan, Chen & Lin (JMLR 6, 2005), as LIBSVM does: each step
 moves one pair of multipliers along the equality constraint and keeps
 both constraints feasible. Independent problems are solved together, one
-row each of padded numpy arrays, so a one-vs-one model solves its class
-pairs in one batch and a grid search solves every (C, gamma, fold, pair)
-problem of the call in a few, then scores each (gamma, fold, pair) group
-at all its C values at once from the multipliers. Multiclass is handled
-by one binary model per class pair and majority voting.
+row each of padded numpy arrays, so the one-vs-one models of one or more
+training matrices solve all their class pairs in one batch, and a grid
+search solves every (C, gamma, fold, pair) problem of the call in a few,
+then scores each (gamma, fold, pair) group at all its C values at once
+from the multipliers. Multiclass is handled by one binary model per
+class pair and majority voting.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, count, product
 
 import numpy as np
 
@@ -94,17 +96,19 @@ class OvoModel:
 class _Batch:
     """_solve_batch's result: problem p = g * len(c_values) + k (group g at
     c_values[k]) has multipliers alphas[p], zero-padded to the widest group,
-    and kernels[g] is group g's kernel. Called as (g, k), it builds p's model."""
+    and kernels[g] and labels[g] are group g's kernel and labels."""
 
-    groups: list
-    c_values: list
     kernels: list
+    labels: list
+    c_values: list
     alphas: np.ndarray
     converged: np.ndarray
     steps: np.ndarray
 
-    def __call__(self, g: int, k: int) -> BinarySvmModel:
-        x, y, gamma = self.groups[g]
+    def model(self, g: int, k: int, x: np.ndarray, gamma: float) -> BinarySvmModel:
+        """The model of problem p, where x holds group g's rows and
+        kernels[g] is their kernel at gamma."""
+        y = self.labels[g]
         p, c = g * len(self.c_values) + k, float(self.c_values[k])
         alpha = self.alphas[p, :y.size]
         mask = alpha > 0.0
@@ -154,12 +158,16 @@ def smo_train(
         raise ValueError("labels must be -1 or +1")
     if np.unique(y).size < 2:
         raise SonoclassError("both classes must be present")
-    return _solve_batch([(x, y, params.gamma)], [params.c], tol, max_passes)(0, 0)
+    batch = _solve_batch([(rbf_kernel_matrix(x, x, params.gamma), y)], [params.c],
+                         tol, max_passes)
+    return batch.model(0, 0, x, params.gamma)
 
 
 def _solve_batch(groups, c_values, tol: float, max_passes: int) -> _Batch:
-    """Solve each group (x, y, gamma) at every C of c_values, cold from
-    alpha = 0, and return the multipliers, flags and kernels as a _Batch.
+    """Solve each group (kernel, y) at every C of c_values, cold from
+    alpha = 0, and return the multipliers, flags, kernels and labels as a
+    _Batch. Only the kernel of a group's rows enters the solve; its model
+    takes the rows afterwards (_Batch.model).
 
     Problem p = g * len(c_values) + k is row p of arrays padded to the most
     rows of any group; padding rows have y = 0, so they belong to neither
@@ -174,11 +182,11 @@ def _solve_batch(groups, c_values, tol: float, max_passes: int) -> _Batch:
     Problems share nothing, so each one's model is bit for bit the model
     of that problem solved alone.
     """
-    kernels = [rbf_kernel_matrix(x, x, gamma) for x, _, gamma in groups]
+    kernels = [kernel for kernel, _ in groups]
     n_c, width = len(c_values), max(k.shape[0] for k in kernels)
     tensor = np.zeros((len(kernels), width, width))
     y = np.zeros((len(kernels) * n_c, width))
-    for g, ((_, labels, _), kernel) in enumerate(zip(groups, kernels)):
+    for g, (kernel, labels) in enumerate(groups):
         tensor[g, :labels.size, :labels.size] = kernel
         y[g * n_c:(g + 1) * n_c, :labels.size] = labels
     c = np.tile(np.asarray(c_values, dtype=np.float64), len(kernels))
@@ -227,7 +235,7 @@ def _solve_batch(groups, c_values, tol: float, max_passes: int) -> _Batch:
         grad += y * d[:, None] * (k_i - tensor[kernel_of, j])
         it += 1
 
-    return _Batch(groups, c_values, kernels, alphas, converged, steps)
+    return _Batch(kernels, [labels for _, labels in groups], c_values, alphas, converged, steps)
 
 
 def _bias_from_state(y: np.ndarray, g: np.ndarray, alpha: np.ndarray, c: np.ndarray):
@@ -309,13 +317,36 @@ def ovo_train(
     max_passes: int = DEFAULT_MAX_PASSES,
 ) -> OvoModel:
     """Train one binary model per unordered class pair (see _pair_problems),
-    all pairs in one batch. The model's converged says whether every pair
-    solve converged."""
-    classes, scaler, pairs = _pair_problems(matrix)
-    model = _solve_batch([(x, y, params.gamma) for x, y in pairs.values()],
-                         [params.c], tol, max_passes)
-    return OvoModel(classes=classes, scaler=scaler,
-                    pair_models={pair: model(g, 0) for g, pair in enumerate(pairs)})
+    all pairs in one batch: the one-matrix case of ovo_train_each. The
+    model's converged says whether every pair solve converged."""
+    return next(ovo_train_each([matrix], params, tol, max_passes))
+
+
+def ovo_train_each(
+    matrices: list[FeatureMatrix],
+    params: KernelParams,
+    tol: float = DEFAULT_TOL,
+    max_passes: int = DEFAULT_MAX_PASSES,
+) -> Iterator[OvoModel]:
+    """Yield the one-vs-one model of each matrix in order, all at params,
+    with the pair problems of every matrix solved in one _solve_batch.
+
+    The solve holds each pair's kernel and labels, not its rows. A model
+    is built when it is asked for, from its matrix scaled again, so a
+    caller that is done with one model before asking for the next holds
+    one model's support vectors at a time. Each model is, bit for bit,
+    the one ovo_train gives for its matrix alone.
+    """
+    groups = []
+    for matrix in matrices:
+        _, _, pairs = _pair_problems(matrix)
+        groups += [(rbf_kernel_matrix(x, x, params.gamma), y) for x, y in pairs.values()]
+    batch = _solve_batch(groups, [params.c], tol, max_passes)
+    group = count()
+    for matrix in matrices:
+        classes, scaler, pairs = _pair_problems(matrix)
+        yield OvoModel(classes=classes, scaler=scaler, pair_models={
+            pair: batch.model(next(group), 0, x, params.gamma) for pair, (x, _) in pairs.items()})
 
 
 def _ovo_vote(classes: tuple[int, ...], pairs, d: np.ndarray) -> np.ndarray:
@@ -430,7 +461,7 @@ def grid_search_cv(
     correct = np.zeros((n_c, len(gammas)), dtype=np.int64)
     unconverged = solves = 0
     for chunk in chunks:
-        batch = _solve_batch([(x, y, gammas[g]) for fold, g in chunk
+        batch = _solve_batch([(rbf_kernel_matrix(x, x, gammas[g]), y) for fold, g in chunk
                               for x, y in splits[fold][1].values()],
                              c_values, tol, max_passes)
         unconverged += int(np.count_nonzero(~batch.converged))

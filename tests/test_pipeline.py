@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sonoclass import cli, cpus, log_gabor, pipeline
+from sonoclass import cli, cpus, log_gabor, pipeline, svm
 from sonoclass.audio_io import generate_corpus
 from sonoclass.config import (
     CONFIG_KEYS,
@@ -917,6 +917,32 @@ class TestConcurrentCompare:
         assert files(cache) == entries  # whole entries, and no orphan temp file
         assert files(tmp_path / "out0") == files(tmp_path / "out1") == reports
         assert time.perf_counter() - t0 < 30.0
+
+
+class TestCompareOneSolve:
+    def test_each_report_is_train_and_evaluate_alone(self, mini_corpus, mini_config,
+                                                     monkeypatch):
+        """With two train rows of one class dropped, pair problems of 6 and
+        8 rows pad together in compare's one solve of all 90 pair problems,
+        and each configuration's report is the one train_model and
+        evaluate_model give it alone."""
+        manifest = mini_corpus["manifest"]
+        dropped = [e for e in manifest.rows("train") if e.label == "chirp"][:2]
+        manifest = DatasetManifest(tuple(e for e in manifest.entries if e not in dropped))
+        assert [e.label for e in manifest.rows("train")].count("chirp") == 2
+        cache = mini_corpus["cache"]
+        calls, solve = [], svm._solve_batch
+        monkeypatch.setattr(svm, "_solve_batch",
+                            lambda groups, *a: calls.append(len(groups)) or solve(groups, *a))
+        result = compare_methods(manifest, mini_config, cache_dir=cache)
+        assert calls == [90]
+        got = ([report for _, _, report in result.grid_reports]
+               + [result.method_reports[m] for m in ("bank", "patches", "wavelet")])
+        for cfg, report in zip(fill_configs(mini_config), got, strict=True):
+            want = evaluate_model(train_model(manifest, cfg, cache), manifest, cache)
+            assert report.confusion.tobytes() == want.confusion.tobytes()
+            assert report == replace(want, confusion=report.confusion)  # every other field
+        assert len(calls) == 1 + len(got)  # and one solve per train_model
 
 
 def test_unconverged_compare_warns_once_with_the_count(mini_corpus, mini_config, cold_compare):

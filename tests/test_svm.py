@@ -271,11 +271,12 @@ def test_a_batch_equals_each_problem_solved_alone():
         (*duplicated_rows(32), 2.0),
     ]
     c_values = [0.5, 64.0]
-    model = svm._solve_batch(groups, c_values, tol=1e-3, max_passes=2)
+    batch = svm._solve_batch([(rbf_kernel_matrix(x, x, gamma), y) for x, y, gamma in groups],
+                             c_values, tol=1e-3, max_passes=2)
     converged = []
     for g, (x, y, gamma) in enumerate(groups):
         for k, c in enumerate(c_values):
-            got = model(g, k)
+            got = batch.model(g, k, x, gamma)
             want = smo_train(x, y, KernelParams(gamma=gamma, c=c), max_passes=2)
             assert got.params == want.params
             assert got.support_vectors.tobytes() == want.support_vectors.tobytes()
@@ -562,6 +563,67 @@ class TestOvo:
         base = ovo_predict_batch(model, probes)
         inverse = np.argsort(perm)
         assert np.array_equal(inverse[ovo_predict_batch(model_p, probes)], base)
+
+
+def shifted_classes(seed, counts, width):
+    """Gaussian rows of width features, counts[c] of class c, whose mean
+    moves by 1.5 per class."""
+    rng = np.random.default_rng(seed)
+    values = np.vstack([rng.normal(size=(n, width)) + 1.5 * c for c, n in enumerate(counts)])
+    return FeatureMatrix(values, np.repeat(np.arange(len(counts)), counts))
+
+
+class TestOvoTrainEach:
+    @pytest.mark.parametrize("max_passes", [2, 200])
+    def test_one_batch_equals_ovo_train_on_each_matrix(self, monkeypatch, max_passes):
+        """A bank-wide (256) and a wavelet-wide (200) matrix of 4 classes,
+        the second with unequal class counts, and a 2-class one: their 13
+        pair problems of 12 to 40 rows pad into one solve, and each model
+        is, bit for bit, the one ovo_train gives its matrix alone, also
+        where one pair stops at its max_passes cap and the others converge."""
+        matrices = [shifted_classes(4, [20] * 4, 256), shifted_classes(2, [20, 17, 20, 13], 200),
+                    shifted_classes(3, [6, 6], 256)]
+        params = KernelParams(gamma=0.5, c=8.0)
+        calls, solve = [], svm._solve_batch
+        monkeypatch.setattr(svm, "_solve_batch",
+                            lambda groups, *a: calls.append(len(groups)) or solve(groups, *a))
+        got = list(svm.ovo_train_each(matrices, params, max_passes=max_passes))
+        assert calls == [13]
+        assert len(got) == len(matrices)
+        flags = []
+        for model, matrix in zip(got, matrices):
+            want = ovo_train(matrix, params, max_passes=max_passes)
+            assert model.classes == want.classes
+            assert [v.tobytes() for v in model.scaler] == [v.tobytes() for v in want.scaler]
+            assert list(model.pair_models) == list(want.pair_models)
+            for pair, w in want.pair_models.items():
+                m = model.pair_models[pair]
+                assert m.params == w.params
+                assert m.support_vectors.shape == w.support_vectors.shape
+                assert m.support_vectors.tobytes() == w.support_vectors.tobytes()
+                assert m.dual_coef.tobytes() == w.dual_coef.tobytes()
+                assert m.bias == w.bias
+                assert (m.n_passes, m.converged) == (w.n_passes, w.converged)
+            flags.append([(m.converged, m.n_passes) for m in model.pair_models.values()])
+        if max_passes == 2:
+            # one pair of 40 rows stops at 2 x 40 steps; the other five converge
+            assert [f for f in flags[0] if not f[0]] == [(False, 80)]
+        else:
+            assert all(converged for pairs in flags for converged, _ in pairs)
+
+    def test_builds_each_model_when_asked_for(self, monkeypatch):
+        """The solve runs at the first model; each model's pair models are
+        built only when that model is asked for."""
+        built = []
+        real = svm.BinarySvmModel
+        monkeypatch.setattr(svm, "BinarySvmModel",
+                            lambda *a, **k: built.append(1) or real(*a, **k))
+        models = svm.ovo_train_each([multiclass_blobs(3, seed=18), multiclass_blobs(4, seed=19)],
+                                    KernelParams(gamma=0.5, c=10.0))
+        assert built == []
+        assert len(next(models).pair_models) == 3 and len(built) == 3
+        assert len(next(models).pair_models) == 6 and len(built) == 9
+        assert next(models, None) is None
 
 
 class TestGridSearch:
