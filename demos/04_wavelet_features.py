@@ -19,7 +19,7 @@ from sonoclass import (
     tiwt,
     to_fixed,
 )
-from sonoclass.wavelet_baseline import c1_pyramid, s2_products, score_product
+from sonoclass.wavelet_baseline import c1_pyramid
 
 fixed = [
     to_fixed(log_spectrogram(peak_normalize(
@@ -46,15 +46,15 @@ print("first three sources (clip, scale, row, col):", patch_set.sources[:3])
 
 # S2: one matrix product per (patch size, scale) scores every patch of that
 # size at every offset; patch_transform keeps only each patch's peak
-product = s2_products(c1, patch_set)[0]
-scores = score_product(product, np.empty(product.windows.size + np.prod(product.shape)))
-print(f"\nS2 score maps of the size-{product.stack.shape[1]} patches at scale "
-      f"{product.scale}: {scores.shape} (patches x row offsets x column offsets)")
-print(f"patch {product.indices[0]}'s map at this scale peaks at {scores[0].max():.3e}")
+s2 = patch_transform(c1, patch_set)
+indices, scale, peaks = s2[0]
+print(f"\nS2: {len(s2)} (patch size, scale) products; the "
+      f"size-{patch_set.patches[indices[0]].shape[0]} patches at scale {scale} "
+      f"peak at {np.array2string(peaks, precision=3)}")
 
-c2 = global_max(patch_transform(c1, patch_set), len(patch_set))
+c2 = global_max(s2, len(patch_set))
 print(f"\nC2 feature vector: length {c2.size}, range "
       f"[{c2.min():.3e}, {c2.max():.3e}]")
-first = product.indices[0]
+first = indices[0]
 print(f"patch {first}'s C2 value, its peak over every scale: {c2[first]:.3e}")
 print("these vectors go straight to the one-vs-one SVM (no MI step)")

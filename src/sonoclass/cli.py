@@ -60,7 +60,9 @@ def _config_from_args(args) -> RunConfig:
 def _check_out(flag: str, path, directory: bool) -> None:
     """Refuse, before any clip is read, an output path given by flag that
     cannot be written: an existing directory where a file is written, an
-    existing file where a directory is, or a path under a file."""
+    existing file where a directory is, a path under a file, or a file in
+    a directory that does not exist (a directory output is made with its
+    parents)."""
     if path is None:
         return
     out = Path(path)
@@ -68,6 +70,8 @@ def _check_out(flag: str, path, directory: bool) -> None:
         raise SonoclassError(f"{flag} {path} is {'not a directory' if directory else 'a directory'}")
     if any(p.exists() and not p.is_dir() for p in out.parents):
         raise SonoclassError(f"{flag} {path} lies under a file")
+    if not directory and not out.parent.is_dir():
+        raise SonoclassError(f"{flag} {path} lies in a directory that does not exist")
 
 
 def _cmd_synth(args) -> int:

@@ -122,14 +122,13 @@ def build_bank(grid_shape: tuple[int, int], params: LogGaborParams | None = None
     clip tasks of an extraction or of compare's cache fill, build a bank
     once.
     """
+    params = LogGaborParams() if params is None else params
     with _BANK_LOCK:
         return _cached_bank(grid_shape, params)
 
 
 @lru_cache(maxsize=32)
-def _cached_bank(grid_shape: tuple[int, int], params: LogGaborParams | None) -> LogGaborBank:
-    if params is None:
-        params = LogGaborParams()
+def _cached_bank(grid_shape: tuple[int, int], params: LogGaborParams) -> LogGaborBank:
     rows, cols = grid_shape
     if rows < MIN_GRID or cols < MIN_GRID:
         raise SonoclassError(f"grid {rows}x{cols} is below the {MIN_GRID}x{MIN_GRID} minimum")

@@ -2,7 +2,9 @@
 
 A manifest is tab-separated text (path TAB label TAB split, split one of
 train/test, or two fields for not-yet-split data); a JSON variant with the
-same fields is read and written for `.json` paths.
+same fields is read and written for `.json` paths. A path or label must be
+printable (no tab, line break or other control character), so that every
+manifest and model file can hold it.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ class DatasetManifest:
         if len(set(paths)) != len(paths):
             raise SonoclassError("duplicate paths in manifest")
         for e in self.entries:
+            if not e.path.isprintable():
+                raise SonoclassError(f"path {e.path!r} holds an unprintable character")
+            if not e.label.isprintable():
+                raise SonoclassError(f"{e.path}: label {e.label!r} holds an unprintable character")
             if not e.label:
                 raise SonoclassError(f"{e.path}: empty label")
             if e.split not in ("", "train", "test"):

@@ -4,7 +4,8 @@ A model file is line-oriented and fully self-describing: a version header,
 the feature configuration echo, class names, the MI selection (log-Gabor
 methods), the feature scaler, every pairwise SVM, and the sampled patch
 set (wavelet method). Floats are written with 17 significant digits so a
-reload reproduces the model bit for bit.
+reload reproduces the model bit for bit. Files are UTF-8, so a class name
+may be any printable text; a model with ASCII names is ASCII bytes.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def save_model(path, model: TrainedModel) -> None:
             lines.append(_fmt_row(patch))
 
     lines.append("end")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -151,7 +152,7 @@ class _Reader:
     """A model file's lines in order; load_model names the file in errors."""
 
     def __init__(self, path):
-        with open(path, "r", encoding="ascii") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             self.lines = fh.read().splitlines()
         self.pos = 0
 

@@ -264,8 +264,6 @@ def _bias_from_state(y: np.ndarray, g: np.ndarray, alpha: np.ndarray, c: np.ndar
 def decision_values(model: BinarySvmModel, x: np.ndarray) -> np.ndarray:
     """sum_i (a_i y_i) k(x, x_i) + b for each row x, the margin before the sign."""
     x = np.asarray(x, dtype=np.float64)
-    if model.support_vectors.shape[0] == 0:
-        return np.full(x.shape[0], model.bias)
     if x.shape[1] != model.support_vectors.shape[1]:
         raise SonoclassError(
             f"x has {x.shape[1]} features, model expects {model.support_vectors.shape[1]}"

@@ -5,16 +5,13 @@ Pipeline: undecimated Haar detail coefficients for 3 dyadic scales x
 2^j cells (C1) -> sliding scalar products against randomly sampled patches
 (S2) -> one global max per patch (C2). C2 vectors go straight to the SVM.
 
-S2 runs one matrix product per (patch size, scale) over the sliding
-windows of that scale's C1 planes, so every patch of a size is scored in
-one BLAS call (`score_product`). `patch_transform` scores a clip's
-products in order on the calling thread, copying each product's windows
-into the head of one work array, laid out as np.tensordot lays them out,
-so the scores are the tensordot scores bit for bit. It keeps only each
-product's per-patch peaks, so a clip's score maps are never all held at
-once, and C2 takes its maxima straight off the peaks. A clip is the unit
-of parallel work (`pipeline.extract_features`); nothing here starts a
-thread.
+S2 is `patch_transform` alone: one matrix product per (patch size,
+scale), so every patch of a size is scored in one BLAS call, with the
+products taken in order on the calling thread in one work array. It keeps
+only each patch's peak per scale, so a clip's score maps are never all
+held at once, and C2 takes its maxima straight off the peaks. A clip is
+the unit of parallel work (`pipeline.extract_features`); nothing here
+starts a thread.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -186,78 +182,41 @@ def sample_patches(
     return PatchSet(patches=tuple(patches), sources=tuple(sources))
 
 
-class S2Product(NamedTuple):
-    """One (patch size, scale) product: the patches of a size (their
-    indices and (P, M, M, 3) stack) against the (3, U, V, M, M) sliding
-    windows of one scale's C1 planes."""
-
-    indices: np.ndarray
-    stack: np.ndarray
-    scale: int
-    windows: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        """(P, U, V), the shape of its score maps."""
-        return len(self.indices), self.windows.shape[1], self.windows.shape[2]
-
-
-def s2_products(c1: list[np.ndarray], patch_set: PatchSet) -> list[S2Product]:
-    """Every (patch size, scale) product whose planes can host the size,
-    by patch size in order of first appearance, then by scale."""
-    products = []
-    for indices, stack in patch_set.stacks:
-        m = stack.shape[1]
-        for scale_idx, scale in enumerate(SCALES):
-            planes = c1[scale_idx]
-            if planes.shape[1] < m or planes.shape[2] < m:
-                continue
-            windows = sliding_window_view(planes, (m, m), axis=(1, 2))
-            products.append(S2Product(indices, stack, scale, windows))
-    return products
-
-
-def score_product(product: S2Product, work: np.ndarray) -> np.ndarray:
-    """The product's score maps, a (P, U, V) view into work:
-    [r, u, v] is patch indices[r]'s correlation (summed over the 3
-    orientations) at offset (u, v). work is one flat float64 array of at
-    least product.windows.size + P * U * V values, overwritten: the
-    operand at its head, the scores after.
-
-    The windows go into operand as a C-contiguous (M, M, 3, U, V) array,
-    the operand np.tensordot(stack, windows, axes=((1, 2, 3), (3, 4, 0)))
-    builds: that is the contraction order einsum's optimizer picks, other
-    orders differ in the last bit, and the one gemm below on operands of
-    that shape and layout is the call tensordot makes.
-    """
-    _, stack, _, windows = product
-    p, u, v = product.shape
-    m = stack.shape[1]
-    operand = work[:windows.size].reshape(m, m, 3, u, v)
-    np.copyto(operand, windows.transpose(3, 4, 0, 1, 2))
-    out = work[windows.size:windows.size + p * u * v].reshape(p, u * v)
-    np.dot(stack.reshape(p, -1), operand.reshape(-1, u * v), out=out)
-    return out.reshape(p, u, v)
-
-
 def patch_transform(
     c1: list[np.ndarray], patch_set: PatchSet
 ) -> list[tuple[np.ndarray, int, np.ndarray]]:
     """Sliding scalar product of every patch against every C1 scale it
     fits, reduced to each patch's peak over offsets.
 
-    Result: one (indices, scale, peaks) entry per `s2_products` product,
-    in that order; peaks[r] is the largest of patch indices[r]'s
-    `score_product` scores at that scale. The products are scored in
-    order on the calling thread, all in one work array sized to the
-    largest.
+    Result: one (indices, scale, peaks) entry per (patch size, scale)
+    whose planes can host the size, by patch size in order of first
+    appearance, then by scale. Each entry's scores are one matrix product
+    of its (P, M, M, 3) stack against the (3, U, V, M, M) sliding windows
+    of that scale's C1 planes: [r, u, v] is patch indices[r]'s
+    correlation, summed over the 3 orientations, at offset (u, v); peaks[r]
+    is the largest over (u, v).
+
+    The entries share one work array sized to the largest: the operand at
+    its head, the scores after. The windows go into the operand as a
+    C-contiguous (M, M, 3, U, V) array, the operand
+    np.tensordot(stack, windows, axes=((1, 2, 3), (3, 4, 0))) builds: that
+    is the contraction order einsum's optimizer picks, other orders differ
+    in the last bit, and the one gemm below on operands of that shape and
+    layout is the call tensordot makes.
     """
-    products = s2_products(c1, patch_set)
-    work = np.empty(max((p.windows.size + np.prod(p.shape) for p in products), default=0))
+    entries = [(indices, stack, scale, sliding_window_view(planes, stack.shape[1:3], axis=(1, 2)))
+               for indices, stack in patch_set.stacks
+               for scale, planes in zip(SCALES, c1) if min(planes.shape[1:]) >= stack.shape[1]]
+    work = np.empty(max((w.size + len(i) * w.shape[1] * w.shape[2] for i, _, _, w in entries),
+                        default=0))
     result = []
-    for product in products:
-        maps = score_product(product, work)
-        result.append((product.indices, product.scale, maps.reshape(len(maps), -1).max(axis=1)))
+    for indices, stack, scale, windows in entries:
+        p, (_, u, v, m, _) = len(indices), windows.shape
+        operand = work[:windows.size].reshape(m, m, 3, u, v)
+        np.copyto(operand, windows.transpose(3, 4, 0, 1, 2))
+        scores = work[windows.size:windows.size + p * u * v].reshape(p, u * v)
+        np.dot(stack.reshape(p, -1), operand.reshape(-1, u * v), out=scores)
+        result.append((indices, scale, scores.max(axis=1)))
     return result
 
 

@@ -202,6 +202,25 @@ class TestTrainEvaluate:
         assert "confusion" in csv_text
         assert (tmp_path / "report.txt").exists()
 
+    def test_non_ascii_label_trains_loads_and_evaluates(self, corpus, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        write_manifest(path, DatasetManifest(tuple(
+            replace(e, label="chirpé") if e.label == "chirp" else e
+            for e in read_manifest(corpus["manifest"]).entries
+        )))
+        model_path = tmp_path / "model.txt"
+        assert cli.main(["train", "--manifest", str(path), "--top-k", "16",
+                         "--cache-dir", corpus["cache"], "--out", str(model_path)]) == 0
+        model = load_model(model_path)
+        assert "chirpé" in model.class_names
+        save_model(tmp_path / "again.txt", model)
+        assert (tmp_path / "again.txt").read_bytes() == model_path.read_bytes()
+        capsys.readouterr()
+        assert cli.main(["evaluate", str(model_path), "--manifest", str(path),
+                         "--cache-dir", corpus["cache"], "--out", str(tmp_path / "r")]) == 0
+        assert "chirpé" in capsys.readouterr().out
+        assert "chirpé" in (tmp_path / "r.csv").read_text()
+
     def test_repeated_pair_model_is_data_error(self, corpus, tmp_path, capsys):
         model_path = tmp_path / "model.txt"
         cli.main([
@@ -571,6 +590,26 @@ class TestErrorPaths:
         monkeypatch.setattr(pipeline.audio_io, "load_wav", refuse)
         monkeypatch.setattr(pipeline, "_content_hash", refuse)
 
+    @pytest.mark.parametrize("command", ["split", "train"])
+    @pytest.mark.parametrize("label", ["chirp\tx", "chirp\nx"])
+    def test_unprintable_label_is_refused_before_any_clip_is_read(
+            self, corpus, tmp_path, capsys, monkeypatch, command, label):
+        entries = [
+            {"path": e.path, "label": label if e.label == "chirp" else e.label, "split": e.split}
+            for e in read_manifest(corpus["manifest"]).entries
+        ]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"entries": entries}))
+        first = next(e["path"] for e in entries if e["label"] == label)
+        self.refuse_clip_reads(monkeypatch)
+        out = tmp_path / "out"
+        rc = cli.main([command, "--manifest", str(path), "--out", str(out)])
+        assert rc == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {first}: label {label!r} holds an unprintable character\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["extract", "train", "gridsearch", "compare"])
     def test_cache_dir_that_is_a_file_is_refused_before_any_clip_is_read(
             self, corpus, tmp_path, capsys, monkeypatch, command):
@@ -588,6 +627,8 @@ class TestErrorPaths:
         ("train", "directory", "is a directory"), ("gridsearch", "directory", "is a directory"),
         ("compare", "file", "is not a directory"), ("train", "under_a_file", "lies under a file"),
         ("compare", "under_a_file", "lies under a file"),
+        ("train", "missing", "lies in a directory that does not exist"),
+        ("gridsearch", "missing", "lies in a directory that does not exist"),
     ])
     def test_out_of_the_wrong_kind_is_refused_before_any_clip_is_read(
             self, corpus, tmp_path, capsys, monkeypatch, command, kind, why):
@@ -595,6 +636,8 @@ class TestErrorPaths:
         out = tmp_path / "out"
         if kind == "directory":
             out.mkdir()
+        elif kind == "missing":
+            out = tmp_path / "nodir" / "out"
         else:
             out.write_text("a file\n")
             if kind == "under_a_file":
@@ -603,17 +646,19 @@ class TestErrorPaths:
                        "--config", str(write_cfg(tmp_path, "grid.folds = 3")), "--out", str(out)])
         assert rc == cli.EXIT_DATA
         assert capsys.readouterr().err == f"error: --out {out} {why}\n"
+        assert not (tmp_path / "nodir").exists()
 
     @pytest.mark.parametrize("out, made, written, why", [
         ("feats", "feats.npz", "feats.npz", "is a directory"),  # np.savez appends .npz
         ("feats.npz", "feats.npz", "feats.npz", "is a directory"),
         ("afile/feats", "afile", "afile/feats.npz", "lies under a file"),
+        ("nodir/feats", None, "nodir/feats.npz", "lies in a directory that does not exist"),
     ])
     def test_extract_out_of_the_wrong_kind_is_refused_before_any_clip_is_read(
             self, corpus, tmp_path, capsys, monkeypatch, out, made, written, why):
         if made == "afile":
             (tmp_path / made).write_text("a file\n")
-        else:
+        elif made:
             (tmp_path / made).mkdir()
         self.refuse_clip_reads(monkeypatch)
         rc = cli.main(["extract", "--manifest", str(corpus["manifest"]),
@@ -627,12 +672,15 @@ class TestErrorPaths:
         ("extract", "--dump-masks", "under_a_file", "lies under a file"),
         ("train", "--dump-mi-scores", "directory", "is a directory"),
         ("train", "--dump-mi-scores", "under_a_file", "lies under a file"),
+        ("train", "--dump-mi-scores", "missing", "lies in a directory that does not exist"),
     ])
     def test_dump_path_of_the_wrong_kind_is_refused_before_any_clip_is_read(
             self, corpus, tmp_path, capsys, monkeypatch, command, flag, kind, why):
         bad = tmp_path / "bad"
         if kind == "directory":
             bad.mkdir()
+        elif kind == "missing":
+            bad = tmp_path / "nodir" / "mi.csv"
         else:
             bad.write_text("a file\n")
             if kind == "under_a_file":
@@ -652,6 +700,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("made, prefix, written, why", [
         ("r.txt", "r", "r.txt", "is a directory"),
         ("afile", "afile/r", "afile/r.csv", "lies under a file"),
+        (None, "nodir/r", "nodir/r.csv", "lies in a directory that does not exist"),
     ])
     def test_evaluate_out_of_the_wrong_kind_is_refused_before_any_clip_is_read(
             self, corpus, tmp_path, capsys, monkeypatch, made, prefix, written, why):
@@ -660,7 +709,7 @@ class TestErrorPaths:
                          "--cache-dir", corpus["cache"], "--out", str(model)]) == 0
         if made == "afile":
             (tmp_path / made).write_text("a file\n")
-        else:
+        elif made:
             (tmp_path / made).mkdir()
         self.refuse_clip_reads(monkeypatch)
         capsys.readouterr()

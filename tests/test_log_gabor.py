@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sonoclass import log_gabor
 from sonoclass.errors import SonoclassError
 from sonoclass.log_gabor import (
     LogGaborParams,
@@ -69,6 +70,11 @@ class TestBuildBank:
     def test_one_bank_per_grid_and_params(self):
         assert build_bank((16, 16), PARAMS) is build_bank((16, 16), LogGaborParams())
         assert not build_bank((16, 16), PARAMS).masks.flags.writeable
+
+    def test_default_params_share_one_cached_bank(self):
+        log_gabor._cached_bank.cache_clear()
+        assert build_bank((16, 16)) is build_bank((16, 16), LogGaborParams())
+        assert log_gabor._cached_bank.cache_info().currsize == 1
 
     def test_mask_indexing_one_based(self):
         bank = build_bank((16, 16), PARAMS)

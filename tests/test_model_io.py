@@ -343,5 +343,5 @@ class TestErrors:
         path = tmp_path / "m.txt"
         save_model(path, model)
         path.write_bytes(b"\xff\xfe" + path.read_bytes())
-        with pytest.raises(SonoclassError, match="m.txt: 'ascii' codec can't decode byte 0xff"):
+        with pytest.raises(SonoclassError, match="m.txt: 'utf-8' codec can't decode byte 0xff"):
             load_model(path)

@@ -87,6 +87,15 @@ class TestManifest:
         with pytest.raises(SonoclassError, match="bad split 'validation'"):
             DatasetManifest(entries([("a.wav", "x", "validation")]))
 
+    @pytest.mark.parametrize("path, label, message", [
+        ("a\tb.wav", "x", r"path 'a\\tb.wav' holds an unprintable character"),
+        ("a.wav", "chirp\nx", r"a.wav: label 'chirp\\nx' holds an unprintable character"),
+        ("a.wav", "chirp\x07", r"a.wav: label 'chirp\\x07' holds an unprintable character"),
+    ])
+    def test_unprintable_path_or_label_rejected(self, path, label, message):
+        with pytest.raises(SonoclassError, match=f"^{message}$"):
+            DatasetManifest(entries([(path, label, "")]))
+
     def test_classes_sorted(self):
         manifest = DatasetManifest(entries([
             ("a.wav", "zebra", ""), ("b.wav", "ant", ""), ("c.wav", "ant", ""),

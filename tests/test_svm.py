@@ -348,6 +348,17 @@ class TestDecisionValue:
         )
         assert decision_values(model, np.zeros((1, 3)))[0] == 0.0
 
+    def test_empty_support_set_checks_the_width(self):
+        model = BinarySvmModel(
+            support_vectors=np.zeros((0, 3)),
+            dual_coef=np.zeros(0),
+            bias=0.5,
+            params=KernelParams(gamma=1.0, c=1.0),
+        )
+        assert np.array_equal(decision_values(model, np.ones((2, 3))), [0.5, 0.5])
+        with pytest.raises(SonoclassError, match="x has 4 features, model expects 3"):
+            decision_values(model, np.zeros((1, 4)))
+
     def test_unbounded_sv_sits_on_margin(self):
         x, labels = blobs(seed=11)
         y = np.where(labels == 0, 1.0, -1.0)

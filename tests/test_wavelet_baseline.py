@@ -15,9 +15,7 @@ from sonoclass.wavelet_baseline import (
     local_max,
     normalize_scale,
     patch_transform,
-    s2_products,
     sample_patches,
-    score_product,
     tiwt,
 )
 
@@ -242,9 +240,27 @@ class TestSamplePatches:
 
 def s2_maps(c1, patch_set):
     """patch_transform's (indices, scale, scores) entries, each with the
-    product's whole score maps from score_product instead of its peaks."""
-    return [(p.indices, p.scale, score_product(p, np.empty(p.windows.size + np.prod(p.shape))))
-            for p in s2_products(c1, patch_set)]
+    whole (P, U, V) score maps its one np.dot call wrote, read through a
+    spy, instead of its peaks."""
+    maps = []
+    dot = np.dot
+
+    def spy(a, b, out):
+        maps.append(dot(a, b, out=out).copy())  # the next entry overwrites out
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "dot", spy)
+        s2 = patch_transform(c1, patch_set)
+    assert len(maps) == len(s2)
+    entries = []
+    for (indices, scale, peaks), scores in zip(s2, maps):
+        m = patch_set.patches[indices[0]].shape[0]
+        _, rows, cols = c1[scale - 1].shape
+        scores = scores.reshape(len(indices), rows - m + 1, cols - m + 1)
+        assert np.array_equal(peaks, scores.reshape(len(indices), -1).max(axis=1))
+        entries.append((indices, scale, scores))
+    return entries
 
 
 def score_maps(s2):
