@@ -9,6 +9,7 @@ on stderr.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 import warnings
 from pathlib import Path
@@ -72,6 +73,11 @@ def _check_out(flag: str, path, directory: bool) -> None:
         raise SonoclassError(f"{flag} {path} lies under a file")
     if not directory and not out.parent.is_dir():
         raise SonoclassError(f"{flag} {path} lies in a directory that does not exist")
+
+
+def _write_text(path, text: str) -> None:
+    """Write a report or table as UTF-8 with \\n line ends, on any locale."""
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def _cmd_synth(args) -> int:
@@ -174,7 +180,7 @@ def _cmd_train(args) -> int:
     if args.dump_mi_scores:
         lines = ["feature_index,score_bits"]
         lines += [f"{int(i)},{s:.12g}" for i, s in zip(model.selection.selected, model.selection.scores)]
-        Path(args.dump_mi_scores).write_text("\n".join(lines) + "\n")
+        _write_text(args.dump_mi_scores, "\n".join(lines) + "\n")
         print(f"MI scores -> {args.dump_mi_scores}")
     if not model.ovo.converged:
         print("warning: at least one pair solver did not converge", file=sys.stderr)
@@ -191,8 +197,8 @@ def _cmd_evaluate(args) -> int:
     result = pipeline.evaluate_model(model, manifest, cache_dir=args.cache_dir)
     text = report.evaluation_text(result)
     if args.out:
-        Path(str(args.out) + ".csv").write_text(report.evaluation_csv(result))
-        Path(str(args.out) + ".txt").write_text(text)
+        _write_text(args.out + ".csv", report.evaluation_csv(result))
+        _write_text(args.out + ".txt", text)
         print(f"report -> {args.out}.csv / {args.out}.txt")
     print(text, end="")
     return EXIT_OK
@@ -206,7 +212,7 @@ def _cmd_gridsearch(args) -> int:
     if args.out:
         lines = ["c,gamma,cv_accuracy"]
         lines += [f"{c:.10g},{g:.10g},{acc:.6f}" for c, g, acc in table]
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        _write_text(args.out, "\n".join(lines) + "\n")
         print(f"CV table -> {args.out}")
     best_acc = max(acc for _, _, acc in table)
     print(f"best: c={best.c:.10g} gamma={best.gamma:.10g} cv_accuracy={best_acc:.4f}")
@@ -220,10 +226,10 @@ def _cmd_compare(args) -> int:
     result = pipeline.compare_methods(manifest, config, cache_dir=args.cache_dir)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "single_grid.csv").write_text(report.single_grid_csv(result))
-    (out_dir / "comparison.csv").write_text(report.comparison_csv(result))
+    _write_text(out_dir / "single_grid.csv", report.single_grid_csv(result))
+    _write_text(out_dir / "comparison.csv", report.comparison_csv(result))
     text = report.comparison_text(result)
-    (out_dir / "compare.txt").write_text(text)
+    _write_text(out_dir / "compare.txt", text)
     print(text, end="")
     print(f"reports -> {out_dir}")
     return EXIT_OK
@@ -292,6 +298,9 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a class name that stdout's codec cannot encode is escaped, as on stderr
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(errors="backslashreplace")
     with warnings.catch_warnings():  # restores showwarning on the way out
         warnings.showwarning = _show_warning
         try:

@@ -22,6 +22,9 @@ METHODS = ("single", "bank", "patches", "wavelet")
 # the most values one fixed grid or one log-Gabor bank may hold (128 MiB of
 # float64); each is allocated whole, so a larger one is refused up front
 MAX_ARRAY_VALUES = 2 ** 24
+# the most svm.max_passes: a pair solve of n rows takes up to max_passes x n
+# steps, counted in int64, which holds that product for up to 2^32 rows
+MAX_PASSES = 2 ** 31 - 1
 
 
 def _parse_float_tuple(text: str) -> tuple[float, ...]:
@@ -43,11 +46,12 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
-def _key(key: str, default, parse=None, low=None):
+def _key(key: str, default, parse=None, low=None, high=None):
     """A RunConfig field read from flat key `key` by parse (by default the
-    type of the default value), and at least `low` when that is given."""
-    return field(default=default,
-                 metadata={"key": key, "parse": parse or type(default), "low": low})
+    type of the default value), at least `low` and at most `high` when
+    those are given."""
+    return field(default=default, metadata={"key": key, "parse": parse or type(default),
+                                            "low": low, "high": high})
 
 
 @dataclass(frozen=True)
@@ -70,12 +74,13 @@ class RunConfig:
     wavelet_patches: int = _key("wavelet.patches", 200, low=1)
     wavelet_sizes: tuple[int, ...] = _key("wavelet.sizes", wavelet_baseline.DEFAULT_PATCH_SIZES,
                                           _parse_int_tuple)
-    mi_n_bins: int = _key("mi.n_bins", DEFAULT_N_BINS, low=2)
+    mi_n_bins: int = _key("mi.n_bins", DEFAULT_N_BINS, low=2, high=MAX_N_BINS)
     mi_top_k: int = _key("mi.top_k", 256, low=1)
     svm_c: float = _key("svm.c", 10.0)
     svm_gamma: float = _key("svm.gamma", 0.5)
     svm_tol: float = _key("svm.tol", svm.DEFAULT_TOL)
-    svm_max_passes: int = _key("svm.max_passes", svm.DEFAULT_MAX_PASSES, low=1)
+    svm_max_passes: int = _key("svm.max_passes", svm.DEFAULT_MAX_PASSES, low=1,
+                               high=MAX_PASSES)
     # empty = library default grid
     grid_c: tuple[float, ...] = _key("grid.c", (), _parse_float_tuple)
     grid_gamma: tuple[float, ...] = _key("grid.gamma", (), _parse_float_tuple)
@@ -87,11 +92,11 @@ class RunConfig:
         if not self.wavelet_sizes or any(s < 1 for s in self.wavelet_sizes):
             raise ConfigError("wavelet.sizes needs at least one positive size")
         for f in fields(self):
-            low, value = f.metadata["low"], getattr(self, f.name)
+            low, high, value = f.metadata["low"], f.metadata["high"], getattr(self, f.name)
             if low is not None and value < low:
                 raise ConfigError(f"{f.metadata['key']} must be at least {low}, got {value}")
-        if self.mi_n_bins > MAX_N_BINS:
-            raise ConfigError(f"mi.n_bins must be at most {MAX_N_BINS}, got {self.mi_n_bins}")
+            if high is not None and value > high:
+                raise ConfigError(f"{f.metadata['key']} must be at most {high}, got {value}")
         if not (np.isfinite(self.svm_tol) and self.svm_tol > 0):
             raise ConfigError(f"svm.tol must be positive and finite, got {self.svm_tol}")
         rows, cols = self.fixed_rows, self.fixed_cols
@@ -206,7 +211,7 @@ def load_config(path=None, overrides: dict[str, str] | None = None) -> RunConfig
     flat: dict[str, str] = {}
     if path is not None:
         try:
-            text = Path(path).read_text()
+            text = Path(path).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         flat.update(parse_config_text(text, source=str(path)))

@@ -68,7 +68,7 @@ def read_manifest(path) -> DatasetManifest:
     if not path.exists():
         raise SonoclassError(f"manifest not found: {path}")
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise SonoclassError(f"{path}: {exc}") from exc
     if path.suffix.lower() == ".json":
@@ -102,13 +102,13 @@ def write_manifest(path, manifest: DatasetManifest) -> None:
         doc = {"entries": [
             {"path": e.path, "label": e.label, "split": e.split} for e in manifest.entries
         ]}
-        path.write_text(json.dumps(doc, indent=2) + "\n")
+        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8", newline="\n")
         return
     lines = [
         f"{e.path}\t{e.label}\t{e.split}" if e.split else f"{e.path}\t{e.label}"
         for e in manifest.entries
     ]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def auto_split(

@@ -213,7 +213,8 @@ def load_model(path) -> TrainedModel:
     raises SonoclassError naming the file."""
     try:
         return _parse_model(path)
-    except (SonoclassError, ValueError, IndexError) as exc:  # UnicodeDecodeError is a ValueError
+    # UnicodeDecodeError is a ValueError; OverflowError is an integer outside int64
+    except (SonoclassError, ValueError, IndexError, OverflowError) as exc:
         raise SonoclassError(f"{path}: {exc}") from exc
 
 

@@ -13,6 +13,7 @@ import io
 import os
 import threading
 import uuid
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .manifest import DatasetManifest
 from .model_io import TrainedModel
 from .report import ComparisonResult, EvaluationReport, tabulate_report
 from .spectrogram import log_spectrogram, to_fixed
-from .svm import KernelParams, grid_search_cv, ovo_predict_batch, ovo_train
+from .svm import KernelParams, grid_search_cv, ovo_predict_batch
 from .wavelet_baseline import PatchSet, c1_pyramid, global_max, patch_transform, sample_patches
 
 # the keys each stage's config hash covers; their order is hashed into every
@@ -396,26 +397,27 @@ def _selected_train(
     return matrix, selection, None
 
 
-def train_model(
-    manifest: DatasetManifest,
-    config: RunConfig,
-    cache_dir=None,
-) -> TrainedModel:
-    """Fit MI selection (log-Gabor methods), the scaler, and all pair SVMs."""
-    matrix, selection, patch_set = _selected_train(manifest, config, cache_dir)
-    ovo = ovo_train(
-        matrix,
-        config.kernel_params(),
-        tol=config.svm_tol,
-        max_passes=config.svm_max_passes,
-    )
-    return TrainedModel(
-        ovo=ovo,
-        config=config,
-        class_names=manifest.classes,
-        selection=selection,
-        patch_set=patch_set,
-    )
+def _train_each(manifest: DatasetManifest, configs: list[RunConfig],
+                cache_dir=None) -> Iterator[TrainedModel]:
+    """Yield each config's model in order: its MI selection (log-Gabor
+    methods), the scaler, and all pair SVMs. Every config's train features
+    are selected first, and only its selected train matrix, MI selection
+    and patch set are kept. One svm.ovo_train_each batch then solves the
+    pair problems of all the models, and each model is built when it is
+    asked for. The configs share the kernel parameters and solver settings."""
+    selected = [_selected_train(manifest, cfg, cache_dir) for cfg in configs]
+    first = configs[0]
+    models = svm.ovo_train_each([matrix for matrix, _, _ in selected], first.kernel_params(),
+                                tol=first.svm_tol, max_passes=first.svm_max_passes)
+    for cfg, (_, selection, patch_set), ovo in zip(configs, selected, models):
+        yield TrainedModel(ovo=ovo, config=cfg, class_names=manifest.classes,
+                           selection=selection, patch_set=patch_set)
+
+
+def train_model(manifest: DatasetManifest, config: RunConfig, cache_dir=None) -> TrainedModel:
+    """Fit MI selection (log-Gabor methods), the scaler, and all pair SVMs:
+    the one-config case of _train_each."""
+    return next(_train_each(manifest, [config], cache_dir))
 
 
 def evaluate_model(
@@ -519,12 +521,14 @@ def compare_methods(
     which method wins. If any pair solve of the 15 models stops without
     converging, one NonConvergenceWarning gives the count.
 
-    Each configuration's train features are selected first, as train_model
-    selects them, and only its selected train matrix, MI selection and
-    patch set are kept. One svm.ovo_train_each batch then solves the pair
-    problems of all 15 models, and each model is built and evaluated in
-    turn, before the next is built. Every model is the one train_model
-    gives, so every report is the one evaluate_model gives for it."""
+    The 15 models come from _train_each, the path train_model takes with
+    one configuration: every configuration's train features are selected
+    first, one svm.ovo_train_each batch solves the pair problems of all 15
+    models (the configurations differ only in method and single filter, so
+    they share the kernel parameters and solver settings), and each model
+    is built and evaluated in turn, before the next is built. Every model
+    is the one train_model gives, so every report is the one
+    evaluate_model gives for it."""
     # every config is checked before the first model trains
     grid_configs = [
         replace(config, method="single", single_scale=scale, single_orientation=orientation)
@@ -539,17 +543,10 @@ def compare_methods(
         raise SonoclassError("manifest has no test rows")
     _extract_each_clip_once(manifest, configs, cache_dir)
 
-    # the configs differ only in method and single filter, so they share
-    # the kernel parameters and solver settings
-    selected = [_selected_train(manifest, cfg, cache_dir) for cfg in configs]
-    models = svm.ovo_train_each([matrix for matrix, _, _ in selected], config.kernel_params(),
-                                tol=config.svm_tol, max_passes=config.svm_max_passes)
     converged: list[bool] = []  # one flag per pair solve
     reports = []
-    for cfg, (_, selection, patch_set), ovo in zip(configs, selected, models):
-        converged.extend(m.converged for m in ovo.pair_models.values())
-        model = TrainedModel(ovo=ovo, config=cfg, class_names=manifest.classes,
-                             selection=selection, patch_set=patch_set)
+    for model in _train_each(manifest, configs, cache_dir):
+        converged.extend(m.converged for m in model.ovo.pair_models.values())
         reports.append(evaluate_model(model, manifest, cache_dir=cache_dir))
     svm.warn_unconverged(converged.count(False), len(converged))
     return ComparisonResult(

@@ -221,6 +221,41 @@ class TestTrainEvaluate:
         assert "chirpé" in capsys.readouterr().out
         assert "chirpé" in (tmp_path / "r.csv").read_text()
 
+    def test_ascii_locale_writes_the_bytes_of_a_utf8_run(self, corpus, tmp_path, src_env):
+        # under the C locale, without UTF-8 mode or locale coercion, Python's
+        # default text codec and stdout's codec are ASCII
+        source = tmp_path / "m.json"
+        write_manifest(source, DatasetManifest(tuple(
+            replace(e, label="chirpé") if e.label == "chirp" else e
+            for e in read_manifest(corpus["manifest"]).entries
+        )))
+        calls = [
+            ["split", "--manifest", str(source), "--out", "split.tsv", "--seed", "1"],
+            ["train", "--manifest", "split.tsv", "--top-k", "16", "--cache-dir", corpus["cache"],
+             "--dump-mi-scores", "mi.csv", "--out", "model.txt"],
+            ["evaluate", "model.txt", "--manifest", "split.tsv", "--cache-dir", corpus["cache"],
+             "--out", "rep"],
+        ]
+        envs = {"default": src_env(),
+                "ascii": src_env(PYTHONUTF8="0", LC_ALL="C", PYTHONCOERCECLOCALE="0")}
+        files, stdout = {}, {}
+        for name, env in envs.items():
+            run = tmp_path / name
+            run.mkdir()
+            for argv in calls:
+                proc = subprocess.run([sys.executable, "-m", "sonoclass.cli", *argv],
+                                      cwd=run, capture_output=True, env=env)
+                assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+            files[name] = {p.name: p.read_bytes() for p in sorted(run.iterdir())}
+            stdout[name] = proc.stdout  # evaluate's report
+        assert sorted(files["default"]) == ["mi.csv", "model.txt", "rep.csv", "rep.txt",
+                                            "split.tsv"]
+        assert files["ascii"] == files["default"]
+        assert "chirpé\t".encode() in files["default"]["split.tsv"]
+        assert b"\r" not in b"".join(files["default"].values())
+        assert "chirpé ".encode() in stdout["default"]
+        assert b"chirp\\xe9 " in stdout["ascii"]  # escaped, as on stderr
+
     def test_repeated_pair_model_is_data_error(self, corpus, tmp_path, capsys):
         model_path = tmp_path / "model.txt"
         cli.main([
@@ -254,6 +289,27 @@ class TestTrainEvaluate:
         rc = cli.main(["evaluate", str(model_path), "--manifest", str(corpus["manifest"])])
         assert rc == cli.EXIT_DATA
         assert capsys.readouterr().err == f"error: {model_path}: bad value for svm.c: 'abc'\n"
+
+    def test_model_integer_outside_int64_is_data_error(self, corpus, tmp_path, capsys):
+        model_path = self._train(corpus, tmp_path, "bank")
+        text = model_path.read_text()
+        damaged = re.sub(r"^selected \d+", "selected 99999999999999999999", text, count=1,
+                         flags=re.M)
+        assert damaged != text
+        model_path.write_text(damaged)
+        err = self._evaluate_err(corpus, model_path, capsys)
+        assert err.startswith(f"error: {model_path}: ") and err.count("\n") == 1
+
+    def test_max_passes_echo_above_its_bound_is_data_error(self, corpus, tmp_path, capsys):
+        model_path = self._train(corpus, tmp_path, "bank")
+        text = model_path.read_text()
+        assert "svm.max_passes = 200\n" in text
+        model_path.write_text(text.replace("svm.max_passes = 200\n",
+                                           "svm.max_passes = 4611686018427387904\n", 1))
+        assert self._evaluate_err(corpus, model_path, capsys) == (
+            f"error: {model_path}: svm.max_passes must be at most 2147483647, "
+            "got 4611686018427387904\n"
+        )
 
     def _train(self, corpus, tmp_path, method):
         model_path = tmp_path / "model.txt"
@@ -290,8 +346,9 @@ class TestTrainEvaluate:
         ("wavelet", lambda text: text[:text.rindex("\npatch ") + 1].replace(
             "\npatches 20 ", "\npatches 19 ") + "end\n",
          "19 transformed features, but a scaler of 20"),
+        ("bank", lambda text: text.removesuffix("\nend\n") + "\nended\n", "missing end marker"),
     ], ids=["bank-no-selection", "wavelet-selection", "wavelet-no-patch-set", "wavelet-seed",
-            "bank-selection-width", "wavelet-last-patch-dropped"])
+            "bank-selection-width", "wavelet-last-patch-dropped", "bank-no-end-line"])
     def test_damaged_transform_is_data_error(self, corpus, tmp_path, capsys, method, damage,
                                              message):
         model_path = self._train(corpus, tmp_path, method)
@@ -523,6 +580,10 @@ class TestErrorPaths:
         pytest.param("--config", "grid.folds = 1", id="grid.folds=1"),
         pytest.param("--config", "method = single\nsingle.scale = 5", id="single.scale=5"),
         pytest.param("--config", "svm.max_passes = 0", id="svm.max_passes=0"),
+        # max_passes x rows would wrap in int64, or not fit it at all
+        pytest.param("--config", "svm.max_passes = 4611686018427387904", id="svm.max_passes=2^62"),
+        pytest.param("--config", "svm.max_passes = 99999999999999999999",
+                     id="svm.max_passes=1e20"),
         pytest.param("--config", "svm.tol = -1", id="svm.tol=-1"),
         pytest.param("--config", "fixed.rows = 4", id="fixed.rows=4"),
         pytest.param("--config", "method = patches\nfixed.rows = 100", id="patches-fixed.rows=100"),
@@ -859,6 +920,29 @@ class TestErrorPaths:
                        "--out", str(tmp_path / "cmp")])
         assert rc == cli.EXIT_DATA
         assert capsys.readouterr().err == "error: manifest has no test rows\n"
+        assert not cache.exists()  # refused before any clip is read
+
+    @pytest.mark.parametrize("command, split, message", [
+        ("train", "test", "manifest has no train rows"),
+        ("evaluate", "train", "manifest has no test rows"),
+    ], ids=["train", "evaluate"])
+    def test_manifest_without_the_split_it_reads_is_data_error(self, corpus, tmp_path, capsys,
+                                                                command, split, message):
+        path = tmp_path / f"all_{split}.tsv"
+        write_manifest(path, DatasetManifest(tuple(
+            replace(e, split=split) for e in read_manifest(corpus["manifest"]).entries
+        )))
+        model = tmp_path / "model.txt"
+        if command == "evaluate":
+            assert cli.main(["train", "--manifest", str(corpus["manifest"]), "--top-k", "16",
+                             "--cache-dir", corpus["cache"], "--out", str(model)]) == 0
+            argv = ["evaluate", str(model)]
+        else:
+            argv = ["train", "--out", str(model)]
+        cache = tmp_path / "cache"
+        capsys.readouterr()
+        assert cli.main(argv + ["--manifest", str(path), "--cache-dir", str(cache)]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not cache.exists()  # refused before any clip is read
 
     def test_unknown_subcommand_is_usage_error(self, capsys):

@@ -1073,6 +1073,17 @@ class TestTrainEvaluate:
         assert report.sample_weighted_accuracy == 100.0
         assert np.array_equal(report.confusion, np.diag([2, 2, 2]))
 
+    def test_class_without_test_clips_has_no_accuracy_line(self):
+        truth = np.array([0, 0, 2, 2])
+        report = tabulate_report(truth, np.array([0, 1, 2, 2]), ("a", "b", "c"))
+        assert list(report.per_class_accuracy) == ["a", "c"]
+        lines = evaluation_text(report).splitlines()
+        assert lines[2:6] == ["class  correct/total  accuracy",
+                              "a     1/2         50.00%",
+                              "c     2/2        100.00%",
+                              ""]
+        assert "b       0      0      0" in lines  # b keeps its confusion row
+
     def test_constant_predictions_on_equal_classes(self):
         truth = np.repeat(np.arange(4), 5)
         predicted = np.zeros(20, dtype=np.int64)
