@@ -16,15 +16,12 @@ from . import log_gabor, spectrogram, svm, wavelet_baseline
 from .errors import ConfigError
 from .feature_select import DEFAULT_N_BINS, MAX_N_BINS
 from .spectrogram import StftParams
-from .svm import KernelParams
+from .svm import MAX_PASSES, KernelParams
 
 METHODS = ("single", "bank", "patches", "wavelet")
 # the most values one fixed grid or one log-Gabor bank may hold (128 MiB of
 # float64); each is allocated whole, so a larger one is refused up front
 MAX_ARRAY_VALUES = 2 ** 24
-# the most svm.max_passes: a pair solve of n rows takes up to max_passes x n
-# steps, counted in int64, which holds that product for up to 2^32 rows
-MAX_PASSES = 2 ** 31 - 1
 
 
 def _parse_float_tuple(text: str) -> tuple[float, ...]:

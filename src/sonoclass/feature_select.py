@@ -7,12 +7,12 @@ score reduce every feature vector thereafter.
 `mi_scores` is the library's one MI estimator. It scores a block of
 columns at a time, the blocks on every CPU of the affinity mask through
 `cpus.run_each`: one `bincount` over (column, bin, class) codes gives every
-joint table of the block, and the MI terms of the nonzero cells of all its
-columns are computed together. The columns that have the same number m of
-nonzero cells are summed together, each as one row of m terms; that rounds
-exactly like a 1-D `np.sum` over one column's m terms, so the scores are
-bit-identical to scoring each column on its own. The per-column reference
-the tests hold it to is `tests/mi_reference.py`.
+joint table of the block, and each column's MI comes from its integer
+counts by the plug-in identity I(X;Y) = H(X) + H(Y) - H(X,Y) (Cover &
+Thomas, Elements of Information Theory, 2nd ed., eq. 2.45): with n rows and
+f(c) = c log2 c, n I = f(n) - sum_y f(c_y) + sum_x (sum_y f(c_xy) - f(c_x)).
+f is a table of the n + 1 possible counts. Every column sums its own cells
+in the same order, so columns with equal count tables score equal bits.
 """
 
 from __future__ import annotations
@@ -98,9 +98,14 @@ def mi_scores(matrix: FeatureMatrix, n_bins: int = DEFAULT_N_BINS) -> np.ndarray
     workers = cpus.worker_count(budget)
     width = budget // workers
 
+    # f(c) = c log2 c of every count c in [0, n], and n H(Y) = f(n) - sum_y f(c_y)
+    flogf = np.arange(matrix.n_samples + 1.0)
+    flogf[1:] *= np.log2(flogf[1:])
+    n_hy = flogf[-1] - flogf[np.bincount(label_idx)].sum()
+
     def score(start: int) -> np.ndarray:
         block = matrix.values[:, start:start + width]
-        return _block_scores(block, label_idx, n_classes, n_bins)
+        return _block_scores(block, label_idx, n_classes, n_bins, flogf, n_hy)
 
     return np.concatenate(cpus.run_each(score, range(0, d, width), workers) or [np.zeros(0)])
 
@@ -119,12 +124,11 @@ def select_top_k(matrix: FeatureMatrix, k: int, n_bins: int = DEFAULT_N_BINS) ->
     return MiSelection(selected=selected, scores=scores[selected], n_features=d)
 
 
-def _block_scores(
-    block: np.ndarray, label_idx: np.ndarray, n_classes: int, n_bins: int
-) -> np.ndarray:
-    """MI of each column of an S x B block, bit for bit as the per-column
-    reference in `tests/mi_reference.py` gives it: equal-width bins over
-    [min, max], then one 1-D sum of the column's terms."""
+def _block_scores(block: np.ndarray, label_idx: np.ndarray, n_classes: int, n_bins: int,
+                  flogf: np.ndarray, n_hy: float) -> np.ndarray:
+    """MI of each column of an S x B block: equal-width bins over [min, max],
+    then (n H(Y) - n H(Y|X)) / n from the column's joint counts, with
+    flogf[c] = c log2 c and n_hy = n H(Y)."""
     n_samples, width = block.shape
     cells = n_bins * n_classes
     lo = block.min(axis=0)
@@ -142,42 +146,16 @@ def _block_scores(
     codes *= n_classes
     codes += label_idx[:, None]
     codes += np.arange(0, width * cells, cells)
-    joint = np.bincount(codes.ravel(), minlength=width * cells)
+    # row j * n_bins + x: bin x of column j, one count per class
+    joint = np.bincount(codes.ravel(), minlength=width * cells).reshape(-1, n_classes)
     del codes
-
-    p_xy = joint / n_samples
-    p_x = p_xy.reshape(width * n_bins, n_classes).sum(axis=1)
-    # the nonzero cells, column by column, each in row-major (bin, class) order
-    nz = np.flatnonzero(joint > 0)  # a bool mask is searched faster
-    col = nz // cells
-    p = p_xy[nz]
-    # numpy sums the bins of a class one after another, and so does a
-    # weighted bincount over the nonzero cells in bin order
-    col_class = col * n_classes + nz % n_classes
-    p_y = np.bincount(col_class, weights=p, minlength=width * n_classes)
-    terms = p_x[nz // n_classes]
-    terms *= p_y[col_class]
-    np.divide(p, terms, out=terms)
-    np.log2(terms, out=terms)
-    terms *= p
-
-    # columns with m nonzero cells are summed as rows of m terms, which
-    # rounds like np.sum over one column's m terms; in order of m, each
-    # group's rows are one contiguous run
-    nnz = np.bincount(col, minlength=width)
-    order = np.argsort(nnz, kind="stable")
-    m_sorted = nnz[order]
-    # where each column's terms start in terms, less where they start in runs
-    shift = (np.cumsum(nnz) - nnz)[order] - (np.cumsum(m_sorted) - m_sorted)
-    runs = terms[np.repeat(shift, m_sorted) + np.arange(terms.size)]
-    sums = np.empty(width)
-    row = at = 0
-    ms, counts = np.unique(m_sorted, return_counts=True)
-    for m, count in zip(ms.tolist(), counts.tolist()):
-        sums[order[row:row + count]] = runs[at:at + count * m].reshape(count, m).sum(axis=1)
-        row += count
-        at += count * m
-    return np.where(sums < 0.0, 0.0, sums)  # max(sum, 0.0): rounding can dip below 0
+    # -n H(Y|X) = sum over bins x of (sum_y f(c_xy) - f(c_x)): exactly 0 for
+    # a bin of one class, so every separating column scores n H(Y) / n
+    per_bin = flogf[joint].sum(axis=1)
+    per_bin -= flogf[joint.sum(axis=1)]
+    mi = n_hy + per_bin.reshape(width, n_bins).sum(axis=1)
+    mi /= n_samples
+    return np.maximum(mi, 0.0)  # rounding can dip below 0
 
 
 def apply_selection(vector: np.ndarray, selection: MiSelection) -> np.ndarray:

@@ -31,6 +31,9 @@ from .feature_select import FeatureMatrix
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_PASSES = 200
+# the most max_passes: a pair solve of n rows takes up to max_passes x n
+# steps, counted in int64, which holds that product for up to 2^32 rows
+MAX_PASSES = 2 ** 31 - 1
 DEFAULT_FOLDS = 5
 DEFAULT_C_GRID = tuple(2.0 ** p for p in range(-5, 16, 2))
 DEFAULT_GAMMA_GRID = tuple(2.0 ** p for p in range(-15, 4, 2))
@@ -178,10 +181,13 @@ def _solve_batch(groups, c_values, tol: float, max_passes: int) -> _Batch:
     step moves a_i by y_i d and a_j by -y_j d, with d = b/q clipped to
     both boxes; a multiplier whose box clips d lands exactly on 0 or C,
     and G += y d (K_i - K_j). A problem leaves the batch when its gap
-    m(a) - M(a) is at most tol/2, or after max_passes x its rows steps.
-    Problems share nothing, so each one's model is bit for bit the model
-    of that problem solved alone.
+    m(a) - M(a) is at most tol/2, or after max_passes x its rows steps;
+    a max_passes outside [1, MAX_PASSES] is refused. Problems share
+    nothing, so each one's model is bit for bit the model of that problem
+    solved alone.
     """
+    if not 1 <= max_passes <= MAX_PASSES:
+        raise ValueError(f"max_passes={max_passes} outside [1, {MAX_PASSES}]")
     kernels = [kernel for kernel, _ in groups]
     n_c, width = len(c_values), max(k.shape[0] for k in kernels)
     tensor = np.zeros((len(kernels), width, width))

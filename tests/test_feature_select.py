@@ -9,6 +9,7 @@ from mi_reference import (
     discretize,
     mi_table_oracle,
     mutual_information,
+    per_column_count_reference,
     per_column_oracle,
     samples_from_counts,
 )
@@ -160,6 +161,19 @@ class TestSelectTopK:
         sel = select_top_k(FeatureMatrix(values, labels), k=2, n_bins=2)
         assert sel.selected.tolist() == [0, 1]
 
+    def test_tied_separators_pick_the_lowest_indices(self):
+        """Each class's rows sit in 4 of a column's 16 bins that no other
+        class uses, so every column's MI is H(Y) = 2 bits, whatever the
+        counts within the class's bins are."""
+        rng = np.random.default_rng(0)
+        labels = np.repeat(np.arange(4), 3)
+        own = np.array([rng.permutation(16).reshape(4, 4) for _ in range(300)])
+        pick = rng.integers(0, 4, size=(300, 12, 1))
+        values = np.take_along_axis(own[:, labels], pick, axis=2)[..., 0].T.astype(float)
+        matrix = FeatureMatrix(values, labels)
+        assert np.all(mi_scores(matrix) == 2.0)
+        assert select_top_k(matrix, k=8).selected.tolist() == list(range(8))
+
     def test_k_out_of_range(self):
         matrix, _ = self.make_matrix()
         for k in (0, 7):
@@ -212,17 +226,19 @@ PARITY_SHAPES = [
 
 class TestBlockedParity:
     """select_top_k scores blocks of columns at once; every score must
-    equal the per-column discretize + mutual_information oracle exactly."""
+    equal the per-column count reference exactly, and the term-by-term
+    per-column oracle to 1e-12."""
 
     @pytest.mark.parametrize("n_samples, n_features, classes, n_bins", PARITY_SHAPES)
     def test_scores_equal_per_column_oracle(self, n_samples, n_features, classes, n_bins):
         matrix = parity_matrix(n_features, n_samples, n_features, np.array(classes))
-        oracle = per_column_oracle(matrix, n_bins)
+        reference = per_column_count_reference(matrix, n_bins)
         k = min(n_features, 64)
         scores = mi_scores(matrix, n_bins=n_bins)
-        assert np.array_equal(scores, oracle)
+        assert np.array_equal(scores, reference)
+        assert scores == pytest.approx(per_column_oracle(matrix, n_bins), abs=1e-12)
         sel = select_top_k(matrix, k=k, n_bins=n_bins)
-        order = np.lexsort((np.arange(n_features), -oracle))
+        order = np.lexsort((np.arange(n_features), -reference))
         assert np.array_equal(sel.selected, order[:k])
         assert np.array_equal(sel.scores, scores[sel.selected])
 
@@ -236,7 +252,8 @@ class TestBlockedParity:
                                                   n_features, classes, n_bins):
         monkeypatch.setattr(cpus, "worker_count", lambda n_tasks: min(workers, n_tasks))
         matrix = parity_matrix(n_features, n_samples, n_features, np.array(classes))
-        assert np.array_equal(mi_scores(matrix, n_bins=n_bins), per_column_oracle(matrix, n_bins))
+        assert np.array_equal(mi_scores(matrix, n_bins=n_bins),
+                              per_column_count_reference(matrix, n_bins))
 
     def test_pool_threads_score_blocks_and_are_gone_after(self, monkeypatch):
         monkeypatch.setattr(cpus, "worker_count", lambda n_tasks: min(3, n_tasks))
@@ -270,10 +287,12 @@ class TestBlockedParity:
         matrix = FeatureMatrix(values, matrix.labels)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+            reference = per_column_count_reference(matrix, 16)
             oracle = per_column_oracle(matrix, 16)
             scores = mi_scores(matrix, n_bins=16)
-        assert np.array_equal(scores, oracle)
-        assert oracle[3] == oracle[11] == 0.0  # every row in bin 0
+        assert np.array_equal(scores, reference)
+        assert scores == pytest.approx(oracle, abs=1e-12)
+        assert scores[3] == scores[11] == oracle[3] == oracle[11] == 0.0  # every row in bin 0
 
     def test_over_128_cells_case_has_such_columns(self):
         n_samples, n_features, classes, n_bins = OVER_128_CELLS

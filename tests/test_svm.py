@@ -784,3 +784,27 @@ class TestGridSearch:
         assert [str(w.message) for w in record] == [want_message] * (max_passes == 8)
         assert len({acc for _, _, acc in table}) > 1
         assert calls == {1: [3] * 9, 2: [6] * 4 + [3], 9: [27]}[tasks]
+
+
+MAX_PASSES_CALLS = [
+    pytest.param(lambda matrix, max_passes: next(svm.ovo_train_each(
+        [matrix], KernelParams(gamma=0.5, c=10.0), max_passes=max_passes)), id="ovo_train_each"),
+    pytest.param(lambda matrix, max_passes: grid_search_cv(
+        matrix, c_grid=[10.0], gamma_grid=[0.5], folds=2, max_passes=max_passes),
+        id="grid_search_cv"),
+]
+
+
+@pytest.mark.parametrize("max_passes", [0, -5, svm.MAX_PASSES + 1, 2 ** 62])
+@pytest.mark.parametrize("call", MAX_PASSES_CALLS)
+def test_max_passes_outside_its_bound_is_refused(call, max_passes):
+    """The step cap max_passes x rows is counted in int64; at 2^62 it wraps
+    and at 0 or below it ends every solve before its first step."""
+    with pytest.raises(ValueError, match=rf"max_passes={max_passes} outside \[1, 2147483647\]"):
+        call(multiclass_blobs(3, seed=20), max_passes)
+
+
+@pytest.mark.parametrize("call", MAX_PASSES_CALLS)
+def test_max_passes_at_its_bound_solves_as_at_the_default(call):
+    matrix = multiclass_blobs(3, seed=20)
+    assert repr(call(matrix, svm.MAX_PASSES)) == repr(call(matrix, svm.DEFAULT_MAX_PASSES))
