@@ -16,6 +16,13 @@ from .errors import ConfigError, SonoclassError
 from .manifest import DatasetManifest, ManifestEntry
 
 SYNTH_KINDS = ("noise_burst", "harmonic_tone", "chirp", "impulse_train")
+# the most values one array may hold (128 MiB of float64): a synthetic clip,
+# a fixed grid, a log-Gabor bank or a wavelet S2 map set is allocated whole,
+# so a larger one is refused up front
+MAX_ARRAY_VALUES = 2 ** 24
+# save_wav's 16-bit mono header holds the byte rate, twice the sample rate,
+# in 32 bits
+MAX_SAMPLE_RATE = 2 ** 31 - 1
 
 _WAVE_FORMAT_PCM = 1
 _WAVE_FORMAT_IEEE_FLOAT = 3
@@ -163,13 +170,18 @@ def _fade_envelope(n: int, sample_rate: int) -> np.ndarray:
 
 
 def _sample_count(duration_s: float, sample_rate: int) -> int:
-    """Samples in a clip; ConfigError unless the duration and the rate are
-    finite and positive and give at least one sample."""
+    """Samples in a clip; ConfigError unless the duration is finite and
+    positive, the rate lies in [1, MAX_SAMPLE_RATE], and they give at least
+    one and at most MAX_ARRAY_VALUES samples."""
     if not (np.isfinite(duration_s) and duration_s > 0):
         raise ConfigError(f"duration must be finite and > 0, got {duration_s}")
-    if not (np.isfinite(sample_rate) and sample_rate >= 1):
-        raise ConfigError(f"sample rate must be at least 1, got {sample_rate}")
-    n = int(round(duration_s * sample_rate))
+    if not 1 <= sample_rate <= MAX_SAMPLE_RATE:
+        raise ConfigError(f"sample rate must lie in [1, {MAX_SAMPLE_RATE}], got {sample_rate}")
+    samples = duration_s * sample_rate  # checked before rounding: inf has no int
+    if samples > MAX_ARRAY_VALUES:
+        raise ConfigError(f"{duration_s} s at {sample_rate} Hz is above the cap of "
+                          f"{MAX_ARRAY_VALUES} samples")
+    n = int(round(samples))
     if n < 1:
         raise ConfigError(f"{duration_s} s at {sample_rate} Hz is less than one sample")
     return n

@@ -178,9 +178,7 @@ def _cmd_train(args) -> int:
     print(f"trained {len(model.ovo.pair_models)} pair models "
           f"over {len(model.class_names)} classes -> {args.out}")
     if args.dump_mi_scores:
-        lines = ["feature_index,score_bits"]
-        lines += [f"{int(i)},{s:.12g}" for i, s in zip(model.selection.selected, model.selection.scores)]
-        _write_text(args.dump_mi_scores, "\n".join(lines) + "\n")
+        _write_text(args.dump_mi_scores, report.mi_scores_csv(model.selection))
         print(f"MI scores -> {args.dump_mi_scores}")
     if not model.ovo.converged:
         print("warning: at least one pair solver did not converge", file=sys.stderr)
@@ -210,9 +208,7 @@ def _cmd_gridsearch(args) -> int:
     manifest = read_manifest(args.manifest)
     best, table = pipeline.grid_search(manifest, config, cache_dir=args.cache_dir)
     if args.out:
-        lines = ["c,gamma,cv_accuracy"]
-        lines += [f"{c:.10g},{g:.10g},{acc:.6f}" for c, g, acc in table]
-        _write_text(args.out, "\n".join(lines) + "\n")
+        _write_text(args.out, report.cv_csv(table))
         print(f"CV table -> {args.out}")
     best_acc = max(acc for _, _, acc in table)
     print(f"best: c={best.c:.10g} gamma={best.gamma:.10g} cv_accuracy={best_acc:.4f}")

@@ -13,15 +13,13 @@ from pathlib import Path
 import numpy as np
 
 from . import log_gabor, spectrogram, svm, wavelet_baseline
+from .audio_io import MAX_ARRAY_VALUES
 from .errors import ConfigError
 from .feature_select import DEFAULT_N_BINS, MAX_N_BINS
 from .spectrogram import StftParams
 from .svm import MAX_PASSES, KernelParams
 
 METHODS = ("single", "bank", "patches", "wavelet")
-# the most values one fixed grid or one log-Gabor bank may hold (128 MiB of
-# float64); each is allocated whole, so a larger one is refused up front
-MAX_ARRAY_VALUES = 2 ** 24
 
 
 def _parse_float_tuple(text: str) -> tuple[float, ...]:
@@ -152,6 +150,14 @@ class RunConfig:
             raise ConfigError(
                 f"log-Gabor bank of {self.gabor_scales} scales x {self.gabor_orientations} "
                 f"orientations of {rows}x{cols} holds {bank} values, above the cap of {cap}"
+            )
+        # patch_transform scores every patch at each of a C1 plane's pixels,
+        # and the scale-1 plane is the largest
+        s2 = self.wavelet_patches * (rows // 2) * (cols // 2)
+        if self.method == "wavelet" and s2 > cap:
+            raise ConfigError(
+                f"wavelet.patches = {self.wavelet_patches} over the {rows // 2}x{cols // 2} "
+                f"scale-1 C1 plane holds {s2} values, above the cap of {cap}"
             )
 
     def stft_params(self) -> StftParams:

@@ -1,5 +1,6 @@
 """Evaluation reports: the confusion matrix and accuracies of one model,
-the multi-method comparison, and their text and CSV renderings.
+the multi-method comparison, and their text and CSV renderings, plus the
+CV table and the MI-scores CSV: every table the CLI writes.
 
 Reports carry no timings, so reruns with the same seed give identical
 bytes.
@@ -10,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .feature_select import MiSelection
 
 
 @dataclass
@@ -74,16 +77,29 @@ def _pct(value: float) -> str:
     return format(value, ".6f")
 
 
+def _accuracies(report: EvaluationReport, names) -> list[float]:
+    """The per-class accuracy of each of names, NaN for a class with no
+    test clips."""
+    per_class = report.per_class_accuracy
+    return [per_class.get(name, float("nan")) for name in names]
+
+
+def _method_rows(result: ComparisonResult) -> list[tuple[str, list[float]]]:
+    """The method table: a row of accuracies, one per method, for each
+    class and then for their unweighted average."""
+    columns = [_accuracies(r, result.class_names) + [r.averaged_accuracy]
+               for r in result.method_reports.values()]
+    labels = [*result.class_names, "averaged"]
+    return [(label, [column[i] for column in columns]) for i, label in enumerate(labels)]
+
+
 def evaluation_csv(report: EvaluationReport) -> str:
     lines = ["kind,truth,predicted,value"]
-    for name in report.class_names:
-        if name in report.per_class_accuracy:
-            lines.append(f"per_class,{name},,{_pct(report.per_class_accuracy[name])}")
-    lines.append(f"averaged,,,{_pct(report.averaged_accuracy)}")
-    lines.append(f"sample_weighted,,,{_pct(report.sample_weighted_accuracy)}")
-    lines.append(f"n_test,,,{report.n_test}")
-    lines.append(f"method,,,{report.method}")
-    lines.append(f"split_hash,,,{report.split_hash}")
+    lines += [f"per_class,{name},,{_pct(a)}" for name, a in report.per_class_accuracy.items()]
+    lines += [f"averaged,,,{_pct(report.averaged_accuracy)}",
+              f"sample_weighted,,,{_pct(report.sample_weighted_accuracy)}",
+              f"n_test,,,{report.n_test}", f"method,,,{report.method}",
+              f"split_hash,,,{report.split_hash}"]
     for i, truth in enumerate(report.class_names):
         for j, pred in enumerate(report.class_names):
             lines.append(f"confusion,{truth},{pred},{report.confusion[i, j]}")
@@ -92,90 +108,67 @@ def evaluation_csv(report: EvaluationReport) -> str:
 
 def evaluation_text(report: EvaluationReport) -> str:
     width = max(len(n) for n in report.class_names)
-    lines = [f"method: {report.method}    test clips: {report.n_test}", ""]
-    lines.append(f"{'class'.ljust(width)}  correct/total  accuracy")
+    lines = [f"method: {report.method}    test clips: {report.n_test}", "",
+             f"{'class'.ljust(width)}  correct/total  accuracy"]
+    per_class = report.per_class_accuracy
     for i, name in enumerate(report.class_names):
-        total = int(report.confusion[i].sum())
-        if not total:
-            continue
-        correct = int(report.confusion[i, i])
-        lines.append(
-            f"{name.ljust(width)}  {correct:>4d}/{total:<4d}     "
-            f"{report.per_class_accuracy[name]:6.2f}%"
-        )
-    lines.append("")
-    lines.append(f"averaged accuracy (unweighted): {report.averaged_accuracy:.2f}%")
-    lines.append(f"sample-weighted accuracy:       {report.sample_weighted_accuracy:.2f}%")
-    lines.append("")
-    lines.append("confusion (rows = truth):")
-    header = " " * width + "  " + " ".join(n[:6].rjust(6) for n in report.class_names)
-    lines.append(header)
+        if name in per_class:
+            correct, total = int(report.confusion[i, i]), int(report.confusion[i].sum())
+            lines.append(f"{name.ljust(width)}  {correct:>4d}/{total:<4d}     "
+                         f"{per_class[name]:6.2f}%")
+    lines += ["", f"averaged accuracy (unweighted): {report.averaged_accuracy:.2f}%",
+              f"sample-weighted accuracy:       {report.sample_weighted_accuracy:.2f}%",
+              "", "confusion (rows = truth):",
+              " " * width + "  " + " ".join(n[:6].rjust(6) for n in report.class_names)]
     for i, name in enumerate(report.class_names):
         row = " ".join(str(int(v)).rjust(6) for v in report.confusion[i])
         lines.append(f"{name.ljust(width)}  {row}")
     if report.config:
-        lines.append("")
-        lines.append(f"config: {report.config}")
+        lines += ["", f"config: {report.config}"]
     return "\n".join(lines) + "\n"
 
 
 def single_grid_csv(result: ComparisonResult) -> str:
-    header = "scale,orientation," + ",".join(result.class_names) + ",averaged"
-    lines = [header]
+    lines = ["scale,orientation," + ",".join(result.class_names) + ",averaged"]
     for scale, orientation, report in result.grid_reports:
-        cells = [
-            _pct(report.per_class_accuracy.get(name, float("nan")))
-            for name in result.class_names
-        ]
-        lines.append(
-            f"{scale},{orientation}," + ",".join(cells) + f",{_pct(report.averaged_accuracy)}"
-        )
+        cells = map(_pct, _accuracies(report, result.class_names) + [report.averaged_accuracy])
+        lines.append(f"{scale},{orientation}," + ",".join(cells))
     return "\n".join(lines) + "\n"
 
 
 def comparison_csv(result: ComparisonResult) -> str:
     methods = list(result.method_reports)
+    weighted = [r.sample_weighted_accuracy for r in result.method_reports.values()]
     lines = ["class," + ",".join(methods)]
-    for name in result.class_names:
-        cells = [
-            _pct(result.method_reports[m].per_class_accuracy.get(name, float("nan")))
-            for m in methods
-        ]
-        lines.append(f"{name}," + ",".join(cells))
-    lines.append("averaged," + ",".join(
-        _pct(result.method_reports[m].averaged_accuracy) for m in methods
-    ))
-    lines.append("sample_weighted," + ",".join(
-        _pct(result.method_reports[m].sample_weighted_accuracy) for m in methods
-    ))
+    for label, values in _method_rows(result) + [("sample_weighted", weighted)]:
+        lines.append(f"{label}," + ",".join(map(_pct, values)))
     lines.append(f"split_hash,{result.split_hash}" + "," * (len(methods) - 1))
     return "\n".join(lines) + "\n"
 
 
 def comparison_text(result: ComparisonResult) -> str:
-    lines = ["single-filter grid (per-class accuracy %):", ""]
     width = max(len(n) for n in result.class_names)
-    head = "scale orient  " + "  ".join(n[:7].rjust(7) for n in result.class_names) + "  averaged"
-    lines.append(head)
+    lines = ["single-filter grid (per-class accuracy %):", "", "scale orient  "
+             + "  ".join(n[:7].rjust(7) for n in result.class_names) + "  averaged"]
     for scale, orientation, report in result.grid_reports:
-        cells = "  ".join(
-            f"{report.per_class_accuracy.get(name, float('nan')):7.2f}"
-            for name in result.class_names
-        )
+        cells = "  ".join(f"{a:7.2f}" for a in _accuracies(report, result.class_names))
         lines.append(f"{scale:>5d} {orientation:>6d}  {cells}  {report.averaged_accuracy:8.2f}")
-    lines.append("")
-    lines.append("method comparison (per-class accuracy %):")
-    lines.append("")
-    methods = list(result.method_reports)
-    lines.append("class".ljust(width) + "  " + "  ".join(m.rjust(8) for m in methods))
-    for name in result.class_names:
-        cells = "  ".join(
-            f"{result.method_reports[m].per_class_accuracy.get(name, float('nan')):8.2f}"
-            for m in methods
-        )
-        lines.append(name.ljust(width) + "  " + cells)
-    lines.append("averaged".ljust(width) + "  " + "  ".join(
-        f"{result.method_reports[m].averaged_accuracy:8.2f}" for m in methods
-    ))
+    lines += ["", "method comparison (per-class accuracy %):", "",
+              "class".ljust(width) + "  " + "  ".join(m.rjust(8) for m in result.method_reports)]
+    for label, values in _method_rows(result):
+        lines.append(label.ljust(width) + "  " + "  ".join(f"{a:8.2f}" for a in values))
     lines.append(f"\nsplit hash: {result.split_hash}")
+    return "\n".join(lines) + "\n"
+
+
+def cv_csv(table: list[tuple[float, float, float]]) -> str:
+    """grid_search's CV table: one (c, gamma, accuracy) row per grid cell."""
+    lines = ["c,gamma,cv_accuracy"] + [f"{c:.10g},{g:.10g},{a:.6f}" for c, g, a in table]
+    return "\n".join(lines) + "\n"
+
+
+def mi_scores_csv(selection: MiSelection) -> str:
+    """Each selected feature's index and MI score in bits, best first."""
+    lines = ["feature_index,score_bits"]
+    lines += [f"{int(i)},{s:.12g}" for i, s in zip(selection.selected, selection.scores)]
     return "\n".join(lines) + "\n"

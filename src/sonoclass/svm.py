@@ -482,13 +482,9 @@ def grid_search_cv(
                 group += 1
             correct[:, g] += np.sum(_ovo_vote(classes, pairs, d) == test_labels, axis=1)
 
-    table: list[tuple[float, float, float]] = []
-    best: tuple[float, KernelParams] | None = None
-    for k, c in enumerate(c_values):
-        for g, gamma in enumerate(gammas):
-            accuracy = int(correct[k, g]) / matrix.n_samples
-            table.append((c, gamma, accuracy))
-            if best is None or accuracy > best[0]:
-                best = (accuracy, KernelParams(gamma=gamma, c=c))
+    table = [(c, gamma, int(correct[k, g]) / matrix.n_samples)
+             for k, c in enumerate(c_values) for g, gamma in enumerate(gammas)]
+    # max keeps the first best row: the smallest C, then the smallest gamma
+    c, gamma, _ = max(table, key=lambda row: row[2])
     warn_unconverged(unconverged, solves)
-    return best[1], table
+    return KernelParams(gamma=gamma, c=c), table

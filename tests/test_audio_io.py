@@ -166,6 +166,12 @@ class TestSynthesize:
             with pytest.raises(ConfigError, match="duration must be finite and > 0"):
                 synthesize_clip("chirp", duration, 8000, 1)
 
+    def test_sample_rate_beyond_the_wav_header_refused(self, tmp_path):
+        # 2**31 Hz gives 2 samples in 1 ns, but its byte rate has no 32-bit field
+        with pytest.raises(ConfigError, match=r"^sample rate must lie in \[1, 2147483647\]"):
+            audio_io.generate_corpus(tmp_path / "clips", 1, duration_s=1e-9, sample_rate=2 ** 31)
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             synthesize_clip("square_wave", 1.0, 8000, 1)

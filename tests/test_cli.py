@@ -66,6 +66,9 @@ class TestSynthAndSplit:
     @pytest.mark.parametrize("flag, value", [
         ("--duration", "inf"), ("--clips-per-class", "0"), ("--clips-per-class", "-1"),
         ("--duration", "1e-9"), ("--sample-rate", "0"),
+        # above the array cap in samples, or with no int sample count at all
+        ("--duration", "1e9"), ("--sample-rate", "100000000"), ("--duration", "1e308"),
+        pytest.param("--sample-rate", "1" + "0" * 400, id="--sample-rate-1e400"),
     ])
     def test_bad_synth_argument_is_config_error(self, tmp_path, capsys, flag, value):
         rc = cli.main(["synth", "--out", str(tmp_path / "clips"), flag, value])
@@ -596,6 +599,8 @@ class TestErrorPaths:
         pytest.param("--config", "wavelet.patches = 0", id="wavelet.patches=0"),
         pytest.param("--config", "method = wavelet\nwavelet.patches = 0", id="wavelet-wavelet.patches=0"),
         pytest.param("--config", "method = wavelet\nwavelet.sizes = 4,8,100", id="wavelet-wavelet.sizes=100"),
+        pytest.param("--config", "method = wavelet\nwavelet.patches = 1000000000000",
+                     id="wavelet-wavelet.patches=1e12"),
         pytest.param("--config", "stft.frame_size = 1\nstft.hop = 1", id="stft.frame_size=1"),
         pytest.param("--config", None, id="config-missing"),
     ])

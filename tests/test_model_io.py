@@ -270,6 +270,18 @@ class TestErrors:
         assert type(err.value) is SonoclassError  # not a ConfigError: the user passed no config
         assert str(err.value) == f"{path}: {message}"
 
+    def test_huge_wavelet_patches_echo_is_a_data_error(self, tmp_path):
+        model, _ = small_trained_model(with_patches=True)
+        path = tmp_path / "m.txt"
+        save_model(path, model)
+        text = path.read_text()
+        assert "wavelet.patches = 2\n" in text
+        path.write_text(text.replace("wavelet.patches = 2\n", "wavelet.patches = 1000000000000\n"))
+        with pytest.raises(SonoclassError) as err:
+            load_model(path)
+        assert type(err.value) is SonoclassError
+        assert "wavelet.patches = 1000000000000 over the 64x64 scale-1 C1 plane" in str(err.value)
+
     def test_swapped_scaler_lines(self, tmp_path):
         model, _ = small_trained_model()
         path = tmp_path / "m.txt"

@@ -190,7 +190,13 @@ class TestConfig:
         ({"gabor.scales": "4", "gabor.orientations": "4", "fixed.rows": "1024",
           "fixed.cols": "1025"}, "^log-Gabor bank of 4 scales x 4 orientations of 1024x1025 "
          "holds 16793600 values"),
-    ], ids=["orientations", "fixed.rows", "grid-above-cap", "bank-above-cap"])
+        ({"method": "wavelet", "wavelet.patches": "1000000000000"},
+         r"^wavelet.patches = 1000000000000 over the 64x64 scale-1 C1 plane holds "
+         r"4096000000000000 values, above the cap of 16777216$"),
+        ({"method": "wavelet", "wavelet.patches": "4097"},
+         "^wavelet.patches = 4097 over the 64x64 scale-1 C1 plane holds 16781312 values"),
+    ], ids=["orientations", "fixed.rows", "grid-above-cap", "bank-above-cap",
+            "wavelet-patches", "wavelet-patches-above-cap"])
     def test_huge_grid_or_bank_rejected(self, flat, message):
         # only the config is built: no grid or bank is allocated
         with pytest.raises(ConfigError, match=message):
@@ -202,6 +208,8 @@ class TestConfig:
                           "fixed.rows": "4096", "fixed.cols": "4096"})
         config_from_flat({"gabor.scales": "4", "gabor.orientations": "4",
                           "fixed.rows": "1024", "fixed.cols": "1024"})
+        config_from_flat({"method": "wavelet", "wavelet.patches": "4096"})
+        config_from_flat({"method": "bank", "wavelet.patches": "1000000000000"})  # unused
 
     def test_bad_method_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,15 +1,17 @@
 """Every Python file of the project parses as Python 3.10, the oldest
 version the CI workflow runs, so newer syntax is caught on any interpreter,
-and every text file the library reads or writes names its encoding."""
+and every text file the library reads or writes names its encoding. The
+code-line counter in tools/ skips blanks, comments and docstrings."""
 
 import ast
+import runpy
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_sources_parse_as_python_310():
-    paths = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
+    paths = sorted(p for d in ("src", "tests", "demos", "tools") for p in (ROOT / d).rglob("*.py"))
     assert len(paths) > 30
     failures = []
     for path in paths:
@@ -18,6 +20,15 @@ def test_sources_parse_as_python_310():
         except SyntaxError as exc:
             failures.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
     assert not failures, "\n".join(failures)
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings():
+    code_lines = runpy.run_path(str(ROOT / "tools" / "code_lines.py"))["code_lines"]
+    source = (
+        '"""Module\ndocstring."""\n\n# a comment\nx = 1  # code\n'
+        'def f():\n    """A docstring."""\n    return """a string\n\nover three lines"""\n'
+    )
+    assert code_lines(source) == 5  # x, def and the three lines of the returned string
 
 
 def test_sources_name_the_encoding_of_every_text_file():
